@@ -71,6 +71,25 @@ def _run_reports(jobs):
         return [f.result() for f in futs]
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer >= low, else a usage error (exit 2)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
+        if value < low:
+            raise argparse.ArgumentTypeError("must be >= %d, got %d" % (low, value))
+        return value
+
+    return parse
+
+
+_POSITIVE = _int_at_least(1)
+_NON_NEGATIVE = _int_at_least(0)
+
+
 def _k_value(args) -> Coeff:
     if getattr(args, "k", None) is None:
         return K
@@ -115,7 +134,7 @@ def cmd_gens(args) -> int:
 
 
 def cmd_check(args) -> int:
-    ds = [args.d] if args.d else [1, 2, 3]
+    ds = [args.d] if args.d is not None else [1, 2, 3]
     jobs = [(_reports_for_check, (d,)) for d in ds]
     results = []
     for d, recs in zip(ds, _run_reports(jobs)):
@@ -142,7 +161,7 @@ def cmd_casimir(args) -> int:
 
 def cmd_relations(args) -> int:
     results = []
-    ds = [args.d] if args.d else [1, 2, 3]
+    ds = [args.d] if args.d is not None else [1, 2, 3]
     for d in ds:
         gens = build_gl_np1(RepSpec.gl3(K, d))
         for r in art_relations(gens):
@@ -337,8 +356,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_gens)
 
     sp = sub.add_parser("check", help="verify the full commutation table")
-    sp.add_argument("--n", type=int, default=2)
-    sp.add_argument("--d", type=int, default=None, help="one block size (default 1,2,3)")
+    sp.add_argument("--n", type=int, choices=(2,), default=2, help="only gl(3) is built")
+    sp.add_argument(
+        "--d", type=_POSITIVE, default=None, help="one block size (default 1,2,3)"
+    )
     sp.set_defaults(func=cmd_check)
 
     sp = sub.add_parser("casimir", help="verify Casimir values and centrality")
@@ -346,11 +367,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_casimir)
 
     sp = sub.add_parser("relations", help="verify the nine quadratic relations")
-    sp.add_argument("--d", type=int, default=None)
+    sp.add_argument("--d", type=_POSITIVE, default=None)
     sp.set_defaults(func=cmd_relations)
 
     sp = sub.add_parser("space", help="discover an invariant space")
-    sp.add_argument("--k", type=int, required=True)
+    sp.add_argument("--k", type=_NON_NEGATIVE, required=True)
     sp.add_argument("--d", type=int, default=2)
     sp.add_argument("--m", type=int, default=None, help="triangle space instead")
     sp.add_argument("--degree-cap", type=int, default=None)
@@ -369,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("spectrum", help="exact spectrum on the invariant flag")
     sp.add_argument("--model", choices=("calogero", "sutherland"), required=True)
-    sp.add_argument("--k", type=int, required=True)
+    sp.add_argument("--k", type=_NON_NEGATIVE, required=True)
     sp.add_argument("--d", type=int, default=1)
     sp.add_argument("--omega", default="1")
     sp.add_argument("--alpha", default="1")

@@ -17,7 +17,14 @@ from typing import Dict, List, Sequence, Tuple
 
 from .coeff import Coeff
 from .generators import GeneratorSet, GmGeneratorSet, gm_commutator_tower
-from .linalg import rank_of, solve_combination, spans_equal
+from .linalg import (
+    Indexer,
+    QPEchelon,
+    rank_of,
+    scalarize,
+    solve_combination,
+    spans_equal,
+)
 from .weyl import MatrixDiffOp, ScalarDiffOp, commutator
 
 
@@ -338,12 +345,7 @@ def art_dependency(gens_list: Sequence[GeneratorSet]) -> DependencyResult:
     """
 
     def vec(tag, op):
-        out = {}
-        for i, row in enumerate(op.entries):
-            for j, e in enumerate(row):
-                for mono, c in e.terms.items():
-                    out[(tag, i, j, mono)] = c
-        return out
+        return {(tag,) + key: c for key, c in op.coords().items()}
 
     stacked = [dict() for _ in _DEP_NAMES]
     target = {}
@@ -486,18 +488,9 @@ def gm_tower_constants(gm: GmGeneratorSet):
     equal to c_i * U_i, or None entries where no exact ratio exists.
     """
     tower = gm_commutator_tower(gm)
-
-    def vec(op):
-        out = {}
-        for i, row in enumerate(op.entries):
-            for j, e in enumerate(row):
-                for mono, c in e.terms.items():
-                    out[(i, j, mono)] = c
-        return out
-
     ratios = []
     for i in range(1, gm.m + 1):
-        sol = solve_combination([vec(gm.U[i])], vec(tower[i]))
+        sol = solve_combination([gm.U[i].coords()], tower[i].coords())
         if sol is None or sol[0][1]:
             ratios.append(None)
         else:
@@ -505,23 +498,22 @@ def gm_tower_constants(gm: GmGeneratorSet):
     return ratios
 
 
-def _pbw_products(gm: GmGeneratorSet, max_degree: int):
-    """Ordered products of the Cartan-part generators up to a total degree."""
-    names_ops = gm.cartan()
-    ident = MatrixDiffOp.identity(gm.dim, 2)
-    prods = [("1", ident)]
-    frontier = [("", ident, 0)]
+def _pbw_tiers(gm: GmGeneratorSet, max_degree: int):
+    """Ordered products of the Cartan-part generators, one list per degree.
+
+    Yields the products of degree 0, 1, ..., max_degree in turn, so the
+    concatenation of the first deg + 1 lists spans filtration degree deg.
+    """
+    ops = [g for _, g in gm.cartan()]
+    frontier = [(MatrixDiffOp.identity(gm.dim, 2), 0)]
+    yield [frontier[0][0]]
     for _ in range(max_degree):
-        new_frontier = []
-        for label, op, start in frontier:
-            for idx in range(start, len(names_ops)):
-                name, g = names_ops[idx]
-                nop = op * g
-                nlabel = (label + "*" + name).lstrip("*")
-                prods.append((nlabel, nop))
-                new_frontier.append((nlabel, nop, idx))
-        frontier = new_frontier
-    return prods
+        frontier = [
+            (op * ops[idx], idx)
+            for op, start in frontier
+            for idx in range(start, len(ops))
+        ]
+        yield [op for op, _ in frontier]
 
 
 @dataclass
@@ -543,45 +535,45 @@ class ClosureReport:
 
 
 def gm_closure_check(gm: GmGeneratorSet, degree_cap: int | None = None) -> ClosureReport:
-    """Find the minimal filtration degree containing every [T_i^-, U_j]."""
+    """Find the minimal filtration degree containing every [T_i^-, U_j].
+
+    Filtration degree deg is spanned by the PBW products of degree <= deg
+    times powers k^0 .. k^(cap+1).  One echelon grows tier by tier; after
+    each tier only the targets not yet inside are reduced, and a target's
+    degree is the first tier that leaves it no residual.
+    """
     cap = degree_cap if degree_cap is not None else gm.m
-
-    def vec(op):
-        out = {}
-        for i, row in enumerate(op.entries):
-            for j, e in enumerate(row):
-                for mono, c in e.terms.items():
-                    out[(i, j, mono)] = c
-        return out
-
-    # columns: PBW products times k-powers (coefficients polynomial in k)
-    tiers = []
-    for deg in range(cap + 1):
-        prods = _pbw_products(gm, deg)
-        cols = []
-        for _, op in prods:
-            base = vec(op)
-            for t in range(cap + 2):
-                if t == 0:
-                    cols.append(base)
-                else:
-                    kt = Coeff.param("k") ** t
-                    cols.append({key: c * kt for key, c in base.items()})
-        tiers.append(cols)
-
+    kpowers = [Coeff.param("k") ** t for t in range(1, cap + 2)]
+    ix = Indexer()
     memberships = {}
+    pending = {}
     for i in range(gm.m + 1):
         for j in range(gm.m + 1):
-            target = vec(commutator(gm.Tminus[i], gm.U[j]))
-            if not target:
+            target = commutator(gm.Tminus[i], gm.U[j]).coords()
+            if target:
+                memberships[(i, j)] = None
+                pending[(i, j)] = scalarize(target, ix)
+            else:
                 memberships[(i, j)] = 0
-                continue
-            found = None
-            for deg in range(cap + 1):
-                if solve_combination(tiers[deg], target) is not None:
-                    found = deg
-                    break
-            memberships[(i, j)] = found
+
+    ech = QPEchelon()
+    for deg, prods in enumerate(_pbw_tiers(gm, cap)):
+        if not pending:
+            break
+        for op in prods:
+            base = op.coords()
+            ech.insert(scalarize(base, ix))
+            for kt in kpowers:
+                ech.insert(scalarize({key: c * kt for key, c in base.items()}, ix))
+        for key, vec in list(pending.items()):
+            res, _ = ech.reduce(vec)
+            if res:
+                # res differs from the target by a vector of this tier, so
+                # it lies in a later tier exactly when the target does
+                pending[key] = res
+            else:
+                memberships[key] = deg
+                del pending[key]
     return ClosureReport(gm.m, cap, memberships)
 
 
@@ -591,15 +583,6 @@ def g1_matches_gl3(gm: GmGeneratorSet, gl3: GeneratorSet):
     Both spans have dimension 9 over Q(sqrt2) with k symbolic (they are the
     same nine-dimensional operator space).  Returns (equal, dim_g1, dim_gl3).
     """
-
-    def vec(op):
-        out = {}
-        for i, row in enumerate(op.entries):
-            for j, e in enumerate(row):
-                for mono, c in e.terms.items():
-                    out[(i, j, mono)] = c
-        return out
-
-    a = [vec(op) for op in gm.all_ops()]
-    b = [vec(op) for op in gl3.all_ops()]
+    a = [op.coords() for op in gm.all_ops()]
+    b = [op.coords() for op in gl3.all_ops()]
     return spans_equal(a, b), rank_of(a), rank_of(b)

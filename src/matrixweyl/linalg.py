@@ -6,6 +6,12 @@ parameter exponent vector) becomes one axis with a value in Q(sqrt2).  An
 identity or membership established this way holds for all parameter values
 at once, because the admitted combination coefficients are parameter-free.
 
+Every span question builds one QPEchelon over its spanning vectors and
+reduces all of its targets against it; a caller with a nested family of
+spans (the g^(m) closure filtration) grows a single echelon instead of
+rebuilding one per span.  Combination tracking is switched on only by the
+solvers that report coefficients (solve_combination, coeff_matrix_solve).
+
 Characteristic polynomials are computed by the Faddeev-LeVerrier recursion,
 which only ever divides by integers and therefore stays exact over the
 coefficient ring.  Root extraction first pulls out roots that are rational;
@@ -16,7 +22,7 @@ error radius (mpmath).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 from typing import Mapping, Sequence
 
 from .coeff import (
@@ -189,13 +195,15 @@ def spans_equal(a: Sequence[Mapping], b: Sequence[Mapping]) -> bool:
 # -- constant matrices -------------------------------------------------------
 
 
-def coeff_matrix_solve(columns: Sequence[Mapping], target: Mapping):
-    """Solve sum_j c_j * columns[j] = target with Coeff coefficients.
+def coeff_matrix_solve(columns: Sequence[Mapping], targets: Sequence[Mapping]):
+    """Solve sum_j c_j * columns[j] = target with Coeff coefficients, per target.
 
-    The columns must be parameter-free; the target may carry parameters, in
+    The columns must be parameter-free; a target may carry parameters, in
     which case the solve is done per parameter monomial and the parts are
-    recombined.  Returns (coords, residual) where residual is a nonempty
-    sparse map exactly when the target is not in the span.
+    recombined.  The tracked echelon of the columns is built once and every
+    target is reduced against it.  Returns one (coords, residual) per target,
+    where residual is a nonempty sparse map exactly when that target is not
+    in the span.
     """
     ix = Indexer()
     ech = QPEchelon(track=True)
@@ -207,26 +215,29 @@ def coeff_matrix_solve(columns: Sequence[Mapping], target: Mapping):
                 flat[ix(key)] = pair
         ech.insert(flat)
 
-    groups = {}
-    for key, c in target.items():
-        for exps, pair in c.terms.items():
-            groups.setdefault(exps, {})[key] = pair
+    out = []
+    for target in targets:
+        groups = {}
+        for key, c in target.items():
+            for exps, pair in c.terms.items():
+                groups.setdefault(exps, {})[key] = pair
 
-    coords = [Coeff.zero() for _ in columns]
-    residual = {}
-    for exps, vec in sorted(groups.items()):
-        flat = {ix(key): pair for key, pair in vec.items()}
-        res, combo = ech.reduce(flat)
-        if res:
-            for col, pair in res.items():
-                key = ix.keys[col]
-                residual[key] = residual.get(key, Coeff.zero()) + Coeff({exps: pair})
-        if combo:
-            mono = Coeff({exps: _QP1})
-            for j, pair in combo.items():
-                coords[j] = coords[j] + Coeff({(0, 0, 0, 0): pair}) * mono
-    residual = {k: v for k, v in residual.items() if not v.is_zero()}
-    return coords, residual
+        coords = [Coeff.zero() for _ in columns]
+        residual = {}
+        for exps, vec in sorted(groups.items()):
+            flat = {ix(key): pair for key, pair in vec.items()}
+            res, combo = ech.reduce(flat)
+            if res:
+                for col, pair in res.items():
+                    key = ix.keys[col]
+                    residual[key] = residual.get(key, Coeff.zero()) + Coeff({exps: pair})
+            if combo:
+                mono = Coeff({exps: _QP1})
+                for j, pair in combo.items():
+                    coords[j] = coords[j] + Coeff({(0, 0, 0, 0): pair}) * mono
+        residual = {k: v for k, v in residual.items() if not v.is_zero()}
+        out.append((coords, residual))
+    return out
 
 
 def charpoly(matrix: Sequence[Sequence[Coeff]]):
@@ -281,13 +292,6 @@ def _divisors(n: int):
     return sorted(out)
 
 
-def _poly_eval(coeffs, x: Fraction):
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
 def _deflate(coeffs, root):
     """Divide sum c_i t^i by (t - root); coeffs are Coeff, root a Coeff."""
     n = len(coeffs) - 1
@@ -326,7 +330,7 @@ def rational_roots(coeffs):
         for poly in polys:
             den = 1
             for f in poly:
-                den = den * f.denominator // _gcd(den, f.denominator)
+                den = den * f.denominator // gcd(den, f.denominator)
             ints = [int(f * den) for f in poly]
             while ints and ints[-1] == 0:
                 ints.pop()
@@ -354,12 +358,6 @@ def rational_roots(coeffs):
                 progress = True
                 break
     return roots, coeffs
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def numeric_roots(coeffs, dps: int = 50):

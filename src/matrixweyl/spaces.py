@@ -189,15 +189,14 @@ class OperatorMatrix:
 
 def matrix_of(op: MatrixDiffOp, basis: SpinorBasis) -> OperatorMatrix:
     """Column j holds the exact coordinates of op applied to basis vector j."""
-    columns = basis.coords_list()
+    images = [op.apply(v).coords() for v in basis.vectors]
     n = basis.dim
     out = [[Coeff.zero()] * n for _ in range(n)]
-    for j, v in enumerate(basis.vectors):
-        image = op.apply(v)
-        coords, residual = coeff_matrix_solve(columns, image.coords())
+    solved = coeff_matrix_solve(basis.coords_list(), images)
+    for j, (coords, residual) in enumerate(solved):
         if residual:
-            res = _spinor_from_coords(residual, v.dim, v.nvars)
-            raise NotInvariantError(j, res)
+            v = basis.vectors[j]
+            raise NotInvariantError(j, _spinor_from_coords(residual, v.dim, v.nvars))
         for i, c in enumerate(coords):
             out[i][j] = c
     return OperatorMatrix(n, tuple(tuple(row) for row in out), basis.label)
@@ -212,10 +211,6 @@ def _spinor_from_coords(coords, dim, nvars):
 
 def basis_contains(basis: SpinorBasis, vectors: Sequence[PolySpinor]) -> bool:
     return span_contains(basis.coords_list(), [v.coords() for v in vectors])
-
-
-def bases_span_equal(a: SpinorBasis, b: SpinorBasis) -> bool:
-    return basis_contains(a, b.vectors) and basis_contains(b, a.vectors)
 
 
 # -- Newton-hexagon structure ---------------------------------------------------

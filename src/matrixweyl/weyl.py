@@ -491,6 +491,15 @@ class MatrixDiffOp:
     def term_count(self) -> int:
         return sum(len(e.terms) for row in self.entries for e in row)
 
+    def coords(self):
+        """Sparse coordinates keyed by (row, column, differential monomial)."""
+        out = {}
+        for i, row in enumerate(self.entries):
+            for j, e in enumerate(row):
+                for mono, c in e.terms.items():
+                    out[(i, j, mono)] = c
+        return out
+
     # -- action and binding ----------------------------------------------------
 
     def apply(self, v: "PolySpinor") -> "PolySpinor":

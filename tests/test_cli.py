@@ -105,6 +105,26 @@ def test_usage_error_exit_code():
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--d", "0"],
+        ["check", "--d", "-2"],
+        ["check", "--n", "3"],
+        ["relations", "--d", "0"],
+        ["space", "--k", "-1"],
+        ["spectrum", "--model", "calogero", "--k", "-1"],
+    ],
+)
+def test_out_of_domain_input_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage:" in captured.err
+
+
 def test_out_file_and_determinism(tmp_path, capsys):
     p1 = tmp_path / "a.json"
     p2 = tmp_path / "b.json"

@@ -1,5 +1,6 @@
 import json
 import os
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,9 +13,11 @@ from matrixweyl import (
     ScalarDiffOp,
     build_gl_np1,
     build_gm,
+    commutator,
     gl2_irrep,
     gm_commutator_tower,
 )
+from matrixweyl.linalg import solve_combination
 from matrixweyl.identities import (
     g1_matches_gl3,
     gm_closure_check,
@@ -94,6 +97,71 @@ def test_closure_within_degree_m_for_trivial_block(m):
     report = gm_closure_check(build_gm(m, K))
     assert report.closed
     assert report.max_degree <= m
+
+
+def _reference_memberships(gm):
+    """Closure memberships by one tracked solve per target and per tier.
+
+    Tier deg holds every ordered product of the Cartan-part generators of
+    degree <= deg, each times k^0 .. k^(m+1); a target's degree is the first
+    tier whose span contains it.
+    """
+    cap = gm.m
+    cartan = [g for _, g in gm.cartan()]
+    ident = MatrixDiffOp.identity(gm.dim, 2)
+    tiers = []
+    prods = [ident]
+    frontier = [(ident, 0)]
+    for deg in range(cap + 1):
+        if deg:
+            frontier = [
+                (op * cartan[idx], idx)
+                for op, start in frontier
+                for idx in range(start, len(cartan))
+            ]
+            prods = prods + [op for op, _ in frontier]
+        cols = []
+        for op in prods:
+            base = op.coords()
+            cols.append(base)
+            for t in range(1, cap + 2):
+                kt = Coeff.param("k") ** t
+                cols.append({key: c * kt for key, c in base.items()})
+        tiers.append(cols)
+
+    memberships = {}
+    for i in range(gm.m + 1):
+        for j in range(gm.m + 1):
+            target = commutator(gm.Tminus[i], gm.U[j]).coords()
+            if not target:
+                memberships[(i, j)] = 0
+                continue
+            memberships[(i, j)] = next(
+                (
+                    deg
+                    for deg in range(cap + 1)
+                    if solve_combination(tiers[deg], target) is not None
+                ),
+                None,
+            )
+    return memberships
+
+
+@pytest.mark.parametrize("m,d", [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2)])
+def test_closure_memberships_match_per_tier_solves(m, d):
+    gm = build_gm(m, K, gl2_irrep(d))
+    report = gm_closure_check(gm)
+    assert report.degree_cap == m
+    assert report.memberships == _reference_memberships(gm)
+
+
+def test_closure_m4_within_budget():
+    start = time.perf_counter()
+    report = gm_closure_check(build_gm(4, K))
+    elapsed = time.perf_counter() - start
+    assert report.closed
+    assert report.max_degree <= 4
+    assert elapsed < 30, "gm_closure_check(m=4) took %.1f s" % elapsed
 
 
 def test_closure_fails_for_matrix_blocks():

@@ -73,11 +73,11 @@ def test_spans_equal_symbolic():
 def test_coeff_matrix_solve_with_parametric_target():
     cols = [vec(p=C(1)), vec(q=C(1))]
     target = vec(p=K * 2, q=Coeff.param("omega") + C(3))
-    coords, residual = coeff_matrix_solve(cols, target)
+    [(coords, residual)] = coeff_matrix_solve(cols, [target])
     assert not residual
     assert coords[0] == K * 2
     assert coords[1] == Coeff.param("omega") + 3
-    coords, residual = coeff_matrix_solve([cols[0]], target)
+    [(coords, residual)] = coeff_matrix_solve([cols[0]], [target])
     assert residual
 
 

@@ -10,6 +10,7 @@ from matrixweyl import (
     gl2_irrep,
 )
 from matrixweyl.identities import casimirs_gl3
+from matrixweyl.models import calogero, flag_basis, sutherland
 from matrixweyl.spaces import (
     NotInvariantError,
     SpaceNotClosedError,
@@ -224,6 +225,33 @@ def test_not_invariant_error_carries_residual():
     with pytest.raises(NotInvariantError) as err:
         matrix_of(x1, basis)
     assert not err.value.residual.is_zero()
+
+
+@pytest.mark.parametrize(
+    "build,kind,k,d", [(calogero, "calogero", 4, 2), (sutherland, "sutherland", 3, 2)]
+)
+def test_matrix_of_reconstructs_every_image(build, kind, k, d):
+    # sum_i M[i][j] b_i == op(b_j) exactly, parameters (omega, nu, alpha) kept
+    op = build("liealgebraic", Coeff.rational(k), d).op
+    basis = flag_basis(kind, k, d)
+    m = matrix_of(op, basis)
+    zero = PolySpinor.zero(d, 2)
+    for j, bj in enumerate(basis.vectors):
+        rebuilt = zero
+        for i, bi in enumerate(basis.vectors):
+            rebuilt = rebuilt + bi.scale(m.entries[i][j])
+        assert rebuilt == op.apply(bj), "column %d" % j
+
+
+def test_not_invariant_error_names_first_failing_column():
+    # basis 1, x1, x2 under multiplication by x1: 1 -> x1 stays inside,
+    # x1 -> x1^2 is the first image to leave the span
+    basis = scalar_basis(1, 1)
+    x1 = MatrixDiffOp.from_scalar(ScalarDiffOp.x(0, 2), 1)
+    with pytest.raises(NotInvariantError) as err:
+        matrix_of(x1, basis)
+    assert err.value.index == 1
+    assert err.value.residual == spinor(2, [((2, 0), 1)])
 
 
 def test_orbit_cap_failure_reports():
