@@ -2,18 +2,17 @@
 
 Subcommands build representations, run the verification suites, dump
 operators and compute spectra.  Output is deterministic JSON (default),
-LaTeX mirroring the displayed matrix conventions, or short text.  Exit
-status: 0 when every check in the manifest passed, 1 on a mathematical
-failure (broken identity, non-invariant space), 2 on usage errors.
-
-MATRIXWEYL_WORKERS caps the process pool used for the identity suites;
-unset or 1 runs sequentially with identical output.
+LaTeX mirroring the displayed matrix conventions, or short text.  Every
+JSON path ends in _finish, which builds the manifest, emits it and picks
+the exit status: 0 when every record in the manifest passed, 1 on a
+mathematical failure (broken identity, non-invariant space).  Input
+outside the domain is rejected by the argparse types with exit 2 before
+any mathematics runs.  `model` always exits 0 (see cmd_model).
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from fractions import Fraction
 
@@ -34,12 +33,11 @@ from .identities import (
 )
 from .matrixreps import gl2_irrep
 from .models import (
-    calogero,
+    MODELS,
     consistency_check,
     pattern_verdict,
     scalar_form_check,
     spectrum,
-    sutherland,
 )
 from .render import matrix_op_latex, matrix_op_str
 from .serialize import dumps, manifest, matrix_op_to_json
@@ -50,25 +48,6 @@ from .spaces import (
     orbit_closure,
 )
 from .weyl import PolySpinor
-
-
-def _workers() -> int:
-    try:
-        return max(1, int(os.environ.get("MATRIXWEYL_WORKERS", "1")))
-    except ValueError:
-        return 1
-
-
-def _run_reports(jobs):
-    """jobs: list of (callable, args); runs them, possibly in a process pool."""
-    n = _workers()
-    if n <= 1 or len(jobs) <= 1:
-        return [f(*a) for f, a in jobs]
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=n) as pool:
-        futs = [pool.submit(f, *a) for f, a in jobs]
-        return [f.result() for f in futs]
 
 
 def _int_at_least(low: int):
@@ -90,6 +69,14 @@ _POSITIVE = _int_at_least(1)
 _NON_NEGATIVE = _int_at_least(0)
 
 
+def _fraction(text: str) -> Fraction:
+    """argparse type: a rational such as 2/3, else a usage error (exit 2)."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError("invalid rational value: %r" % text) from None
+
+
 def _k_value(args) -> Coeff:
     if getattr(args, "k", None) is None:
         return K
@@ -104,9 +91,11 @@ def _emit(args, text: str):
         sys.stdout.write(text)
 
 
-def _reports_for_check(d):
-    gens = build_gl_np1(RepSpec.gl3(K, d))
-    return [r.record() for r in commutation_table(gens)]
+def _finish(args, command: str, inputs: dict, results: list) -> int:
+    """Build the manifest, emit it and return the exit status it implies."""
+    data = manifest(command, inputs, results)
+    _emit(args, dumps(data))
+    return 0 if data["verdict"] == "pass" else 1
 
 
 def cmd_gens(args) -> int:
@@ -121,7 +110,8 @@ def cmd_gens(args) -> int:
         parts = ["%s:\n%s\n" % (name, matrix_op_str(op)) for name, op in gens.named()]
         _emit(args, "\n".join(parts))
         return 0
-    data = manifest(
+    return _finish(
+        args,
         "gens",
         {"n": 2, "d": args.d, "k": "symbolic" if args.k is None else str(args.k)},
         [
@@ -129,22 +119,18 @@ def cmd_gens(args) -> int:
             for name, op in gens.named()
         ],
     )
-    _emit(args, dumps(data))
-    return 0
 
 
 def cmd_check(args) -> int:
     ds = [args.d] if args.d is not None else [1, 2, 3]
-    jobs = [(_reports_for_check, (d,)) for d in ds]
     results = []
-    for d, recs in zip(ds, _run_reports(jobs)):
-        for r in recs:
-            r = dict(r)
-            r["d"] = d
-            results.append(r)
-    data = manifest("check", {"n": args.n, "d": ds}, results)
-    _emit(args, dumps(data))
-    return 0 if data["verdict"] == "pass" else 1
+    for d in ds:
+        gens = build_gl_np1(RepSpec.gl3(K, d))
+        for r in commutation_table(gens):
+            rec = r.record()
+            rec["d"] = d
+            results.append(rec)
+    return _finish(args, "check", {"n": args.n, "d": ds}, results)
 
 
 def cmd_casimir(args) -> int:
@@ -154,9 +140,7 @@ def cmd_casimir(args) -> int:
     for name, C in (("C1", C1), ("C2", C2)):
         for r in casimir_centrality(C, gens, name):
             results.append(r.record())
-    data = manifest("casimir", {"d": args.d}, results)
-    _emit(args, dumps(data))
-    return 0 if data["verdict"] == "pass" else 1
+    return _finish(args, "casimir", {"d": args.d}, results)
 
 
 def cmd_relations(args) -> int:
@@ -184,9 +168,7 @@ def cmd_relations(args) -> int:
             "reference_mismatches": audit.mismatched_lines(),
         }
     )
-    data = manifest("relations", {"d": ds}, results)
-    _emit(args, dumps(data))
-    return 0 if data["verdict"] == "pass" else 1
+    return _finish(args, "relations", {"d": ds}, results)
 
 
 def cmd_space(args) -> int:
@@ -201,22 +183,19 @@ def cmd_space(args) -> int:
                 "dim": basis.dim,
             }
         ]
-        data = manifest("space", {"k": args.k, "m": args.m}, results)
-        _emit(args, dumps(data))
-        return 0
+        return _finish(args, "space", {"k": args.k, "m": args.m}, results)
     gens = build_gl_np1(RepSpec.gl3(Coeff.rational(args.k), args.d))
     seed = PolySpinor.unit(args.d - 1, args.d, 2)
     cap = args.degree_cap if args.degree_cap is not None else args.k + 2
     try:
         basis = orbit_closure(gens.all_ops(), [seed], degree_cap=cap)
     except SpaceNotClosedError as exc:
-        data = manifest(
+        return _finish(
+            args,
             "space",
             {"k": args.k, "d": args.d, "degree_cap": cap},
             [{"name": "orbit closure", "pass": False, "error": str(exc)}],
         )
-        _emit(args, dumps(data))
-        return 1
     results = [{"name": "orbit closure", "pass": True, "dim": basis.dim}]
     if args.d == 2:
         rpt = hexagon_audit(basis, args.k, gl2_irrep(2))
@@ -230,17 +209,13 @@ def cmd_space(args) -> int:
                 "issues": list(rpt.issues),
             }
         )
-    data = manifest("space", {"k": args.k, "d": args.d, "degree_cap": cap}, results)
-    _emit(args, dumps(data))
-    return 0 if data["verdict"] == "pass" else 1
-
-
-_MODEL_BUILDERS = {"calogero": calogero, "sutherland": sutherland}
+    return _finish(
+        args, "space", {"k": args.k, "d": args.d, "degree_cap": cap}, results
+    )
 
 
 def cmd_model(args) -> int:
-    build = _MODEL_BUILDERS[args.model]
-    model = build(args.form, _k_value(args), args.d)
+    model = MODELS[args.model](args.form, _k_value(args), args.d)
     if args.output == "latex":
         names = (
             ("\\tau_2", "\\tau_3") if args.model == "calogero" else ("\\eta_2", "\\eta_3")
@@ -259,41 +234,42 @@ def cmd_model(args) -> int:
     checks = [scalar_form_check(args.model, K).record()]
     if args.d > 1:
         checks.append(consistency_check(args.model, K, args.d).record())
-    data = manifest(
+    _finish(
+        args,
         "model",
         {"model": args.model, "form": args.form, "d": args.d},
         results + checks,
     )
-    _emit(args, dumps(data))
+    # The display-vs-lie record is `pass: false` by design at d >= 2, and
+    # perfbench/reference.json pins exit 0 with these bytes for
+    # `model --form matrix --d 3`; the exit status follows the verdict only
+    # once the benchmark records its reference again.
     return 0
 
 
 def cmd_spectrum(args) -> int:
-    build = _MODEL_BUILDERS[args.model]
-    model = build("liealgebraic", Coeff.rational(args.k), args.d)
-    bindings = {"nu": Fraction(args.nu)}
+    model = MODELS[args.model]("liealgebraic", Coeff.rational(args.k), args.d)
+    bindings = {"nu": args.nu}
     if args.model == "calogero":
-        bindings["omega"] = Fraction(args.omega)
+        bindings["omega"] = args.omega
     else:
-        bindings["alpha"] = Fraction(args.alpha)
+        bindings["alpha"] = args.alpha
     try:
         result = spectrum(model, bindings)
     except (NotInvariantError, SpaceNotClosedError, ValueError) as exc:
-        data = manifest(
+        return _finish(
+            args,
             "spectrum",
             {"model": args.model, "k": args.k, "d": args.d},
             [{"name": "spectrum", "pass": False, "error": str(exc)}],
         )
-        _emit(args, dumps(data))
-        return 1
     rec = result.to_json()
     rec["name"] = "spectrum"
     rec["pass"] = True
     if args.model == "calogero":
-        rec["verdict_vs_scalar_pattern"] = pattern_verdict(
-            result, Fraction(args.omega)
-        )
-    data = manifest(
+        rec["verdict_vs_scalar_pattern"] = pattern_verdict(result, args.omega)
+    return _finish(
+        args,
         "spectrum",
         {
             "model": args.model,
@@ -303,8 +279,6 @@ def cmd_spectrum(args) -> int:
         },
         [rec],
     )
-    _emit(args, dumps(data))
-    return 0
 
 
 def cmd_gm(args) -> int:
@@ -331,9 +305,7 @@ def cmd_gm(args) -> int:
         results.append(
             {"name": "g(1) equals gl3 span", "pass": eq, "dims": [da, db]}
         )
-    data = manifest("gm", {"m": args.m, "d": args.d}, results)
-    _emit(args, dumps(data))
-    return 0 if data["verdict"] == "pass" else 1
+    return _finish(args, "gm", {"m": args.m, "d": args.d}, results)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -351,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("gens", help="dump the gl3 generators for one block size")
-    sp.add_argument("--d", type=int, required=True)
+    sp.add_argument("--d", type=_POSITIVE, required=True)
     sp.add_argument("--k", type=int, default=None, help="bind k (default symbolic)")
     sp.set_defaults(func=cmd_gens)
 
@@ -363,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_check)
 
     sp = sub.add_parser("casimir", help="verify Casimir values and centrality")
-    sp.add_argument("--d", type=int, required=True)
+    sp.add_argument("--d", type=_POSITIVE, required=True)
     sp.set_defaults(func=cmd_casimir)
 
     sp = sub.add_parser("relations", help="verify the nine quadratic relations")
@@ -372,46 +344,42 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("space", help="discover an invariant space")
     sp.add_argument("--k", type=_NON_NEGATIVE, required=True)
-    sp.add_argument("--d", type=int, default=2)
-    sp.add_argument("--m", type=int, default=None, help="triangle space instead")
-    sp.add_argument("--degree-cap", type=int, default=None)
+    sp.add_argument("--d", type=_POSITIVE, default=2)
+    sp.add_argument("--m", type=_POSITIVE, default=None, help="triangle space instead")
+    sp.add_argument("--degree-cap", type=_NON_NEGATIVE, default=None)
     sp.set_defaults(func=cmd_space)
 
     sp = sub.add_parser("model", help="build a model operator")
-    sp.add_argument("--model", choices=("calogero", "sutherland"), required=True)
+    sp.add_argument("--model", choices=tuple(MODELS), required=True)
     sp.add_argument(
         "--form",
         choices=("differential", "liealgebraic", "matrix"),
         default="liealgebraic",
     )
-    sp.add_argument("--d", type=int, default=1)
+    sp.add_argument("--d", type=_POSITIVE, default=1)
     sp.add_argument("--k", type=int, default=None)
     sp.set_defaults(func=cmd_model)
 
     sp = sub.add_parser("spectrum", help="exact spectrum on the invariant flag")
-    sp.add_argument("--model", choices=("calogero", "sutherland"), required=True)
+    sp.add_argument("--model", choices=tuple(MODELS), required=True)
     sp.add_argument("--k", type=_NON_NEGATIVE, required=True)
-    sp.add_argument("--d", type=int, default=1)
-    sp.add_argument("--omega", default="1")
-    sp.add_argument("--alpha", default="1")
-    sp.add_argument("--nu", default="0")
+    sp.add_argument("--d", type=_POSITIVE, default=1)
+    sp.add_argument("--omega", type=_fraction, default="1")
+    sp.add_argument("--alpha", type=_fraction, default="1")
+    sp.add_argument("--nu", type=_fraction, default="0")
     sp.set_defaults(func=cmd_spectrum)
 
     sp = sub.add_parser("gm", help="polynomial-algebra tower checks")
-    sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--d", type=int, default=1)
+    sp.add_argument("--m", type=_POSITIVE, required=True)
+    sp.add_argument("--d", type=_POSITIVE, default=1)
     sp.set_defaults(func=cmd_gm)
 
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except ValueError as exc:
-        parser.exit(2, "error: %s\n" % exc)
+    args = build_parser().parse_args(argv)
+    return args.func(args)
 
 
 if __name__ == "__main__":

@@ -207,9 +207,6 @@ class Coeff:
         """Terms in the canonical (lexicographic) order."""
         return sorted(self.terms.items())
 
-    def max_param_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     # -- parameter binding and division -------------------------------------
 
     def substitute(self, bindings: Mapping[str, Union[int, Fraction]]) -> "Coeff":

@@ -96,33 +96,8 @@ class GeneratorSet:
             out.append(("T%d+" % i, self.Tplus[i]))
         return out
 
-    def op(self, name: str) -> MatrixDiffOp:
-        return dict(self.named())[name]
-
     def all_ops(self) -> List[MatrixDiffOp]:
         return [op for _, op in self.named()]
-
-    def substitute(self, bindings) -> "SubstitutedGenerators":
-        return SubstitutedGenerators(self, bindings)
-
-
-class SubstitutedGenerators:
-    """A generator set with parameters bound; keeps the same access surface."""
-
-    def __init__(self, base: GeneratorSet, bindings):
-        self.spec = base.spec
-        self.n = base.n
-        self.dim = base.dim
-        self.nvars = base.nvars
-        self.E = {key: op.substitute(bindings) for key, op in base.E.items()}
-        self.E0 = base.E0.substitute(bindings)
-        self.Tminus = {i: op.substitute(bindings) for i, op in base.Tminus.items()}
-        self.Tplus = {i: op.substitute(bindings) for i, op in base.Tplus.items()}
-        self._named = None
-
-    named = GeneratorSet.named
-    op = GeneratorSet.op
-    all_ops = GeneratorSet.all_ops
 
 
 def build_gl_np1(spec: RepSpec) -> GeneratorSet:

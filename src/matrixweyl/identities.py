@@ -23,7 +23,6 @@ from .linalg import (
     rank_of,
     scalarize,
     solve_combination,
-    spans_equal,
 )
 from .weyl import MatrixDiffOp, ScalarDiffOp, commutator
 
@@ -59,28 +58,15 @@ def _report(name, lhs, rhs) -> IdentityReport:
 
 # -- gl_3 commutation table ----------------------------------------------------
 
-_GL3_LABELS = [(a, b) for a in range(3) for b in range(3)]
+# The unit-matrix labels e_ab of gl_3 (index 0 extra) of an n = 2
+# generator set, in the order of GeneratorSet.named():
+# E_ij = e_ij, E0 = e_00, T_i^- = e_0i, T_i^+ = e_i0.
+_NAMED_LABELS = ((1, 1), (1, 2), (2, 1), (2, 2), (0, 0), (0, 1), (0, 2), (1, 0), (2, 0))
 
 
-def _e_op(gens: GeneratorSet, a: int, b: int) -> MatrixDiffOp:
-    """The generators under the unit-matrix labeling of gl_3 (index 0 extra)."""
-    if a == 0 and b == 0:
-        return gens.E0
-    if a == 0:
-        return gens.Tminus[b]
-    if b == 0:
-        return gens.Tplus[a]
-    return gens.E[(a, b)]
-
-
-def _e_name(a: int, b: int) -> str:
-    if a == 0 and b == 0:
-        return "E0"
-    if a == 0:
-        return "T%d-" % b
-    if b == 0:
-        return "T%d+" % a
-    return "E%d%d" % (a, b)
+def _by_label(gens: GeneratorSet) -> Dict[Tuple[int, int], Tuple[str, MatrixDiffOp]]:
+    """Label (a, b) -> (name, operator)."""
+    return dict(zip(_NAMED_LABELS, gens.named()))
 
 
 def commutation_table(gens: GeneratorSet) -> List[IdentityReport]:
@@ -92,18 +78,17 @@ def commutation_table(gens: GeneratorSet) -> List[IdentityReport]:
     """
     if gens.n != 2:
         raise ValueError("the gl_3 table needs an n = 2 generator set")
+    e = _by_label(gens)
     out = []
     zero = MatrixDiffOp.zero(gens.dim, gens.nvars)
-    for (a, b), (c, d) in combinations_with_replacement(_GL3_LABELS, 2):
-        lhs = commutator(_e_op(gens, a, b), _e_op(gens, c, d))
+    for (a, b), (c, d) in combinations_with_replacement(sorted(e), 2):
+        (gname, g), (hname, h) = e[(a, b)], e[(c, d)]
         rhs = zero
         if b == c:
-            rhs = rhs + _e_op(gens, a, d)
+            rhs = rhs + e[(a, d)][1]
         if a == d:
-            rhs = rhs - _e_op(gens, c, b)
-        out.append(
-            _report("[%s,%s]" % (_e_name(a, b), _e_name(c, d)), lhs, rhs)
-        )
+            rhs = rhs - e[(c, b)][1]
+        out.append(_report("[%s,%s]" % (gname, hname), commutator(g, h), rhs))
     return out
 
 
@@ -160,11 +145,12 @@ def casimirs_gl3(gens: GeneratorSet):
         + E[(2, 2)] * E[(2, 2)]
         + E0 * E0
     )
+    e = {label: op for label, (_, op) in _by_label(gens).items()}
     C3 = MatrixDiffOp.zero(gens.dim, gens.nvars)
     for a in range(3):
         for b in range(3):
             for c in range(3):
-                C3 = C3 + _e_op(gens, a, b) * _e_op(gens, b, c) * _e_op(gens, c, a)
+                C3 = C3 + e[(a, b)] * e[(b, c)] * e[(c, a)]
     return C1, C2, C3
 
 
@@ -581,8 +567,10 @@ def g1_matches_gl3(gm: GmGeneratorSet, gl3: GeneratorSet):
     """Span equality of the g^(1) family with the scalar gl_3 family.
 
     Both spans have dimension 9 over Q(sqrt2) with k symbolic (they are the
-    same nine-dimensional operator space).  Returns (equal, dim_g1, dim_gl3).
+    same nine-dimensional operator space).  The spans are equal exactly when
+    both ranks equal the rank of their union.  Returns (equal, dim_g1, dim_gl3).
     """
     a = [op.coords() for op in gm.all_ops()]
     b = [op.coords() for op in gl3.all_ops()]
-    return spans_equal(a, b), rank_of(a), rank_of(b)
+    ra, rb = rank_of(a), rank_of(b)
+    return ra == rb == rank_of(a + b), ra, rb

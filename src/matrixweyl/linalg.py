@@ -34,6 +34,7 @@ from .coeff import (
     qp_mul,
     qp_neg,
 )
+from .matrixreps import mat_mul
 
 _QP1 = (Fraction(1), Fraction(0))
 
@@ -188,10 +189,6 @@ def span_contains(basis: Sequence[Mapping], vectors: Sequence[Mapping]) -> bool:
     return True
 
 
-def spans_equal(a: Sequence[Mapping], b: Sequence[Mapping]) -> bool:
-    return span_contains(a, b) and span_contains(b, a)
-
-
 # -- constant matrices -------------------------------------------------------
 
 
@@ -247,15 +244,6 @@ def charpoly(matrix: Sequence[Sequence[Coeff]]):
     computed by Faddeev-LeVerrier (divisions by integers only).
     """
     n = len(matrix)
-
-    def mat_mul(A, B):
-        return [
-            [
-                sum((A[i][l] * B[l][j] for l in range(n)), Coeff.zero())
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
 
     def mat_add_scalar(A, s):
         return [

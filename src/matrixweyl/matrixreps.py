@@ -16,7 +16,6 @@ and reports the first offending pair instead of raising.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import isqrt
 from typing import Dict, Sequence, Tuple
 
@@ -36,10 +35,11 @@ def mat_sub(A, B):
 
 
 def mat_mul(A, B):
+    """Square matrix product over any ring: no zero element is needed."""
     d = len(A)
     return [
         [
-            sum((A[i][l] * B[l][j] for l in range(d)), Coeff.zero())
+            sum((A[i][l] * B[l][j] for l in range(1, d)), A[i][0] * B[0][j])
             for j in range(d)
         ]
         for i in range(d)

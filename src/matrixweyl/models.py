@@ -190,12 +190,12 @@ def sutherland(form: str, k, d: int = 1) -> ModelOperator:
     raise ValueError("unknown form %r" % form)
 
 
-_BUILDERS = {"calogero": calogero, "sutherland": sutherland}
+MODELS = {"calogero": calogero, "sutherland": sutherland}
 
 
 def scalar_form_check(kind: str, k) -> IdentityReport:
     """The lie-algebraic combination at [k, 0] against the differential form."""
-    build = _BUILDERS[kind]
+    build = MODELS[kind]
     lie = build("liealgebraic", k, 1)
     diff = build("differential", k, 1)
     return _report("%s lie[k,0] = differential" % kind, lie.op, diff.op)
@@ -203,7 +203,7 @@ def scalar_form_check(kind: str, k) -> IdentityReport:
 
 def consistency_check(kind: str, k, d: int) -> IdentityReport:
     """Reference matrix display minus the lie-algebraic substitution."""
-    build = _BUILDERS[kind]
+    build = MODELS[kind]
     lie = build("liealgebraic", k, d)
     mat = build("matrix", k, d)
     return _report("%s matrix display vs lie [d=%d]" % (kind, d), mat.op, lie.op)
@@ -247,9 +247,6 @@ class SpectrumResult:
     diagonal: bool
     eigenvalues: List[EigRecord]
     charpolys: List[List[str]] = field(default_factory=list)
-
-    def exact_values(self):
-        return [e.pair for e in self.eigenvalues if e.exact]
 
     def all_exact(self) -> bool:
         return all(e.exact for e in self.eigenvalues)

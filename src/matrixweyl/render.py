@@ -18,6 +18,35 @@ def _frac_str(f: Fraction, latex=False) -> str:
     return "%d/%d" % (f.numerator, f.denominator)
 
 
+def _join_signed(pieces) -> str:
+    """Concatenate signed pieces, writing "+" before each non-negative one."""
+    out = pieces[0]
+    for p in pieces[1:]:
+        out += p if p.startswith("-") else "+" + p
+    return out
+
+
+def _needs_parens(s: str) -> bool:
+    return ("+" in s[1:]) or ("-" in s[1:])
+
+
+def _scaled(cs: str, body: str, latex=False) -> str:
+    """Coefficient string cs times a non-constant body."""
+    if cs == "1":
+        return body
+    if cs == "-1":
+        return "-" + body
+    if _needs_parens(cs):
+        cs = "(%s)" % cs
+    return cs + (" " if latex else "*") + body
+
+
+def _power(sym: str, e: int, latex=False) -> str:
+    if e == 1:
+        return sym
+    return ("%s^{%d}" if latex else "%s^%d") % (sym, e)
+
+
 def _qp_str(pair, latex=False) -> str:
     a, b = pair
     root = "\\sqrt{2}" if latex else "sqrt2"
@@ -31,22 +60,15 @@ def _qp_str(pair, latex=False) -> str:
         bs = _frac_str(b, latex) + ("" if latex else "*") + root
     if not a:
         return bs
-    joiner = bs if bs.startswith("-") else "+" + bs
-    return _frac_str(a, latex) + joiner
+    return _join_signed([_frac_str(a, latex), bs])
 
 
 def _param_monomial(exps, latex=False) -> str:
-    parts = []
-    for name, e in zip(PARAMS, exps):
-        if not e:
-            continue
-        sym = _LATEX_PARAM[name] if latex else name
-        if e == 1:
-            parts.append(sym)
-        elif latex:
-            parts.append("%s^{%d}" % (sym, e))
-        else:
-            parts.append("%s^%d" % (sym, e))
+    parts = [
+        _power(_LATEX_PARAM[name] if latex else name, e, latex)
+        for name, e in zip(PARAMS, exps)
+        if e
+    ]
     sep = " " if latex else "*"
     return sep.join(parts)
 
@@ -58,20 +80,8 @@ def coeff_str(c: Coeff, latex=False) -> str:
     for exps, pair in c.sorted_terms():
         mono = _param_monomial(exps, latex)
         scal = _qp_str(pair, latex)
-        if not mono:
-            pieces.append(scal)
-        elif scal == "1":
-            pieces.append(mono)
-        elif scal == "-1":
-            pieces.append("-" + mono)
-        else:
-            if ("+" in scal[1:]) or ("-" in scal[1:]):
-                scal = "(%s)" % scal
-            pieces.append(scal + (" " if latex else "*") + mono)
-    out = pieces[0]
-    for p in pieces[1:]:
-        out += p if p.startswith("-") else "+" + p
-    return out
+        pieces.append(_scaled(scal, mono, latex) if mono else scal)
+    return _join_signed(pieces)
 
 
 def _vars_default(nvars, latex=False):
@@ -81,26 +91,11 @@ def _vars_default(nvars, latex=False):
 
 
 def _term_str(xpow, dpow, var_names, latex=False) -> str:
-    parts = []
-    for v, e in zip(var_names, xpow):
-        if not e:
-            continue
-        if e == 1:
-            parts.append(v)
-        elif latex:
-            parts.append("%s^{%d}" % (v, e))
-        else:
-            parts.append("%s^%d" % (v, e))
+    parts = [_power(v, e, latex) for v, e in zip(var_names, xpow) if e]
     for v, e in zip(var_names, dpow):
-        dsym = "\\partial_{%s}" % v if latex else "d_" + v
-        if not e:
-            continue
-        if e == 1:
-            parts.append(dsym)
-        elif latex:
-            parts.append("%s^{%d}" % (dsym, e))
-        else:
-            parts.append("%s^%d" % (dsym, e))
+        if e:
+            dsym = "\\partial_{%s}" % v if latex else "d_" + v
+            parts.append(_power(dsym, e, latex))
     sep = " " if latex else "*"
     return sep.join(parts)
 
@@ -114,24 +109,10 @@ def scalar_op_str(op, var_names=None, latex=False) -> str:
         body = _term_str(mono.xpow, mono.dpow, var_names, latex)
         cs = coeff_str(c, latex)
         if not body:
-            piece = cs if not _needs_parens(cs) else "(%s)" % cs
-        elif cs == "1":
-            piece = body
-        elif cs == "-1":
-            piece = "-" + body
+            pieces.append(cs if not _needs_parens(cs) else "(%s)" % cs)
         else:
-            if _needs_parens(cs):
-                cs = "(%s)" % cs
-            piece = cs + (" " if latex else "*") + body
-        pieces.append(piece)
-    out = pieces[0]
-    for p in pieces[1:]:
-        out += p if p.startswith("-") else "+" + p
-    return out
-
-
-def _needs_parens(s: str) -> bool:
-    return ("+" in s[1:]) or ("-" in s[1:])
+            pieces.append(_scaled(cs, body, latex))
+    return _join_signed(pieces)
 
 
 def matrix_op_str(op, var_names=None) -> str:
@@ -157,31 +138,11 @@ def poly_str(p, var_names=None, latex=False) -> str:
     zero_d = (0,) * p.nvars
     pieces = []
     for mono in sorted(p.terms):
-        c = p.terms[mono]
         body = _term_str(mono, zero_d, var_names, latex)
-        cs = coeff_str(c, latex)
-        if not body:
-            piece = cs
-        elif cs == "1":
-            piece = body
-        elif cs == "-1":
-            piece = "-" + body
-        else:
-            if _needs_parens(cs):
-                cs = "(%s)" % cs
-            piece = cs + (" " if latex else "*") + body
-        pieces.append(piece)
-    out = pieces[0]
-    for p_ in pieces[1:]:
-        out += p_ if p_.startswith("-") else "+" + p_
-    return out
+        cs = coeff_str(p.terms[mono], latex)
+        pieces.append(_scaled(cs, body, latex) if body else cs)
+    return _join_signed(pieces)
 
 
 def spinor_str(v, var_names=None) -> str:
     return "(" + ", ".join(poly_str(c, var_names) for c in v.components) + ")^T"
-
-
-def spinor_latex(v, var_names=None) -> str:
-    var_names = var_names or _vars_default(v.nvars, latex=True)
-    body = " \\\\ ".join(poly_str(c, var_names, latex=True) for c in v.components)
-    return "\\begin{pmatrix} %s \\end{pmatrix}" % body

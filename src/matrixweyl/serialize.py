@@ -17,14 +17,6 @@ from .weyl import MatrixDiffOp, Polynomial, PolySpinor, ScalarDiffOp
 SCHEMA_VERSION = 1
 
 
-def frac_to_str(f: Fraction) -> str:
-    return str(f)
-
-
-def frac_from_str(s: str) -> Fraction:
-    return Fraction(s)
-
-
 def coeff_to_json(c: Coeff) -> list:
     return [
         {"e": list(exps), "a": str(pair[0]), "b": str(pair[1])}

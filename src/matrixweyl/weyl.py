@@ -18,6 +18,7 @@ from math import comb, factorial, perm
 from typing import Mapping, NamedTuple, Sequence
 
 from .coeff import Coeff, as_coeff
+from .matrixreps import mat_mul
 
 
 class ShapeError(ValueError):
@@ -222,9 +223,6 @@ class ScalarDiffOp:
             elif g != grade:
                 return None
         return grade
-
-    def max_xdegree(self) -> int:
-        return max((sum(A) for (A, B) in self.terms), default=0)
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: (kv[0].xpow, kv[0].dpow))
@@ -453,17 +451,7 @@ class MatrixDiffOp:
         if other is None:
             return NotImplemented
         self._require_compatible(other)
-        d = self.dim
-        rows = []
-        for i in range(d):
-            row = []
-            for j in range(d):
-                acc = ScalarDiffOp.zero(self.nvars)
-                for l in range(d):
-                    acc = acc + self.entries[i][l] * other.entries[l][j]
-                row.append(acc)
-            rows.append(row)
-        return MatrixDiffOp(rows)
+        return MatrixDiffOp(mat_mul(self.entries, other.entries))
 
     def __rmul__(self, other):
         c = _as_scalar_coeff(other)

@@ -114,6 +114,18 @@ def test_usage_error_exit_code():
         ["relations", "--d", "0"],
         ["space", "--k", "-1"],
         ["spectrum", "--model", "calogero", "--k", "-1"],
+        ["gens", "--d", "0"],
+        ["casimir", "--d", "0"],
+        ["space", "--k", "2", "--d", "0"],
+        ["space", "--k", "2", "--m", "0"],
+        ["space", "--k", "2", "--degree-cap", "-1"],
+        ["model", "--model", "calogero", "--d", "0"],
+        ["spectrum", "--model", "calogero", "--k", "1", "--d", "0"],
+        ["spectrum", "--model", "calogero", "--k", "1", "--omega", "abc"],
+        ["spectrum", "--model", "sutherland", "--k", "1", "--alpha", "1/0"],
+        ["spectrum", "--model", "sutherland", "--k", "1", "--nu", "x"],
+        ["gm", "--m", "0"],
+        ["gm", "--m", "1", "--d", "0"],
     ],
 )
 def test_out_of_domain_input_is_a_usage_error(argv, capsys):
@@ -123,6 +135,17 @@ def test_out_of_domain_input_is_a_usage_error(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "usage:" in captured.err
+
+
+def test_value_error_in_the_mathematics_is_not_a_usage_error(monkeypatch):
+    import matrixweyl.cli as cli
+
+    def broken(*args, **kwargs):
+        raise ValueError("raised inside the mathematics")
+
+    monkeypatch.setattr(cli, "build_gm", broken)
+    with pytest.raises(ValueError, match="inside the mathematics"):
+        main(["gm", "--m", "1"])
 
 
 def test_out_file_and_determinism(tmp_path, capsys):
@@ -145,14 +168,6 @@ def test_console_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["verdict"] == "pass"
-
-
-def test_workers_env_var_same_output(capsys, monkeypatch):
-    code, seq = run_cli(["check"], capsys)
-    monkeypatch.setenv("MATRIXWEYL_WORKERS", "3")
-    code2, par = run_cli(["check"], capsys)
-    assert code == code2 == 0
-    assert seq == par
 
 
 def test_sutherland_spectrum_command(capsys):
