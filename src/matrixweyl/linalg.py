@@ -14,15 +14,19 @@ solvers that report coefficients (solve_combination, coeff_matrix_solve).
 
 Characteristic polynomials are computed by the Faddeev-LeVerrier recursion,
 which only ever divides by integers and therefore stays exact over the
-coefficient ring.  Root extraction first pulls out roots that are rational;
-whatever remains is located numerically at high precision with a reported
-error radius (mpmath).
+coefficient ring.  Rational roots are found in integer arithmetic alone by
+p-adic expansion (Loos 1983): the square-free part of gcd(A, B), for
+p = A + B*sqrt2, is made monic over Z, its simple roots modulo a small prime
+are Hensel-lifted (Zassenhaus 1969) past the Cauchy bound, and every
+candidate is checked exactly before exact division sets its multiplicity.
+Whatever remains is located numerically at high precision (mpmath, imported
+only then) with a certified inclusion radius.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, inf, nextafter
 from typing import Mapping, Sequence
 
 from .coeff import (
@@ -268,35 +272,157 @@ def charpoly(matrix: Sequence[Sequence[Coeff]]):
 
 
 # -- polynomial roots ---------------------------------------------------------
+#
+# Integer polynomials below are coefficient lists, lowest degree first, with
+# no trailing (leading-degree) zeros.
 
 
-def _divisors(n: int):
-    n = abs(n)
-    out = set()
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-    return sorted(out)
+def _trim(f):
+    while f and not f[-1]:
+        f.pop()
+    return f
 
 
-def _deflate(coeffs, root):
-    """Divide sum c_i t^i by (t - root); coeffs are Coeff, root a Coeff."""
-    n = len(coeffs) - 1
-    out = [Coeff.zero()] * n
-    carry = coeffs[n]
+def _primitive(f):
+    """f divided by its content, with a positive leading coefficient."""
+    c = 0
+    for x in f:
+        c = gcd(c, x)
+    if f[-1] < 0:
+        c = -c
+    return [x // c for x in f]
+
+
+def _integral(fracs):
+    """Primitive integer polynomial proportional to a Fraction polynomial."""
+    den = 1
+    for x in fracs:
+        den = den * x.denominator // gcd(den, x.denominator)
+    return _primitive(_trim([x.numerator * (den // x.denominator) for x in fracs]))
+
+
+def _prem(f, g):
+    """Pseudo-remainder of f by g in Z[t] (some lc(g)^e * f mod g)."""
+    r = list(f)
+    dg = len(g) - 1
+    lc = g[-1]
+    while len(r) > dg:
+        c = r[-1]
+        shift = len(r) - 1 - dg
+        r = [x * lc for x in r]
+        for i, y in enumerate(g):
+            r[shift + i] -= c * y
+        _trim(r)
+    return r
+
+
+def _zgcd(f, g):
+    """Primitive gcd in Z[t] of two nonzero integer polynomials."""
+    f, g = _primitive(f), _primitive(g)
+    if len(f) < len(g):
+        f, g = g, f
+    while len(g) > 1:
+        r = _prem(f, g)
+        if not r:
+            return g
+        f, g = g, _primitive(r)
+    return [1]
+
+
+def _zdiv(f, g):
+    """Exact quotient f / g of integer polynomials with g | f in Z[t]."""
+    r = list(f)
+    dg = len(g) - 1
+    q = [0] * (len(f) - dg)
+    for k in range(len(q) - 1, -1, -1):
+        c = r[k + dg] // g[-1]
+        q[k] = c
+        for i, y in enumerate(g):
+            r[k + i] -= c * y
+    return q
+
+
+def _deriv(f):
+    return [i * c for i, c in enumerate(f)][1:]
+
+
+def _horner(f, x, mod=None):
+    v = 0
+    for c in reversed(f):
+        v = v * x + c
+        if mod is not None:
+            v %= mod
+    return v
+
+
+def _squarefree_mod(f, p):
+    """Whether the monic f stays square-free mod p: gcd(f, f') = 1 in F_p[t]."""
+    a = _trim([c % p for c in f])
+    b = _trim([c % p for c in _deriv(f)])
+    while b:
+        inv = pow(b[-1], -1, p)
+        while len(a) >= len(b):
+            c = a[-1] * inv % p
+            shift = len(a) - len(b)
+            for i, y in enumerate(b):
+                a[shift + i] = (a[shift + i] - c * y) % p
+            _trim(a)
+        a, b = b, a
+    return len(a) == 1
+
+
+def _integer_roots(m):
+    """Integer roots of a monic square-free integer polynomial, by p-adic lifting.
+
+    Simple roots mod the smallest odd prime p keeping m square-free are
+    Newton-lifted until p^e exceeds twice the Cauchy bound on |root|; each
+    symmetric residue is then checked exactly.
+    """
+    bound = 1 + max(abs(c) for c in m[:-1])
+    dm = _deriv(m)
+    odd_primes = []
+    p = 3
+    while True:
+        if all(p % q for q in odd_primes):
+            if _squarefree_mod(m, p):
+                break
+            odd_primes.append(p)
+        p += 2
+    out = []
+    for r in range(p):
+        if _horner(m, r, p):
+            continue
+        q = p
+        while q <= 2 * bound:
+            q *= q
+            r = (r - _horner(m, r, q) * pow(_horner(dm, r, q), -1, q)) % q
+        u = r if 2 * r < q else r - q
+        if _horner(m, u) == 0:
+            out.append(u)
+    return out
+
+
+def _divide_linear(f, r):
+    """(quotient, remainder) of sum f_i t^i divided by (t - r)."""
+    n = len(f) - 1
+    out = [0] * n
+    carry = f[n]
     for i in range(n - 1, -1, -1):
         out[i] = carry
-        carry = coeffs[i] + carry * root
-    if not carry.is_zero():
-        raise CoeffError("deflation by a non-root")
-    return out
+        carry = f[i] + carry * r
+    return out, carry
 
 
 def rational_roots(coeffs):
     """All rational roots (with multiplicity) of a Q(sqrt2)[t] polynomial.
 
-    Returns (roots, deflated) where deflated has no rational roots left.
+    Returns (roots, deflated) where deflated has no rational roots left: the
+    roots t = 0 first, then the others in increasing order, each repeated by
+    its multiplicity.  Writing p = A + B*sqrt2 with A, B in Q[t], a rational
+    root is a root of g = gcd(A, B); the integer roots u of the monic
+    m(u) = L^(n-1) s(u/L), for s the primitive square-free part of g with
+    leading coefficient L, give the candidates u/L, and exact division of A
+    and B gives each multiplicity.
     """
     coeffs = list(coeffs)
     while len(coeffs) > 1 and coeffs[-1].is_zero():
@@ -309,59 +435,99 @@ def rational_roots(coeffs):
     if len(coeffs) <= 1:
         return roots, coeffs
 
-    def candidates(cs):
-        pairs = [c.constant_pair() for c in cs]
-        ra = [p[0] for p in pairs]
-        rb = [p[1] for p in pairs]
-        polys = [poly for poly in (ra, rb) if any(poly)]
-        cand = None
-        for poly in polys:
-            den = 1
-            for f in poly:
-                den = den * f.denominator // gcd(den, f.denominator)
-            ints = [int(f * den) for f in poly]
-            while ints and ints[-1] == 0:
-                ints.pop()
-            lead = ints[-1]
-            trail = next(v for v in ints if v != 0)
-            cset = set()
-            for p in _divisors(trail):
-                for q in _divisors(lead):
-                    cset.add(Fraction(p, q))
-                    cset.add(Fraction(-p, q))
-            cand = cset if cand is None else (cand & cset)
-        return cand or set()
-
-    progress = True
-    while progress and len(coeffs) > 1:
-        progress = False
-        for r in sorted(candidates(coeffs)):
-            rc = Coeff.rational(r)
-            val = sum(
-                (c * rc**i for i, c in enumerate(coeffs)), Coeff.zero()
-            )
-            if val.is_zero():
-                roots.append(r)
-                coeffs = _deflate(coeffs, rc)
-                progress = True
+    a, b = (list(half) for half in zip(*(c.constant_pair() for c in coeffs)))
+    parts = [_integral(half) for half in (a, b) if any(half)]
+    g = parts[0] if len(parts) == 1 else _zgcd(*parts)
+    if len(g) == 1:
+        return roots, coeffs
+    s = _zdiv(g, _zgcd(g, _deriv(g)))
+    n = len(s) - 1
+    lead = s[n]
+    m = [c * lead ** (n - 1 - i) for i, c in enumerate(s[:n])] + [1]
+    for r in sorted(Fraction(u, lead) for u in _integer_roots(m)):
+        while True:
+            qa, ra = _divide_linear(a, r)
+            qb, rb = _divide_linear(b, r)
+            if ra or rb:
                 break
-    return roots, coeffs
+            roots.append(r)
+            a, b = qa, qb
+    return roots, [Coeff.rational(x, y) for x, y in zip(a, b)]
+
+
+_NUMERIC_ATTEMPTS = 4
 
 
 def numeric_roots(coeffs, dps: int = 50):
-    """High-precision roots of the residual factor, with an error bound."""
-    import mpmath
+    """High-precision roots of the residual factor, with a certified radius.
 
+    Returns (roots, err): roots are dps-digit mpmath approximations, and
+    every root of the polynomial lies within err of one of them.  err is the
+    largest inclusion radius n |p(z_i)| / |lc prod_{j!=i} (z_i - z_j)| (the
+    Weierstrass disks, whose union holds every root), evaluated in interval
+    arithmetic and rounded up to a float.
+
+    A root of multiplicity r is only resolved to about 1/r of the working
+    precision, so when polyroots does not converge, or two approximations
+    coincide, the solve is repeated with twice the extra working precision
+    and twice the steps, _NUMERIC_ATTEMPTS times in all; after that
+    CoeffError is raised.
+    """
+    import mpmath
+    from mpmath.libmp import NoConvergence
+
+    pairs = [c.constant_pair() for c in coeffs]
+    extraprec, maxsteps = 120, 200
     with mpmath.workdps(dps):
         s2 = mpmath.sqrt(2)
-        cs = []
-        for c in coeffs:
-            a, b = c.constant_pair()
-            cs.append(
-                mpmath.mpf(a.numerator) / a.denominator
-                + (mpmath.mpf(b.numerator) / b.denominator) * s2
-            )
         # mpmath wants highest degree first
-        cs = list(reversed(cs))
-        roots, err = mpmath.polyroots(cs, maxsteps=200, extraprec=120, error=True)
-        return [complex(r) for r in roots], float(err)
+        cs = [
+            mpmath.mpf(a.numerator) / a.denominator
+            + (mpmath.mpf(b.numerator) / b.denominator) * s2
+            for a, b in reversed(pairs)
+        ]
+        for _ in range(_NUMERIC_ATTEMPTS):
+            try:
+                roots = mpmath.polyroots(cs, maxsteps=maxsteps, extraprec=extraprec)
+            except NoConvergence:
+                pass
+            else:
+                err = _inclusion_radius(pairs, roots, 2 * dps)
+                if err is not None:
+                    return roots, err
+            extraprec *= 2
+            maxsteps *= 2
+    raise CoeffError(
+        "no certified numeric roots of a degree-%d factor after %d attempts "
+        "(up to %d extra bits, %d steps)"
+        % (len(pairs) - 1, _NUMERIC_ATTEMPTS, extraprec // 2, maxsteps // 2)
+    )
+
+
+def _inclusion_radius(pairs, roots, dps):
+    """Upper bound (float) on the disk radii around roots, or None if unbounded."""
+    from mpmath.ctx_iv import MPIntervalContext
+
+    iv = MPIntervalContext()
+    iv.dps = dps
+    n = len(pairs) - 1
+    s2 = iv.sqrt(2)
+    cs = [
+        iv.mpf(a.numerator) / a.denominator
+        + (iv.mpf(b.numerator) / b.denominator) * s2
+        for a, b in pairs
+    ]
+    zs = [iv.mpc(z.real, z.imag) for z in roots]
+    worst = 0.0
+    for i, z in enumerate(zs):
+        val = cs[n]
+        for c in reversed(cs[:n]):
+            val = val * z + c
+        den = abs(cs[n])
+        for j, w in enumerate(zs):
+            if j != i:
+                den = den * abs(z - w)
+        if not den.a > 0:
+            return None
+        worst = max(worst, float((n * abs(val) / den).b))
+    return nextafter(worst, inf)

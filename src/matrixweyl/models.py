@@ -363,7 +363,7 @@ def spectrum(model: ModelOperator, bindings: Dict[str, object]) -> SpectrumResul
                 eigs.append(EigRecord(True, (r, _F(0)), float(r)))
             if len(deflated) > 1:
                 numeric, err = numeric_roots(deflated)
-                for z in numeric:
+                for z in map(complex, numeric):
                     eigs.append(
                         EigRecord(False, None, z.real, z.imag, err)
                     )

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -197,3 +198,38 @@ def test_gens_with_bound_k(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["inputs"]["k"] == "2"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # ran past 600 s when rational roots were found by divisor enumeration
+        ["--k", "5", "--d", "3"],
+        # took about 55 s the same way: nu and alpha raise coefficient heights
+        ["--k", "6", "--d", "1", "--nu", "3/2", "--alpha", "2"],
+    ],
+)
+def test_sutherland_spectrum_within_budget(argv, capsys):
+    start = time.perf_counter()
+    code, out = run_cli(["spectrum", "--model", "sutherland"] + argv, capsys)
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    rec = json.loads(out)["results"][0]
+    assert rec["eigenvalues"] and all(e["exact"] for e in rec["eigenvalues"])
+    assert elapsed < 30, "%.1f s" % elapsed
+
+
+def test_exact_spectrum_does_not_import_mpmath():
+    env = dict(os.environ)
+    root = os.path.join(os.path.dirname(__file__), "..", "src")
+    env["PYTHONPATH"] = os.path.abspath(root) + os.pathsep + env.get("PYTHONPATH", "")
+    code = (
+        "import sys\n"
+        "from matrixweyl.cli import main\n"
+        "main(['--out', '%s', 'spectrum', '--model', 'sutherland', '--k', '3', '--d', '2'])\n"
+        "assert 'mpmath' not in sys.modules\n" % os.devnull
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr

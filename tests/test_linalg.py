@@ -1,7 +1,15 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from math import gcd, isqrt
 
-from matrixweyl import Coeff, K
+import mpmath
+import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
+
+from matrixweyl import Coeff, K, models
+from matrixweyl.coeff import CoeffError
 from matrixweyl.linalg import (
     Indexer,
     QPEchelon,
@@ -146,6 +154,193 @@ def test_numeric_roots_certified_error():
     vals = sorted(z.real for z in numeric)
     assert err < 1e-30
     assert abs(vals[0] + 2 ** 0.5) < 1e-12 and abs(vals[1] - 2 ** 0.5) < 1e-12
+
+
+def test_numeric_roots_of_a_double_pair_enclose_sqrt2():
+    # (t^2 - 2)^2: polyroots does not converge at the first attempt
+    coeffs = [C(4), C(0), C(-4), C(0), C(1)]
+    numeric, err = numeric_roots(coeffs)
+    assert len(numeric) == 4
+    with mpmath.workdps(100):
+        for root in (mpmath.sqrt(2), -mpmath.sqrt(2)):
+            assert min(abs(z - root) for z in numeric) <= err
+
+
+def test_numeric_roots_raise_coeff_error_without_convergence(monkeypatch):
+    from mpmath.libmp import NoConvergence
+
+    calls = []
+
+    def never_converges(*args, **kwargs):
+        calls.append(kwargs)
+        raise NoConvergence("stub")
+
+    monkeypatch.setattr(mpmath, "polyroots", never_converges)
+    with pytest.raises(CoeffError, match="no certified numeric roots"):
+        numeric_roots([C(-2), C(0), C(1)])
+    # each retry doubles the extra precision and the steps
+    assert [c["extraprec"] for c in calls] == [120, 240, 480, 960]
+    assert [c["maxsteps"] for c in calls] == [200, 400, 800, 1600]
+
+
+# -- the divisor-enumeration root finder, kept as the slow oracle -------------
+
+
+def _divisors(n: int):
+    n = abs(n)
+    out = set()
+    for d in range(1, isqrt(n) + 1):
+        if n % d == 0:
+            out.add(d)
+            out.add(n // d)
+    return sorted(out)
+
+
+def _deflate(coeffs, root):
+    """Divide sum c_i t^i by (t - root); coeffs are Coeff, root a Coeff."""
+    n = len(coeffs) - 1
+    out = [Coeff.zero()] * n
+    carry = coeffs[n]
+    for i in range(n - 1, -1, -1):
+        out[i] = carry
+        carry = coeffs[i] + carry * root
+    if not carry.is_zero():
+        raise CoeffError("deflation by a non-root")
+    return out
+
+
+def _reference_rational_roots(coeffs):
+    """All rational roots (with multiplicity) of a Q(sqrt2)[t] polynomial.
+
+    Returns (roots, deflated) where deflated has no rational roots left.
+    """
+    coeffs = list(coeffs)
+    while len(coeffs) > 1 and coeffs[-1].is_zero():
+        coeffs.pop()
+    roots = []
+    # strip t = 0 roots
+    while len(coeffs) > 1 and coeffs[0].is_zero():
+        roots.append(Fraction(0))
+        coeffs = coeffs[1:]
+    if len(coeffs) <= 1:
+        return roots, coeffs
+
+    def candidates(cs):
+        pairs = [c.constant_pair() for c in cs]
+        ra = [p[0] for p in pairs]
+        rb = [p[1] for p in pairs]
+        polys = [poly for poly in (ra, rb) if any(poly)]
+        cand = None
+        for poly in polys:
+            den = 1
+            for f in poly:
+                den = den * f.denominator // gcd(den, f.denominator)
+            ints = [int(f * den) for f in poly]
+            while ints and ints[-1] == 0:
+                ints.pop()
+            lead = ints[-1]
+            trail = next(v for v in ints if v != 0)
+            cset = set()
+            for p in _divisors(trail):
+                for q in _divisors(lead):
+                    cset.add(Fraction(p, q))
+                    cset.add(Fraction(-p, q))
+            cand = cset if cand is None else (cand & cset)
+        return cand or set()
+
+    progress = True
+    while progress and len(coeffs) > 1:
+        progress = False
+        for r in sorted(candidates(coeffs)):
+            rc = Coeff.rational(r)
+            val = sum(
+                (c * rc**i for i, c in enumerate(coeffs)), Coeff.zero()
+            )
+            if val.is_zero():
+                roots.append(r)
+                coeffs = _deflate(coeffs, rc)
+                progress = True
+                break
+    return roots, coeffs
+
+
+def _poly_mul(f, g):
+    out = [Coeff.zero()] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] = out[i + j] + a * b
+    return out
+
+
+_small = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+_factor = st.one_of(
+    # (t - r)^e
+    st.tuples(_small, st.integers(1, 3)).map(
+        lambda re: [[C(-re[0]), C(1)]] * re[1]
+    ),
+    # t^2 - c: rational roots when c is a square, none when c < 0
+    st.integers(-4, 9).map(lambda c: [[C(-c), C(0), C(1)]]),
+    # t - a sqrt2
+    _small.map(lambda a: [[C(0, -a), C(1)]]),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    st.lists(_factor, min_size=1, max_size=4),
+    _small.filter(bool),
+    st.booleans(),
+)
+def test_rational_roots_match_divisor_enumeration(factors, scale, by_sqrt2):
+    poly = [C(scale, 0) * (Coeff.sqrt2() if by_sqrt2 else Coeff.one())]
+    for group in factors:
+        for f in group:
+            poly = _poly_mul(poly, f)
+    roots, deflated = rational_roots(poly)
+    ref_roots, ref_deflated = _reference_rational_roots(poly)
+    # same multiset, and the same order: zeros first, then increasing
+    assert roots == ref_roots
+    assert deflated == ref_deflated
+
+
+def _sympy_value(c):
+    a, b = c.constant_pair()
+    return sympy.Rational(a.numerator, a.denominator) + sympy.Rational(
+        b.numerator, b.denominator
+    ) * sympy.sqrt(2)
+
+
+@pytest.mark.parametrize(
+    "k,d,nu,alpha",
+    [(k, d, "2/3", 1) for k in (2, 3) for d in (1, 2)]
+    + [(3, 1, "3/2", 2), (3, 2, "3/2", 2)],
+)
+def test_sutherland_blocks_match_sympy(monkeypatch, k, d, nu, alpha):
+    blocks = []
+
+    def recording_charpoly(block):
+        blocks.append(block)
+        return charpoly(block)
+
+    monkeypatch.setattr(models, "charpoly", recording_charpoly)
+    model = models.sutherland("liealgebraic", Coeff.rational(k), d)
+    models.spectrum(model, {"nu": Fraction(nu), "alpha": alpha})
+    assert blocks
+    t = sympy.Symbol("t")
+    for block in blocks:
+        ours = charpoly(block)
+        theirs = sympy.Matrix(
+            [[_sympy_value(c) for c in row] for row in block]
+        ).charpoly(t)
+        expected = list(reversed(theirs.all_coeffs()))
+        assert len(ours) == len(expected)
+        for c, e in zip(ours, expected):
+            assert sympy.expand(_sympy_value(c) - e) == 0
+        roots, _ = rational_roots(ours)
+        sym = sympy.roots(theirs.as_expr(), t, filter="Q")
+        assert Counter(roots) == {
+            Fraction(int(r.p), int(r.q)): m for r, m in sym.items()
+        }
 
 
 def test_echelon_tracking_consistency():
