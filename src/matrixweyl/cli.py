@@ -16,7 +16,7 @@ import argparse
 import sys
 from fractions import Fraction
 
-from .coeff import Coeff, K
+from .coeff import Coeff, CoeffError, K
 from .generators import RepSpec, build_gl_np1, build_gm
 from .identities import (
     art_dependency,
@@ -256,7 +256,7 @@ def cmd_spectrum(args) -> int:
         bindings["alpha"] = args.alpha
     try:
         result = spectrum(model, bindings)
-    except (NotInvariantError, SpaceNotClosedError, ValueError) as exc:
+    except (NotInvariantError, SpaceNotClosedError, CoeffError, ValueError) as exc:
         return _finish(
             args,
             "spectrum",

@@ -520,16 +520,15 @@ class ClosureReport:
         return max(degs) if degs else None
 
 
-def gm_closure_check(gm: GmGeneratorSet, degree_cap: int | None = None) -> ClosureReport:
+def gm_closure_check(gm: GmGeneratorSet) -> ClosureReport:
     """Find the minimal filtration degree containing every [T_i^-, U_j].
 
     Filtration degree deg is spanned by the PBW products of degree <= deg
-    times powers k^0 .. k^(cap+1).  One echelon grows tier by tier; after
+    times powers k^0 .. k^(m+1).  One echelon grows tier by tier; after
     each tier only the targets not yet inside are reduced, and a target's
     degree is the first tier that leaves it no residual.
     """
-    cap = degree_cap if degree_cap is not None else gm.m
-    kpowers = [Coeff.param("k") ** t for t in range(1, cap + 2)]
+    kpowers = [Coeff.param("k") ** t for t in range(1, gm.m + 2)]
     ix = Indexer()
     memberships = {}
     pending = {}
@@ -543,7 +542,7 @@ def gm_closure_check(gm: GmGeneratorSet, degree_cap: int | None = None) -> Closu
                 memberships[(i, j)] = 0
 
     ech = QPEchelon()
-    for deg, prods in enumerate(_pbw_tiers(gm, cap)):
+    for deg, prods in enumerate(_pbw_tiers(gm, gm.m)):
         if not pending:
             break
         for op in prods:
@@ -560,7 +559,7 @@ def gm_closure_check(gm: GmGeneratorSet, degree_cap: int | None = None) -> Closu
             else:
                 memberships[key] = deg
                 del pending[key]
-    return ClosureReport(gm.m, cap, memberships)
+    return ClosureReport(gm.m, gm.m, memberships)
 
 
 def g1_matches_gl3(gm: GmGeneratorSet, gl3: GeneratorSet):

@@ -22,6 +22,7 @@ exact characteristic polynomials.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from decimal import ROUND_CEILING, Decimal
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -231,8 +232,19 @@ class EigRecord:
             "exact": False,
             "re": "%.12e" % self.approx_re,
             "im": "%.12e" % self.approx_im,
-            "err": "%.3e" % (self.err if self.err is not None else 0.0),
+            "err": _sci_up(self.err if self.err is not None else 0.0),
         }
+
+
+def _sci_up(x: float) -> str:
+    """x >= 0 in "%.3e" form, rounded up so the printed bound is not below x."""
+    d = Decimal(x)
+    if not d:
+        return "%.3e" % x
+    d = d.quantize(Decimal(1).scaleb(d.adjusted() - 3), rounding=ROUND_CEILING)
+    # formatted from the decimal itself: a float in between could round down
+    mantissa, exponent = format(d, ".3e").split("e")
+    return "%se%+03d" % (mantissa, int(exponent))
 
 
 @dataclass

@@ -195,18 +195,10 @@ def matrix_of(op: MatrixDiffOp, basis: SpinorBasis) -> OperatorMatrix:
     solved = coeff_matrix_solve(basis.coords_list(), images)
     for j, (coords, residual) in enumerate(solved):
         if residual:
-            v = basis.vectors[j]
-            raise NotInvariantError(j, _spinor_from_coords(residual, v.dim, v.nvars))
+            raise NotInvariantError(j, basis.vectors[j].with_coords(residual))
         for i, c in enumerate(coords):
             out[i][j] = c
     return OperatorMatrix(n, tuple(tuple(row) for row in out), basis.label)
-
-
-def _spinor_from_coords(coords, dim, nvars):
-    comps = [Polynomial.zero(nvars) for _ in range(dim)]
-    for (i, mono), c in coords.items():
-        comps[i] = comps[i] + Polynomial(nvars, {mono: c})
-    return PolySpinor(comps, nvars)
 
 
 def basis_contains(basis: SpinorBasis, vectors: Sequence[PolySpinor]) -> bool:

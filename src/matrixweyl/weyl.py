@@ -7,6 +7,12 @@ left of all derivations); a MatrixDiffOp is a square array of those and is
 the container for every generator and Hamiltonian in the package.
 Operators act on PolySpinor values: columns of exact polynomials.
 
+Every value is stored as one sparse map from a key to a nonzero Coeff: x^A
+for a Polynomial, x^A d^B for a ScalarDiffOp, (component, x^A) for a
+PolySpinor and (row, column, x^A d^B) for a MatrixDiffOp.  The linear
+arithmetic, equality and coordinates are written once over that map, and
+products and actions visit only nonzero terms.
+
 Composition normal-orders eagerly, so equality of operators is equality of
 term maps and no separate simplifier exists or is needed.
 """
@@ -15,10 +21,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial, perm
+from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
 from .coeff import Coeff, as_coeff
-from .matrixreps import mat_mul
 
 
 class ShapeError(ValueError):
@@ -38,10 +44,119 @@ def _as_scalar_coeff(x):
     return None
 
 
-class ScalarDiffOp:
-    """Finite sum of normal-ordered terms over n commuting variables."""
+def _add_into(out, key, v):
+    """out[key] += v, dropping the key when the sum vanishes."""
+    cur = out.get(key)
+    s = v if cur is None else cur + v
+    if s.is_zero():
+        out.pop(key, None)
+    else:
+        out[key] = s
+
+
+class _TermMap:
+    """A sparse map `terms` from key to nonzero Coeff, of a fixed shape.
+
+    The shape is the attributes named in _SHAPE, which two operands must
+    share.  Subclasses fix the key and say, in _coerce, which other operands
+    they admit into + and -.
+    """
 
     __slots__ = ("nvars", "terms")
+    _SHAPE = ("nvars",)
+
+    @classmethod
+    def _raw(cls, terms, *shape):
+        """A value holding terms as given: every coefficient already nonzero."""
+        r = object.__new__(cls)
+        for name, v in zip(cls._SHAPE, shape):
+            setattr(r, name, v)
+        r.terms = terms
+        return r
+
+    def _shape(self):
+        return tuple(getattr(self, name) for name in self._SHAPE)
+
+    def _like(self, terms):
+        return self._raw(terms, *self._shape())
+
+    def _coerce(self, other):
+        """other as a value of this class, or None if it is not admitted."""
+        return other if type(other) is type(self) else None
+
+    def _require_like(self, other):
+        for name, a, b in zip(self._SHAPE, self._shape(), other._shape()):
+            if a != b:
+                raise ShapeError("%s differs: %d vs %d" % (name, a, b))
+
+    def _map(self, f):
+        """Apply f to every coefficient, dropping those that become zero."""
+        out = {}
+        for key, c in self.terms.items():
+            c = f(c)
+            if not c.is_zero():
+                out[key] = c
+        return self._like(out)
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        self._require_like(other)
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            _add_into(out, key, c)
+        return self._like(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._like({key: -c for key, c in self.terms.items()})
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def scale(self, c):
+        """Every coefficient times the scalar c."""
+        c = as_coeff(c)
+        return self._map(lambda v: v * c)
+
+    def substitute(self, bindings):
+        return self._map(lambda c: c.substitute(bindings))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._shape() == other._shape() and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self._shape(), frozenset(self.terms.items())))
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def coords(self) -> Mapping:
+        """Sparse coordinates: a read-only view of the term map."""
+        return MappingProxyType(self.terms)
+
+    def with_coords(self, coords: Mapping):
+        """A value of this class and shape whose coordinates are coords."""
+        return self._like({k: c for k, c in coords.items() if not c.is_zero()})
+
+
+class ScalarDiffOp(_TermMap):
+    """Finite sum of normal-ordered terms over n commuting variables.
+
+    Keyed by the DiffMonomial x^A d^B.
+    """
+
+    __slots__ = ()
 
     def __init__(self, nvars: int, terms: Mapping[DiffMonomial, Coeff] | None = None):
         if nvars < 1:
@@ -80,83 +195,31 @@ class ScalarDiffOp:
 
     # -- algebra -------------------------------------------------------------
 
-    def _require_same_vars(self, other):
-        if self.nvars != other.nvars:
-            raise ShapeError(
-                "variable counts differ: %d vs %d" % (self.nvars, other.nvars)
-            )
-
-    def __add__(self, other):
+    def _coerce(self, other):
         c = _as_scalar_coeff(other)
         if c is not None:
-            other = ScalarDiffOp.constant(c, self.nvars)
-        if not isinstance(other, ScalarDiffOp):
-            return NotImplemented
-        self._require_same_vars(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(m, None)
-            else:
-                out[m] = s
-        r = ScalarDiffOp.__new__(ScalarDiffOp)
-        r.nvars = self.nvars
-        r.terms = out
-        return r
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        r = ScalarDiffOp.__new__(ScalarDiffOp)
-        r.nvars = self.nvars
-        r.terms = {m: -c for m, c in self.terms.items()}
-        return r
-
-    def __sub__(self, other):
-        c = _as_scalar_coeff(other)
-        if c is not None:
-            other = ScalarDiffOp.constant(c, self.nvars)
-        if not isinstance(other, ScalarDiffOp):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
+            return ScalarDiffOp.constant(c, self.nvars)
+        return other if isinstance(other, ScalarDiffOp) else None
 
     def __mul__(self, other):
         """Composition self o other: other acts first."""
         c = _as_scalar_coeff(other)
         if c is not None:
-            r = ScalarDiffOp.__new__(ScalarDiffOp)
-            r.nvars = self.nvars
-            r.terms = {}
-            if not c.is_zero():
-                for m, v in self.terms.items():
-                    p = v * c
-                    if not p.is_zero():
-                        r.terms[m] = p
-            return r
+            return self.scale(c)
         if not isinstance(other, ScalarDiffOp):
             return NotImplemented
-        self._require_same_vars(other)
+        self._require_like(other)
         out = {}
         for (A, B), c1 in self.terms.items():
             for (C, D), c2 in other.terms.items():
-                base = c1 * c2
-                # d^B x^C = sum_j binom(B,j) binom(C,j) j! x^(C-j) d^(B-j)
-                _accumulate_product(out, A, B, C, D, base, self.nvars)
-        r = ScalarDiffOp.__new__(ScalarDiffOp)
-        r.nvars = self.nvars
-        r.terms = out
-        return r
+                _accumulate_product(out, A, B, C, D, c1 * c2, self.nvars)
+        return self._like(out)
 
     def __rmul__(self, other):
         c = _as_scalar_coeff(other)
         if c is None:
             return NotImplemented
-        return self * c
+        return self.scale(c)
 
     def __pow__(self, n: int):
         out = ScalarDiffOp.constant(1, self.nvars)
@@ -164,18 +227,7 @@ class ScalarDiffOp:
             out = out * self
         return out
 
-    def __eq__(self, other):
-        if not isinstance(other, ScalarDiffOp):
-            return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    # -- action and binding ----------------------------------------------------
+    # -- action --------------------------------------------------------------
 
     def apply_poly(self, p: "Polynomial") -> "Polynomial":
         if p.nvars != self.nvars:
@@ -183,33 +235,9 @@ class ScalarDiffOp:
                 "variable counts differ: %d vs %d" % (self.nvars, p.nvars)
             )
         out = {}
-        for (A, B), c in self.terms.items():
-            for P, cp in p.terms.items():
-                if any(b > q for b, q in zip(B, P)):
-                    continue
-                f = 1
-                for b, q in zip(B, P):
-                    f *= perm(q, b)
-                mono = tuple(a + q - b for a, q, b in zip(A, P, B))
-                v = c * cp * f
-                cur = out.get(mono)
-                s = v if cur is None else cur + v
-                if s.is_zero():
-                    out.pop(mono, None)
-                else:
-                    out[mono] = s
-        return Polynomial(self.nvars, out, _clean=False)
-
-    def substitute(self, bindings) -> "ScalarDiffOp":
-        out = {}
-        for m, c in self.terms.items():
-            c2 = c.substitute(bindings)
-            if not c2.is_zero():
-                out[m] = c2
-        r = ScalarDiffOp.__new__(ScalarDiffOp)
-        r.nvars = self.nvars
-        r.terms = out
-        return r
+        for mono, c in self.terms.items():
+            _accumulate_action(out, mono, c, p.terms.items())
+        return p._like(out)
 
     # -- structure queries -----------------------------------------------------
 
@@ -233,8 +261,13 @@ class ScalarDiffOp:
         return scalar_op_str(self)
 
 
-def _accumulate_product(out, A, B, C, D, base, nvars):
-    # Enumerate contraction vectors j with 0 <= j_i <= min(B_i, C_i).
+def _accumulate_product(out, A, B, C, D, base, nvars, at=None):
+    """Add base * (x^A d^B)(x^C d^D), normal-ordered, into out.
+
+    Each result monomial is the key, or (*at, monomial) when at is given.
+    """
+    # d^B x^C = sum_j binom(B,j) binom(C,j) j! x^(C-j) d^(B-j), over the
+    # contraction vectors j with 0 <= j_i <= min(B_i, C_i).
     limits = [min(b, c) for b, c in zip(B, C)]
     js = [0] * nvars
     while True:
@@ -245,13 +278,7 @@ def _accumulate_product(out, A, B, C, D, base, nvars):
         xp = tuple(a + c - j for a, c, j in zip(A, C, js))
         dp = tuple(b - j + d for b, d, j in zip(B, D, js))
         mono = DiffMonomial(xp, dp)
-        v = base * f
-        cur = out.get(mono)
-        s = v if cur is None else cur + v
-        if s.is_zero():
-            out.pop(mono, None)
-        else:
-            out[mono] = s
+        _add_into(out, mono if at is None else (*at, mono), base * f)
         # advance the odometer
         i = 0
         while i < nvars:
@@ -264,23 +291,37 @@ def _accumulate_product(out, A, B, C, D, base, nvars):
             return
 
 
-class Polynomial:
-    """Exact polynomial in x_1..x_n: a map from power tuple to Coeff."""
+def _accumulate_action(out, mono, c, poly_terms, at=None):
+    """Add c x^A d^B applied to each (x^P, cp) of poly_terms into out.
 
-    __slots__ = ("nvars", "terms")
-
-    def __init__(self, nvars: int, terms=None, _clean=True):
-        self.nvars = nvars
-        if _clean:
-            clean = {}
-            if terms:
-                for mono, c in terms.items():
-                    c = as_coeff(c)
-                    if not c.is_zero():
-                        clean[tuple(mono)] = c
-            self.terms = clean
+    Each image monomial is the key, or (at, monomial) when at is given.
+    """
+    A, B = mono
+    for P, cp in poly_terms:
+        f = 1
+        for b, q in zip(B, P):
+            if b > q:
+                break
+            f *= perm(q, b)
         else:
-            self.terms = terms if terms is not None else {}
+            image = tuple(a + q - b for a, q, b in zip(A, P, B))
+            _add_into(out, image if at is None else (at, image), c * cp * f)
+
+
+class Polynomial(_TermMap):
+    """Exact polynomial in x_1..x_n, keyed by the power tuple."""
+
+    __slots__ = ()
+
+    def __init__(self, nvars: int, terms=None):
+        self.nvars = nvars
+        clean = {}
+        if terms:
+            for mono, c in terms.items():
+                c = as_coeff(c)
+                if not c.is_zero():
+                    clean[tuple(mono)] = c
+        self.terms = clean
 
     @classmethod
     def zero(cls, nvars: int) -> "Polynomial":
@@ -294,55 +335,6 @@ class Polynomial:
     def monomial(cls, xpow: Sequence[int], c, nvars: int) -> "Polynomial":
         return cls(nvars, {tuple(xpow): as_coeff(c)})
 
-    def __add__(self, other):
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(m, None)
-            else:
-                out[m] = s
-        return Polynomial(self.nvars, out, _clean=False)
-
-    def __neg__(self):
-        return Polynomial(
-            self.nvars, {m: -c for m, c in self.terms.items()}, _clean=False
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c) -> "Polynomial":
-        c = as_coeff(c)
-        out = {}
-        for m, v in self.terms.items():
-            p = v * c
-            if not p.is_zero():
-                out[m] = p
-        return Polynomial(self.nvars, out, _clean=False)
-
-    def substitute(self, bindings) -> "Polynomial":
-        out = {}
-        for m, c in self.terms.items():
-            c2 = c.substitute(bindings)
-            if not c2.is_zero():
-                out[m] = c2
-        return Polynomial(self.nvars, out, _clean=False)
-
-    def __eq__(self, other):
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def total_degree(self):
         """Maximum total degree, or None for the zero polynomial."""
         return max((sum(m) for m in self.terms), default=None)
@@ -353,42 +345,58 @@ class Polynomial:
         return poly_str(self)
 
 
-class MatrixDiffOp:
-    """Square matrix of ScalarDiffOp entries sharing one variable set."""
+class MatrixDiffOp(_TermMap):
+    """Square matrix of scalar operators sharing one variable set.
 
-    __slots__ = ("dim", "nvars", "entries")
+    Keyed by (row, column, DiffMonomial); `entries` is the grid view.
+    """
+
+    __slots__ = ("dim",)
+    _SHAPE = ("dim", "nvars")
 
     def __init__(self, entries: Sequence[Sequence[ScalarDiffOp]]):
         dim = len(entries)
         if dim < 1 or any(len(row) != dim for row in entries):
             raise ShapeError("entries must form a square matrix")
         nvars = entries[0][0].nvars
-        for row in entries:
-            for e in row:
+        terms = {}
+        for i, row in enumerate(entries):
+            for j, e in enumerate(row):
                 if e.nvars != nvars:
                     raise ShapeError("entries disagree on variable count")
+                for mono, c in e.terms.items():
+                    terms[(i, j, mono)] = c
         self.dim = dim
         self.nvars = nvars
-        self.entries = tuple(tuple(row) for row in entries)
+        self.terms = terms
+
+    @property
+    def entries(self):
+        """The dim x dim grid of ScalarDiffOp entries, built on each access."""
+        grid = [[{} for _ in range(self.dim)] for _ in range(self.dim)]
+        for (i, j, mono), c in self.terms.items():
+            grid[i][j][mono] = c
+        return tuple(
+            tuple(ScalarDiffOp._raw(t, self.nvars) for t in row) for row in grid
+        )
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
     def zero(cls, dim: int, nvars: int) -> "MatrixDiffOp":
-        z = ScalarDiffOp.zero(nvars)
-        return cls([[z] * dim for _ in range(dim)])
+        return cls.from_scalar(ScalarDiffOp.zero(nvars), dim)
 
     @classmethod
     def identity(cls, dim: int, nvars: int) -> "MatrixDiffOp":
-        z = ScalarDiffOp.zero(nvars)
-        one = ScalarDiffOp.constant(1, nvars)
-        return cls([[one if i == j else z for j in range(dim)] for i in range(dim)])
+        return cls.from_scalar(ScalarDiffOp.constant(1, nvars), dim)
 
     @classmethod
     def from_scalar(cls, op: ScalarDiffOp, dim: int) -> "MatrixDiffOp":
         """op times the identity matrix."""
-        z = ScalarDiffOp.zero(op.nvars)
-        return cls([[op if i == j else z for j in range(dim)] for i in range(dim)])
+        if dim < 1:
+            raise ShapeError("dim must be positive")
+        terms = {(i, i, m): c for i in range(dim) for m, c in op.terms.items()}
+        return cls._raw(terms, dim, op.nvars)
 
     @classmethod
     def from_coeff_matrix(cls, rows, nvars: int) -> "MatrixDiffOp":
@@ -402,93 +410,41 @@ class MatrixDiffOp:
     def _coerce(self, other):
         c = _as_scalar_coeff(other)
         if c is not None:
-            return MatrixDiffOp.from_scalar(
-                ScalarDiffOp.constant(c, self.nvars), self.dim
-            )
+            other = ScalarDiffOp.constant(c, self.nvars)
         if isinstance(other, ScalarDiffOp):
             return MatrixDiffOp.from_scalar(other, self.dim)
-        if isinstance(other, MatrixDiffOp):
-            return other
-        return None
-
-    def _require_compatible(self, other):
-        if self.dim != other.dim:
-            raise ShapeError("matrix dims differ: %d vs %d" % (self.dim, other.dim))
-        if self.nvars != other.nvars:
-            raise ShapeError(
-                "variable counts differ: %d vs %d" % (self.nvars, other.nvars)
-            )
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        self._require_compatible(other)
-        return MatrixDiffOp(
-            [
-                [self.entries[i][j] + other.entries[i][j] for j in range(self.dim)]
-                for i in range(self.dim)
-            ]
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return MatrixDiffOp([[-e for e in row] for row in self.entries])
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
+        return other if isinstance(other, MatrixDiffOp) else None
 
     def __mul__(self, other):
         """Matrix product; operator factors of self act after those of other."""
+        c = _as_scalar_coeff(other)
+        if c is not None:
+            return self.scale(c)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        self._require_compatible(other)
-        return MatrixDiffOp(mat_mul(self.entries, other.entries))
+        self._require_like(other)
+        rows = {}
+        for (k, j, (C, D)), c2 in other.terms.items():
+            rows.setdefault(k, []).append((j, C, D, c2))
+        out = {}
+        for (i, k, (A, B)), c1 in self.terms.items():
+            for j, C, D, c2 in rows.get(k, ()):
+                _accumulate_product(out, A, B, C, D, c1 * c2, self.nvars, (i, j))
+        return self._like(out)
 
     def __rmul__(self, other):
         c = _as_scalar_coeff(other)
         if c is not None:
-            return self * c
+            return self.scale(c)
         if isinstance(other, ScalarDiffOp):
-            return self * other  # scalar times identity commutes
+            return MatrixDiffOp.from_scalar(other, self.dim) * self
         return NotImplemented
 
-    def __eq__(self, other):
-        if not isinstance(other, MatrixDiffOp):
-            return NotImplemented
-        return (
-            self.dim == other.dim
-            and self.nvars == other.nvars
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash((self.dim, self.nvars, self.entries))
-
-    def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.entries for e in row)
-
     def term_count(self) -> int:
-        return sum(len(e.terms) for row in self.entries for e in row)
+        return len(self.terms)
 
-    def coords(self):
-        """Sparse coordinates keyed by (row, column, differential monomial)."""
-        out = {}
-        for i, row in enumerate(self.entries):
-            for j, e in enumerate(row):
-                for mono, c in e.terms.items():
-                    out[(i, j, mono)] = c
-        return out
-
-    # -- action and binding ----------------------------------------------------
+    # -- action ----------------------------------------------------------------
 
     def apply(self, v: "PolySpinor") -> "PolySpinor":
         if v.dim != self.dim:
@@ -497,23 +453,13 @@ class MatrixDiffOp:
             raise ShapeError(
                 "variable counts differ: %d vs %d" % (self.nvars, v.nvars)
             )
-        comps = []
-        for i in range(self.dim):
-            acc = Polynomial.zero(self.nvars)
-            for j in range(self.dim):
-                acc = acc + self.entries[i][j].apply_poly(v.components[j])
-            comps.append(acc)
-        return PolySpinor(comps, self.nvars)
-
-    def substitute(self, bindings) -> "MatrixDiffOp":
-        return MatrixDiffOp(
-            [[e.substitute(bindings) for e in row] for row in self.entries]
-        )
-
-    def scalar_part(self) -> ScalarDiffOp:
-        if self.dim != 1:
-            raise ShapeError("scalar_part needs dim 1, got %d" % self.dim)
-        return self.entries[0][0]
+        components = {}
+        for (j, P), cp in v.terms.items():
+            components.setdefault(j, []).append((P, cp))
+        out = {}
+        for (i, j, mono), c in self.terms.items():
+            _accumulate_action(out, mono, c, components.get(j, ()), i)
+        return v._like(out)
 
     def __repr__(self):
         from .render import matrix_op_str
@@ -521,10 +467,14 @@ class MatrixDiffOp:
         return matrix_op_str(self)
 
 
-class PolySpinor:
-    """Column of dim exact polynomials; the objects operators act on."""
+class PolySpinor(_TermMap):
+    """Column of dim exact polynomials; the objects operators act on.
 
-    __slots__ = ("dim", "nvars", "components")
+    Keyed by (component, power tuple); `components` is the column view.
+    """
+
+    __slots__ = ("dim",)
+    _SHAPE = ("dim", "nvars")
 
     def __init__(self, components: Sequence[Polynomial], nvars: int | None = None):
         comps = tuple(components)
@@ -532,12 +482,23 @@ class PolySpinor:
             raise ShapeError("spinor needs at least one component")
         if nvars is None:
             nvars = comps[0].nvars
-        for c in comps:
-            if c.nvars != nvars:
+        terms = {}
+        for i, p in enumerate(comps):
+            if p.nvars != nvars:
                 raise ShapeError("components disagree on variable count")
+            for mono, c in p.terms.items():
+                terms[(i, mono)] = c
         self.dim = len(comps)
         self.nvars = nvars
-        self.components = comps
+        self.terms = terms
+
+    @property
+    def components(self):
+        """The dim Polynomial components, built on each access."""
+        parts = [{} for _ in range(self.dim)]
+        for (i, mono), c in self.terms.items():
+            parts[i][mono] = c
+        return tuple(Polynomial._raw(t, self.nvars) for t in parts)
 
     @classmethod
     def zero(cls, dim: int, nvars: int) -> "PolySpinor":
@@ -549,51 +510,8 @@ class PolySpinor:
         comps[index] = Polynomial.one(nvars)
         return cls(comps, nvars)
 
-    def __add__(self, other):
-        if not isinstance(other, PolySpinor):
-            return NotImplemented
-        if other.dim != self.dim:
-            raise ShapeError("spinor dims differ: %d vs %d" % (self.dim, other.dim))
-        return PolySpinor(
-            [a + b for a, b in zip(self.components, other.components)], self.nvars
-        )
-
-    def __neg__(self):
-        return PolySpinor([-c for c in self.components], self.nvars)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c) -> "PolySpinor":
-        return PolySpinor([p.scale(c) for p in self.components], self.nvars)
-
-    def substitute(self, bindings) -> "PolySpinor":
-        return PolySpinor(
-            [p.substitute(bindings) for p in self.components], self.nvars
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, PolySpinor):
-            return NotImplemented
-        return self.nvars == other.nvars and self.components == other.components
-
-    def __hash__(self):
-        return hash((self.nvars, self.components))
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.components)
-
     def total_degree(self):
-        degs = [c.total_degree() for c in self.components if not c.is_zero()]
-        return max(degs) if degs else None
-
-    def coords(self):
-        """Sparse coordinates keyed by (component index, power tuple)."""
-        out = {}
-        for i, p in enumerate(self.components):
-            for mono, c in p.terms.items():
-                out[(i, mono)] = c
-        return out
+        return max((sum(mono) for _, mono in self.terms), default=None)
 
     def __repr__(self):
         from .render import spinor_str

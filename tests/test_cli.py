@@ -149,6 +149,30 @@ def test_value_error_in_the_mathematics_is_not_a_usage_error(monkeypatch):
         main(["gm", "--m", "1"])
 
 
+def test_uncertified_numeric_roots_give_a_fail_manifest(monkeypatch, capsys):
+    import matrixweyl.models as models
+    from matrixweyl.coeff import CoeffError
+
+    def no_certificate(coeffs, dps=50):
+        raise CoeffError("no certified numeric roots of the degree-2 factor")
+
+    # no benchmark input has an irrational eigenvalue, so the rational finder
+    # is stubbed to leave each block's whole characteristic polynomial over
+    monkeypatch.setattr(models, "rational_roots", lambda poly: ([], poly))
+    monkeypatch.setattr(models, "numeric_roots", no_certificate)
+    code, out = run_cli(["spectrum", "--model", "sutherland", "--k", "2"], capsys)
+    assert code == 1
+    data = json.loads(out)
+    assert data["verdict"] == "fail"
+    assert data["results"] == [
+        {
+            "name": "spectrum",
+            "pass": False,
+            "error": "no certified numeric roots of the degree-2 factor",
+        }
+    ]
+
+
 def test_out_file_and_determinism(tmp_path, capsys):
     p1 = tmp_path / "a.json"
     p2 = tmp_path / "b.json"

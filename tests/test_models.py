@@ -1,11 +1,15 @@
 import json
 import os
+import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matrixweyl import Coeff, K, NU, OMEGA, RepSpec, build_gl_np1
 from matrixweyl.models import (
+    EigRecord,
     calogero,
     consistency_check,
     flag_basis,
@@ -170,3 +174,30 @@ def test_spectrum_requires_integer_k():
     model = calogero("liealgebraic", K, 1)
     with pytest.raises(ValueError):
         spectrum(model, {"omega": 1, "nu": 0})
+
+
+def _printed_err(err):
+    return EigRecord(False, None, 1.0, 0.0, err).to_json()["err"]
+
+
+def test_printed_err_is_rounded_up():
+    from matrixweyl.linalg import numeric_roots
+
+    # t^2 - 2: the certified radius is 2.4914...e-51
+    _, err = numeric_roots([Coeff.rational(-2), Coeff.rational(0), Coeff.rational(1)])
+    assert Decimal(_printed_err(err)) >= Decimal(err)
+    assert _printed_err(err) == "2.492e-51"
+    assert _printed_err(0.0) == "0.000e+00"
+    assert _printed_err(None) == "0.000e+00"
+    assert _printed_err(9.9995) == "1.000e+01"
+    assert _printed_err(1.5e-323) == "1.483e-323"  # subnormal: 1.48219...e-323
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.floats(min_value=0, max_value=1e300))
+def test_printed_err_keeps_four_digits_and_never_falls_below(err):
+    printed = _printed_err(err)
+    assert re.fullmatch(r"\d\.\d{3}e[+-]\d{2,3}", printed)
+    # one unit of the fourth significant digit of err
+    unit = Decimal(1).scaleb(Decimal(err).adjusted() - 3) if err else 0
+    assert Decimal(err) <= Decimal(printed) <= Decimal(err) + unit

@@ -1,0 +1,248 @@
+"""The sparse term-map storage of weyl against the d x d grid it replaced.
+
+The reference here is the grid implementation: a MatrixDiffOp as a grid of
+ScalarDiffOp entries multiplied by matrixreps.mat_mul, applied to a spinor
+as per-component sums of apply_poly (itself checked against the per-term
+action loop), and added, negated, scaled and substituted entry by entry
+with the per-term loops over plain dicts that each class used to carry.
+Randomized with fixed seeds at d = 1, 2, 3.
+"""
+
+import random
+from fractions import Fraction
+from math import perm
+
+import pytest
+
+from matrixweyl import Coeff, MatrixDiffOp, Polynomial, PolySpinor, ScalarDiffOp
+from matrixweyl.matrixreps import mat_mul
+from helpers_mw import random_coeff, random_poly, random_scalar_op
+
+DIMS = (1, 2, 3)
+SEEDS = range(6)
+BINDINGS = ({"k": 0}, {"k": Fraction(1, 2), "nu": -1}, {})
+
+
+# -- reference: per-term loops over plain dicts, entry by entry --------------
+
+
+def _ref_add(a, b):
+    out = dict(a)
+    for m, c in b.items():
+        s = out[m] + c if m in out else c
+        if s.is_zero():
+            del out[m]
+        else:
+            out[m] = s
+    return out
+
+
+def _ref_map(terms, f):
+    out = {}
+    for m, c in terms.items():
+        v = f(c)
+        if not v.is_zero():
+            out[m] = v
+    return out
+
+
+def _grid(op):
+    return [[e.terms for e in row] for row in op.entries]
+
+
+def _ref_grid_add(A, B):
+    return [[_ref_add(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(_grid(A), _grid(B))]
+
+
+def _ref_grid_map(A, f):
+    return [[_ref_map(a, f) for a in row] for row in _grid(A)]
+
+
+def _ref_product(A, B):
+    return [[e.terms for e in row] for row in mat_mul(A.entries, B.entries)]
+
+
+def _ref_apply_poly(op, p):
+    out = {}
+    for (A, B), c in op.terms.items():
+        for P, cp in p.terms.items():
+            if any(b > q for b, q in zip(B, P)):
+                continue
+            f = 1
+            for b, q in zip(B, P):
+                f *= perm(q, b)
+            out = _ref_add(out, {tuple(a + q - b for a, q, b in zip(A, P, B)): c * cp * f})
+    return out
+
+
+def _ref_apply(A, v):
+    comps = []
+    for row in A.entries:
+        acc = {}
+        for e, p in zip(row, v.components):
+            assert e.apply_poly(p).terms == _ref_apply_poly(e, p)
+            acc = _ref_add(acc, _ref_apply_poly(e, p))
+        comps.append(acc)
+    return comps
+
+
+def _diag(s, dim):
+    z = ScalarDiffOp.zero(s.nvars)
+    return [[s if i == j else z for j in range(dim)] for i in range(dim)]
+
+
+# -- random operands with empty entries --------------------------------------
+
+
+def _op(rng, dim, nvars=2):
+    return MatrixDiffOp(
+        [
+            [
+                random_scalar_op(rng, nvars, nterms=2, maxdeg=1)
+                if rng.random() < 0.6
+                else ScalarDiffOp.zero(nvars)
+                for _ in range(dim)
+            ]
+            for _ in range(dim)
+        ]
+    )
+
+
+def _spinor(rng, dim, nvars=2):
+    return PolySpinor(
+        [
+            random_poly(rng, nvars, nterms=2, maxdeg=2)
+            if rng.random() < 0.7
+            else Polynomial.zero(nvars)
+            for _ in range(dim)
+        ],
+        nvars,
+    )
+
+
+def _scalars(rng):
+    return [
+        rng.randint(-3, 3),
+        Fraction(rng.randint(-4, 4), rng.randint(1, 5)),
+        random_coeff(rng),
+    ]
+
+
+@pytest.mark.parametrize("dim", DIMS)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_product_and_action_match_the_grid(dim, seed):
+    rng = random.Random(1000 * dim + seed)
+    A, B = _op(rng, dim), _op(rng, dim)
+    v = _spinor(rng, dim)
+    assert _grid(A * B) == _ref_product(A, B)
+    assert [p.terms for p in A.apply(v).components] == _ref_apply(A, v)
+
+
+@pytest.mark.parametrize("dim", DIMS)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_linear_arithmetic_matches_the_grid(dim, seed):
+    rng = random.Random(2000 * dim + seed)
+    A, B = _op(rng, dim), _op(rng, dim)
+    assert _grid(A + B) == _ref_grid_add(A, B)
+    assert _grid(A - B) == _ref_grid_add(A, -B)
+    assert _grid(-A) == _ref_grid_map(A, lambda c: -c)
+    assert (A - A).is_zero() and (A + (-A)).is_zero()
+    for c in _scalars(rng) + [0]:
+        k = Coeff.rational(c) if not isinstance(c, Coeff) else c
+        assert _grid(A.scale(c)) == _ref_grid_map(A, lambda e: e * k)
+    for bindings in BINDINGS:
+        assert _grid(A.substitute(bindings)) == _ref_grid_map(
+            A, lambda e: e.substitute(bindings)
+        )
+
+
+@pytest.mark.parametrize("dim", DIMS)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_spinor_and_polynomial_arithmetic_match_per_component(dim, seed):
+    rng = random.Random(3000 * dim + seed)
+    v, w = _spinor(rng, dim), _spinor(rng, dim)
+    vc, wc = v.components, w.components
+    assert [p.terms for p in (v + w).components] == [
+        _ref_add(a.terms, b.terms) for a, b in zip(vc, wc)
+    ]
+    assert [p.terms for p in (v - w).components] == [
+        _ref_add(a.terms, _ref_map(b.terms, lambda c: -c)) for a, b in zip(vc, wc)
+    ]
+    c = random_coeff(rng)
+    assert [p.terms for p in v.scale(c).components] == [
+        _ref_map(p.terms, lambda e: e * c) for p in vc
+    ]
+    for bindings in BINDINGS:
+        assert [p.terms for p in v.substitute(bindings).components] == [
+            _ref_map(p.terms, lambda e: e.substitute(bindings)) for p in vc
+        ]
+    p, q = vc[0], wc[0]
+    assert (p + q).terms == _ref_add(p.terms, q.terms)
+    assert (p - q).terms == _ref_add(p.terms, _ref_map(q.terms, lambda e: -e))
+    assert p.scale(c).terms == _ref_map(p.terms, lambda e: e * c)
+
+
+@pytest.mark.parametrize("dim", DIMS)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_views_round_trip_and_equality(dim, seed):
+    rng = random.Random(4000 * dim + seed)
+    A, v = _op(rng, dim), _spinor(rng, dim)
+    assert len(A.entries) == dim and all(len(row) == dim for row in A.entries)
+    for same in (MatrixDiffOp(A.entries), A.with_coords(A.coords()), A + 0, A * 1):
+        assert same == A and hash(same) == hash(A)
+    assert set(A.coords()) == {
+        (i, j, m) for i, row in enumerate(_grid(A)) for j, e in enumerate(row) for m in e
+    }
+    assert A.term_count() == sum(len(e) for row in _grid(A) for e in row)
+    assert len(v.components) == dim
+    for same in (PolySpinor(v.components, v.nvars), v.with_coords(v.coords())):
+        assert same == v and hash(same) == hash(v)
+    assert v.total_degree() == max(
+        (p.total_degree() for p in v.components if not p.is_zero()), default=None
+    )
+    s = random_scalar_op(rng)
+    assert ScalarDiffOp(s.nvars, dict(s.terms)) == s
+    p = v.components[0]
+    assert Polynomial(p.nvars, dict(p.terms)) == p
+    bump = MatrixDiffOp.identity(dim, 2)
+    assert A + bump != A
+    # equal (empty) term maps of different shapes are different values
+    assert MatrixDiffOp.zero(dim, 2) != MatrixDiffOp.zero(dim + 1, 2)
+    assert MatrixDiffOp.zero(dim, 2) != MatrixDiffOp.zero(dim, 1)
+    assert PolySpinor.zero(dim, 2) != PolySpinor.zero(dim + 1, 2)
+    assert ScalarDiffOp.zero(2) != Polynomial.zero(2)
+
+
+@pytest.mark.parametrize("dim", DIMS)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_mixed_operands_match_the_grid(dim, seed):
+    rng = random.Random(5000 * dim + seed)
+    A = _op(rng, dim)
+    s = random_scalar_op(rng, nterms=2, maxdeg=1)
+    sI = MatrixDiffOp(_diag(s, dim))
+    # a scalar operator stands for itself times the identity, on either side
+    assert _grid(s * A) == [[e.terms for e in row] for row in mat_mul(_diag(s, dim), A.entries)]
+    assert _grid(A * s) == [[e.terms for e in row] for row in mat_mul(A.entries, _diag(s, dim))]
+    assert _grid(A + s) == _grid(s + A) == _ref_grid_add(A, sI)
+    assert _grid(A - s) == _ref_grid_add(A, -sI)
+    assert _grid(s - A) == _ref_grid_add(-A, sI)
+    for c in _scalars(rng):
+        k = Coeff.rational(c) if not isinstance(c, Coeff) else c
+        cI = MatrixDiffOp.from_scalar(ScalarDiffOp.constant(k, 2), dim)
+        assert _grid(A * c) == _grid(c * A) == _ref_grid_map(A, lambda e: e * k)
+        assert _grid(A + c) == _grid(c + A) == _ref_grid_add(A, cI)
+        assert _grid(A - c) == _ref_grid_add(A, -cI)
+        assert _grid(c - A) == _ref_grid_add(-A, cI)
+        one = ScalarDiffOp.constant(k, s.nvars).terms
+        assert (s * c).terms == (c * s).terms == _ref_map(s.terms, lambda e: e * k)
+        assert (s + c).terms == (c + s).terms == _ref_add(s.terms, one)
+        assert (s - c).terms == _ref_add(s.terms, _ref_map(one, lambda e: -e))
+        assert (c - s).terms == _ref_add(_ref_map(s.terms, lambda e: -e), one)
+
+
+def test_scalar_times_matrix_keeps_operand_order():
+    x = ScalarDiffOp.x(0, 1)
+    d = ScalarDiffOp.d(0, 1)
+    dI = MatrixDiffOp.from_scalar(d, 2)
+    assert x * dI == MatrixDiffOp.from_scalar(x * d, 2)
+    assert dI * x == MatrixDiffOp.from_scalar(x * d + 1, 2)
