@@ -234,12 +234,11 @@ def cmd_model(args) -> int:
     checks = [scalar_form_check(args.model, K).record()]
     if args.d > 1:
         checks.append(consistency_check(args.model, K, args.d).record())
-    _finish(
-        args,
-        "model",
-        {"model": args.model, "form": args.form, "d": args.d},
-        results + checks,
-    )
+    inputs = {"model": args.model, "form": args.form, "d": args.d}
+    if args.k is not None:
+        # k binds the printed operator only; both checks keep a formal k
+        inputs["k"] = str(args.k)
+    _finish(args, "model", inputs, results + checks)
     # The display-vs-lie record is `pass: false` by design at d >= 2, and
     # perfbench/reference.json pins exit 0 with these bytes for
     # `model --form matrix --d 3`; the exit status follows the verdict only

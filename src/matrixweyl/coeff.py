@@ -11,6 +11,15 @@ the term order is fixed (lexicographic in the exponent vector of
 k, omega, nu, alpha).  Keeping k, omega, nu, alpha as true polynomial
 indeterminates means that an identity verified on Coeff level holds for
 every parameter value at once, not just for sampled ones.
+
+The scalar a + b*sqrt(2) of a term is the pair (a, b), and each half is
+stored in one canonical form: an int when it is integral, a Fraction
+otherwise, and b is the int 0 when the value has no sqrt(2) part.  Both
+types expose .numerator and .denominator, hash and compare alike on equal
+values (hash(3) == hash(Fraction(3))) and print alike ('3'), so equality
+stays literal term-map equality.  Most values the engine meets are
+rational and many are integers, so qp_add and qp_mul skip the sqrt(2) half
+when both b's are 0, and integer halves never pay for Fraction's gcd.
 """
 
 from __future__ import annotations
@@ -21,22 +30,43 @@ from typing import Mapping, Union
 PARAMS = ("k", "omega", "nu", "alpha")
 
 _ZEXP = (0, 0, 0, 0)
-_F0 = Fraction(0)
-_F1 = Fraction(1)
 
-# a + b*sqrt(2) is stored as the pair (a, b) of Fractions ("QP" below).
+# a + b*sqrt(2) is stored as the pair (a, b) of canonical halves ("QP" below).
 
 
 class CoeffError(ArithmeticError):
     """Impossible exact-arithmetic request (bad inverse, inexact division)."""
 
 
+def _half(x):
+    """A rational as a canonical half: an int when integral, else a Fraction."""
+    if type(x) is int:
+        return x
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
 def qp_add(p, q):
-    return (p[0] + q[0], p[1] + q[1])
+    a, b = p
+    c, d = q
+    s = a + c
+    if type(s) is not int and s.denominator == 1:
+        s = s.numerator
+    if b or d:
+        return (s, _half(b + d))
+    return (s, 0)
 
 
 def qp_mul(p, q):
-    return (p[0] * q[0] + 2 * p[1] * q[1], p[0] * q[1] + p[1] * q[0])
+    a, b = p
+    c, d = q
+    if not (b or d):
+        s = a * c
+        if type(s) is not int and s.denominator == 1:
+            s = s.numerator
+        return (s, 0)
+    return (_half(a * c + 2 * b * d), _half(a * d + b * c))
 
 
 def qp_neg(p):
@@ -48,7 +78,7 @@ def qp_inv(p):
     n = a * a - 2 * b * b
     if n == 0:
         raise CoeffError("zero has no inverse in Q(sqrt2)")
-    return (a / n, -b / n)
+    return (_half(Fraction(a, n)), _half(Fraction(-b, n)))
 
 
 def qp_is_zero(p):
@@ -68,8 +98,8 @@ class Coeff:
         clean = {}
         if terms:
             for exps, pair in terms.items():
-                a = Fraction(pair[0])
-                b = Fraction(pair[1])
+                a = _half(pair[0])
+                b = _half(pair[1])
                 if a or b:
                     clean[tuple(exps)] = (a, b)
         self.terms = clean
@@ -79,7 +109,7 @@ class Coeff:
     @classmethod
     def rational(cls, a, b=0) -> "Coeff":
         """The constant a + b*sqrt(2)."""
-        return cls({_ZEXP: (Fraction(a), Fraction(b))})
+        return cls({_ZEXP: (a, b)})
 
     @classmethod
     def zero(cls) -> "Coeff":
@@ -97,7 +127,7 @@ class Coeff:
     def param(cls, name: str) -> "Coeff":
         i = PARAMS.index(name)
         exps = tuple(1 if j == i else 0 for j in range(4))
-        return cls({exps: (_F1, _F0)})
+        return cls({exps: (1, 0)})
 
     # -- ring structure ----------------------------------------------------
 
@@ -111,6 +141,11 @@ class Coeff:
         other = as_coeff(other)
         if other is NotImplemented:
             return NotImplemented
+        # values are immutable, so a zero summand hands back the other one
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         out = dict(self.terms)
         for exps, pair in other.terms.items():
             cur = out.get(exps)
@@ -195,7 +230,7 @@ class Coeff:
     def constant_pair(self):
         """The (a, b) of a parameter-free value a + b*sqrt(2)."""
         if not self.terms:
-            return (_F0, _F0)
+            return (0, 0)
         if set(self.terms) != {_ZEXP}:
             raise CoeffError("value still carries formal parameters: %s" % self)
         return self.terms[_ZEXP]
@@ -216,10 +251,10 @@ class Coeff:
                 raise ValueError("unknown parameter %r" % name)
         if not bindings or not self.terms:
             return self
-        values = [Fraction(bindings[p]) if p in bindings else None for p in PARAMS]
+        values = [_half(bindings[p]) if p in bindings else None for p in PARAMS]
         out = Coeff.zero()
         for exps, (a, b) in self.terms.items():
-            factor = _F1
+            factor = 1
             new = list(exps)
             for i, v in enumerate(values):
                 if v is not None and exps[i]:
@@ -266,7 +301,10 @@ def as_coeff(x) -> "Coeff":
     if isinstance(x, Coeff):
         return x
     if isinstance(x, (int, Fraction)):
-        return Coeff.rational(x)
+        a = _half(x)
+        c = Coeff.__new__(Coeff)
+        c.terms = {_ZEXP: (a, 0)} if a else {}
+        return c
     return NotImplemented
 
 

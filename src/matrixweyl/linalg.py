@@ -19,8 +19,10 @@ p-adic expansion (Loos 1983): the square-free part of gcd(A, B), for
 p = A + B*sqrt2, is made monic over Z, its simple roots modulo a small prime
 are Hensel-lifted (Zassenhaus 1969) past the Cauchy bound, and every
 candidate is checked exactly before exact division sets its multiplicity.
-Whatever remains is located numerically at high precision (mpmath, imported
-only then) with a certified inclusion radius.
+Whatever remains is split into square-free parts over Q(sqrt2) (Yun 1976,
+with gcds in Q(sqrt2)[t] on the pair arithmetic) and each part is located
+numerically at high precision (mpmath, imported only then) with a certified
+inclusion radius.
 """
 
 from __future__ import annotations
@@ -39,8 +41,6 @@ from .coeff import (
     qp_neg,
 )
 from .matrixreps import mat_mul
-
-_QP1 = (Fraction(1), Fraction(0))
 
 
 class Indexer:
@@ -175,7 +175,7 @@ def solve_combination(basis: Sequence[Mapping], target: Mapping):
     res, combo = ech.reduce(scalarize(target, ix))
     if res:
         return None
-    out = [(Fraction(0), Fraction(0))] * len(basis)
+    out = [(0, 0)] * len(basis)
     for k, v in combo.items():
         out[k] = v
     return out
@@ -233,9 +233,8 @@ def coeff_matrix_solve(columns: Sequence[Mapping], targets: Sequence[Mapping]):
                     key = ix.keys[col]
                     residual[key] = residual.get(key, Coeff.zero()) + Coeff({exps: pair})
             if combo:
-                mono = Coeff({exps: _QP1})
                 for j, pair in combo.items():
-                    coords[j] = coords[j] + Coeff({(0, 0, 0, 0): pair}) * mono
+                    coords[j] = coords[j] + Coeff({exps: pair})
         residual = {k: v for k, v in residual.items() if not v.is_zero()}
         out.append((coords, residual))
     return out
@@ -455,48 +454,136 @@ def rational_roots(coeffs):
     return roots, [Coeff.rational(x, y) for x, y in zip(a, b)]
 
 
+# -- Q(sqrt2)[t] on pairs, for the square-free split --------------------------
+#
+# Pair polynomials are lists of (a, b) pairs, lowest degree first, with no
+# trailing zero pairs.
+
+
+def _qp_trim(f):
+    while f and qp_is_zero(f[-1]):
+        f.pop()
+    return f
+
+
+def _qp_monic(f):
+    inv = qp_inv(f[-1])
+    return [qp_mul(c, inv) for c in f]
+
+
+def _qp_sub(f, g):
+    n = max(len(f), len(g))
+    f = f + [(0, 0)] * (n - len(f))
+    g = g + [(0, 0)] * (n - len(g))
+    return _qp_trim([qp_add(x, qp_neg(y)) for x, y in zip(f, g)])
+
+
+def _qp_deriv(f):
+    return [qp_mul((i, 0), c) for i, c in enumerate(f)][1:]
+
+
+def _qp_divmod(f, g):
+    """(quotient, remainder) of a pair polynomial f by a monic one g."""
+    r = list(f)
+    dg = len(g) - 1
+    q = [(0, 0)] * max(len(f) - dg, 0)
+    for k in range(len(q) - 1, -1, -1):
+        c = r[k + dg]
+        q[k] = c
+        if not qp_is_zero(c):
+            for i, y in enumerate(g):
+                r[k + i] = qp_add(r[k + i], qp_neg(qp_mul(c, y)))
+    return q, _qp_trim(r[:dg])
+
+
+def _qp_gcd(f, g):
+    """Monic gcd of a nonzero pair polynomial f and a pair polynomial g."""
+    while g:
+        g = _qp_monic(g)
+        f, g = g, _qp_divmod(f, g)[1]
+    return _qp_monic(f)
+
+
+def _squarefree_parts(f):
+    """Yun's decomposition f = lc * prod s_i^i: the nonconstant (s_i, i).
+
+    Each s_i is monic and square-free, and they are pairwise coprime, so
+    every root of f is a simple root of exactly one s_i, of multiplicity i.
+    """
+    df = _qp_deriv(f)
+    a = _qp_gcd(f, df)
+    b = _qp_divmod(f, a)[0]
+    c = _qp_divmod(df, a)[0]
+    parts = []
+    i = 1
+    while len(b) > 1:
+        d = _qp_sub(c, _qp_deriv(b))
+        a = _qp_gcd(b, d)
+        if len(a) > 1:
+            parts.append((a, i))
+        b = _qp_divmod(b, a)[0]
+        c = _qp_divmod(d, a)[0]
+        i += 1
+    return parts
+
+
 _NUMERIC_ATTEMPTS = 4
 
 
 def numeric_roots(coeffs, dps: int = 50):
     """High-precision roots of the residual factor, with a certified radius.
 
-    Returns (roots, err): roots are dps-digit mpmath approximations, and
-    every root of the polynomial lies within err of one of them.  err is the
-    largest inclusion radius n |p(z_i)| / |lc prod_{j!=i} (z_i - z_j)| (the
-    Weierstrass disks, whose union holds every root), evaluated in interval
-    arithmetic and rounded up to a float.
+    Returns (roots, err): roots are dps-digit mpmath approximations, each
+    repeated by its multiplicity, and every root of the polynomial lies
+    within err of one of them.  The factor is first split into square-free
+    parts over Q(sqrt2), so every part has simple roots only; err is the
+    largest inclusion radius over the parts (see _certified_roots).
+    """
+    import mpmath
 
-    A root of multiplicity r is only resolved to about 1/r of the working
-    precision, so when polyroots does not converge, or two approximations
-    coincide, the solve is repeated with twice the extra working precision
-    and twice the steps, _NUMERIC_ATTEMPTS times in all; after that
-    CoeffError is raised.
+    roots = []
+    err = 0.0
+    pairs = [c.constant_pair() for c in coeffs]
+    with mpmath.workdps(dps):
+        for part, mult in _squarefree_parts(pairs):
+            found, part_err = _certified_roots(part, dps)
+            roots.extend(z for z in found for _ in range(mult))
+            err = max(err, part_err)
+    return roots, err
+
+
+def _certified_roots(pairs, dps):
+    """polyroots of a square-free pair polynomial, with its certified radius.
+
+    The radius is the largest n |p(z_i)| / |lc prod_{j!=i} (z_i - z_j)| (the
+    Weierstrass disks, whose union holds every root), evaluated in interval
+    arithmetic and rounded up to a float.  When polyroots does not converge,
+    or two approximations coincide, the solve is repeated with twice the
+    extra working precision and twice the steps, _NUMERIC_ATTEMPTS times in
+    all; after that CoeffError is raised.
     """
     import mpmath
     from mpmath.libmp import NoConvergence
 
-    pairs = [c.constant_pair() for c in coeffs]
     extraprec, maxsteps = 120, 200
-    with mpmath.workdps(dps):
-        s2 = mpmath.sqrt(2)
-        # mpmath wants highest degree first
-        cs = [
-            mpmath.mpf(a.numerator) / a.denominator
-            + (mpmath.mpf(b.numerator) / b.denominator) * s2
-            for a, b in reversed(pairs)
-        ]
-        for _ in range(_NUMERIC_ATTEMPTS):
-            try:
-                roots = mpmath.polyroots(cs, maxsteps=maxsteps, extraprec=extraprec)
-            except NoConvergence:
-                pass
-            else:
-                err = _inclusion_radius(pairs, roots, 2 * dps)
-                if err is not None:
-                    return roots, err
-            extraprec *= 2
-            maxsteps *= 2
+    s2 = mpmath.sqrt(2)
+    # mpmath wants highest degree first
+    cs = [
+        mpmath.mpf(a.numerator) / a.denominator
+        + (mpmath.mpf(b.numerator) / b.denominator) * s2
+        for a, b in reversed(pairs)
+    ]
+    for _ in range(_NUMERIC_ATTEMPTS):
+        try:
+            roots = mpmath.polyroots(cs, maxsteps=maxsteps, extraprec=extraprec)
+        except NoConvergence:
+            pass
+        else:
+            err = _inclusion_radius(pairs, roots, 2 * dps)
+            if err is not None:
+                return roots, err
+        extraprec *= 2
+        maxsteps *= 2
     raise CoeffError(
         "no certified numeric roots of a degree-%d factor after %d attempts "
         "(up to %d extra bits, %d steps)"

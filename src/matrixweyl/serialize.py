@@ -1,7 +1,7 @@
 """Deterministic JSON encoding of the engine's values and run manifests.
 
 Exact values stay exact: a scalar a + b*sqrt(2) is stored as the string
-pair ("a", "b") with Fractions rendered as "p/q", never as floats.  All
+pair ("a", "b"), each half rendered as "n" or "p/q", never as a float.  All
 maps are emitted with sorted keys and lists in canonical term order, so a
 given input produces byte-identical JSON.
 """

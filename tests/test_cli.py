@@ -257,3 +257,20 @@ def test_exact_spectrum_does_not_import_mpmath():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("model", ["calogero", "sutherland"])
+def test_model_manifest_records_k_only_when_given(model, capsys):
+    argv = ["model", "--model", model, "--form", "liealgebraic", "--d", "2"]
+    _, out = run_cli(argv, capsys)
+    assert json.loads(out)["inputs"] == {"model": model, "form": "liealgebraic", "d": 2}
+    _, bound = run_cli(argv + ["--k", "3"], capsys)
+    data = json.loads(bound)
+    assert data["inputs"] == {
+        "model": model,
+        "form": "liealgebraic",
+        "d": 2,
+        "k": "3",
+    }
+    # the checks keep a formal k whether or not --k is given
+    assert data["results"][1:] == json.loads(out)["results"][1:]

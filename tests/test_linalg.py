@@ -13,6 +13,9 @@ from matrixweyl.coeff import CoeffError
 from matrixweyl.linalg import (
     Indexer,
     QPEchelon,
+    _qp_deriv,
+    _qp_gcd,
+    _squarefree_parts,
     charpoly,
     coeff_matrix_solve,
     numeric_roots,
@@ -365,3 +368,56 @@ def test_echelon_tracking_consistency():
             rebuilt[col] = prod
     rebuilt = {k: v for k, v in rebuilt.items() if v != (0, 0)}
     assert rebuilt == dict(target)
+
+
+# -- the square-free split before the numeric fallback ------------------------
+
+
+@pytest.mark.parametrize("power", [2, 3])
+def test_numeric_roots_of_repeated_pairs_are_certified_to_full_precision(power):
+    # (t^2 - 2)^power: every root is solved as a simple root of t^2 - 2
+    coeffs = [C(1)]
+    for _ in range(power):
+        coeffs = _poly_mul(coeffs, [C(-2), C(0), C(1)])
+    numeric, err = numeric_roots(coeffs)
+    assert len(numeric) == 2 * power
+    assert err < 1e-45
+    with mpmath.workdps(100):
+        for root in (mpmath.sqrt(2), -mpmath.sqrt(2)):
+            assert sum(abs(z - root) <= err for z in numeric) == power
+
+
+_qp_small = st.tuples(_small, _small).map(lambda ab: C(*ab))
+_sqfree_factor = st.one_of(
+    # t - (a + b sqrt2)
+    _qp_small.map(lambda r: [-r, C(1)]),
+    # t^2 + p t + q over Q(sqrt2)
+    st.tuples(_qp_small, _qp_small).map(lambda pq: [pq[1], pq[0], C(1)]),
+)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    st.lists(st.tuples(_sqfree_factor, st.integers(1, 3)), min_size=1, max_size=3),
+    _qp_small.filter(bool),
+)
+def test_squarefree_parts_rebuild_the_factor(factors, scale):
+    f = [scale]
+    for g, e in factors:
+        for _ in range(e):
+            f = _poly_mul(f, g)
+    pairs = [c.constant_pair() for c in f]
+    parts = _squarefree_parts(pairs)
+    rebuilt = [f[-1]]
+    for part, mult in parts:
+        assert part[-1] == (1, 0)
+        # square-free: coprime to its derivative
+        assert _qp_gcd(part, _qp_deriv(part)) == [(1, 0)]
+        for _ in range(mult):
+            rebuilt = _poly_mul(rebuilt, [Coeff.rational(*p) for p in part])
+    assert rebuilt == f
+    mults = [m for _, m in parts]
+    assert len(set(mults)) == len(mults)
+    for i, (p, _) in enumerate(parts):
+        for q, _ in parts[i + 1 :]:
+            assert _qp_gcd(p, q) == [(1, 0)]

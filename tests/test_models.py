@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -19,6 +20,7 @@ from matrixweyl.models import (
     sutherland,
 )
 from matrixweyl.serialize import matrix_op_to_json
+from matrixweyl.spaces import matrix_of
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "goldens")
 
@@ -201,3 +203,79 @@ def test_printed_err_keeps_four_digits_and_never_falls_below(err):
     # one unit of the fourth significant digit of err
     unit = Decimal(1).scaleb(Decimal(err).adjusted() - 3) if err else 0
     assert Decimal(err) <= Decimal(printed) <= Decimal(err) + unit
+
+
+# -- the numeric fallback, end to end -------------------------------------------
+
+
+def _perturbed_sutherland(k, extra):
+    """The k, d = 1 Sutherland operator plus a gl3-generator product.
+
+    The added term keeps every polynomial-triangle block invariant but gives
+    some of them irrational eigenvalues, so models.spectrum has to take the
+    numeric branch.
+    """
+    m = sutherland("liealgebraic", Coeff.rational(k), 1)
+    g = build_gl_np1(RepSpec.gl3(Coeff.rational(k), 1))
+    return dataclasses.replace(m, op=m.op + extra(g))
+
+
+@pytest.mark.parametrize(
+    "k, extra, inexact",
+    [
+        (2, lambda g: g.E[(1, 2)] * g.E[(2, 1)], 2),
+        # deflated factor (t^2 + 20t/3 + 31/3)^2: two double roots
+        (3, lambda g: g.E[(2, 1)] * g.E[(1, 2)] + g.E[(1, 1)], 4),
+    ],
+)
+def test_numeric_fallback_end_to_end_is_certified(monkeypatch, k, extra, inexact):
+    import mpmath
+    import sympy
+
+    from matrixweyl import models
+
+    calls = []
+    real_numeric_roots = models.numeric_roots
+
+    def spy(coeffs):
+        out = real_numeric_roots(coeffs)
+        calls.append(out)
+        return out
+
+    monkeypatch.setattr(models, "numeric_roots", spy)
+    bind = {"nu": Fraction(1, 3), "alpha": 1}
+    op = _perturbed_sutherland(k, extra)
+    result = spectrum(op, bind)
+
+    approx = [z for roots, _ in calls for z in roots]
+    errs = [err for _, err in calls]
+    records = [e for e in result.eigenvalues if not e.exact]
+    assert len(records) == len(approx) == inexact
+    # a square-free solve certifies to the working precision, a doubled
+    # root solved as such only to about half of it
+    assert max(errs) < 1e-45
+    assert {e.err for e in records} <= set(errs)
+
+    # sympy, independently: the eigenvalues of the whole operator matrix
+    basis = flag_basis("sutherland", k, 1)
+    opm = matrix_of(op.op, basis).substitute(bind)
+    rows = []
+    for row in opm.entries:
+        rows.append([])
+        for c in row:
+            a, b = c.constant_pair()
+            rows[-1].append(sympy.Rational(str(a)) + sympy.Rational(str(b)) * sympy.sqrt(2))
+    t = sympy.Symbol("t")
+    exact_roots = sympy.roots(sympy.Matrix(rows).charpoly(t).as_expr(), t)
+    assert sum(exact_roots.values()) == basis.dim
+    irrational = {r: m for r, m in exact_roots.items() if not r.is_rational}
+    assert sum(irrational.values()) == inexact
+    with mpmath.workdps(60):
+        for r, mult in irrational.items():
+            value = mpmath.mpmathify(str(sympy.N(r, 60)))
+            near = [z for z in approx if abs(z - value) <= max(errs)]
+            assert len(near) == mult
+    rational = sorted(
+        Fraction(str(r)) for r, m in exact_roots.items() if r.is_rational for _ in range(m)
+    )
+    assert sorted(e.pair[0] for e in result.eigenvalues if e.exact) == rational

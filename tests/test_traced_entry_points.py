@@ -12,8 +12,14 @@ import inspect
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+
+from matrixweyl import Coeff
+from matrixweyl.linalg import charpoly
+from matrixweyl.models import flag_basis, sutherland
+from matrixweyl.spaces import matrix_of
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 TRACER = os.path.join(ROOT, "perfbench", "tracer.py")
@@ -53,3 +59,29 @@ def test_tracer_installs_without_binding_error():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def _fraction_height(coeffs):
+    """tracer._height, with every half read through Fraction(...)."""
+    best = 0
+    for c in coeffs:
+        for pair in c.terms.values():
+            for half in map(Fraction, pair):
+                best = max(
+                    best, abs(half.numerator).bit_length(), half.denominator.bit_length()
+                )
+    return best
+
+
+def test_height_reads_the_pairs_charpoly_and_matrix_of_return():
+    # the tracer reads .numerator/.denominator of both halves of each pair
+    # of the values these two entry points return
+    model = sutherland("liealgebraic", Coeff.rational(2), 2)
+    opm = matrix_of(model.op, flag_basis("sutherland", 2, 2))
+    entries = [c for row in opm.entries for c in row]
+    bound = opm.substitute({"nu": Fraction(2, 3), "alpha": 2})
+    poly = charpoly(bound.entries)
+    for values in (entries, poly):
+        assert all(len(pair) == 2 for c in values for pair in c.terms.values())
+        height = tracer._height(values)
+        assert height == _fraction_height(values) > 0
