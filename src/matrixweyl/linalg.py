@@ -12,6 +12,17 @@ spans (the g^(m) closure filtration) grows a single echelon instead of
 rebuilding one per span.  Combination tracking is switched on only by the
 solvers that report coefficients (solve_combination, coeff_matrix_solve).
 
+Inside the echelon no Fraction is built.  Each row is a map of integer
+pairs (A, B), meaning (A + B*sqrt2)/D, over one positive integer D per row,
+with the pivot entry (D, 0) and the row in lowest terms; a pivot with a
+sqrt2 part is normalized by multiplying the row by its conjugate, so that
+D = |a^2 - 2b^2|.  The rows are kept fully reduced (no row has an entry in
+another row's pivot column), so reducing a vector subtracts vec[p] * row_p
+for exactly the pivots p it holds, in any order and over one common
+multiplier, and the result is the same as row-by-row elimination: the
+fully reduced echelon of a span under a fixed column order is unique.
+Residuals and combinations leave the echelon as canonical pairs.
+
 Characteristic polynomials are computed by the Faddeev-LeVerrier recursion,
 which only ever divides by integers and therefore stays exact over the
 coefficient ring.  Rational roots are found in integer arithmetic alone by
@@ -28,7 +39,7 @@ inclusion radius.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, inf, nextafter
+from math import gcd, inf, lcm, nextafter
 from typing import Mapping, Sequence
 
 from .coeff import (
@@ -71,18 +82,104 @@ def scalarize(vec: Mapping, ix: Indexer):
     return out
 
 
+def _int_pairs(vec: Mapping):
+    """(V, E) with vec = V / E: V maps column -> integer pair, zeros dropped."""
+    E = 1
+    exact = True
+    for a, b in vec.values():
+        if type(a) is not int or type(b) is not int:
+            exact = False
+            E = lcm(E, a.denominator, b.denominator)
+    if exact:
+        return {c: p for c, p in vec.items() if p[0] or p[1]}, 1
+    return {
+        c: (a.numerator * (E // a.denominator), b.numerator * (E // b.denominator))
+        for c, (a, b) in vec.items()
+        if a or b
+    }, E
+
+
+def _axpy(acc: dict, fa: int, fb: int, row: Mapping) -> None:
+    """acc += (fa + fb*sqrt2) * row over integer pairs, dropping zeros."""
+    get = acc.get
+    if fb:
+        for c, (ra, rb) in row.items():
+            pa = fa * ra + 2 * fb * rb
+            pb = fa * rb + fb * ra
+            x = get(c)
+            if x is not None:
+                pa += x[0]
+                pb += x[1]
+                if not (pa or pb):
+                    del acc[c]
+                    continue
+            acc[c] = (pa, pb)
+        return
+    for c, (ra, rb) in row.items():
+        x = get(c)
+        if x is None:
+            acc[c] = (fa * ra, fa * rb)
+        else:
+            pa = x[0] + fa * ra
+            pb = x[1] + fa * rb
+            if pa or pb:
+                acc[c] = (pa, pb)
+            else:
+                del acc[c]
+
+
+def _times(row: Mapping, fa: int, fb: int) -> dict:
+    """(fa + fb*sqrt2) * row, for a nonzero factor, as a new dict."""
+    if fb:
+        return {c: (fa * a + 2 * fb * b, fa * b + fb * a) for c, (a, b) in row.items()}
+    if fa == 1:
+        return dict(row)
+    return {c: (fa * a, fa * b) for c, (a, b) in row.items()}
+
+
+def _lowest(D: int, row: dict, combo):
+    """(D, row, combo) divided by the gcd of D and every integer they hold."""
+    g = D
+    for part in (row, combo or {}):
+        for a, b in part.values():
+            g = gcd(g, a, b)
+            if g == 1:
+                return D, row, combo
+    if combo is not None:
+        combo = {k: (a // g, b // g) for k, (a, b) in combo.items()}
+    return D // g, {c: (a // g, b // g) for c, (a, b) in row.items()}, combo
+
+
+def _over(x: int, n: int):
+    """x / n as a canonical half: an int when integral, else a Fraction."""
+    return x // n if x % n == 0 else Fraction(x, n)
+
+
+def _canonical(ints: dict, n: int) -> dict:
+    """Integer pairs over the common denominator n -> canonical pairs."""
+    if n == 1:
+        return ints
+    return {c: (_over(a, n), _over(b, n) if b else 0) for c, (a, b) in ints.items()}
+
+
 class QPEchelon:
     """Incremental reduced echelon form over Q(sqrt2) with combo tracking.
 
-    Rows are sparse dicts of column index -> (a, b) pair.  Each stored row is
-    normalized to pivot 1 and fully reduced against the others, so reduce()
-    is deterministic.  When track=True every stored row also carries its
-    expression in terms of the inserted vectors, which turns reduce() into an
-    exact solver.
+    Each stored row is a sparse dict of column index -> integer pair (A, B),
+    meaning (A + B*sqrt2) / D over one positive integer D per row, with
+    R[pivot] = (D, 0) and the row (with its combination) in lowest terms.
+    Rows are kept in a dict by pivot and fully reduced: no row has an entry
+    in another row's pivot column.  Subtracting vec[p] * row_p for one pivot
+    p therefore leaves every other pivot entry of vec unchanged, so reduce()
+    subtracts, in any order, exactly the rows whose pivots vec holds, all
+    over one multiplier L = lcm of their D's.  reduce() and insert() take
+    and return canonical pairs (see coeff).  When track=True every stored
+    row also carries its expression in terms of the inserted vectors, over
+    the same D, which turns reduce() into an exact solver.
     """
 
     def __init__(self, track: bool = False):
-        self.rows = []  # list of (pivot, row dict, combo dict or None)
+        self.rows = {}  # pivot -> (D, row, combo or None)
         self.track = track
         self.inserted = 0
 
@@ -90,70 +187,74 @@ class QPEchelon:
     def rank(self) -> int:
         return len(self.rows)
 
+    def _eliminate(self, vec: Mapping):
+        """(res, combo, N): vec = (res + sum combo[i] * v_i) / N in integer pairs."""
+        cur, E = _int_pairs(vec)
+        rows = self.rows
+        hits = [(p, cur[p]) for p in cur if p in rows]
+        combo = {} if self.track else None
+        if not hits:
+            return cur, combo, E
+        L = 1
+        for p, _ in hits:
+            L = lcm(L, rows[p][0])
+        if L != 1:
+            cur = _times(cur, L, 0)
+        for p, (va, vb) in hits:
+            D, row, rcombo = rows[p]
+            m = L // D
+            _axpy(cur, -va * m, -vb * m, row)
+            if combo is not None:
+                _axpy(combo, va * m, vb * m, rcombo)
+        return cur, combo, E * L
+
     def reduce(self, vec: Mapping):
         """Return (residual, combo) where vec = residual + sum combo[i] * v_i."""
-        cur = dict(vec)
-        combo = {} if self.track else None
-        for pivot, row, rcombo in self.rows:
-            f = cur.get(pivot)
-            if f is None or qp_is_zero(f):
-                continue
-            for col, val in row.items():
-                s = qp_add(cur.get(col, (0, 0)), qp_neg(qp_mul(f, val)))
-                if qp_is_zero(s):
-                    cur.pop(col, None)
-                else:
-                    cur[col] = s
-            if self.track:
-                for k, v in rcombo.items():
-                    s = qp_add(combo.get(k, (0, 0)), qp_mul(f, v))
-                    if qp_is_zero(s):
-                        combo.pop(k, None)
-                    else:
-                        combo[k] = s
-        cur = {c: v for c, v in cur.items() if not qp_is_zero(v)}
-        return cur, combo
+        res, combo, N = self._eliminate(vec)
+        return _canonical(res, N), combo if combo is None else _canonical(combo, N)
 
     def insert(self, vec: Mapping):
         """Add vec to the span; returns its pivot column or None if dependent."""
         label = self.inserted
         self.inserted += 1
-        res, proj = self.reduce(vec)
+        res, proj, N = self._eliminate(vec)
         if not res:
             return None
         pivot = min(res)
-        inv = qp_inv(res[pivot])
-        row = {c: qp_mul(v, inv) for c, v in res.items()}
+        # multiply by the conjugate of the pivot entry a + b*sqrt2, signed so
+        # that the pivot becomes D = |a^2 - 2b^2| > 0 (D = |a| when b = 0)
+        a, b = res[pivot]
+        if b:
+            n = a * a - 2 * b * b
+            ca, cb = (a, -b) if n > 0 else (-a, b)
+        else:
+            n = a
+            ca, cb = (1, 0) if a > 0 else (-1, 0)
+        row = _times(res, ca, cb)
         combo = None
         if self.track:
-            # res = vec - sum proj_k v_k, so the normalized row is
-            # inv*vec - sum inv*proj_k v_k in terms of inserted vectors.
-            combo = {k: qp_neg(qp_mul(v, inv)) for k, v in proj.items()}
-            combo[label] = inv
-        # keep stored rows fully reduced
-        for i, (p, r, c) in enumerate(self.rows):
+            # res = N*vec - sum proj_k v_k in integers, so the row is
+            # (N*vec - sum proj_k v_k) * conj / D in terms of inserted vectors.
+            combo = _times(proj, -ca, -cb)
+            combo[label] = (N * ca, N * cb)
+        D, row, combo = _lowest(abs(n), row, combo)
+        # keep stored rows fully reduced: r/Dp - (f/Dp)(row/D), where
+        # f/D = (f/h)/(D/h) with h = gcd(D, f) keeps the scale small
+        for p, (Dp, r, c) in self.rows.items():
             f = r.get(pivot)
-            if f is None or qp_is_zero(f):
+            if f is None:
                 continue
-            nr = dict(r)
-            for col, val in row.items():
-                s = qp_add(nr.get(col, (0, 0)), qp_neg(qp_mul(f, val)))
-                if qp_is_zero(s):
-                    nr.pop(col, None)
-                else:
-                    nr[col] = s
-            nc = c
+            h = gcd(D, *f)
+            s = D // h
+            fa, fb = -f[0] // h, -f[1] // h
+            nr = _times(r, s, 0)
+            _axpy(nr, fa, fb, row)
+            nc = None
             if self.track:
-                nc = dict(c)
-                for k, v in combo.items():
-                    s = qp_add(nc.get(k, (0, 0)), qp_neg(qp_mul(f, v)))
-                    if qp_is_zero(s):
-                        nc.pop(k, None)
-                    else:
-                        nc[k] = s
-            self.rows[i] = (p, nr, nc)
-        self.rows.append((pivot, row, combo))
-        self.rows.sort(key=lambda t: t[0])
+                nc = _times(c, s, 0)
+                _axpy(nc, fa, fb, combo)
+            self.rows[p] = _lowest(Dp * s, nr, nc)
+        self.rows[pivot] = (D, row, combo)
         return pivot
 
 

@@ -16,6 +16,7 @@ and reports the first offending pair instead of raising.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import isqrt
 from typing import Dict, Sequence, Tuple
 
@@ -35,15 +36,25 @@ def mat_sub(A, B):
 
 
 def mat_mul(A, B):
-    """Square matrix product over any ring: no zero element is needed."""
+    """Square matrix product over any ring: no zero element is needed.
+
+    Entry (i, j) starts from A[i][0] * B[0][j] and adds, in order of l, only
+    the products A[i][l] * B[l][j] whose two factors are nonzero.
+    """
     d = len(A)
-    return [
-        [
-            sum((A[i][l] * B[l][j] for l in range(1, d)), A[i][0] * B[0][j])
-            for j in range(d)
-        ]
-        for i in range(d)
-    ]
+    out = []
+    for Ai in A:
+        nonzero = [(l, Ai[l]) for l in range(1, d) if Ai[l]]
+        row = []
+        for j in range(d):
+            s = Ai[0] * B[0][j]
+            for l, a in nonzero:
+                b = B[l][j]
+                if b:
+                    s = s + a * b
+            row.append(s)
+        out.append(row)
+    return out
 
 
 def mat_is_zero(A):
@@ -144,8 +155,12 @@ def _square_split(w: int):
     return s, w // (s * s)
 
 
+@lru_cache(maxsize=None)
 def gl2_irrep(d: int) -> MatrixRep:
     """The d-dimensional irreducible gl_2 block in the engine's fixed basis.
+
+    Built and validated once per d in a process: no caller mutates a
+    MatrixRep (replaced() returns a copy), so every caller can share it.
 
     M12 sits on the superdiagonal and M21 on the subdiagonal with products
     a_i b_i = (i+1)(d-1-i).  When that product is a square or twice a square

@@ -370,6 +370,209 @@ def test_echelon_tracking_consistency():
     assert rebuilt == dict(target)
 
 
+# -- the integer-row echelon against the Fraction-pair one it replaced ---------
+
+
+def _fq_add(p, q):
+    return (p[0] + q[0], p[1] + q[1])
+
+
+def _fq_mul(p, q):
+    return (p[0] * q[0] + 2 * p[1] * q[1], p[0] * q[1] + p[1] * q[0])
+
+
+def _fq_neg(p):
+    return (-p[0], -p[1])
+
+
+def _fq_inv(p):
+    a, b = p
+    n = a * a - 2 * b * b
+    return (a / n, -b / n)
+
+
+def _fq_is_zero(p):
+    return not (p[0] or p[1])
+
+
+class _FracEchelon:
+    """The earlier QPEchelon: rows of Fraction pairs normalized to pivot 1,
+    kept in a list sorted by pivot and reduced row by row."""
+
+    def __init__(self, track=False):
+        self.rows = []  # list of (pivot, row dict, combo dict or None)
+        self.track = track
+        self.inserted = 0
+
+    @property
+    def rank(self):
+        return len(self.rows)
+
+    def reduce(self, vec):
+        cur = {c: (Fraction(a), Fraction(b)) for c, (a, b) in vec.items()}
+        combo = {} if self.track else None
+        for pivot, row, rcombo in self.rows:
+            f = cur.get(pivot)
+            if f is None or _fq_is_zero(f):
+                continue
+            for col, val in row.items():
+                s = _fq_add(cur.get(col, (0, 0)), _fq_neg(_fq_mul(f, val)))
+                if _fq_is_zero(s):
+                    cur.pop(col, None)
+                else:
+                    cur[col] = s
+            if self.track:
+                for k, v in rcombo.items():
+                    s = _fq_add(combo.get(k, (0, 0)), _fq_mul(f, v))
+                    if _fq_is_zero(s):
+                        combo.pop(k, None)
+                    else:
+                        combo[k] = s
+        cur = {c: v for c, v in cur.items() if not _fq_is_zero(v)}
+        return cur, combo
+
+    def insert(self, vec):
+        label = self.inserted
+        self.inserted += 1
+        res, proj = self.reduce(vec)
+        if not res:
+            return None
+        pivot = min(res)
+        inv = _fq_inv(res[pivot])
+        row = {c: _fq_mul(v, inv) for c, v in res.items()}
+        combo = None
+        if self.track:
+            combo = {k: _fq_neg(_fq_mul(v, inv)) for k, v in proj.items()}
+            combo[label] = inv
+        for i, (p, r, c) in enumerate(self.rows):
+            f = r.get(pivot)
+            if f is None or _fq_is_zero(f):
+                continue
+            nr = dict(r)
+            for col, val in row.items():
+                s = _fq_add(nr.get(col, (0, 0)), _fq_neg(_fq_mul(f, val)))
+                if _fq_is_zero(s):
+                    nr.pop(col, None)
+                else:
+                    nr[col] = s
+            nc = c
+            if self.track:
+                nc = dict(c)
+                for k, v in combo.items():
+                    s = _fq_add(nc.get(k, (0, 0)), _fq_neg(_fq_mul(f, v)))
+                    if _fq_is_zero(s):
+                        nc.pop(k, None)
+                    else:
+                        nc[k] = s
+            self.rows[i] = (p, nr, nc)
+        self.rows.append((pivot, row, combo))
+        self.rows.sort(key=lambda t: t[0])
+        return pivot
+
+
+_BIG = 2**200
+_HALVES = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(min_value=-5, max_value=5, max_denominator=12),
+    st.integers(-_BIG, _BIG),
+    st.builds(Fraction, st.integers(-_BIG, _BIG), st.integers(1, _BIG)),
+)
+
+
+def _canonical_pair(a, b):
+    a, b = Fraction(a), Fraction(b)
+    return (
+        a.numerator if a.denominator == 1 else a,
+        b.numerator if b.denominator == 1 else b,
+    )
+
+
+@st.composite
+def _pairs(draw):
+    if draw(st.integers(0, 9)) == 0:
+        return (0, 0)  # an explicit zero entry
+    b = draw(st.one_of(st.just(0), _HALVES))
+    return _canonical_pair(draw(_HALVES), b)
+
+
+_VECTORS = st.dictionaries(st.integers(0, 7), _pairs(), max_size=5)
+
+
+def _assert_canonical(vec):
+    for a, b in vec.values():
+        assert a or b
+        for half in (a, b):
+            assert type(half) is int or (
+                type(half) is Fraction and half.denominator != 1
+            )
+
+
+def _combination(data, seen):
+    """A random Q(sqrt2) combination of earlier vectors: a dependent vector."""
+    out = {}
+    for _ in range(data.draw(st.integers(1, 3))):
+        v = seen[data.draw(st.integers(0, len(seen) - 1))]
+        f = data.draw(_pairs())
+        for col, pair in v.items():
+            out[col] = _fq_add(out.get(col, (0, 0)), _fq_mul(f, pair))
+    return {c: _canonical_pair(*p) for c, p in out.items() if not _fq_is_zero(p)}
+
+
+def _rebuilt(residual, combo, inserted):
+    out = {c: (Fraction(a), Fraction(b)) for c, (a, b) in residual.items()}
+    for label, f in combo.items():
+        for col, pair in inserted[label].items():
+            out[col] = _fq_add(out.get(col, (0, 0)), _fq_mul(f, pair))
+    return {c: p for c, p in out.items() if not _fq_is_zero(p)}
+
+
+def _check_reduce(ours, oracle, v, inserted):
+    res, combo = ours.reduce(v)
+    fres, fcombo = oracle.reduce(v)
+    assert res == fres
+    assert combo == fcombo
+    _assert_canonical(res)
+    if ours.track:
+        _assert_canonical(combo)
+        want = {c: p for c, p in v.items() if not _fq_is_zero(p)}
+        assert _rebuilt(res, combo, inserted) == want
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.booleans(), st.data())
+def test_echelon_matches_fraction_oracle(track, data):
+    ours, oracle = QPEchelon(track=track), _FracEchelon(track=track)
+    inserted, seen = [], []
+    for _ in range(data.draw(st.integers(1, 12))):
+        if seen and data.draw(st.booleans()):
+            v = _combination(data, seen)
+        else:
+            v = data.draw(_VECTORS)
+        seen.append(v)
+        if data.draw(st.integers(0, 2)):
+            assert ours.insert(v) == oracle.insert(v)
+            inserted.append(v)
+        else:
+            _check_reduce(ours, oracle, v, inserted)
+        assert ours.rank == oracle.rank
+    for v in seen + [data.draw(_VECTORS)]:
+        _check_reduce(ours, oracle, v, inserted)
+
+
+def test_echelon_normalizes_a_sqrt2_pivot_by_its_conjugate():
+    ech = QPEchelon(track=True)
+    assert ech.insert({0: (1, 1), 1: (3, 0)}) == 0  # (1 + sqrt2) e0 + 3 e1
+    # 1/(1 + sqrt2) = sqrt2 - 1, so the stored row is e0 + 3(sqrt2 - 1) e1
+    res, combo = ech.reduce({0: (1, 0)})
+    assert res == {1: (3, -3)}
+    assert combo == {0: (-1, 1)}
+    assert ech.insert({1: (Fraction(1, 2), 0)}) == 1
+    # e0 = (sqrt2 - 1) v0 - 3(sqrt2 - 1) * 2 v1
+    res, combo = ech.reduce({0: (1, 0)})
+    assert res == {}
+    assert combo == {0: (-1, 1), 1: (6, -6)}
+
+
 # -- the square-free split before the numeric fallback ------------------------
 
 

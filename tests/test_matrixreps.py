@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
 from matrixweyl import Coeff, check_canonical, gl2_irrep
-from helpers_mw import C
+from matrixweyl.matrixreps import mat_mul
+from helpers_mw import C, random_coeff
 
 
 def test_dim_one_is_trivial():
@@ -58,3 +61,57 @@ def test_constructor_validates():
     with pytest.raises(ValueError, match="canonical"):
         MatrixRep(2, 2, blocks)
     MatrixRep(2, 2, blocks, validate=False)  # negative-control path stays open
+
+
+def test_gl2_irrep_is_built_once_per_d():
+    assert gl2_irrep(3) is gl2_irrep(3)
+    assert gl2_irrep(2) is not gl2_irrep(3)
+
+
+def test_replaced_copy_leaves_the_shared_rep_alone():
+    shared = gl2_irrep(2)
+    broken = shared.replaced(1, 2, 0, 1, 2)
+    assert broken is not shared
+    assert not check_canonical(broken).passed
+    assert check_canonical(gl2_irrep(2)).passed
+    assert gl2_irrep(2).block(1, 2) == [[C(0), C(1)], [C(0), C(0)]]
+
+
+def _dense_mat_mul(A, B):
+    """Every product summed, zeros included: the product mat_mul replaced."""
+    d = len(A)
+    return [
+        [
+            sum((A[i][l] * B[l][j] for l in range(1, d)), A[i][0] * B[0][j])
+            for j in range(d)
+        ]
+        for i in range(d)
+    ]
+
+
+def _random_entry(rng):
+    kind = rng.random()
+    if kind < 0.5:
+        return Coeff.zero()
+    if kind < 0.7:
+        return Coeff.rational(rng.randint(-3, 3), rng.randint(-2, 2))
+    return random_coeff(rng, with_params=rng.random() < 0.5)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_mat_mul_skipping_zero_factors_matches_dense_product(seed):
+    rng = random.Random(seed)
+    d = rng.randint(1, 6)
+    A = [[_random_entry(rng) for _ in range(d)] for _ in range(d)]
+    B = [[_random_entry(rng) for _ in range(d)] for _ in range(d)]
+    got = mat_mul(A, B)
+    want = _dense_mat_mul(A, B)
+    assert got == want
+    for grow, wrow in zip(got, want):
+        for g, w in zip(grow, wrow):
+            assert list(g.terms.items()) == list(w.terms.items())
+
+
+def test_mat_mul_needs_no_zero_element():
+    # plain ints: the seed product starts each sum
+    assert mat_mul([[1, 2], [0, 3]], [[4, 0], [5, 6]]) == [[14, 12], [15, 18]]

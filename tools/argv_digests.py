@@ -1,0 +1,109 @@
+#!/usr/bin/env python3
+"""Digest the CLI's output over a fixed grid of inputs, in one process.
+
+Every argv of the grid runs through matrixweyl.cli.main with stdout
+captured, and one line is printed per argv:
+
+    <sha256 of stdout> <exit code> <argv>
+
+Run it in two checkouts and diff the outputs to show that a change keeps
+every output byte and exit code.  The grid covers gm for m <= 4, d <= 3;
+spectrum for both models, k <= 6, d <= 3 and four values of nu; every
+check, casimir, relations, space and model form; and the slow rows, the
+inputs that take the longest.
+
+    python3 tools/argv_digests.py > digests.txt
+    python3 tools/argv_digests.py --slow --timing
+
+--timing adds the wall seconds of each run after the exit code; --slow
+runs only the slow rows.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import time
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+
+from matrixweyl import cli  # noqa: E402
+
+# spelled --nu=VALUE, since argparse reads a bare -1/2 as an option
+NUS = ("0", "1/3", "2", "-1/2")
+
+SLOW = (
+    ("gm", "--m", "4"),
+    ("gm", "--m", "5"),
+    ("gm", "--m", "3", "--d", "2"),
+    ("spectrum", "--model", "calogero", "--k", "12", "--d", "3"),
+    ("spectrum", "--model", "sutherland", "--k", "10", "--d", "3"),
+    ("spectrum", "--model", "sutherland", "--k", "8", "--d", "2"),
+    ("spectrum", "--model", "sutherland", "--k", "5", "--d", "3"),
+    ("spectrum", "--model", "sutherland", "--k", "6", "--d", "1",
+     "--nu", "3/2", "--alpha", "2"),
+)
+
+
+def grid():
+    rows = [("check",)]
+    rows += [("check", "--d", str(d)) for d in (1, 2, 3)]
+    rows += [("casimir", "--d", str(d)) for d in (1, 2, 3)]
+    rows += [("relations",)]
+    rows += [("relations", "--d", str(d)) for d in (1, 2, 3)]
+    rows += [("space", "--k", str(k), "--d", str(d)) for k in (0, 1, 2, 3) for d in (1, 2, 3)]
+    rows += [("space", "--k", "2", "--m", str(m)) for m in (1, 2)]
+    rows += [("space", "--k", "3", "--d", "2", "--degree-cap", "1")]
+    for model in ("calogero", "sutherland"):
+        for form in ("differential", "liealgebraic", "matrix"):
+            rows += [("model", "--model", model, "--form", form, "--d", str(d)) for d in (1, 2, 3)]
+        rows += [("model", "--model", model, "--form", "matrix", "--d", "2", "--k", "2")]
+        rows += [
+            ("--output", out, "model", "--model", model, "--form", "matrix", "--d", "2")
+            for out in ("latex", "text")
+        ]
+    rows += [("gm", "--m", str(m), "--d", str(d)) for m in (1, 2, 3, 4) for d in (1, 2, 3)]
+    for model in ("calogero", "sutherland"):
+        for k in range(7):
+            for d in (1, 2, 3):
+                rows += [
+                    ("spectrum", "--model", model, "--k", str(k), "--d", str(d), "--nu=" + nu)
+                    for nu in NUS
+                ]
+    return rows + list(SLOW)
+
+
+def run(argv):
+    """(stdout bytes, exit code or exception name, wall seconds) of one argv."""
+    out = io.StringIO()
+    t0 = time.perf_counter()
+    with contextlib.redirect_stdout(out):
+        try:
+            rc = cli.main(list(argv))
+        except SystemExit as exc:
+            rc = exc.code if isinstance(exc.code, int) else int(exc.code is not None)
+        except Exception as exc:  # a crash is a digest too
+            rc = type(exc).__name__
+    return out.getvalue().encode(), rc, time.perf_counter() - t0
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--slow", action="store_true", help="only the slow rows")
+    p.add_argument("--timing", action="store_true", help="add wall seconds per argv")
+    args = p.parse_args(argv)
+    for row in SLOW if args.slow else grid():
+        out, rc, wall = run(row)
+        line = "%s %s" % (hashlib.sha256(out).hexdigest(), rc)
+        if args.timing:
+            line += " %.3f" % wall
+        print(line, " ".join(row), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
