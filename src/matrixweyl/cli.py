@@ -13,6 +13,7 @@ any mathematics runs.  `model` always exits 0 (see cmd_model).
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from fractions import Fraction
 
@@ -367,6 +368,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--alpha", type=_fraction, default="1")
     sp.add_argument("--nu", type=_fraction, default="0")
     sp.set_defaults(func=cmd_spectrum)
+    # argparse reads "-1" and "-0.5" as values but "-1/2" as an option; let
+    # this subcommand read a negative rational as a value too
+    sp._negative_number_matcher = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\d+/\d+$")
 
     sp = sub.add_parser("gm", help="polynomial-algebra tower checks")
     sp.add_argument("--m", type=_POSITIVE, required=True)

@@ -107,6 +107,13 @@ class Coeff:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def _raw(cls, terms) -> "Coeff":
+        """A value holding terms as given: canonical pairs, none of them zero."""
+        c = cls.__new__(cls)
+        c.terms = terms
+        return c
+
+    @classmethod
     def rational(cls, a, b=0) -> "Coeff":
         """The constant a + b*sqrt(2)."""
         return cls({_ZEXP: (a, b)})

@@ -324,7 +324,7 @@ def coeff_matrix_solve(columns: Sequence[Mapping], targets: Sequence[Mapping]):
             for exps, pair in c.terms.items():
                 groups.setdefault(exps, {})[key] = pair
 
-        coords = [Coeff.zero() for _ in columns]
+        coords = [Coeff.zero()] * len(columns)
         residual = {}
         for exps, vec in sorted(groups.items()):
             flat = {ix(key): pair for key, pair in vec.items()}

@@ -318,10 +318,13 @@ def _int_k(c: Coeff) -> int:
 def spectrum(model: ModelOperator, bindings: Dict[str, object]) -> SpectrumResult:
     """Exact spectrum of the model on its invariant flag.
 
-    The flag is rediscovered from the generators, the operator matrix is
-    assembled exactly, the basis order (by grade) must make the matrix block
-    upper triangular, and eigenvalues come from the diagonal when the blocks
-    are diagonal and from per-block characteristic polynomials otherwise.
+    The flag is rediscovered from the generators, the parameters are bound
+    on the operator before its matrix is assembled exactly (the flag is
+    parameter-free, so binding commutes with solving for the coordinates and
+    the solve sees only constants), the basis order (by grade) must make the
+    matrix block upper triangular, and eigenvalues come from the diagonal
+    when the blocks are diagonal and from per-block characteristic
+    polynomials otherwise.
     """
     k = _int_k(model.k)
     bind = {name: Fraction(v) for name, v in bindings.items()}
@@ -330,7 +333,7 @@ def spectrum(model: ModelOperator, bindings: Dict[str, object]) -> SpectrumResul
         raise ValueError("binding for %s is required" % required)
 
     basis = flag_basis(model.kind, k, model.d)
-    opm = matrix_of(model.op, basis).substitute(bind)
+    opm = matrix_of(model.op.substitute(bind), basis)
 
     grades = list(basis.grades)
     n = basis.dim

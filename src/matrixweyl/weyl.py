@@ -11,7 +11,10 @@ Every value is stored as one sparse map from a key to a nonzero Coeff: x^A
 for a Polynomial, x^A d^B for a ScalarDiffOp, (component, x^A) for a
 PolySpinor and (row, column, x^A d^B) for a MatrixDiffOp.  The linear
 arithmetic, equality and coordinates are written once over that map, and
-products and actions visit only nonzero terms.
+products and actions visit only nonzero terms.  A product or an action sums
+its contributions into raw Q(sqrt2) pairs per output key and per parameter
+monomial, with qp_mul and qp_add, and builds each output Coeff once at the
+end, so no temporary Coeff is made per pair of terms.
 
 Composition normal-orders eagerly, so equality of operators is equality of
 term maps and no separate simplifier exists or is needed.
@@ -24,7 +27,7 @@ from math import comb, factorial, perm
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
-from .coeff import Coeff, as_coeff
+from .coeff import Coeff, as_coeff, qp_add, qp_mul
 
 
 class ShapeError(ValueError):
@@ -209,11 +212,11 @@ class ScalarDiffOp(_TermMap):
         if not isinstance(other, ScalarDiffOp):
             return NotImplemented
         self._require_like(other)
-        out = {}
+        acc = {}
         for (A, B), c1 in self.terms.items():
             for (C, D), c2 in other.terms.items():
-                _accumulate_product(out, A, B, C, D, c1 * c2, self.nvars)
-        return self._like(out)
+                _accumulate_product(acc, A, B, C, D, c1.terms, c2.terms, self.nvars)
+        return self._like(_coeffs(acc))
 
     def __rmul__(self, other):
         c = _as_scalar_coeff(other)
@@ -234,10 +237,11 @@ class ScalarDiffOp(_TermMap):
             raise ShapeError(
                 "variable counts differ: %d vs %d" % (self.nvars, p.nvars)
             )
-        out = {}
+        poly = [(P, cp.terms) for P, cp in p.terms.items()]
+        acc = {}
         for mono, c in self.terms.items():
-            _accumulate_action(out, mono, c, p.terms.items())
-        return p._like(out)
+            _accumulate_action(acc, mono, c.terms, poly)
+        return p._like(_coeffs(acc))
 
     # -- structure queries -----------------------------------------------------
 
@@ -261,10 +265,43 @@ class ScalarDiffOp(_TermMap):
         return scalar_op_str(self)
 
 
-def _accumulate_product(out, A, B, C, D, base, nvars, at=None):
-    """Add base * (x^A d^B)(x^C d^D), normal-ordered, into out.
+def _add_product(acc, key, t1, t2, f):
+    """acc[key] += f * t1 * t2, for Coeff term maps t1, t2 and an int f > 0.
 
-    Each result monomial is the key, or (*at, monomial) when at is given.
+    acc maps each key to a raw {exps: pair} map.  A pair that cancels is
+    dropped at once and a key whose map empties is removed, so acc holds the
+    keys in the order a running sum of Coeff values would.
+    """
+    sums = acc.get(key)
+    if sums is None:
+        sums = acc[key] = {}
+    for e1, p1 in t1.items():
+        if f != 1:
+            p1 = qp_mul(p1, (f, 0))
+        for e2, p2 in t2.items():
+            e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3])
+            p = qp_mul(p1, p2)
+            cur = sums.get(e)
+            if cur is not None:
+                p = qp_add(cur, p)
+                if not (p[0] or p[1]):
+                    del sums[e]
+                    continue
+            sums[e] = p
+    if not sums:
+        del acc[key]
+
+
+def _coeffs(acc):
+    """The term map of a raw accumulation: one Coeff built per key."""
+    return {key: Coeff._raw(d) for key, d in acc.items()}
+
+
+def _accumulate_product(acc, A, B, C, D, t1, t2, nvars, at=None):
+    """Add (c1 x^A d^B)(c2 x^C d^D), normal-ordered, into acc.
+
+    t1, t2 are the term maps of c1, c2.  Each result monomial is the key,
+    or (*at, monomial) when at is given.
     """
     # d^B x^C = sum_j binom(B,j) binom(C,j) j! x^(C-j) d^(B-j), over the
     # contraction vectors j with 0 <= j_i <= min(B_i, C_i).
@@ -278,7 +315,7 @@ def _accumulate_product(out, A, B, C, D, base, nvars, at=None):
         xp = tuple(a + c - j for a, c, j in zip(A, C, js))
         dp = tuple(b - j + d for b, d, j in zip(B, D, js))
         mono = DiffMonomial(xp, dp)
-        _add_into(out, mono if at is None else (*at, mono), base * f)
+        _add_product(acc, mono if at is None else (*at, mono), t1, t2, f)
         # advance the odometer
         i = 0
         while i < nvars:
@@ -291,13 +328,14 @@ def _accumulate_product(out, A, B, C, D, base, nvars, at=None):
             return
 
 
-def _accumulate_action(out, mono, c, poly_terms, at=None):
-    """Add c x^A d^B applied to each (x^P, cp) of poly_terms into out.
+def _accumulate_action(acc, mono, t, poly_terms, at=None):
+    """Add c x^A d^B applied to each (x^P, cp) of poly_terms into acc.
 
+    t is the term map of c and poly_terms holds (P, term map of cp) pairs.
     Each image monomial is the key, or (at, monomial) when at is given.
     """
     A, B = mono
-    for P, cp in poly_terms:
+    for P, tp in poly_terms:
         f = 1
         for b, q in zip(B, P):
             if b > q:
@@ -305,7 +343,7 @@ def _accumulate_action(out, mono, c, poly_terms, at=None):
             f *= perm(q, b)
         else:
             image = tuple(a + q - b for a, q, b in zip(A, P, B))
-            _add_into(out, image if at is None else (at, image), c * cp * f)
+            _add_product(acc, image if at is None else (at, image), t, tp, f)
 
 
 class Polynomial(_TermMap):
@@ -426,12 +464,12 @@ class MatrixDiffOp(_TermMap):
         self._require_like(other)
         rows = {}
         for (k, j, (C, D)), c2 in other.terms.items():
-            rows.setdefault(k, []).append((j, C, D, c2))
-        out = {}
+            rows.setdefault(k, []).append((j, C, D, c2.terms))
+        acc = {}
         for (i, k, (A, B)), c1 in self.terms.items():
-            for j, C, D, c2 in rows.get(k, ()):
-                _accumulate_product(out, A, B, C, D, c1 * c2, self.nvars, (i, j))
-        return self._like(out)
+            for j, C, D, t2 in rows.get(k, ()):
+                _accumulate_product(acc, A, B, C, D, c1.terms, t2, self.nvars, (i, j))
+        return self._like(_coeffs(acc))
 
     def __rmul__(self, other):
         c = _as_scalar_coeff(other)
@@ -455,11 +493,11 @@ class MatrixDiffOp(_TermMap):
             )
         components = {}
         for (j, P), cp in v.terms.items():
-            components.setdefault(j, []).append((P, cp))
-        out = {}
+            components.setdefault(j, []).append((P, cp.terms))
+        acc = {}
         for (i, j, mono), c in self.terms.items():
-            _accumulate_action(out, mono, c, components.get(j, ()), i)
-        return v._like(out)
+            _accumulate_action(acc, mono, c.terms, components.get(j, ()), i)
+        return v._like(_coeffs(acc))
 
     def __repr__(self):
         from .render import matrix_op_str

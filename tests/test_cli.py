@@ -274,3 +274,39 @@ def test_model_manifest_records_k_only_when_given(model, capsys):
     }
     # the checks keep a formal k whether or not --k is given
     assert data["results"][1:] == json.loads(out)["results"][1:]
+
+
+@pytest.mark.parametrize(
+    "model, option, value",
+    [
+        ("sutherland", "--nu", "-1/2"),
+        ("calogero", "--nu", "-1/2"),
+        ("calogero", "--omega", "-2/3"),
+        ("sutherland", "--alpha", "-3/2"),
+        ("sutherland", "--nu", "-1"),
+        ("calogero", "--nu", "-0.5"),
+    ],
+)
+def test_negative_rational_may_follow_its_option(model, option, value, capsys):
+    argv = ["spectrum", "--model", model, "--k", "2", "--d", "2"]
+    joined = run_cli(argv + ["%s=%s" % (option, value)], capsys)
+    separate = run_cli(argv + [option, value], capsys)
+    assert separate == joined
+    assert joined[0] == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--model", "calogero", "--k", "2", "--bogus", "-1/2"],
+        ["spectrum", "--model", "calogero", "--k", "2", "-1/2"],
+        ["spectrum", "--model", "calogero", "--k", "2", "--nu", "-x"],
+        ["spectrum", "--model", "calogero", "--k", "2", "--nu", "-1/0"],
+        ["check", "--d", "-1/2"],
+    ],
+)
+def test_negative_rational_does_not_hide_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert capsys.readouterr().out == ""

@@ -279,3 +279,23 @@ def test_numeric_fallback_end_to_end_is_certified(monkeypatch, k, extra, inexact
         Fraction(str(r)) for r, m in exact_roots.items() if r.is_rational for _ in range(m)
     )
     assert sorted(e.pair[0] for e in result.eigenvalues if e.exact) == rational
+
+
+@pytest.mark.parametrize("kind", ["calogero", "sutherland"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_binding_before_the_matrix_equals_binding_after(kind, d):
+    # spectrum binds the parameters on the operator and then solves for its
+    # matrix; OperatorMatrix.substitute on the formal matrix is the oracle
+    k = d
+    op = (calogero if kind == "calogero" else sutherland)("liealgebraic", k, d).op
+    basis = flag_basis(kind, k, d)
+    formal = matrix_of(op, basis)
+    other = "omega" if kind == "calogero" else "alpha"
+    for nu in (0, Fraction(1, 3), 2, Fraction(-1, 2)):
+        for b in ({"nu": nu, other: Fraction(3, 2)}, {"nu": nu}):
+            early = matrix_of(op.substitute(b), basis)
+            late = formal.substitute(b)
+            assert early == late and repr(early) == repr(late)
+            for row_e, row_l in zip(early.entries, late.entries):
+                for e, l in zip(row_e, row_l):
+                    assert e == l and repr(e) == repr(l)

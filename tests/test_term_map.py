@@ -10,12 +10,13 @@ Randomized with fixed seeds at d = 1, 2, 3.
 
 import random
 from fractions import Fraction
-from math import perm
+from math import comb, factorial, perm
 
 import pytest
 
 from matrixweyl import Coeff, MatrixDiffOp, Polynomial, PolySpinor, ScalarDiffOp
 from matrixweyl.matrixreps import mat_mul
+from matrixweyl.weyl import DiffMonomial
 from helpers_mw import random_coeff, random_poly, random_scalar_op
 
 DIMS = (1, 2, 3)
@@ -246,3 +247,215 @@ def test_scalar_times_matrix_keeps_operand_order():
     dI = MatrixDiffOp.from_scalar(d, 2)
     assert x * dI == MatrixDiffOp.from_scalar(x * d, 2)
     assert dI * x == MatrixDiffOp.from_scalar(x * d + 1, 2)
+
+
+# -- the raw Q(sqrt2) kernel against the Coeff-object kernel it replaced -----
+#
+# The reference helpers below are the earlier _accumulate_product and
+# _accumulate_action, which built a temporary Coeff per contribution and
+# summed with Coeff.__add__.  The engine now sums raw pairs and builds each
+# output Coeff once; both must give the same term map, keys in the same order.
+
+
+def _ref_add_into(out, key, v):
+    cur = out.get(key)
+    s = v if cur is None else cur + v
+    if s.is_zero():
+        out.pop(key, None)
+    else:
+        out[key] = s
+
+
+def _ref_accumulate_product(out, A, B, C, D, base, nvars, at=None):
+    limits = [min(b, c) for b, c in zip(B, C)]
+    js = [0] * nvars
+    while True:
+        f = 1
+        for b, c, j in zip(B, C, js):
+            if j:
+                f *= comb(b, j) * comb(c, j) * factorial(j)
+        xp = tuple(a + c - j for a, c, j in zip(A, C, js))
+        dp = tuple(b - j + d for b, d, j in zip(B, D, js))
+        mono = DiffMonomial(xp, dp)
+        _ref_add_into(out, mono if at is None else (*at, mono), base * f)
+        i = 0
+        while i < nvars:
+            if js[i] < limits[i]:
+                js[i] += 1
+                break
+            js[i] = 0
+            i += 1
+        else:
+            return
+
+
+def _ref_accumulate_action(out, mono, c, poly_terms, at=None):
+    A, B = mono
+    for P, cp in poly_terms:
+        f = 1
+        for b, q in zip(B, P):
+            if b > q:
+                break
+            f *= perm(q, b)
+        else:
+            image = tuple(a + q - b for a, q, b in zip(A, P, B))
+            _ref_add_into(out, image if at is None else (at, image), c * cp * f)
+
+
+def _ref_scalar_product(s, t):
+    out = {}
+    for (A, B), c1 in s.terms.items():
+        for (C, D), c2 in t.terms.items():
+            _ref_accumulate_product(out, A, B, C, D, c1 * c2, s.nvars)
+    return out
+
+
+def _ref_apply_poly_kernel(s, p):
+    out = {}
+    for mono, c in s.terms.items():
+        _ref_accumulate_action(out, mono, c, p.terms.items())
+    return out
+
+
+def _ref_matrix_product(X, Y):
+    rows = {}
+    for (k, j, (C, D)), c2 in Y.terms.items():
+        rows.setdefault(k, []).append((j, C, D, c2))
+    out = {}
+    for (i, k, (A, B)), c1 in X.terms.items():
+        for j, C, D, c2 in rows.get(k, ()):
+            _ref_accumulate_product(out, A, B, C, D, c1 * c2, X.nvars, (i, j))
+    return out
+
+
+def _ref_matrix_apply(X, v):
+    components = {}
+    for (j, P), cp in v.terms.items():
+        components.setdefault(j, []).append((P, cp))
+    out = {}
+    for (i, j, mono), c in X.terms.items():
+        _ref_accumulate_action(out, mono, c, components.get(j, ()), i)
+    return out
+
+
+def _rich_coeff(rng):
+    """A nonzero Coeff with several terms in k, omega, nu, alpha and sqrt2 halves."""
+    terms = {}
+    while len(terms) < 3:
+        exps = tuple(rng.randint(0, 2) for _ in range(4))
+        terms[exps] = (
+            Fraction(rng.randint(-6, 6), rng.randint(1, 4)),
+            Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3))),
+        )
+    c = Coeff(terms)
+    return c if not c.is_zero() else Coeff.rational(1, Fraction(1, 2))
+
+
+def _mono(x, d):
+    return DiffMonomial(tuple(x), tuple(d))
+
+
+def _cancelling_scalar(rng):
+    """c x1 d1 + (r - c) x2 d2 + c x1 x2 d1 d2, with r sharing a term with -c.
+
+    On x1 x2 the first two terms cancel to r x1 x2 (to nothing where r is
+    zero) and the third adds c x1 x2 back; in a product with x1 x2 the same
+    happens to the contraction terms.
+    """
+    c = _rich_coeff(rng)
+    r = rng.choice([Coeff.zero(), _rich_coeff(rng), c * Fraction(1, 2)])
+    return ScalarDiffOp(
+        2,
+        {
+            _mono((1, 0), (1, 0)): c,
+            _mono((0, 1), (0, 1)): r - c,
+            _mono((1, 1), (1, 1)): c,
+        },
+    )
+
+
+def _rich_scalar(rng):
+    return ScalarDiffOp(
+        2,
+        {
+            _mono([rng.randint(0, 2) for _ in "xy"], [rng.randint(0, 2) for _ in "xy"]):
+            _rich_coeff(rng)
+            for _ in range(3)
+        },
+    )
+
+
+def _x1x2(rng):
+    return Polynomial(2, {(1, 1): _rich_coeff(rng), (rng.randint(0, 2), 2): _rich_coeff(rng)})
+
+
+def _cancelling_matrix(rng, dim):
+    """Entries whose paths through the middle index cancel at each output key.
+
+    Column 1 of X is R - (column 0) and rows 0 and 1 of Y are equal, so at
+    dim >= 2 the k = 0 and k = 1 products cancel up to R Y.
+    """
+    z = ScalarDiffOp.zero(2)
+    X = [[_cancelling_scalar(rng) for _ in range(dim)] for _ in range(dim)]
+    Y = [[_rich_scalar(rng) if rng.random() < 0.7 else z for _ in range(dim)] for _ in range(dim)]
+    if dim >= 2:
+        for i in range(dim):
+            R = _rich_scalar(rng) if rng.random() < 0.5 else z
+            X[i][1] = R - X[i][0]
+        Y[1] = list(Y[0])
+    return MatrixDiffOp(X), MatrixDiffOp(Y)
+
+
+def _assert_canonical(terms):
+    for c in terms.values():
+        assert isinstance(c, Coeff) and not c.is_zero()
+        for exps, pair in c.terms.items():
+            assert len(exps) == 4 and pair != (0, 0)
+            for half in pair:
+                assert type(half) is int or (
+                    type(half) is Fraction and half.denominator != 1
+                ), (exps, pair)
+
+
+def _same(got, ref):
+    """Equal term maps, keys in the same order, every Coeff canonical."""
+    assert got == ref
+    assert list(got) == list(ref)
+    _assert_canonical(got)
+
+
+@pytest.mark.parametrize("dim", DIMS)
+@pytest.mark.parametrize("seed", range(3))
+def test_raw_kernel_matches_the_coeff_kernel(dim, seed):
+    rng = random.Random(6000 * dim + seed)
+    X, Y = _cancelling_matrix(rng, dim)
+    for A, B in ((X, Y), (Y, X), (X, X), (_op(rng, dim), _op(rng, dim))):
+        _same((A * B).terms, _ref_matrix_product(A, B))
+    v = PolySpinor([_x1x2(rng) for _ in range(dim)], 2)
+    for A, w in ((X, v), (Y, v), (X, _spinor(rng, dim))):
+        _same(A.apply(w).terms, _ref_matrix_apply(A, w))
+    s, t = _cancelling_scalar(rng), _rich_scalar(rng)
+    for a, b in ((s, t), (t, s), (s, s), (s, ScalarDiffOp.x(0, 2) * ScalarDiffOp.x(1, 2))):
+        _same((a * b).terms, _ref_scalar_product(a, b))
+    for a in (s, t):
+        p = _x1x2(rng)
+        _same(a.apply_poly(p).terms, _ref_apply_poly_kernel(a, p))
+
+
+def test_raw_kernel_drops_a_key_that_cancels_completely():
+    c = Coeff({(1, 0, 1, 0): (Fraction(1, 3), 2), (0, 0, 0, 2): (3, Fraction(-1, 2))})
+    op = ScalarDiffOp(2, {_mono((1, 0), (1, 0)): c, _mono((0, 1), (0, 1)): -c})
+    p = Polynomial(2, {(1, 1): Coeff.rational(Fraction(2, 3), 1), (2, 0): 1})
+    out = op.apply_poly(p)
+    assert (1, 1) not in out.terms
+    _same(out.terms, _ref_apply_poly_kernel(op, p))
+    x1x2 = ScalarDiffOp(2, {_mono((1, 1), (0, 0)): 1})
+    prod = op * x1x2
+    assert _mono((1, 1), (0, 0)) not in prod.terms
+    _same(prod.terms, _ref_scalar_product(op, x1x2))
+    # a half that becomes integral is stored as an int:
+    # (3/2 + sqrt2/2)(2/3 + 2 sqrt2) = 3 + (10/3) sqrt2
+    half = ScalarDiffOp.constant(Coeff.rational(Fraction(3, 2), Fraction(1, 2)), 2)
+    q = Polynomial(2, {(0, 0): Coeff.rational(Fraction(2, 3), 2)})
+    (pair,) = half.apply_poly(q).terms[(0, 0)].terms.values()
+    assert pair == (3, Fraction(10, 3)) and type(pair[0]) is int

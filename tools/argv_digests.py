@@ -33,7 +33,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from matrixweyl import cli  # noqa: E402
 
-# spelled --nu=VALUE, since argparse reads a bare -1/2 as an option
+# spelled --nu=VALUE, the form every version of the CLI has parsed
 NUS = ("0", "1/3", "2", "-1/2")
 
 SLOW = (
