@@ -136,8 +136,9 @@ def cmd_check(args) -> int:
 
 def cmd_casimir(args) -> int:
     gens = build_gl_np1(RepSpec.gl3(K, args.d))
-    results = [r.record() for r in casimir_closed_form_reports(gens)]
-    C1, C2, _C3 = casimirs_gl3(gens)
+    casimirs = casimirs_gl3(gens)
+    results = [r.record() for r in casimir_closed_form_reports(gens, casimirs)]
+    C1, C2, _C3 = casimirs
     for name, C in (("C1", C1), ("C2", C2)):
         for r in casimir_centrality(C, gens, name):
             results.append(r.record())
@@ -147,13 +148,18 @@ def cmd_casimir(args) -> int:
 def cmd_relations(args) -> int:
     results = []
     ds = [args.d] if args.d is not None else [1, 2, 3]
-    for d in ds:
+    # each d is built and checked once; the dependency solve reuses d = 1, 2, 3
+    built = {}
+    for d in sorted(set(ds) | {1, 2, 3}):
         gens = build_gl_np1(RepSpec.gl3(K, d))
-        for r in art_relations(gens):
+        built[d] = gens, art_relations(gens)
+    for d in ds:
+        for r in built[d][1]:
             rec = r.record()
             rec["d"] = d
             results.append(rec)
-    dep = art_dependency([build_gl_np1(RepSpec.gl3(K, d)) for d in (1, 2, 3)])
+    gens_list, relations = zip(*(built[d] for d in (1, 2, 3)))
+    dep = art_dependency(gens_list, relations)
     results.append(
         {
             "name": "C2 from Art.5+6+7",
@@ -161,7 +167,7 @@ def cmd_relations(args) -> int:
             "coefficients": {k: str(v) for k, v in sorted(dep.coefficients.items())},
         }
     )
-    audit = grading_audit(build_gl_np1(RepSpec.gl3(K, 1)))
+    audit = grading_audit(built[1][0])
     results.append(
         {
             "name": "grading balance",

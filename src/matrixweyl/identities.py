@@ -125,13 +125,8 @@ def block_commutation_reports(gens: GeneratorSet) -> List[IdentityReport]:
 # -- Casimir operators -----------------------------------------------------------
 
 
-def casimirs_gl3(gens: GeneratorSet):
-    """(C1, C2, C3) built from the generators.
-
-    C1 and C2 are the linear and quadratic trace invariants; C3 is the cubic trace
-    invariant sum e_ab e_bc e_ca in the same labeling, whose closed form in
-    C1, C2 is checked by casimir_closed_form_reports.
-    """
+def _casimirs_c1_c2(gens: GeneratorSet):
+    """(C1, C2): the linear and quadratic trace invariants."""
     E, E0, Tm, Tp = gens.E, gens.E0, gens.Tminus, gens.Tplus
     C1 = E[(1, 1)] + E[(2, 2)] + E0
     C2 = (
@@ -145,6 +140,19 @@ def casimirs_gl3(gens: GeneratorSet):
         + E[(2, 2)] * E[(2, 2)]
         + E0 * E0
     )
+    return C1, C2
+
+
+def casimirs_gl3(gens: GeneratorSet):
+    """(C1, C2, C3) built from the generators.
+
+    C1 and C2 are the linear and quadratic trace invariants; C3 is the cubic trace
+    invariant sum e_ab e_bc e_ca in the same labeling, whose closed form in
+    C1, C2 is checked by casimir_closed_form_reports.  C3 alone takes 54
+    products, so a caller builds the triple once and passes it on; the
+    relation suite, which needs only C1 and C2, never builds it.
+    """
+    C1, C2 = _casimirs_c1_c2(gens)
     e = {label: op for label, (_, op) in _by_label(gens).items()}
     C3 = MatrixDiffOp.zero(gens.dim, gens.nvars)
     for a in range(3):
@@ -154,12 +162,17 @@ def casimirs_gl3(gens: GeneratorSet):
     return C1, C2, C3
 
 
-def casimir_closed_form_reports(gens: GeneratorSet) -> List[IdentityReport]:
-    """C1, C2 against their matrix-block closed forms; C3 against C1, C2."""
+def casimir_closed_form_reports(
+    gens: GeneratorSet, casimirs: Tuple[MatrixDiffOp, MatrixDiffOp, MatrixDiffOp]
+) -> List[IdentityReport]:
+    """C1, C2 against their matrix-block closed forms; C3 against C1, C2.
+
+    casimirs is the triple (C1, C2, C3) that casimirs_gl3(gens) returns.
+    """
     spec = gens.spec
     n, d = gens.nvars, gens.dim
     k = spec.k
-    C1, C2, C3 = casimirs_gl3(gens)
+    C1, C2, C3 = casimirs
     M11 = MatrixDiffOp.from_coeff_matrix(spec.rep.block(1, 1), n)
     M22 = MatrixDiffOp.from_coeff_matrix(spec.rep.block(2, 2), n)
     M12 = MatrixDiffOp.from_coeff_matrix(spec.rep.block(1, 2), n)
@@ -312,18 +325,20 @@ class DependencyResult:
 _DEP_NAMES = ("art5", "art6", "art7", "C1^2", "C1", "1")
 
 
-def _dependency_basis(gens: GeneratorSet):
-    reports = art_relations(gens)
-    A5, A6, A7 = (reports[i].lhs for i in (4, 5, 6))
-    C1, C2, _ = casimirs_gl3(gens)
+def _dependency_basis(gens: GeneratorSet, relations: Sequence[IdentityReport]):
+    A5, A6, A7 = (relations[i].lhs for i in (4, 5, 6))
+    C1, C2 = _casimirs_c1_c2(gens)
     ident = MatrixDiffOp.identity(gens.dim, gens.nvars)
     return [A5, A6, A7, C1 * C1, C1, ident], C2
 
 
-def art_dependency(gens_list: Sequence[GeneratorSet]) -> DependencyResult:
+def art_dependency(
+    gens_list: Sequence[GeneratorSet], relations: Sequence[Sequence[IdentityReport]]
+) -> DependencyResult:
     """Solve C2 = c5 A5 + c6 A6 + c7 A7 + a C1^2 + b C1 + c, exactly.
 
-    A5, A6, A7 are the left sides of relations 5-7.  One representation
+    A5, A6, A7 are the left sides of relations 5-7, read from relations[i],
+    the reports art_relations(gens_list[i]) returned.  One representation
     alone underdetermines the coefficients (its Casimirs collapse to
     scalars), so the solve is joint over several generator sets; the
     rational solution then makes the combination an identity in every one
@@ -336,8 +351,8 @@ def art_dependency(gens_list: Sequence[GeneratorSet]) -> DependencyResult:
     stacked = [dict() for _ in _DEP_NAMES]
     target = {}
     per_gens = []
-    for tag, gens in enumerate(gens_list):
-        basis, C2 = _dependency_basis(gens)
+    for tag, (gens, reports) in enumerate(zip(gens_list, relations)):
+        basis, C2 = _dependency_basis(gens, reports)
         per_gens.append((gens, basis, C2))
         for acc, op in zip(stacked, basis):
             acc.update(vec(tag, op))

@@ -16,6 +16,11 @@ its contributions into raw Q(sqrt2) pairs per output key and per parameter
 monomial, with qp_mul and qp_add, and builds each output Coeff once at the
 end, so no temporary Coeff is made per pair of terms.
 
+The monomial expansions are memoized per exponent pair, with no setting:
+the normal-ordered expansion of (x^A d^B)(x^C d^D) and the image of x^P
+under x^A d^B are each built once per process, as immutable tuples, in two
+module dicts that every product and action reads.
+
 Composition normal-orders eagerly, so equality of operators is equality of
 term maps and no separate simplifier exists or is needed.
 """
@@ -213,9 +218,10 @@ class ScalarDiffOp(_TermMap):
             return NotImplemented
         self._require_like(other)
         acc = {}
-        for (A, B), c1 in self.terms.items():
-            for (C, D), c2 in other.terms.items():
-                _accumulate_product(acc, A, B, C, D, c1.terms, c2.terms, self.nvars)
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                for f, mono in _product_expansion(m1, m2):
+                    _add_product(acc, mono, c1.terms, c2.terms, f)
         return self._like(_coeffs(acc))
 
     def __rmul__(self, other):
@@ -225,6 +231,8 @@ class ScalarDiffOp(_TermMap):
         return self.scale(c)
 
     def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError("negative power of a differential operator")
         out = ScalarDiffOp.constant(1, self.nvars)
         for _ in range(n):
             out = out * self
@@ -240,7 +248,11 @@ class ScalarDiffOp(_TermMap):
         poly = [(P, cp.terms) for P, cp in p.terms.items()]
         acc = {}
         for mono, c in self.terms.items():
-            _accumulate_action(acc, mono, c.terms, poly)
+            for P, tp in poly:
+                hit = _action_expansion(mono, P)
+                if hit is not None:
+                    f, image = hit
+                    _add_product(acc, image, c.terms, tp, f)
         return p._like(_coeffs(acc))
 
     # -- structure queries -----------------------------------------------------
@@ -297,16 +309,29 @@ def _coeffs(acc):
     return {key: Coeff._raw(d) for key, d in acc.items()}
 
 
-def _accumulate_product(acc, A, B, C, D, t1, t2, nvars, at=None):
-    """Add (c1 x^A d^B)(c2 x^C d^D), normal-ordered, into acc.
+# Memoized monomial expansions.  Each value depends on its exponent pair
+# alone, so one table per process serves every operator and spinor.
+_PRODUCTS = {}  # (x^A d^B, x^C d^D) -> ((f, x^E d^F), ...)
+_ACTIONS = {}  # (x^A d^B, P) -> (f, image power tuple) or None
 
-    t1, t2 are the term maps of c1, c2.  Each result monomial is the key,
-    or (*at, monomial) when at is given.
+
+def _product_expansion(m1, m2):
+    """(x^A d^B)(x^C d^D) normal-ordered, as a tuple of (f, DiffMonomial).
+
+    m1 = (A, B) and m2 = (C, D).  d^B x^C = sum_j binom(B,j) binom(C,j) j!
+    x^(C-j) d^(B-j), over the contraction vectors j with 0 <= j_i <=
+    min(B_i, C_i), listed in odometer order with j_1 turning fastest.
+    Built on the first call for each pair and read from _PRODUCTS after.
     """
-    # d^B x^C = sum_j binom(B,j) binom(C,j) j! x^(C-j) d^(B-j), over the
-    # contraction vectors j with 0 <= j_i <= min(B_i, C_i).
+    key = (m1, m2)
+    try:
+        return _PRODUCTS[key]
+    except KeyError:
+        pass
+    (A, B), (C, D) = m1, m2
     limits = [min(b, c) for b, c in zip(B, C)]
-    js = [0] * nvars
+    js = [0] * len(B)
+    out = []
     while True:
         f = 1
         for b, c, j in zip(B, C, js):
@@ -314,36 +339,42 @@ def _accumulate_product(acc, A, B, C, D, t1, t2, nvars, at=None):
                 f *= comb(b, j) * comb(c, j) * factorial(j)
         xp = tuple(a + c - j for a, c, j in zip(A, C, js))
         dp = tuple(b - j + d for b, d, j in zip(B, D, js))
-        mono = DiffMonomial(xp, dp)
-        _add_product(acc, mono if at is None else (*at, mono), t1, t2, f)
+        out.append((f, DiffMonomial(xp, dp)))
         # advance the odometer
         i = 0
-        while i < nvars:
+        while i < len(js):
             if js[i] < limits[i]:
                 js[i] += 1
                 break
             js[i] = 0
             i += 1
         else:
-            return
+            break
+    _PRODUCTS[key] = out = tuple(out)
+    return out
 
 
-def _accumulate_action(acc, mono, t, poly_terms, at=None):
-    """Add c x^A d^B applied to each (x^P, cp) of poly_terms into acc.
+def _action_expansion(mono, P):
+    """x^A d^B applied to x^P: (f, image power tuple), or None if it vanishes.
 
-    t is the term map of c and poly_terms holds (P, term map of cp) pairs.
-    Each image monomial is the key, or (at, monomial) when at is given.
+    mono = (A, B); the image is f x^(A + P - B) with f = prod P_i! / (P_i -
+    B_i)!.  Built on the first call for each pair and read from _ACTIONS
+    after.
     """
+    key = (mono, P)
+    try:
+        return _ACTIONS[key]
+    except KeyError:
+        pass
     A, B = mono
-    for P, tp in poly_terms:
+    out = None
+    if all(b <= q for b, q in zip(B, P)):
         f = 1
         for b, q in zip(B, P):
-            if b > q:
-                break
             f *= perm(q, b)
-        else:
-            image = tuple(a + q - b for a, q, b in zip(A, P, B))
-            _add_product(acc, image if at is None else (at, image), t, tp, f)
+        out = (f, tuple(a + q - b for a, q, b in zip(A, P, B)))
+    _ACTIONS[key] = out
+    return out
 
 
 class Polynomial(_TermMap):
@@ -463,12 +494,13 @@ class MatrixDiffOp(_TermMap):
             return NotImplemented
         self._require_like(other)
         rows = {}
-        for (k, j, (C, D)), c2 in other.terms.items():
-            rows.setdefault(k, []).append((j, C, D, c2.terms))
+        for (k, j, m2), c2 in other.terms.items():
+            rows.setdefault(k, []).append((j, m2, c2.terms))
         acc = {}
-        for (i, k, (A, B)), c1 in self.terms.items():
-            for j, C, D, t2 in rows.get(k, ()):
-                _accumulate_product(acc, A, B, C, D, c1.terms, t2, self.nvars, (i, j))
+        for (i, k, m1), c1 in self.terms.items():
+            for j, m2, t2 in rows.get(k, ()):
+                for f, mono in _product_expansion(m1, m2):
+                    _add_product(acc, (i, j, mono), c1.terms, t2, f)
         return self._like(_coeffs(acc))
 
     def __rmul__(self, other):
@@ -496,7 +528,11 @@ class MatrixDiffOp(_TermMap):
             components.setdefault(j, []).append((P, cp.terms))
         acc = {}
         for (i, j, mono), c in self.terms.items():
-            _accumulate_action(acc, mono, c.terms, components.get(j, ()), i)
+            for P, tp in components.get(j, ()):
+                hit = _action_expansion(mono, P)
+                if hit is not None:
+                    f, image = hit
+                    _add_product(acc, (i, image), c.terms, tp, f)
         return v._like(_coeffs(acc))
 
     def __repr__(self):

@@ -78,20 +78,23 @@ def test_criterion_2_casimir_values():
     ok = True
     for d, (v1, v2) in values.items():
         gens = build_gl_np1(RepSpec.gl3(K, d))
-        C1, C2, _ = casimirs_gl3(gens)
+        casimirs = casimirs_gl3(gens)
+        C1, C2, _ = casimirs
         ok = ok and casimir_value_report(gens, "C1", C1, v1).passed
         ok = ok and casimir_value_report(gens, "C2", C2, v2).passed
-        for r in casimir_closed_form_reports(gens):
+        for r in casimir_closed_form_reports(gens, casimirs):
             ok = ok and r.passed
     _announce(2, "casimir values", ok)
 
 
 def test_criterion_3_art_relations():
     ok = True
-    for d in (1, 2, 3):
-        for r in art_relations(build_gl_np1(RepSpec.gl3(K, d))):
+    gens = [build_gl_np1(RepSpec.gl3(K, d)) for d in (1, 2, 3)]
+    relations = [art_relations(g) for g in gens]
+    for reports in relations:
+        for r in reports:
             ok = ok and r.passed and r.residual_terms == 0
-    dep = art_dependency([build_gl_np1(RepSpec.gl3(K, d)) for d in (1, 2, 3)])
+    dep = art_dependency(gens, relations)
     golden = _golden("art_dependency.json")["coefficients"]
     ok = ok and dep.passed
     ok = ok and {k: str(v) for k, v in sorted(dep.coefficients.items())} == golden

@@ -71,6 +71,56 @@ def test_casimir_command(capsys):
     assert code == 0
 
 
+def _spy(monkeypatch, name):
+    """Record the block size d of each call of identities.<name>."""
+    import matrixweyl.cli as cli
+    import matrixweyl.identities as identities
+
+    real = getattr(identities, name)
+    dims = []
+
+    def spy(gens, *args):
+        dims.append(gens.dim)
+        return real(gens, *args)
+
+    monkeypatch.setattr(identities, name, spy)
+    if hasattr(cli, name):
+        monkeypatch.setattr(cli, name, spy)
+    return dims
+
+
+def _dependency_record(out):
+    (rec,) = [r for r in json.loads(out)["results"] if r["name"] == "C2 from Art.5+6+7"]
+    return rec
+
+
+def test_casimir_builds_each_casimir_once(monkeypatch, capsys):
+    triples = _spy(monkeypatch, "casimirs_gl3")
+    pairs = _spy(monkeypatch, "_casimirs_c1_c2")
+    code, _ = run_cli(["casimir", "--d", "3"], capsys)
+    assert code == 0
+    assert triples == [3] and pairs == [3]
+
+
+def test_relations_checks_each_d_once_and_builds_no_c3(monkeypatch, capsys):
+    relations = _spy(monkeypatch, "art_relations")
+    triples = _spy(monkeypatch, "casimirs_gl3")
+    pairs = _spy(monkeypatch, "_casimirs_c1_c2")
+    code, out = run_cli(["relations"], capsys)
+    assert code == 0
+    assert relations == [1, 2, 3] and pairs == [1, 2, 3] and triples == []
+    full = _dependency_record(out)
+    assert full["pass"]
+
+    # one d reported; the other two are still built, once each, for the solve
+    relations.clear()
+    code, out = run_cli(["relations", "--d", "2"], capsys)
+    assert code == 0
+    assert sorted(relations) == [1, 2, 3] and triples == []
+    assert _dependency_record(out) == full
+    assert {r["d"] for r in json.loads(out)["results"] if "d" in r} == {2}
+
+
 def test_gm_command(capsys):
     code, out = run_cli(["gm", "--m", "2"], capsys)
     assert code == 0

@@ -45,7 +45,8 @@ def test_casimir_values(d, c1, c2):
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_casimir_closed_forms_and_c3(d):
-    for r in casimir_closed_form_reports(gens_for(d)):
+    g = gens_for(d)
+    for r in casimir_closed_form_reports(g, casimirs_gl3(g)):
         assert r.passed, r.name
 
 
@@ -99,7 +100,8 @@ def test_scaled_offdiagonal_block_breaks_canonical_but_not_relations():
 
 
 def test_art_dependency_matches_golden():
-    dep = art_dependency([gens_for(d) for d in (1, 2, 3)])
+    gens = [gens_for(d) for d in (1, 2, 3)]
+    dep = art_dependency(gens, [art_relations(g) for g in gens])
     assert dep.passed
     with open(os.path.join(GOLDEN, "art_dependency.json")) as fh:
         golden = json.load(fh)

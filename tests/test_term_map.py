@@ -13,8 +13,10 @@ from fractions import Fraction
 from math import comb, factorial, perm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matrixweyl import Coeff, MatrixDiffOp, Polynomial, PolySpinor, ScalarDiffOp
+from matrixweyl import weyl
 from matrixweyl.matrixreps import mat_mul
 from matrixweyl.weyl import DiffMonomial
 from helpers_mw import random_coeff, random_poly, random_scalar_op
@@ -266,7 +268,9 @@ def _ref_add_into(out, key, v):
         out[key] = s
 
 
-def _ref_accumulate_product(out, A, B, C, D, base, nvars, at=None):
+def _ref_product_terms(A, B, C, D):
+    """(f, monomial) of (x^A d^B)(x^C d^D), contraction odometer order."""
+    nvars = len(A)
     limits = [min(b, c) for b, c in zip(B, C)]
     js = [0] * nvars
     while True:
@@ -276,8 +280,7 @@ def _ref_accumulate_product(out, A, B, C, D, base, nvars, at=None):
                 f *= comb(b, j) * comb(c, j) * factorial(j)
         xp = tuple(a + c - j for a, c, j in zip(A, C, js))
         dp = tuple(b - j + d for b, d, j in zip(B, D, js))
-        mono = DiffMonomial(xp, dp)
-        _ref_add_into(out, mono if at is None else (*at, mono), base * f)
+        yield f, DiffMonomial(xp, dp)
         i = 0
         while i < nvars:
             if js[i] < limits[i]:
@@ -289,16 +292,26 @@ def _ref_accumulate_product(out, A, B, C, D, base, nvars, at=None):
             return
 
 
+def _ref_action_term(A, B, P):
+    """(f, image) of x^A d^B applied to x^P, or None when it vanishes."""
+    f = 1
+    for b, q in zip(B, P):
+        if b > q:
+            return None
+        f *= perm(q, b)
+    return f, tuple(a + q - b for a, q, b in zip(A, P, B))
+
+
+def _ref_accumulate_product(out, A, B, C, D, base, at=None):
+    for f, mono in _ref_product_terms(A, B, C, D):
+        _ref_add_into(out, mono if at is None else (*at, mono), base * f)
+
+
 def _ref_accumulate_action(out, mono, c, poly_terms, at=None):
-    A, B = mono
     for P, cp in poly_terms:
-        f = 1
-        for b, q in zip(B, P):
-            if b > q:
-                break
-            f *= perm(q, b)
-        else:
-            image = tuple(a + q - b for a, q, b in zip(A, P, B))
+        hit = _ref_action_term(*mono, P)
+        if hit is not None:
+            f, image = hit
             _ref_add_into(out, image if at is None else (at, image), c * cp * f)
 
 
@@ -306,7 +319,7 @@ def _ref_scalar_product(s, t):
     out = {}
     for (A, B), c1 in s.terms.items():
         for (C, D), c2 in t.terms.items():
-            _ref_accumulate_product(out, A, B, C, D, c1 * c2, s.nvars)
+            _ref_accumulate_product(out, A, B, C, D, c1 * c2)
     return out
 
 
@@ -324,7 +337,7 @@ def _ref_matrix_product(X, Y):
     out = {}
     for (i, k, (A, B)), c1 in X.terms.items():
         for j, C, D, c2 in rows.get(k, ()):
-            _ref_accumulate_product(out, A, B, C, D, c1 * c2, X.nvars, (i, j))
+            _ref_accumulate_product(out, A, B, C, D, c1 * c2, (i, j))
     return out
 
 
@@ -459,3 +472,44 @@ def test_raw_kernel_drops_a_key_that_cancels_completely():
     q = Polynomial(2, {(0, 0): Coeff.rational(Fraction(2, 3), 2)})
     (pair,) = half.apply_poly(q).terms[(0, 0)].terms.values()
     assert pair == (3, Fraction(10, 3)) and type(pair[0]) is int
+
+
+# -- the memoized monomial expansions against the uncached loops -------------
+
+
+@st.composite
+def _exponent_tuples(draw, count):
+    """count exponent tuples over 1 to 3 variables, entries 0 to 4."""
+    nvars = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(0, 4)] * nvars)
+    return [draw(exps) for _ in range(count)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_exponent_tuples(4))
+def test_product_expansion_is_the_odometer(exps):
+    A, B, C, D = exps
+    m1, m2 = DiffMonomial(A, B), DiffMonomial(C, D)
+    ref = tuple(_ref_product_terms(A, B, C, D))
+    weyl._PRODUCTS.pop((m1, m2), None)
+    built = weyl._product_expansion(m1, m2)  # a miss: built now
+    cached = weyl._product_expansion(m1, m2)  # a hit: read back
+    assert cached is built
+    assert type(built) is tuple and built == ref
+    for f, mono in built:
+        assert type(f) is int and type(mono) is DiffMonomial
+
+
+@settings(max_examples=300, deadline=None)
+@given(_exponent_tuples(3))
+def test_action_expansion_is_the_perm_loop(exps):
+    A, B, P = exps
+    mono = DiffMonomial(A, B)
+    ref = _ref_action_term(A, B, P)
+    weyl._ACTIONS.pop((mono, P), None)
+    built = weyl._action_expansion(mono, P)
+    cached = weyl._action_expansion(mono, P)
+    assert cached is built
+    assert built == ref
+    if built is not None:
+        assert type(built) is tuple and type(built[1]) is tuple

@@ -167,6 +167,13 @@ def test_substitute_on_operator():
     assert gens.E0.substitute({}) == gens.E0
 
 
+def test_power_of_an_operator():
+    assert (x(0) + d(0)) ** 0 == ScalarDiffOp.constant(1, 2)
+    assert (x(0) + d(0)) ** 2 == (x(0) + d(0)) * (x(0) + d(0))
+    with pytest.raises(ValueError, match="negative"):
+        x(0) ** -1
+
+
 def test_scalar_coercion_arithmetic():
     op = x(0) * Fraction(2, 3) + 1
     assert op.apply_poly(poly(2, ((0, 0), 3))) == poly(

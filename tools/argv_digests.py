@@ -6,17 +6,21 @@ captured, and one line is printed per argv:
 
     <sha256 of stdout> <exit code> <argv>
 
-Run it in two checkouts and diff the outputs to show that a change keeps
-every output byte and exit code.  The grid covers gm for m <= 4, d <= 3;
-spectrum for both models, k <= 6, d <= 3 and four values of nu; every
-check, casimir, relations, space and model form; and the slow rows, the
-inputs that take the longest.
+Save the digests of one checkout and compare another against them to
+show that a change keeps every output byte and exit code.  The grid
+covers gm for m <= 4, d <= 3; spectrum for both models, k <= 6, d <= 3
+and four values of nu; every check, casimir, relations, space and model
+form; and the slow rows, the inputs that take the longest.
 
     python3 tools/argv_digests.py > digests.txt
+    python3 tools/argv_digests.py --compare digests.txt
     python3 tools/argv_digests.py --slow --timing
 
 --timing adds the wall seconds of each run after the exit code; --slow
-runs only the slow rows.
+runs only the slow rows.  --compare FILE prints, instead of the digests,
+each row whose digest or exit code differs from FILE's row for the same
+argv (or that FILE lacks), then a count, and exits 1 on any difference;
+FILE may be written with or without --timing.
 """
 
 from __future__ import annotations
@@ -91,18 +95,47 @@ def run(argv):
     return out.getvalue().encode(), rc, time.perf_counter() - t0
 
 
+def read_digests(path):
+    """argv string -> "digest exit" of each line of a saved digest file."""
+    saved = {}
+    with open(path) as fh:
+        for line in fh:
+            fields = line.split()
+            if not fields:
+                continue
+            digest, rc, rest = fields[0], fields[1], fields[2:]
+            # a --timing file has the wall seconds where an argv starts
+            # with a subcommand or an option, never with a digit
+            if rest and rest[0][0].isdigit():
+                rest = rest[1:]
+            saved[" ".join(rest)] = "%s %s" % (digest, rc)
+    return saved
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--slow", action="store_true", help="only the slow rows")
     p.add_argument("--timing", action="store_true", help="add wall seconds per argv")
+    p.add_argument(
+        "--compare", metavar="FILE", help="print only the rows that differ from FILE"
+    )
     args = p.parse_args(argv)
-    for row in SLOW if args.slow else grid():
+    saved = read_digests(args.compare) if args.compare else None
+    rows = SLOW if args.slow else grid()
+    differ = 0
+    for row in rows:
         out, rc, wall = run(row)
-        line = "%s %s" % (hashlib.sha256(out).hexdigest(), rc)
-        if args.timing:
-            line += " %.3f" % wall
-        print(line, " ".join(row), flush=True)
-    return 0
+        key = " ".join(row)
+        digest = "%s %s" % (hashlib.sha256(out).hexdigest(), rc)
+        line = digest + (" %.3f" % wall if args.timing else "") + " " + key
+        if saved is None:
+            print(line, flush=True)
+        elif saved.get(key) != digest:
+            differ += 1
+            print("%s  | saved: %s" % (line, saved.get(key, "none")), flush=True)
+    if saved is not None:
+        print("%d of %d rows differ from %s" % (differ, len(rows), args.compare))
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":

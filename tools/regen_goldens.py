@@ -14,7 +14,7 @@ from fractions import Fraction
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from matrixweyl import Coeff, K, RepSpec, build_gl_np1, build_gm
-from matrixweyl.identities import art_dependency, gm_tower_constants
+from matrixweyl.identities import art_dependency, art_relations, gm_tower_constants
 from matrixweyl.models import (
     calogero,
     consistency_check,
@@ -35,7 +35,8 @@ def write(name: str, data) -> None:
 
 
 def main() -> None:
-    dep = art_dependency([build_gl_np1(RepSpec.gl3(K, d)) for d in (1, 2, 3)])
+    gens = [build_gl_np1(RepSpec.gl3(K, d)) for d in (1, 2, 3)]
+    dep = art_dependency(gens, [art_relations(g) for g in gens])
     write(
         "art_dependency.json",
         {"coefficients": {k: str(v) for k, v in sorted(dep.coefficients.items())}},
