@@ -175,13 +175,17 @@ class QPEchelon:
     over one multiplier L = lcm of their D's.  reduce() and insert() take
     and return canonical pairs (see coeff).  When track=True every stored
     row also carries its expression in terms of the inserted vectors, over
-    the same D, which turns reduce() into an exact solver.
+    the same D, which turns reduce() into an exact solver, and an insert()
+    that finds its vector dependent leaves the combination it computed in
+    `combination`: vec = sum combination[i] * v_i, over the labels i (the
+    insert() call count) of the vectors that were inserted.
     """
 
     def __init__(self, track: bool = False):
         self.rows = {}  # pivot -> (D, row, combo or None)
         self.track = track
         self.inserted = 0
+        self.combination = None
 
     @property
     def rank(self) -> int:
@@ -219,6 +223,8 @@ class QPEchelon:
         self.inserted += 1
         res, proj, N = self._eliminate(vec)
         if not res:
+            if self.track:
+                self.combination = _canonical(proj, N)
             return None
         pivot = min(res)
         # multiply by the conjugate of the pivot entry a + b*sqrt2, signed so

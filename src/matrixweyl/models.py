@@ -12,11 +12,18 @@ Each model exists in three forms:
 The lie-algebraic substitution is the normative object: consistency_check
 diffs the matrix display against it and records the exact residual instead
 of asserting zero, because the display is a cross-check target, not ground
-truth.  Spectra are computed on the discovered invariant flags with the
-basis ordered so the operator is block triangular: the Calogero grading
-2 w1 + 3 w2 makes its blocks diagonal (exact eigenvalues read off), the
-Sutherland grading w1 + w2 leaves blocks that are resolved per block by
-exact characteristic polynomials.
+truth.  It is written once per model as words, (coefficient, generator
+names) pairs standing for sum c * (product of the generators), and its
+operator is built from them.
+
+Spectra are computed on the discovered invariant flags, without applying
+the operator: the flag discovery records the parameter-free matrix of each
+generator, nu and omega/alpha are bound on the word coefficients only, and
+the matrix of the model is the bound combination of products of generator
+matrices.  The basis is ordered so the operator is block triangular: the
+Calogero grading 2 w1 + 3 w2 makes its blocks diagonal (exact eigenvalues
+read off), the Sutherland grading w1 + w2 leaves blocks that are resolved
+per block by exact characteristic polynomials.
 """
 
 from __future__ import annotations
@@ -24,6 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from decimal import ROUND_CEILING, Decimal
 from fractions import Fraction
+from functools import cached_property, reduce
+from operator import mul
 from typing import Dict, List, Optional, Tuple
 
 from .coeff import ALPHA, NU, OMEGA, Coeff, as_coeff, qp_float
@@ -35,6 +44,7 @@ from .spaces import (
     SpinorBasis,
     matrix_of,
     orbit_closure,
+    record_action,
     scalar_basis,
     weight_grade,
 )
@@ -45,11 +55,58 @@ _F = Fraction
 
 @dataclass(frozen=True)
 class ModelOperator:
+    """One model in one form.
+
+    The lie-algebraic form is held as words, a tuple of (Coeff coefficient,
+    tuple of generator names) standing for sum c * (product of the
+    generators), and op is built from them on first use; the other forms
+    hold their operator in explicit.
+    """
+
     kind: str  # calogero | sutherland
     form: str  # differential | liealgebraic | matrix
     k: Coeff
     d: int
-    op: MatrixDiffOp
+    words: Optional[tuple] = None
+    explicit: Optional[MatrixDiffOp] = field(default=None, repr=False)
+
+    @cached_property
+    def op(self) -> MatrixDiffOp:
+        if self.words is None:
+            return self.explicit
+        gens = dict(build_gl_np1(RepSpec.gl3(self.k, self.d)).named())
+        out = MatrixDiffOp.zero(self.d, 2)
+        for c, word in self.words:
+            out = out + reduce(mul, (gens[name] for name in word)) * c
+        return out
+
+
+def _word(c, *names):
+    return (as_coeff(c), names)
+
+
+_CALOGERO_WORDS = (
+    _word(-2, "E11", "T1-"),
+    _word(-6, "E22", "T1-"),
+    _word(_F(2, 3), "E12", "E12"),
+    _word(OMEGA * -4, "E11"),
+    _word((NU * 3 + 1) * -2, "T1-"),
+    _word(OMEGA * -6, "E22"),
+)
+
+_A2 = ALPHA * ALPHA
+_SUTHERLAND_WORDS = (
+    _word(-2, "E11", "T1-"),
+    _word(-6, "E22", "T1-"),
+    _word(_F(2, 3), "E12", "E12"),
+    _word((NU * 3 + 1) * -2, "T1-"),
+    _word(_A2 * _A2 * _F(1, 24), "E21", "E21"),
+    _word(_A2 * _F(-1, 2), "E11", "E11"),
+    _word(_A2 * _F(-4, 3), "E11", "E22"),
+    _word(_A2 * _F(-1, 2), "E22", "E22"),
+    _word((NU * 12 + 1) * _A2 * _F(-1, 6), "E11"),
+    _word((NU * 12 + 1) * _A2 * _F(-1, 6), "E22"),
+)
 
 
 def _x_d_ops(dim: int):
@@ -83,18 +140,9 @@ def calogero(form: str, k, d: int = 1) -> ModelOperator:
             - (x1 * w * 4 + (nu * 3 + 1) * 2) * d1
             - x2 * d2 * (w * 6)
         )
-        return ModelOperator("calogero", form, k, 1, op)
+        return ModelOperator("calogero", form, k, 1, explicit=op)
     if form == "liealgebraic":
-        g = build_gl_np1(RepSpec.gl3(k, d))
-        op = (
-            g.E[(1, 1)] * g.Tminus[1] * (-2)
-            - g.E[(2, 2)] * g.Tminus[1] * 6
-            + g.E[(1, 2)] * g.E[(1, 2)] * _F(2, 3)
-            - g.E[(1, 1)] * (w * 4)
-            - g.Tminus[1] * ((nu * 3 + 1) * 2)
-            - g.E[(2, 2)] * (w * 6)
-        )
-        return ModelOperator("calogero", form, k, d, op)
+        return ModelOperator("calogero", form, k, d, _CALOGERO_WORDS)
     if form == "matrix":
         x1, x2, d1, d2 = _x_d_ops(d)
         M = _blocks(d)
@@ -110,7 +158,7 @@ def calogero(form: str, k, d: int = 1) -> ModelOperator:
             - ident * (w * (4 * n))
             - M[(2, 2)] * (w * 2)
         )
-        return ModelOperator("calogero", form, k, d, op)
+        return ModelOperator("calogero", form, k, d, explicit=op)
     raise ValueError("unknown form %r" % form)
 
 
@@ -129,32 +177,9 @@ def sutherland(form: str, k, d: int = 1) -> ModelOperator:
             - ((nu * 3 + 1) * 2 + x1 * a2 * (nu + _F(1, 3)) * 2) * d1
             - x2 * d2 * (a2 * (nu + _F(1, 3)) * 2)
         )
-        return ModelOperator("sutherland", form, k, 1, op)
+        return ModelOperator("sutherland", form, k, 1, explicit=op)
     if form == "liealgebraic":
-        g = build_gl_np1(RepSpec.gl3(k, d))
-        E11, E22, E12, E21, T1 = (
-            g.E[(1, 1)],
-            g.E[(2, 2)],
-            g.E[(1, 2)],
-            g.E[(2, 1)],
-            g.Tminus[1],
-        )
-        op = (
-            E11 * T1 * (-2)
-            - E22 * T1 * 6
-            + E12 * E12 * _F(2, 3)
-            - T1 * ((nu * 3 + 1) * 2)
-            + E21 * E21 * a4 * _F(1, 24)
-            - (
-                E11 * E11 * 3
-                + E11 * E22 * 8
-                + E22 * E22 * 3
-                + (E11 + E22) * (nu * 12 + 1)
-            )
-            * a2
-            * _F(1, 6)
-        )
-        return ModelOperator("sutherland", form, k, d, op)
+        return ModelOperator("sutherland", form, k, d, _SUTHERLAND_WORDS)
     if form == "matrix":
         x1, x2, d1, d2 = _x_d_ops(d)
         M = _blocks(d)
@@ -187,7 +212,7 @@ def sutherland(form: str, k, d: int = 1) -> ModelOperator:
             * a2
             * _F(1, 6)
         )
-        return ModelOperator("sutherland", form, k, d, op)
+        return ModelOperator("sutherland", form, k, d, explicit=op)
     raise ValueError("unknown form %r" % form)
 
 
@@ -282,12 +307,23 @@ class NotTriangularError(RuntimeError):
     pass
 
 
-def flag_basis(kind: str, k: int, d: int) -> SpinorBasis:
+def flag_basis(kind: str, k: int, d: int, recorded=()) -> SpinorBasis:
     """The invariant flag: the polynomial triangle for d = 1, the orbit
-    closure of the lowest vector for the matrix extensions."""
+    closure of the lowest vector for the matrix extensions.
+
+    The orbit closure records the action of every gl_3 generator on the
+    flag; on the triangle only the generators named in recorded are
+    recorded, from one solve over their images.
+    """
+    weights = (2, 3) if kind == "calogero" else (1, 1)
     if d == 1:
-        weights = (2, 3) if kind == "calogero" else (1, 1)
-        return scalar_basis(k, 1, weights=weights, label="[%d,0]" % k)
+        basis = scalar_basis(k, 1, weights=weights, label="[%d,0]" % k)
+        if not recorded:
+            return basis
+        gens = build_gl_np1(RepSpec.gl3(Coeff.rational(k), 1))
+        return record_action(
+            [(name, op) for name, op in gens.named() if name in recorded], basis
+        )
     if k < d - 1:
         # the two-row label [k, d-1] needs k >= d-1; below that the orbit
         # of the lowest vector never closes
@@ -295,9 +331,8 @@ def flag_basis(kind: str, k: int, d: int) -> SpinorBasis:
     rep = gl2_irrep(d)
     gens = build_gl_np1(RepSpec.gl3(Coeff.rational(k), d))
     seed = PolySpinor.unit(d - 1, d, 2)
-    weights = (2, 3) if kind == "calogero" else (1, 1)
     return orbit_closure(
-        gens.all_ops(),
+        gens,
         [seed],
         degree_cap=k + 2,
         grade_fn=weight_grade(rep, weights),
@@ -318,22 +353,27 @@ def _int_k(c: Coeff) -> int:
 def spectrum(model: ModelOperator, bindings: Dict[str, object]) -> SpectrumResult:
     """Exact spectrum of the model on its invariant flag.
 
-    The flag is rediscovered from the generators, the parameters are bound
-    on the operator before its matrix is assembled exactly (the flag is
-    parameter-free, so binding commutes with solving for the coordinates and
-    the solve sees only constants), the basis order (by grade) must make the
-    matrix block upper triangular, and eigenvalues come from the diagonal
-    when the blocks are diagonal and from per-block characteristic
-    polynomials otherwise.
+    The flag is rediscovered from one generator set, which records the
+    parameter-free matrix of every generator the words use.  The parameters
+    are bound on the word coefficients only, and the matrix of the model is
+    the bound combination of products of those generator matrices (the
+    flag is invariant, so the matrix of a product is the product of the
+    matrices).  The basis order (by grade) must make the matrix block upper
+    triangular, and eigenvalues come from the diagonal when the blocks are
+    diagonal and from per-block characteristic polynomials otherwise.
     """
+    if model.words is None:
+        raise ValueError("spectrum needs the lie-algebraic form, not %s" % model.form)
     k = _int_k(model.k)
     bind = {name: Fraction(v) for name, v in bindings.items()}
     required = "omega" if model.kind == "calogero" else "alpha"
     if required not in bind:
         raise ValueError("binding for %s is required" % required)
 
-    basis = flag_basis(model.kind, k, model.d)
-    opm = matrix_of(model.op.substitute(bind), basis)
+    words = tuple((c.substitute(bind), word) for c, word in model.words)
+    names = {name for _, word in words for name in word}
+    basis = flag_basis(model.kind, k, model.d, names)
+    opm = matrix_of(words, basis)
 
     grades = list(basis.grades)
     n = basis.dim

@@ -7,19 +7,28 @@ closed-form basis lists for these families then become assertions on the
 discovered spaces (tests), which guards against transcription slips on both
 sides.
 
+The closure also records the action it computes: for every generator, the
+coordinates of its image of each basis vector, taken from the tracked
+elimination that accepted or rejected the image (a diagonal generator that
+acts on a vector as one scalar is not applied at all).  record_action does
+the same for named operators on any basis, by one solve.
+
 matrix_of converts an operator to its exact matrix on a basis, failing
 loudly with the offending vector and residual when the span is not
-invariant.  hexagon_audit checks the structural facts of the [k,1] family:
-dimension k(k+2), layer sizes, weight multiplicities (double inside the
-hull, single on its boundary) and the specific top-layer span.
+invariant; given words (sums of products of named generators) it composes
+the recorded generator matrices instead.  hexagon_audit checks the
+structural facts of the [k,1] family: dimension k(k+2), layer sizes, weight
+multiplicities (double inside the hull, single on its boundary) and the
+specific top-layer span.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
+from math import perm
 from typing import Callable, List, Sequence
 
-from .coeff import Coeff
+from .coeff import Coeff, qp_add, qp_mul
 from .linalg import Indexer, QPEchelon, coeff_matrix_solve, scalarize, span_contains
 from .matrixreps import MatrixRep
 from .weyl import MatrixDiffOp, Polynomial, PolySpinor
@@ -50,11 +59,18 @@ class NotInvariantError(RuntimeError):
 
 @dataclass
 class SpinorBasis:
-    """Ordered, linearly independent spinors with per-vector grades."""
+    """Ordered, linearly independent spinors with per-vector grades.
+
+    action maps a generator name to its recorded coordinate columns on this
+    basis: column j is the sparse map {i: (a, b)} with op(b_j) = sum of
+    (a + b sqrt2) b_i.  orbit_closure records every op it closes under;
+    record_action adds named ops to any basis.
+    """
 
     vectors: tuple
     grades: tuple
     label: str = ""
+    action: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -122,6 +138,40 @@ def scalar_basis(k: int, m: int, weights=(1, 1), label: str = "") -> SpinorBasis
     return SpinorBasis(tuple(vecs), tuple(grades), label or "P(%d,%d)" % (k, m))
 
 
+def _diagonal_table(op: MatrixDiffOp):
+    """{j: [(A, pair), ...]} when every term of op is (j, j, x^A d^A) with a
+    parameter-free coefficient, else None.
+
+    Such an op maps x^P e_j to sigma(j, P) x^P e_j with sigma(j, P) the sum
+    of pair * prod_i P_i! / (P_i - A_i)! over the terms of row j.
+    """
+    table = {}
+    for (i, j, mono), c in op.terms.items():
+        if i != j or mono.xpow != mono.dpow or not c.is_constant():
+            return None
+        table.setdefault(j, []).append((mono.xpow, c.constant_pair()))
+    return table
+
+
+def _eigenvalue(table, v: PolySpinor):
+    """sigma as a pair when the diagonal op of table maps v to sigma v, that
+    is when sigma(j, P) is the same on every term of v; else None."""
+    sigma = None
+    for j, P in v.terms:
+        s = (0, 0)
+        for A, pair in table.get(j, ()):
+            f = 1
+            for q, a in zip(P, A):
+                f *= perm(q, a)
+            if f:
+                s = qp_add(s, qp_mul(pair, (f, 0)))
+        if sigma is None:
+            sigma = s
+        elif s != sigma:
+            return None
+    return sigma
+
+
 def orbit_closure(
     ops,
     seeds: Sequence[PolySpinor],
@@ -129,41 +179,70 @@ def orbit_closure(
     grade_fn: Callable[[PolySpinor], int] = degree_grade,
     label: str = "",
 ) -> SpinorBasis:
-    """Smallest space containing the seeds and closed under every operator.
+    """Smallest space containing the seeds and closed under every operator,
+    with the action of every operator on it recorded.
 
-    ops may be a sequence of MatrixDiffOp or anything with all_ops()
-    (a generator set).
+    ops may be anything with named() (a generator set), whose action is
+    recorded under the generator names, or a sequence of MatrixDiffOp,
+    recorded under their positions.  Every image is inserted into a tracked
+    echelon of the vectors found so far: an independent image joins the
+    basis and its column is a unit column; a dependent one is recorded with
+    the combination that eliminated it.  A diagonal op (_diagonal_table) is
+    not applied to a vector it maps to sigma times itself: its column there
+    is sigma times the unit column.  The basis comes out in the order of
+    grade, then discovery; the columns are given in that order.
     """
-    if hasattr(ops, "all_ops"):
-        ops = ops.all_ops()
+    named = ops.named() if hasattr(ops, "named") else list(enumerate(ops))
     if not seeds or all(s.is_zero() for s in seeds):
         raise ValueError("need at least one nonzero seed")
     ix = Indexer()
-    ech = QPEchelon()
+    ech = QPEchelon(track=True)
     basis: List[PolySpinor] = []
-    queue: List[PolySpinor] = []
+    labels = []  # the echelon label of each basis vector
+
+    def add(w):
+        """The echelon label of w after inserting it, or None if dependent."""
+        tag = ech.inserted
+        if ech.insert(scalarize(w.coords(), ix)) is None:
+            return None
+        basis.append(w)
+        labels.append(tag)
+        return tag
+
     for s in seeds:
-        if s.is_zero():
-            continue
-        if ech.insert(scalarize(s.coords(), ix)) is not None:
-            basis.append(s)
-            queue.append(s)
-    while queue:
-        v = queue.pop(0)
-        for op in ops:
+        if not s.is_zero():
+            add(s)
+    tables = [_diagonal_table(op) for _, op in named]
+    # per op, one column per basis vector, keyed by echelon label
+    columns = [[] for _ in named]
+    i = 0
+    while i < len(basis):
+        v = basis[i]
+        for (_, op), table, cols in zip(named, tables, columns):
+            sigma = None if table is None else _eigenvalue(table, v)
+            if sigma is not None:
+                cols.append({labels[i]: sigma} if sigma[0] or sigma[1] else {})
+                continue
             w = op.apply(v)
             if w.is_zero():
+                cols.append({})
                 continue
             deg = w.total_degree()
             if deg is not None and deg > degree_cap:
                 raise SpaceNotClosedError(degree_cap, w)
-            if ech.insert(scalarize(w.coords(), ix)) is not None:
-                basis.append(w)
-                queue.append(w)
-    order = sorted(range(len(basis)), key=lambda i: (grade_fn(basis[i]), i))
-    vecs = tuple(basis[i] for i in order)
-    grades = tuple(grade_fn(v) for v in vecs)
-    return SpinorBasis(vecs, grades, label)
+            tag = add(w)
+            cols.append(ech.combination if tag is None else {tag: (1, 0)})
+        i += 1
+    grades = [grade_fn(v) for v in basis]
+    order = sorted(range(len(basis)), key=lambda t: (grades[t], t))
+    rank = {labels[old]: new for new, old in enumerate(order)}
+    action = {
+        name: tuple({rank[t]: p for t, p in cols[old].items()} for old in order)
+        for (name, _), cols in zip(named, columns)
+    }
+    return SpinorBasis(
+        tuple(basis[t] for t in order), tuple(grades[t] for t in order), label, action
+    )
 
 
 @dataclass
@@ -187,18 +266,106 @@ class OperatorMatrix:
         return [list(row) for row in self.entries]
 
 
-def matrix_of(op: MatrixDiffOp, basis: SpinorBasis) -> OperatorMatrix:
-    """Column j holds the exact coordinates of op applied to basis vector j."""
-    images = [op.apply(v).coords() for v in basis.vectors]
+def _solve_images(ops, basis: SpinorBasis):
+    """Coordinate lists of each op's image of each basis vector, by one solve.
+
+    Returns one list of n coordinate lists per op; raises NotInvariantError
+    for the first image outside the span.
+    """
     n = basis.dim
-    out = [[Coeff.zero()] * n for _ in range(n)]
+    images = [op.apply(v).coords() for op in ops for v in basis.vectors]
     solved = coeff_matrix_solve(basis.coords_list(), images)
-    for j, (coords, residual) in enumerate(solved):
-        if residual:
-            raise NotInvariantError(j, basis.vectors[j].with_coords(residual))
-        for i, c in enumerate(coords):
-            out[i][j] = c
-    return OperatorMatrix(n, tuple(tuple(row) for row in out), basis.label)
+    out = []
+    for g in range(len(ops)):
+        cols = []
+        for j in range(n):
+            coords, residual = solved[g * n + j]
+            if residual:
+                raise NotInvariantError(j, basis.vectors[j].with_coords(residual))
+            cols.append(coords)
+        out.append(cols)
+    return out
+
+
+def record_action(named_ops, basis: SpinorBasis) -> SpinorBasis:
+    """basis with the columns of each (name, op) added to its action.
+
+    A diagonal op (_diagonal_table) that maps every basis vector to a
+    multiple of itself is read off, as in orbit_closure.  The images of the
+    other ops are solved for together, against one echelon of the basis;
+    they must be parameter-free.
+    """
+    action = dict(basis.action)
+    solve = []
+    for name, op in named_ops:
+        table = _diagonal_table(op)
+        sigmas = [None] if table is None else [_eigenvalue(table, v) for v in basis.vectors]
+        if None in sigmas:
+            solve.append((name, op))
+        else:
+            action[name] = tuple({j: s} if s[0] or s[1] else {} for j, s in enumerate(sigmas))
+    for (name, _), cols in zip(solve, _solve_images([op for _, op in solve], basis)):
+        action[name] = tuple(
+            {i: c.constant_pair() for i, c in enumerate(coords) if c} for coords in cols
+        )
+    return replace(basis, action=action)
+
+
+def _add_pair(acc, key, x):
+    """acc[key] += x for a pair x, dropping the key when the sum vanishes."""
+    cur = acc.get(key)
+    if cur is not None:
+        x = qp_add(cur, x)
+        if not (x[0] or x[1]):
+            del acc[key]
+            return
+    acc[key] = x
+
+
+def _word_column(word, j, action):
+    """The sparse column j of the product of the generator matrices in word
+    (the last name acts first), as {i: pair}."""
+    vec = action[word[-1]][j]
+    for name in reversed(word[:-1]):
+        cols = action[name]
+        out = {}
+        for r, p in vec.items():
+            for i, q in cols[r].items():
+                _add_pair(out, i, qp_mul(p, q))
+        vec = out
+    return vec
+
+
+def matrix_of(op, basis: SpinorBasis) -> OperatorMatrix:
+    """Column j holds the exact coordinates of op applied to basis vector j.
+
+    op is a MatrixDiffOp, applied to every basis vector and solved for, or
+    words: a sequence of (Coeff c, tuple of generator names), standing for
+    sum c * (product of the generators).  Words are composed from the
+    columns recorded in basis.action, which must hold every name they use:
+    the matrix of a product on an invariant space is the product of the
+    matrices.
+    """
+    n = basis.dim
+    if isinstance(op, MatrixDiffOp):
+        (cols,) = _solve_images([op], basis)
+        return OperatorMatrix(
+            n,
+            tuple(tuple(cols[j][i] for j in range(n)) for i in range(n)),
+            basis.label,
+        )
+    acc = {}  # (i, j) -> {exps: pair}
+    for c, word in op:
+        for j in range(n):
+            for i, p in _word_column(word, j, basis.action).items():
+                sums = acc.setdefault((i, j), {})
+                for exps, cp in c.terms.items():
+                    _add_pair(sums, exps, qp_mul(cp, p))
+    rows = [[Coeff.zero()] * n for _ in range(n)]
+    for (i, j), sums in acc.items():
+        if sums:
+            rows[i][j] = Coeff._raw(sums)
+    return OperatorMatrix(n, tuple(map(tuple, rows)), basis.label)
 
 
 def basis_contains(basis: SpinorBasis, vectors: Sequence[PolySpinor]) -> bool:

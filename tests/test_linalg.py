@@ -370,6 +370,38 @@ def test_echelon_tracking_consistency():
     assert rebuilt == dict(target)
 
 
+def test_dependent_insert_exposes_its_combination():
+    # the combination a tracked insert() leaves for a rejected vector is the
+    # one reduce() finds for it, and it rebuilds the vector; a rejected
+    # vector keeps its label, so later labels count every insert
+    ix = Indexer()
+    ech = QPEchelon(track=True)
+    vecs = [
+        vec(a=C(2), b=C(1)),
+        vec(a=C(4), b=C(2)),  # dependent: label 1 is never used
+        vec(b=C(3, 1)),
+        vec(a=C(1), c=C(Fraction(1, 2))),
+    ]
+    flat = [scalarize(v, ix) for v in vecs]
+    assert [ech.insert(f) is not None for f in flat] == [True, False, True, True]
+    for target in (
+        vec(a=C(5), b=C(4), c=C(2)),
+        vec(a=C(0, 1), b=C(Fraction(-7, 3)), c=C(1, -1)),
+    ):
+        t = scalarize(target, ix)
+        res, combo = ech.reduce(t)
+        assert ech.insert(t) is None
+        assert not res and ech.combination == combo
+        assert 1 not in combo
+        rest = dict(target)
+        for label, pair in combo.items():
+            for k, c in vecs[label].items():
+                rest[k] = rest.get(k, Coeff.zero()) - Coeff.rational(*pair) * c
+        assert all(c.is_zero() for c in rest.values())
+    # an empty vector is dependent with the empty combination
+    assert ech.insert({}) is None and ech.combination == {}
+
+
 # -- the integer-row echelon against the Fraction-pair one it replaced ---------
 
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from matrixweyl import Coeff, K, NU, OMEGA, RepSpec, build_gl_np1
+from matrixweyl import ALPHA, Coeff, K, NU, OMEGA, RepSpec, build_gl_np1
 from matrixweyl.models import (
     EigRecord,
     calogero,
@@ -209,23 +209,27 @@ def test_printed_err_keeps_four_digits_and_never_falls_below(err):
 
 
 def _perturbed_sutherland(k, extra):
-    """The k, d = 1 Sutherland operator plus a gl3-generator product.
+    """The k, d = 1 Sutherland operator plus gl3-generator products.
 
-    The added term keeps every polynomial-triangle block invariant but gives
+    extra holds the added words, (coefficient, generator names) pairs.  The
+    added term keeps every polynomial-triangle block invariant but gives
     some of them irrational eigenvalues, so models.spectrum has to take the
     numeric branch.
     """
     m = sutherland("liealgebraic", Coeff.rational(k), 1)
-    g = build_gl_np1(RepSpec.gl3(Coeff.rational(k), 1))
-    return dataclasses.replace(m, op=m.op + extra(g))
+    return dataclasses.replace(m, words=m.words + extra)
+
+
+_ONE = Coeff.one()
 
 
 @pytest.mark.parametrize(
     "k, extra, inexact",
     [
-        (2, lambda g: g.E[(1, 2)] * g.E[(2, 1)], 2),
-        # deflated factor (t^2 + 20t/3 + 31/3)^2: two double roots
-        (3, lambda g: g.E[(2, 1)] * g.E[(1, 2)] + g.E[(1, 1)], 4),
+        # E12 E21
+        (2, ((_ONE, ("E12", "E21")),), 2),
+        # E21 E12 + E11; deflated factor (t^2 + 20t/3 + 31/3)^2: two double roots
+        (3, ((_ONE, ("E21", "E12")), (_ONE, ("E11",))), 4),
     ],
 )
 def test_numeric_fallback_end_to_end_is_certified(monkeypatch, k, extra, inexact):
@@ -299,3 +303,71 @@ def test_binding_before_the_matrix_equals_binding_after(kind, d):
             for row_e, row_l in zip(early.entries, late.entries):
                 for e, l in zip(row_e, row_l):
                     assert e == l and repr(e) == repr(l)
+
+
+# -- the words against the hand-written lie-algebraic operators --------------------
+
+
+def _hand_written(kind, g):
+    """The lie-algebraic operators written out in the generators, as oracle."""
+    F = Fraction
+    E11, E22, E12, E21, T1 = g.E[(1, 1)], g.E[(2, 2)], g.E[(1, 2)], g.E[(2, 1)], g.Tminus[1]
+    if kind == "calogero":
+        return (
+            E11 * T1 * (-2)
+            - E22 * T1 * 6
+            + E12 * E12 * F(2, 3)
+            - E11 * (OMEGA * 4)
+            - T1 * ((NU * 3 + 1) * 2)
+            - E22 * (OMEGA * 6)
+        )
+    a2 = ALPHA * ALPHA
+    return (
+        E11 * T1 * (-2)
+        - E22 * T1 * 6
+        + E12 * E12 * F(2, 3)
+        - T1 * ((NU * 3 + 1) * 2)
+        + E21 * E21 * a2 * a2 * F(1, 24)
+        - (E11 * E11 * 3 + E11 * E22 * 8 + E22 * E22 * 3 + (E11 + E22) * (NU * 12 + 1))
+        * a2
+        * F(1, 6)
+    )
+
+
+_MODELS = {"calogero": calogero, "sutherland": sutherland}
+
+
+@pytest.mark.parametrize("kind", ["calogero", "sutherland"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_words_build_the_hand_written_operator(kind, d):
+    model = _MODELS[kind]("liealgebraic", K, d)
+    assert model.op == _hand_written(kind, build_gl_np1(RepSpec.gl3(K, d)))
+
+
+@pytest.mark.parametrize(
+    "kind, k, d",
+    [(kind, k, d) for kind in ("calogero", "sutherland") for k, d in ((3, 1), (2, 2), (4, 2), (2, 3), (3, 3))],
+)
+def test_matrix_of_words_equals_matrix_of_the_operator(kind, k, d):
+    # formally and at bindings: composing the recorded generator columns
+    # gives the matrix that applying the operator and solving gives
+    model = _MODELS[kind]("liealgebraic", k, d)
+    op = _hand_written(kind, build_gl_np1(RepSpec.gl3(Coeff.rational(k), d)))
+    names = {name for _, word in model.words for name in word}
+    basis = flag_basis(kind, k, d, names)
+    other = "omega" if kind == "calogero" else "alpha"
+    bindings = (
+        {},
+        {"nu": Fraction(-1, 2), other: Fraction(3, 2)},
+        {"nu": Fraction(1, 3), other: -2},
+        {"nu": 2, other: 1},
+        {"nu": 0},
+    )
+    for b in bindings:
+        words = tuple((c.substitute(b), word) for c, word in model.words)
+        composed = matrix_of(words, basis)
+        solved = matrix_of(op.substitute(b), basis)
+        assert composed == solved and repr(composed) == repr(solved), b
+        for row_c, row_s in zip(composed.entries, solved.entries):
+            for c, s in zip(row_c, row_s):
+                assert c == s and repr(c) == repr(s), b

@@ -1,8 +1,11 @@
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from matrixweyl import (
     Coeff,
+    DiffMonomial,
     MatrixDiffOp,
+    Polynomial,
     PolySpinor,
     RepSpec,
     ScalarDiffOp,
@@ -262,3 +265,131 @@ def test_orbit_cap_failure_reports():
     seed = PolySpinor.unit(0, 1, 2)
     with pytest.raises(SpaceNotClosedError):
         orbit_closure(halfgens.all_ops(), [seed], degree_cap=6)
+
+
+# -- the generator action the orbit closure records ------------------------------
+
+GL3_NAMES = ("E11", "E12", "E21", "E22", "E0", "T1-", "T2-", "T1+", "T2+")
+FLAGS = [
+    (kind, k, d)
+    for kind in ("calogero", "sutherland")
+    for d in (1, 2, 3)
+    for k in range(max(d - 1, 0), 5)
+] + [("calogero", 8, 3)]
+
+
+def recorded_matrix(basis, name):
+    """The recorded columns of name on basis as an N x N Coeff grid."""
+    n = basis.dim
+    rows = [[Coeff.zero()] * n for _ in range(n)]
+    for j, col in enumerate(basis.action[name]):
+        for i, pair in col.items():
+            rows[i][j] = Coeff.rational(*pair)
+    return rows
+
+
+@pytest.mark.parametrize("kind, k, d", FLAGS)
+def test_recorded_generator_columns_equal_matrix_of(kind, k, d):
+    # oracle: apply the generator to every basis vector and solve
+    basis = flag_basis(kind, k, d, GL3_NAMES)
+    assert set(basis.action) == set(GL3_NAMES)
+    gens = build_gl_np1(RepSpec.gl3(Coeff.rational(k), d))
+    for name, op in gens.named():
+        cols = basis.action[name]
+        assert len(cols) == basis.dim
+        assert all(pair[0] or pair[1] for col in cols for pair in col.values())
+        assert recorded_matrix(basis, name) == matrix_of(op, basis).rows(), name
+
+
+def test_flag_basis_records_only_the_named_generators_on_the_triangle():
+    assert flag_basis("sutherland", 3, 1).action == {}
+    basis = flag_basis("sutherland", 3, 1, {"E12", "T1-"})
+    assert set(basis.action) == {"E12", "T1-"}
+    # the orbit closure records every generator whatever is asked for
+    closed = flag_basis("sutherland", 3, 2)
+    assert set(closed.action) == set(GL3_NAMES)
+    assert (basis.label, closed.label) == ("[3,0]", "[3,1]")
+
+
+def test_closure_of_an_op_sequence_records_by_position():
+    basis = closure(2, 2)
+    gens = build_gl_np1(RepSpec.gl3(Coeff.rational(2), 2))
+    assert set(basis.action) == set(range(len(GL3_NAMES)))
+    for position, (name, op) in enumerate(gens.named()):
+        assert recorded_matrix(basis, position) == matrix_of(op, basis).rows(), name
+
+
+# -- the diagonal shortcut ---------------------------------------------------------
+
+_exps = st.tuples(st.integers(0, 2), st.integers(0, 2))
+_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def diagonal_op_and_spinor(draw):
+    """A d x d op of terms (j, j, x^A d^A) and a nonzero spinor."""
+    d = draw(st.integers(1, 3))
+    entries = [[ScalarDiffOp.zero(2) for _ in range(d)] for _ in range(d)]
+    for j in range(d):
+        terms = draw(st.dictionaries(_exps, _rationals.filter(bool), max_size=3))
+        entries[j][j] = ScalarDiffOp(2, {DiffMonomial(A, A): c for A, c in terms.items()})
+    op = MatrixDiffOp(entries)
+    vterms = draw(
+        st.dictionaries(
+            st.tuples(st.integers(0, d - 1), st.tuples(st.integers(0, 3), st.integers(0, 3))),
+            _rationals.filter(bool),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    comps = [{} for _ in range(d)]
+    for (j, P), c in vterms.items():
+        comps[j][P] = c
+    v = PolySpinor([Polynomial(2, t) for t in comps], 2)
+    return op, v
+
+
+def _sigma(op, j, P, d):
+    """The scalar op multiplies x^P e_j by, read off apply."""
+    comps = [Polynomial.zero(2) for _ in range(d)]
+    comps[j] = Polynomial.monomial(P, 1, 2)
+    image = op.apply(PolySpinor(comps, 2))
+    return image.terms.get((j, P), Coeff.zero())
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(diagonal_op_and_spinor())
+def test_diagonal_shortcut_records_sigma_v_and_applies_only_when_mixed(case):
+    from matrixweyl import weyl
+
+    op, v = case
+    sigmas = {_sigma(op, j, P, v.dim) for j, P in v.terms}
+    image = op.apply(v)
+    calls = []
+    real_apply = weyl.MatrixDiffOp.apply
+
+    def spy(self, w):
+        calls.append(w)
+        return real_apply(self, w)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(weyl.MatrixDiffOp, "apply", spy)
+        # one grade for all: the basis stays in discovery order, seed first
+        basis = orbit_closure([op], [v], degree_cap=6, grade_fn=lambda w: 0)
+    assert basis.vectors[0] == v
+    col = basis.action[0][0]
+    if len(sigmas) == 1:
+        event("constant sigma")
+        (sigma,) = sigmas
+        assert calls == [] and basis.dim == 1
+        assert col == ({0: sigma.constant_pair()} if sigma else {})
+        assert image == v.scale(sigma)
+    else:
+        event("mixed sigma")
+        assert calls and calls[0] == v
+    # every recorded column rebuilds the image of its vector
+    for j, bj in enumerate(basis.vectors):
+        rebuilt = PolySpinor.zero(v.dim, 2)
+        for i, pair in basis.action[0][j].items():
+            rebuilt = rebuilt + basis.vectors[i].scale(Coeff.rational(*pair))
+        assert rebuilt == real_apply(op, bj)

@@ -9,6 +9,7 @@ perfbench/ is modified.
 import importlib
 import importlib.util
 import inspect
+import json
 import os
 import subprocess
 import sys
@@ -85,3 +86,32 @@ def test_height_reads_the_pairs_charpoly_and_matrix_of_return():
         assert all(len(pair) == 2 for c in values for pair in c.terms.values())
         height = tracer._height(values)
         assert height == _fraction_height(values) > 0
+
+
+@pytest.mark.parametrize("workload", ["suites", "gm_tower", "spectra"])
+def test_traced_benchmark_run_is_correct(workload):
+    # a traced run checks every output against perfbench/reference.json and
+    # the layer calls each workload is predicted to make or skip (for
+    # spectra: spaces.matrix_of, linalg.solve, weyl.apply among them)
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [
+            sys.executable,
+            os.path.join(ROOT, "perfbench", "run.py"),
+            "--workload",
+            workload,
+            "--seed",
+            "11",
+            "--trace",
+            "1",
+        ],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=ROOT,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True, proc.stderr
+    assert result["failed"] == 0

@@ -9,8 +9,10 @@ captured, and one line is printed per argv:
 Save the digests of one checkout and compare another against them to
 show that a change keeps every output byte and exit code.  The grid
 covers gm for m <= 4, d <= 3; spectrum for both models, k <= 6, d <= 3
-and four values of nu; every check, casimir, relations, space and model
-form; and the slow rows, the inputs that take the longest.
+and four values of nu, again for k <= 4 with --omega or --alpha at 3/2
+and -2, and the benchmark's Calogero k = 8 rows; every check, casimir,
+relations, space and model form; and the slow rows, the inputs that take
+the longest.
 
     python3 tools/argv_digests.py > digests.txt
     python3 tools/argv_digests.py --compare digests.txt
@@ -39,6 +41,10 @@ from matrixweyl import cli  # noqa: E402
 
 # spelled --nu=VALUE, the form every version of the CLI has parsed
 NUS = ("0", "1/3", "2", "-1/2")
+# --omega (Calogero) and --alpha (Sutherland) values besides the default 1
+FREQS = ("3/2", "-2")
+# the nu values of the benchmark's spectrum operations (perfbench/workloads.py)
+BENCH_NUS = ("0", "1/3", "2/3")
 
 SLOW = (
     ("gm", "--m", "4"),
@@ -78,6 +84,20 @@ def grid():
                     ("spectrum", "--model", model, "--k", str(k), "--d", str(d), "--nu=" + nu)
                     for nu in NUS
                 ]
+    for model, freq in (("calogero", "--omega="), ("sutherland", "--alpha=")):
+        for k in range(5):
+            for d in (1, 2, 3):
+                rows += [
+                    ("spectrum", "--model", model, "--k", str(k), "--d", str(d),
+                     "--nu=" + nu, freq + value)
+                    for value in FREQS
+                    for nu in NUS
+                ]
+    rows += [
+        ("spectrum", "--model", "calogero", "--k", "8", "--d", str(d), "--nu=" + nu)
+        for d in (1, 2, 3)
+        for nu in BENCH_NUS
+    ]
     return rows + list(SLOW)
 
 
