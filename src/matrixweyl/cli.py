@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 
 from .coeff import Coeff, CoeffError, K
-from .generators import RepSpec, build_gl_np1, build_gm
+from .generators import RepSpec, build_gl_np1, build_gm, gm_commutator_tower
 from .identities import (
     art_dependency,
     art_relations,
@@ -195,7 +195,7 @@ def cmd_space(args) -> int:
     seed = PolySpinor.unit(args.d - 1, args.d, 2)
     cap = args.degree_cap if args.degree_cap is not None else args.k + 2
     try:
-        basis = orbit_closure(gens.all_ops(), [seed], degree_cap=cap)
+        basis = orbit_closure(gens.named(), [seed], degree_cap=cap)
     except SpaceNotClosedError as exc:
         return _finish(
             args,
@@ -289,8 +289,9 @@ def cmd_spectrum(args) -> int:
 
 def cmd_gm(args) -> int:
     gm = build_gm(args.m, K, gl2_irrep(args.d))
-    results = [r.record() for r in gm_tower_reports(gm)]
-    consts = gm_tower_constants(gm)
+    tower = gm_commutator_tower(gm)
+    results = [r.record() for r in gm_tower_reports(gm, tower)]
+    consts = gm_tower_constants(gm, tower)
     results.append(
         {
             "name": "tower constants",

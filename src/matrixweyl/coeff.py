@@ -35,7 +35,7 @@ _ZEXP = (0, 0, 0, 0)
 
 
 class CoeffError(ArithmeticError):
-    """Impossible exact-arithmetic request (bad inverse, inexact division)."""
+    """Impossible exact-arithmetic request (zero inverse, unbound parameter)."""
 
 
 def _half(x):
@@ -242,14 +242,11 @@ class Coeff:
             raise CoeffError("value still carries formal parameters: %s" % self)
         return self.terms[_ZEXP]
 
-    def to_float(self) -> float:
-        return qp_float(self.constant_pair())
-
     def sorted_terms(self):
         """Terms in the canonical (lexicographic) order."""
         return sorted(self.terms.items())
 
-    # -- parameter binding and division -------------------------------------
+    # -- parameter binding ---------------------------------------------------
 
     def substitute(self, bindings: Mapping[str, Union[int, Fraction]]) -> "Coeff":
         """Bind some of k, omega, nu, alpha to rationals; others stay formal."""
@@ -269,32 +266,6 @@ class Coeff:
                     new[i] = 0
             out = out + Coeff({tuple(new): (a * factor, b * factor)})
         return out
-
-    def inverse(self) -> "Coeff":
-        """Field inverse; defined for nonzero parameter-free values only."""
-        return Coeff({_ZEXP: qp_inv(self.constant_pair())})
-
-    def exact_div(self, other: "Coeff") -> "Coeff":
-        """Exact polynomial division; raises CoeffError on a nonzero remainder."""
-        other = as_coeff(other)
-        if other.is_zero():
-            raise CoeffError("division by zero")
-        if other.is_constant():
-            return self * other.inverse()
-        quo = Coeff.zero()
-        rem = self
-        lead_e = max(other.terms)
-        lead_p = other.terms[lead_e]
-        lead_inv = qp_inv(lead_p)
-        while rem.terms:
-            e = max(rem.terms)
-            diff = tuple(a - b for a, b in zip(e, lead_e))
-            if any(d < 0 for d in diff):
-                raise CoeffError("inexact division")
-            q = Coeff({diff: qp_mul(rem.terms[e], lead_inv)})
-            quo = quo + q
-            rem = rem - q * other
-        return quo
 
     # -- display -----------------------------------------------------------
 

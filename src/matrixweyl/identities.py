@@ -16,7 +16,7 @@ from itertools import combinations_with_replacement
 from typing import Dict, List, Sequence, Tuple
 
 from .coeff import Coeff
-from .generators import GeneratorSet, GmGeneratorSet, gm_commutator_tower
+from .generators import GeneratorSet, GmGeneratorSet
 from .linalg import (
     Indexer,
     QPEchelon,
@@ -89,36 +89,6 @@ def commutation_table(gens: GeneratorSet) -> List[IdentityReport]:
         if a == d:
             rhs = rhs - e[(c, b)][1]
         out.append(_report("[%s,%s]" % (gname, hname), commutator(g, h), rhs))
-    return out
-
-
-def block_commutation_reports(gens: GeneratorSet) -> List[IdentityReport]:
-    """Matrix blocks commute with every pure differential part."""
-    spec = gens.spec
-    n, d = gens.n, gens.dim
-    out = []
-    pure = []
-    for i in range(n):
-        for j in range(n):
-            pure.append(
-                (
-                    "x%dd%d" % (i + 1, j + 1),
-                    MatrixDiffOp.from_scalar(
-                        ScalarDiffOp.x(i, n) * ScalarDiffOp.d(j, n), d
-                    ),
-                )
-            )
-        pure.append(
-            ("d%d" % (i + 1), MatrixDiffOp.from_scalar(ScalarDiffOp.d(i, n), d))
-        )
-    zero = MatrixDiffOp.zero(d, n)
-    for bi in range(1, n + 1):
-        for bj in range(1, n + 1):
-            M = MatrixDiffOp.from_coeff_matrix(spec.rep.block(bi, bj), n)
-            for pname, P in pure:
-                out.append(
-                    _report("[M%d%d,%s]" % (bi, bj, pname), commutator(M, P), zero)
-                )
     return out
 
 
@@ -461,8 +431,12 @@ def grading_audit(gens: GeneratorSet) -> GradingReport:
 # -- g^(m) structure ---------------------------------------------------------------
 
 
-def gm_tower_reports(gm: GmGeneratorSet) -> List[IdentityReport]:
-    """Commutativity inside each tower and nilpotency one step past U_m."""
+def gm_tower_reports(gm: GmGeneratorSet, tower) -> List[IdentityReport]:
+    """Commutativity inside each tower and nilpotency one step past U_m.
+
+    tower is gm_commutator_tower(gm), built once and shared with
+    gm_tower_constants.
+    """
     zero = MatrixDiffOp.zero(gm.dim, 2)
     out = []
     for i in range(gm.m + 1):
@@ -477,18 +451,17 @@ def gm_tower_reports(gm: GmGeneratorSet) -> List[IdentityReport]:
             out.append(
                 _report("[U%d,U%d]" % (i, j), commutator(gm.U[i], gm.U[j]), zero)
             )
-    tower = gm_commutator_tower(gm)
     out.append(_report("U%d = 0" % (gm.m + 1), tower[gm.m + 1], zero))
     return out
 
 
-def gm_tower_constants(gm: GmGeneratorSet):
+def gm_tower_constants(gm: GmGeneratorSet, tower):
     """Exact ratios between the commutator-built tower and the closed forms.
 
     Returns a list of Fractions c_i with  [..[U_0, J21], .., J21] (i times)
-    equal to c_i * U_i, or None entries where no exact ratio exists.
+    (tower[i] of gm_commutator_tower(gm)) equal to c_i * U_i, or None
+    entries where no exact ratio exists.
     """
-    tower = gm_commutator_tower(gm)
     ratios = []
     for i in range(1, gm.m + 1):
         sol = solve_combination([gm.U[i].coords()], tower[i].coords())

@@ -69,9 +69,6 @@ class Indexer:
             self.keys.append(key)
         return i
 
-    def __len__(self):
-        return len(self.keys)
-
 
 def scalarize(vec: Mapping, ix: Indexer):
     """Coeff-coordinate vector -> sparse Q(sqrt2) vector over (key, exps)."""

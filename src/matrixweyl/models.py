@@ -332,7 +332,7 @@ def flag_basis(kind: str, k: int, d: int, recorded=()) -> SpinorBasis:
     gens = build_gl_np1(RepSpec.gl3(Coeff.rational(k), d))
     seed = PolySpinor.unit(d - 1, d, 2)
     return orbit_closure(
-        gens,
+        gens.named(),
         [seed],
         degree_cap=k + 2,
         grade_fn=weight_grade(rep, weights),

@@ -12,7 +12,7 @@ import json
 from fractions import Fraction
 
 from .coeff import Coeff
-from .weyl import MatrixDiffOp, Polynomial, PolySpinor, ScalarDiffOp
+from .weyl import MatrixDiffOp, ScalarDiffOp
 
 SCHEMA_VERSION = 1
 
@@ -61,31 +61,6 @@ def matrix_op_from_json(data) -> MatrixDiffOp:
     return MatrixDiffOp(
         [[scalar_op_from_json(e) for e in row] for row in data["entries"]]
     )
-
-
-def spinor_to_json(v: PolySpinor) -> dict:
-    comps = []
-    for p in v.components:
-        comps.append(
-            [
-                {"x": list(mono), "c": coeff_to_json(c)}
-                for mono, c in sorted(p.terms.items())
-            ]
-        )
-    return {"nvars": v.nvars, "components": comps}
-
-
-def spinor_from_json(data) -> PolySpinor:
-    nvars = data["nvars"]
-    comps = []
-    for terms in data["components"]:
-        comps.append(
-            Polynomial(
-                nvars,
-                {tuple(t["x"]): coeff_from_json(t["c"]) for t in terms},
-            )
-        )
-    return PolySpinor(comps, nvars)
 
 
 def manifest(command: str, inputs: dict, results: list) -> dict:

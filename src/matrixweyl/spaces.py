@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from math import perm
-from typing import Callable, List, Sequence
+from typing import Callable, List, Sequence, Tuple
 
 from .coeff import Coeff, qp_add, qp_mul
 from .linalg import Indexer, QPEchelon, coeff_matrix_solve, scalarize, span_contains
@@ -173,7 +173,7 @@ def _eigenvalue(table, v: PolySpinor):
 
 
 def orbit_closure(
-    ops,
+    named_ops: Sequence[Tuple[str, MatrixDiffOp]],
     seeds: Sequence[PolySpinor],
     degree_cap: int,
     grade_fn: Callable[[PolySpinor], int] = degree_grade,
@@ -182,9 +182,9 @@ def orbit_closure(
     """Smallest space containing the seeds and closed under every operator,
     with the action of every operator on it recorded.
 
-    ops may be anything with named() (a generator set), whose action is
-    recorded under the generator names, or a sequence of MatrixDiffOp,
-    recorded under their positions.  Every image is inserted into a tracked
+    named_ops is a sequence of (name, MatrixDiffOp) pairs, such as a
+    generator set's named(); each op's action is recorded under its name,
+    as in record_action.  Every image is inserted into a tracked
     echelon of the vectors found so far: an independent image joins the
     basis and its column is a unit column; a dependent one is recorded with
     the combination that eliminated it.  A diagonal op (_diagonal_table) is
@@ -192,7 +192,6 @@ def orbit_closure(
     is sigma times the unit column.  The basis comes out in the order of
     grade, then discovery; the columns are given in that order.
     """
-    named = ops.named() if hasattr(ops, "named") else list(enumerate(ops))
     if not seeds or all(s.is_zero() for s in seeds):
         raise ValueError("need at least one nonzero seed")
     ix = Indexer()
@@ -212,13 +211,13 @@ def orbit_closure(
     for s in seeds:
         if not s.is_zero():
             add(s)
-    tables = [_diagonal_table(op) for _, op in named]
+    tables = [_diagonal_table(op) for _, op in named_ops]
     # per op, one column per basis vector, keyed by echelon label
-    columns = [[] for _ in named]
+    columns = [[] for _ in named_ops]
     i = 0
     while i < len(basis):
         v = basis[i]
-        for (_, op), table, cols in zip(named, tables, columns):
+        for (_, op), table, cols in zip(named_ops, tables, columns):
             sigma = None if table is None else _eigenvalue(table, v)
             if sigma is not None:
                 cols.append({labels[i]: sigma} if sigma[0] or sigma[1] else {})
@@ -238,7 +237,7 @@ def orbit_closure(
     rank = {labels[old]: new for new, old in enumerate(order)}
     action = {
         name: tuple({rank[t]: p for t, p in cols[old].items()} for old in order)
-        for (name, _), cols in zip(named, columns)
+        for (name, _), cols in zip(named_ops, columns)
     }
     return SpinorBasis(
         tuple(basis[t] for t in order), tuple(grades[t] for t in order), label, action

@@ -114,7 +114,7 @@ def test_criterion_4_representation_spaces():
     ):
         gens = build_gl_np1(RepSpec.gl3(Coeff.rational(k), d))
         basis = orbit_closure(
-            gens.all_ops(), [PolySpinor.unit(d - 1, d, 2)], degree_cap=k + 2
+            gens.named(), [PolySpinor.unit(d - 1, d, 2)], degree_cap=k + 2
         )
         ok = ok and basis.dim == expected
         if d == 2:
@@ -130,11 +130,11 @@ def test_criterion_5_polynomial_algebra_towers():
     golden = _golden("gm_tower_constants.json")
     for m in (1, 2, 3):
         gm = build_gm(m, K)
-        for r in gm_tower_reports(gm):
-            ok = ok and r.passed
         tower = gm_commutator_tower(gm)
+        for r in gm_tower_reports(gm, tower):
+            ok = ok and r.passed
         ok = ok and tower[m + 1].is_zero()
-        consts = gm_tower_constants(gm)
+        consts = gm_tower_constants(gm, tower)
         ok = ok and all(c is not None for c in consts)
         ok = ok and [str(c) for c in consts] == golden["m=%d" % m]
     g1 = build_gm(1, K)

@@ -11,8 +11,7 @@ int 0 when there is no sqrt2 part).
 
 from fractions import Fraction
 
-import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from matrixweyl import Coeff, CoeffError
 from matrixweyl.coeff import PARAMS, as_coeff, qp_add, qp_inv, qp_mul
@@ -112,9 +111,6 @@ class _FracCoeff:
             raise CoeffError("value still carries formal parameters")
         return self.terms[_ZEXP]
 
-    def inverse(self):
-        return _FracCoeff({_ZEXP: _f_inv(self.constant_pair())})
-
     def substitute(self, bindings):
         values = [Fraction(bindings[p]) if p in bindings else None for p in PARAMS]
         out = _FracCoeff()
@@ -127,24 +123,6 @@ class _FracCoeff:
                     new[i] = 0
             out = out + _FracCoeff({tuple(new): (a * factor, b * factor)})
         return out
-
-    def exact_div(self, other):
-        if not other.terms:
-            raise CoeffError("division by zero")
-        if set(other.terms) == {_ZEXP}:
-            return self * other.inverse()
-        quo, rem = _FracCoeff(), self
-        lead_e = max(other.terms)
-        lead_inv = _f_inv(other.terms[lead_e])
-        while rem.terms:
-            e = max(rem.terms)
-            diff = tuple(a - b for a, b in zip(e, lead_e))
-            if any(d < 0 for d in diff):
-                raise CoeffError("inexact division")
-            q = _FracCoeff({diff: _f_mul(rem.terms[e], lead_inv)})
-            quo = quo + q
-            rem = rem - q * other
-        return quo
 
 
 # -- strategies -----------------------------------------------------------------
@@ -239,34 +217,13 @@ def test_equality_and_hash_agree(t1, t2):
 
 @_SETTINGS
 @given(constant_terms)
-def test_inverse_and_constant_pair_match(t):
+def test_constant_pair_matches(t):
     x, fx = both(t)
     pair = x.constant_pair()
     assert pair == fx.constant_pair()
     assert all(_canonical_half(h) for h in pair)
     if x.is_zero():
         assert pair == (0, 0) and type(pair[0]) is int and type(pair[1]) is int
-        with pytest.raises(CoeffError):
-            x.inverse()
-        return
-    assert_same(x.inverse(), fx.inverse())
-    assert x * x.inverse() == Coeff.one()
-
-
-@_SETTINGS
-@given(raw_terms, raw_terms)
-def test_exact_div_matches(t1, t2):
-    x, fx = both(t1)
-    y, fy = both(t2)
-    assume(not y.is_zero())
-    assert_same((x * y).exact_div(y), (fx * fy).exact_div(fy))
-    try:
-        expected = fx.exact_div(fy)
-    except CoeffError:
-        with pytest.raises(CoeffError):
-            x.exact_div(y)
-    else:
-        assert_same(x.exact_div(y), expected)
 
 
 @_SETTINGS

@@ -1,5 +1,6 @@
 import json
 import os
+import sys
 import time
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from matrixweyl import (
     gl2_irrep,
     gm_commutator_tower,
 )
+from matrixweyl import cli, generators
 from matrixweyl.linalg import solve_combination
 from matrixweyl.identities import (
     g1_matches_gl3,
@@ -69,16 +71,16 @@ def test_m2_u2_strips_all_dx():
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_towers_commute_and_nilpotency(m):
     gm = build_gm(m, K)
-    for r in gm_tower_reports(gm):
-        assert r.passed, r.name
     tower = gm_commutator_tower(gm)
+    for r in gm_tower_reports(gm, tower):
+        assert r.passed, r.name
     assert tower[m + 1].is_zero()
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_commutator_tower_proportional_to_closed_forms(m):
     gm = build_gm(m, K)
-    consts = gm_tower_constants(gm)
+    consts = gm_tower_constants(gm, gm_commutator_tower(gm))
     assert all(c is not None for c in consts)
     # the observed normalization is the falling factorial m!/(m-i)!
     expected = []
@@ -90,6 +92,19 @@ def test_commutator_tower_proportional_to_closed_forms(m):
     with open(os.path.join(GOLDEN, "gm_tower_constants.json")) as fh:
         golden = json.load(fh)
     assert [str(c) for c in consts] == golden["m=%d" % m]
+
+
+def test_tower_consumers_read_the_tower_they_are_given():
+    gm = build_gm(2, K)
+    tower = gm_commutator_tower(gm)
+    # doubling V_1 .. V_m doubles each ratio; a nonzero last entry fails nilpotency
+    doubled = [tower[0]] + [v.scale(2) for v in tower[1:-1]] + [gm.U[0]]
+    assert gm_tower_constants(gm, doubled) == [
+        2 * c for c in gm_tower_constants(gm, tower)
+    ]
+    assert gm_tower_reports(gm, tower)[-1].passed
+    last = gm_tower_reports(gm, doubled)[-1]
+    assert last.name == "U3 = 0" and not last.passed
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -195,3 +210,22 @@ def test_gm_invariant_triangle():
 def test_build_gm_validates_m():
     with pytest.raises(ValueError):
         build_gm(0, K)
+
+
+def test_gm_command_builds_the_tower_once(monkeypatch, capsys):
+    real = generators.gm_commutator_tower
+    calls = []
+
+    def spy(gm):
+        calls.append(gm.m)
+        return real(gm)
+
+    # every module that bound the function by name sees the spy
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] != "matrixweyl":
+            continue
+        if getattr(module, "gm_commutator_tower", None) is real:
+            monkeypatch.setattr(module, "gm_commutator_tower", spy)
+    assert cli.main(["gm", "--m", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "pass"
+    assert calls == [3]

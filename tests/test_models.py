@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from matrixweyl import ALPHA, Coeff, K, NU, OMEGA, RepSpec, build_gl_np1
 from matrixweyl.models import (
     EigRecord,
+    NotTriangularError,
     calogero,
     consistency_check,
     flag_basis,
@@ -283,6 +284,16 @@ def test_numeric_fallback_end_to_end_is_certified(monkeypatch, k, extra, inexact
         Fraction(str(r)) for r, m in exact_roots.items() if r.is_rational for _ in range(m)
     )
     assert sorted(e.pair[0] for e in result.eigenvalues if e.exact) == rational
+
+
+@pytest.mark.parametrize("d, entry", [(1, "(1,0)"), (2, "(2,0)")])
+def test_a_grade_raising_word_is_not_triangular(d, entry):
+    # T1+ raises the grade, so the added word puts a nonzero entry below
+    # the block diagonal of the flag's grade order
+    m = calogero("liealgebraic", Coeff.rational(2), d)
+    op = dataclasses.replace(m, words=m.words + ((_ONE, ("T1+",)),))
+    with pytest.raises(NotTriangularError, match=re.escape("entry %s " % entry)):
+        spectrum(op, {"nu": 0, "omega": 1})
 
 
 @pytest.mark.parametrize("kind", ["calogero", "sutherland"])

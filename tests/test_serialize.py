@@ -11,10 +11,8 @@ from matrixweyl.serialize import (
     matrix_op_to_json,
     scalar_op_from_json,
     scalar_op_to_json,
-    spinor_from_json,
-    spinor_to_json,
 )
-from helpers_mw import random_coeff, random_matrix_op, random_scalar_op, random_spinor
+from helpers_mw import random_coeff, random_matrix_op, random_scalar_op
 
 
 def test_coeff_roundtrip_randomized():
@@ -43,13 +41,6 @@ def test_generator_roundtrip():
     gens = build_gl_np1(RepSpec.gl3(K, 3))
     for name, op in gens.named():
         assert matrix_op_from_json(matrix_op_to_json(op)) == op, name
-
-
-def test_spinor_roundtrip():
-    rng = random.Random(47)
-    for _ in range(20):
-        v = random_spinor(rng)
-        assert spinor_from_json(spinor_to_json(v)) == v
 
 
 def test_dumps_is_deterministic():

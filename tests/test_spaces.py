@@ -36,7 +36,7 @@ def closure(k, d, cap=None):
     gens = build_gl_np1(RepSpec.gl3(Coeff.rational(k), d))
     seed = PolySpinor.unit(d - 1, d, 2)
     return orbit_closure(
-        gens.all_ops(), [seed], degree_cap=cap if cap is not None else k + 2
+        gens.named(), [seed], degree_cap=cap if cap is not None else k + 2
     )
 
 
@@ -264,7 +264,7 @@ def test_orbit_cap_failure_reports():
     halfgens = build_gl_np1(RepSpec.gl3(Coeff.rational(Fraction(1, 2)), 1))
     seed = PolySpinor.unit(0, 1, 2)
     with pytest.raises(SpaceNotClosedError):
-        orbit_closure(halfgens.all_ops(), [seed], degree_cap=6)
+        orbit_closure(halfgens.named(), [seed], degree_cap=6)
 
 
 # -- the generator action the orbit closure records ------------------------------
@@ -311,12 +311,12 @@ def test_flag_basis_records_only_the_named_generators_on_the_triangle():
     assert (basis.label, closed.label) == ("[3,0]", "[3,1]")
 
 
-def test_closure_of_an_op_sequence_records_by_position():
+def test_closure_records_each_op_under_its_name():
     basis = closure(2, 2)
     gens = build_gl_np1(RepSpec.gl3(Coeff.rational(2), 2))
-    assert set(basis.action) == set(range(len(GL3_NAMES)))
-    for position, (name, op) in enumerate(gens.named()):
-        assert recorded_matrix(basis, position) == matrix_of(op, basis).rows(), name
+    assert set(basis.action) == set(GL3_NAMES)
+    for name, op in gens.named():
+        assert recorded_matrix(basis, name) == matrix_of(op, basis).rows(), name
 
 
 # -- the diagonal shortcut ---------------------------------------------------------
@@ -375,9 +375,9 @@ def test_diagonal_shortcut_records_sigma_v_and_applies_only_when_mixed(case):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(weyl.MatrixDiffOp, "apply", spy)
         # one grade for all: the basis stays in discovery order, seed first
-        basis = orbit_closure([op], [v], degree_cap=6, grade_fn=lambda w: 0)
+        basis = orbit_closure([("op", op)], [v], degree_cap=6, grade_fn=lambda w: 0)
     assert basis.vectors[0] == v
-    col = basis.action[0][0]
+    col = basis.action["op"][0]
     if len(sigmas) == 1:
         event("constant sigma")
         (sigma,) = sigmas
@@ -390,6 +390,6 @@ def test_diagonal_shortcut_records_sigma_v_and_applies_only_when_mixed(case):
     # every recorded column rebuilds the image of its vector
     for j, bj in enumerate(basis.vectors):
         rebuilt = PolySpinor.zero(v.dim, 2)
-        for i, pair in basis.action[0][j].items():
+        for i, pair in basis.action["op"][j].items():
             rebuilt = rebuilt + basis.vectors[i].scale(Coeff.rational(*pair))
         assert rebuilt == real_apply(op, bj)

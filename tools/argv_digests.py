@@ -8,7 +8,8 @@ captured, and one line is printed per argv:
 
 Save the digests of one checkout and compare another against them to
 show that a change keeps every output byte and exit code.  The grid
-covers gm for m <= 4, d <= 3; spectrum for both models, k <= 6, d <= 3
+covers gens for d <= 3, with k = 2 bound and as LaTeX and text at d = 2;
+gm for m <= 4, d <= 3; spectrum for both models, k <= 6, d <= 3
 and four values of nu, again for k <= 4 with --omega or --alpha at 3/2
 and -2, and the benchmark's Calogero k = 8 rows; every check, casimir,
 relations, space and model form; and the slow rows, the inputs that take
@@ -60,7 +61,10 @@ SLOW = (
 
 
 def grid():
-    rows = [("check",)]
+    rows = [("gens", "--d", str(d)) for d in (1, 2, 3)]
+    rows += [("gens", "--d", "2", "--k", "2")]
+    rows += [("--output", out, "gens", "--d", "2") for out in ("latex", "text")]
+    rows += [("check",)]
     rows += [("check", "--d", str(d)) for d in (1, 2, 3)]
     rows += [("casimir", "--d", str(d)) for d in (1, 2, 3)]
     rows += [("relations",)]

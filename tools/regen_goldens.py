@@ -13,7 +13,7 @@ from fractions import Fraction
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from matrixweyl import Coeff, K, RepSpec, build_gl_np1, build_gm
+from matrixweyl import Coeff, K, RepSpec, build_gl_np1, build_gm, gm_commutator_tower
 from matrixweyl.identities import art_dependency, art_relations, gm_tower_constants
 from matrixweyl.models import (
     calogero,
@@ -45,8 +45,8 @@ def main() -> None:
     write(
         "gm_tower_constants.json",
         {
-            "m=%d" % m: [str(c) for c in gm_tower_constants(build_gm(m, K))]
-            for m in (1, 2, 3)
+            "m=%d" % gm.m: [str(c) for c in gm_tower_constants(gm, gm_commutator_tower(gm))]
+            for gm in (build_gm(m, K) for m in (1, 2, 3))
         },
     )
 
