@@ -40,7 +40,7 @@ class RepSpec:
     @classmethod
     def gl3(cls, k, d: int) -> "RepSpec":
         """The n = 2 spec with the standard d-dimensional gl_2 block."""
-        return cls(2, as_coeff(k) if not isinstance(k, Coeff) else k, gl2_irrep(d))
+        return cls(2, as_coeff(k), gl2_irrep(d))
 
 
 class GeneratorSet:
@@ -61,12 +61,7 @@ class GeneratorSet:
         for x, dd in zip(xs, ds):
             euler = euler + x * dd
         e0_scalar = ScalarDiffOp.constant(k, n) - euler
-
-        M = {
-            (i, j): MatrixDiffOp.from_coeff_matrix(spec.rep.block(i, j), n)
-            for i in range(1, n + 1)
-            for j in range(1, n + 1)
-        }
+        M = spec.rep.ops
 
         self.E: Dict[tuple, MatrixDiffOp] = {}
         for i in range(1, n + 1):
@@ -96,6 +91,15 @@ class GeneratorSet:
             out.append(("T%d+" % i, self.Tplus[i]))
         return out
 
+    def labelled(self) -> Dict[tuple, tuple]:
+        """{(a, b): (name, operator)} with e_ab the unit matrix of gl_{n+1}
+        (index 0 extra) each generator stands for:
+        E_ij = e_ij, E0 = e_00, T_i^- = e_0i, T_i^+ = e_i0."""
+        idx = range(1, self.n + 1)
+        labels = [(i, j) for i in idx for j in idx] + [(0, 0)]
+        labels += [(0, i) for i in idx] + [(i, 0) for i in idx]
+        return dict(zip(labels, self.named()))
+
     def all_ops(self) -> List[MatrixDiffOp]:
         return [op for _, op in self.named()]
 
@@ -117,7 +121,7 @@ class GmGeneratorSet:
             raise ValueError("m must be at least 1")
         if rep.n != 2:
             raise ValueError("g^(m) takes a gl_2 matrix block family")
-        k = as_coeff(k) if not isinstance(k, Coeff) else k
+        k = as_coeff(k)
         self.m = m
         self.k = k
         self.rep = rep
@@ -130,12 +134,7 @@ class GmGeneratorSet:
         dx = ScalarDiffOp.d(0, 2)
         dy = ScalarDiffOp.d(1, 2)
         kc = ScalarDiffOp.constant(k, 2)
-
-        M = {
-            (i, j): MatrixDiffOp.from_coeff_matrix(rep.block(i, j), 2)
-            for i in range(1, 3)
-            for j in range(1, 3)
-        }
+        M = rep.ops
 
         third = Fraction(1, 3)
         j0_scalar = x * dx + (y * dy) * m - kc

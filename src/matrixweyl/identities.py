@@ -5,14 +5,18 @@ Every check here is an identity of normal-ordered operators with k (and any
 other parameter) kept symbolic, so a pass is a proof for all parameter
 values, and a failure carries the exact residual operator rather than a
 boolean.  Discrepancies against the engine's reference forms are reportable
-data: the suites never patch a formula to force agreement.
+data: the suites never patch a formula to force agreement.  The commutation
+table and the Casimir traces hold for any n; the Casimir closed forms, the
+nine relations and the gradings are the n = 2 (gl_3) statements.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from functools import reduce
+from itertools import combinations_with_replacement, product
+from operator import add, mul
 from typing import Dict, List, Sequence, Tuple
 
 from .coeff import Coeff
@@ -56,29 +60,17 @@ def _report(name, lhs, rhs) -> IdentityReport:
     return IdentityReport(name, lhs, rhs, lhs - rhs)
 
 
-# -- gl_3 commutation table ----------------------------------------------------
-
-# The unit-matrix labels e_ab of gl_3 (index 0 extra) of an n = 2
-# generator set, in the order of GeneratorSet.named():
-# E_ij = e_ij, E0 = e_00, T_i^- = e_0i, T_i^+ = e_i0.
-_NAMED_LABELS = ((1, 1), (1, 2), (2, 1), (2, 2), (0, 0), (0, 1), (0, 2), (1, 0), (2, 0))
-
-
-def _by_label(gens: GeneratorSet) -> Dict[Tuple[int, int], Tuple[str, MatrixDiffOp]]:
-    """Label (a, b) -> (name, operator)."""
-    return dict(zip(_NAMED_LABELS, gens.named()))
+# -- gl_{n+1} commutation table -------------------------------------------------
 
 
 def commutation_table(gens: GeneratorSet) -> List[IdentityReport]:
-    """All pairwise commutators against the gl_3 structure constants.
+    """All pairwise commutators against the gl_{n+1} structure constants.
 
-    The family matches the unit-matrix basis e_ab of gl_3 via
-    E0 = e_00, T_i^- = e_0i, T_i^+ = e_i0, E_ij = e_ij, so the expected
-    value of [g, h] is read off [e_ab, e_cd] = delta_bc e_ad - delta_da e_cb.
+    Each generator stands for a unit matrix e_ab of gl_{n+1}
+    (GeneratorSet.labelled), so the expected value of [g, h] is read off
+    [e_ab, e_cd] = delta_bc e_ad - delta_da e_cb.
     """
-    if gens.n != 2:
-        raise ValueError("the gl_3 table needs an n = 2 generator set")
-    e = _by_label(gens)
+    e = gens.labelled()
     out = []
     zero = MatrixDiffOp.zero(gens.dim, gens.nvars)
     for (a, b), (c, d) in combinations_with_replacement(sorted(e), 2):
@@ -95,41 +87,35 @@ def commutation_table(gens: GeneratorSet) -> List[IdentityReport]:
 # -- Casimir operators -----------------------------------------------------------
 
 
+def _trace(e, idx, power: int) -> MatrixDiffOp:
+    """The sum of e[a1, a2] e[a2, a3] ... e[ap, a1] over a1 .. ap in idx."""
+    cycles = product(idx, repeat=power)
+    return reduce(add, (reduce(mul, (e[ab] for ab in zip(c, c[1:] + c[:1]))) for c in cycles))
+
+
+def _units(gens: GeneratorSet) -> Dict[Tuple[int, int], MatrixDiffOp]:
+    """Label (a, b) -> the generator that stands for e_ab."""
+    return {label: op for label, (_, op) in gens.labelled().items()}
+
+
 def _casimirs_c1_c2(gens: GeneratorSet):
     """(C1, C2): the linear and quadratic trace invariants."""
-    E, E0, Tm, Tp = gens.E, gens.E0, gens.Tminus, gens.Tplus
-    C1 = E[(1, 1)] + E[(2, 2)] + E0
-    C2 = (
-        E[(1, 2)] * E[(2, 1)]
-        + E[(2, 1)] * E[(1, 2)]
-        + Tp[1] * Tm[1]
-        + Tm[1] * Tp[1]
-        + Tp[2] * Tm[2]
-        + Tm[2] * Tp[2]
-        + E[(1, 1)] * E[(1, 1)]
-        + E[(2, 2)] * E[(2, 2)]
-        + E0 * E0
-    )
-    return C1, C2
+    e, idx = _units(gens), range(gens.n + 1)
+    return _trace(e, idx, 1), _trace(e, idx, 2)
 
 
 def casimirs_gl3(gens: GeneratorSet):
     """(C1, C2, C3) built from the generators.
 
-    C1 and C2 are the linear and quadratic trace invariants; C3 is the cubic trace
-    invariant sum e_ab e_bc e_ca in the same labeling, whose closed form in
-    C1, C2 is checked by casimir_closed_form_reports.  C3 alone takes 54
-    products, so a caller builds the triple once and passes it on; the
-    relation suite, which needs only C1 and C2, never builds it.
+    C1 and C2 are the linear and quadratic trace invariants; C3 is the cubic
+    trace invariant sum e_ab e_bc e_ca over the labels of
+    GeneratorSet.labelled, whose closed form in C1, C2 is checked by
+    casimir_closed_form_reports.  C3 alone takes 54 products at n = 2, so a
+    caller builds the triple once and passes it on; the relation suite,
+    which needs only C1 and C2, never builds it.
     """
     C1, C2 = _casimirs_c1_c2(gens)
-    e = {label: op for label, (_, op) in _by_label(gens).items()}
-    C3 = MatrixDiffOp.zero(gens.dim, gens.nvars)
-    for a in range(3):
-        for b in range(3):
-            for c in range(3):
-                C3 = C3 + e[(a, b)] * e[(b, c)] * e[(c, a)]
-    return C1, C2, C3
+    return C1, C2, _trace(_units(gens), range(gens.n + 1), 3)
 
 
 def casimir_closed_form_reports(
@@ -138,18 +124,14 @@ def casimir_closed_form_reports(
     """C1, C2 against their matrix-block closed forms; C3 against C1, C2.
 
     casimirs is the triple (C1, C2, C3) that casimirs_gl3(gens) returns.
+    C1(M) and C2(M) are the same traces over the blocks M_ij, i, j in 1..n.
     """
-    spec = gens.spec
     n, d = gens.nvars, gens.dim
-    k = spec.k
+    k = gens.spec.k
     C1, C2, C3 = casimirs
-    M11 = MatrixDiffOp.from_coeff_matrix(spec.rep.block(1, 1), n)
-    M22 = MatrixDiffOp.from_coeff_matrix(spec.rep.block(2, 2), n)
-    M12 = MatrixDiffOp.from_coeff_matrix(spec.rep.block(1, 2), n)
-    M21 = MatrixDiffOp.from_coeff_matrix(spec.rep.block(2, 1), n)
     ident = MatrixDiffOp.identity(d, n)
-    c1m = M11 + M22
-    c2m = M11 * M11 + M22 * M22 + M12 * M21 + M21 * M12
+    M, idx = gens.spec.rep.ops, range(1, n + 1)
+    c1m, c2m = _trace(M, idx, 1), _trace(M, idx, 2)
     out = [
         _report("C1 = k + C1(M)", C1, ident * k + c1m),
         _report("C2 = k(k+2) + C2(M) - C1(M)", C2, ident * (k * (k + 2)) + c2m - c1m),
@@ -187,19 +169,16 @@ def casimir_centrality(C: MatrixDiffOp, gens: GeneratorSet, cname: str) -> List[
 def art_relations(gens: GeneratorSet) -> List[IdentityReport]:
     """The nine quadratic relations, left sides from generators, right sides
     from their closed mixed forms in x_i, d_i, M_ij and k."""
-    spec = gens.spec
     n, dm = gens.nvars, gens.dim
-    k = spec.k
+    k = gens.spec.k
     E, E0, Tm, Tp = gens.E, gens.E0, gens.Tminus, gens.Tplus
 
     x1 = MatrixDiffOp.from_scalar(ScalarDiffOp.x(0, n), dm)
     x2 = MatrixDiffOp.from_scalar(ScalarDiffOp.x(1, n), dm)
     d1 = MatrixDiffOp.from_scalar(ScalarDiffOp.d(0, n), dm)
     d2 = MatrixDiffOp.from_scalar(ScalarDiffOp.d(1, n), dm)
-    M11 = MatrixDiffOp.from_coeff_matrix(spec.rep.block(1, 1), n)
-    M12 = MatrixDiffOp.from_coeff_matrix(spec.rep.block(1, 2), n)
-    M21 = MatrixDiffOp.from_coeff_matrix(spec.rep.block(2, 1), n)
-    M22 = MatrixDiffOp.from_coeff_matrix(spec.rep.block(2, 2), n)
+    M = gens.spec.rep.ops
+    M11, M12, M21, M22 = M[(1, 1)], M[(1, 2)], M[(2, 1)], M[(2, 2)]
     one = MatrixDiffOp.identity(dm, n)
     kI = one * k
 

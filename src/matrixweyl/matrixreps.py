@@ -5,12 +5,14 @@ copy M_ij that must satisfy the same canonical commutation relations
 
     [M_ij, M_kl] = delta_jk M_il - delta_il M_kj.
 
+A MatrixRep builds each block once as a Coeff array and as the constant
+MatrixDiffOp (ops) that generators, Casimirs and models add to operators.
 gl2_irrep builds the d-dimensional irreducible family in the basis where
 M11 = diag(d-1, ..., 0) and M22 = diag(0, ..., d-1); the off-diagonal
 entries are solved from [M12, M21] = M11 - M22, staying inside Q(sqrt2)
 whenever the required square root exists there and splitting the product
-asymmetrically otherwise.  check_canonical verifies all sixteen commutators
-and reports the first offending pair instead of raising.
+asymmetrically otherwise.  check_canonical verifies all n^4 commutators of
+the operator blocks and reports each offending pair instead of raising.
 """
 
 from __future__ import annotations
@@ -21,18 +23,11 @@ from math import isqrt
 from typing import Dict, Sequence, Tuple
 
 from .coeff import Coeff
+from .weyl import MatrixDiffOp, commutator
 
 
 def _mat_zero(d):
     return [[Coeff.zero() for _ in range(d)] for _ in range(d)]
-
-
-def mat_add(A, B):
-    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def mat_sub(A, B):
-    return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
 
 
 def mat_mul(A, B):
@@ -57,21 +52,21 @@ def mat_mul(A, B):
     return out
 
 
-def mat_is_zero(A):
-    return all(c.is_zero() for row in A for c in row)
-
-
 @dataclass(frozen=True)
 class CanonicalReport:
     passed: bool
-    failures: tuple  # ((i,j),(k,l), residual matrix) triples
+    failures: tuple  # ((i,j),(k,l), residual MatrixDiffOp) triples
 
     def first_failure(self):
         return self.failures[0] if self.failures else None
 
 
 class MatrixRep:
-    """A gl_n-by-matrices block: map (i, j) -> d x d array of Coeff."""
+    """A gl_n family of d x d matrix blocks, keyed by (i, j) in 1..n.
+
+    blocks[(i, j)] is the array of Coeff and ops[(i, j)] the same block as a
+    constant MatrixDiffOp on n variables.
+    """
 
     def __init__(self, n: int, dim: int, blocks: Dict[Tuple[int, int], Sequence], validate: bool = True):
         if dim < 1:
@@ -89,6 +84,7 @@ class MatrixRep:
                     for row in raw
                 )
         self.blocks = store
+        self.ops = {key: MatrixDiffOp.from_coeff_matrix(rows, n) for key, rows in store.items()}
         if validate:
             report = check_canonical(self)
             if not report.passed:
@@ -125,23 +121,17 @@ class MatrixRep:
 
 def check_canonical(rep: MatrixRep) -> CanonicalReport:
     """Verify [M_ij, M_kl] = delta_jk M_il - delta_il M_kj for all pairs."""
+    M = rep.ops
     failures = []
-    idx = range(1, rep.n + 1)
-    for i in idx:
-        for j in idx:
-            A = rep.blocks[(i, j)]
-            for k in idx:
-                for l in idx:
-                    B = rep.blocks[(k, l)]
-                    lhs = mat_sub(mat_mul(A, B), mat_mul(B, A))
-                    rhs = _mat_zero(rep.dim)
-                    if j == k:
-                        rhs = mat_add(rhs, rep.blocks[(i, l)])
-                    if i == l:
-                        rhs = mat_sub(rhs, rep.blocks[(k, j)])
-                    res = mat_sub(lhs, rhs)
-                    if not mat_is_zero(res):
-                        failures.append(((i, j), (k, l), res))
+    for (i, j), A in M.items():
+        for (k, l), B in M.items():
+            res = commutator(A, B)
+            if j == k:
+                res = res - M[(i, l)]
+            if i == l:
+                res = res + M[(k, j)]
+            if not res.is_zero():
+                failures.append(((i, j), (k, l), res))
     return CanonicalReport(passed=not failures, failures=tuple(failures))
 
 

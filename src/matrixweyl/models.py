@@ -117,15 +117,6 @@ def _x_d_ops(dim: int):
     return x1, x2, d1, d2
 
 
-def _blocks(d: int):
-    rep = gl2_irrep(d)
-    return {
-        (i, j): MatrixDiffOp.from_coeff_matrix(rep.block(i, j), 2)
-        for i in range(1, 3)
-        for j in range(1, 3)
-    }
-
-
 def calogero(form: str, k, d: int = 1) -> ModelOperator:
     """The rational model: differential, lie-algebraic or matrix form."""
     k = as_coeff(k)
@@ -145,7 +136,7 @@ def calogero(form: str, k, d: int = 1) -> ModelOperator:
         return ModelOperator("calogero", form, k, d, _CALOGERO_WORDS)
     if form == "matrix":
         x1, x2, d1, d2 = _x_d_ops(d)
-        M = _blocks(d)
+        M = gl2_irrep(d).ops
         ident = MatrixDiffOp.identity(d, 2)
         n = d - 1
         op = (
@@ -182,7 +173,7 @@ def sutherland(form: str, k, d: int = 1) -> ModelOperator:
         return ModelOperator("sutherland", form, k, d, _SUTHERLAND_WORDS)
     if form == "matrix":
         x1, x2, d1, d2 = _x_d_ops(d)
-        M = _blocks(d)
+        M = gl2_irrep(d).ops
         ident = MatrixDiffOp.identity(d, 2)
         n = d - 1
         op = (

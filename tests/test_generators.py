@@ -63,6 +63,16 @@ def test_three_dim_family_sqrt2_entries():
     assert g.E[(1, 2)].entries[0][1] == ScalarDiffOp.constant(s2, 2)
 
 
+def test_labels_follow_the_unit_matrices_of_gl3():
+    g = build_gl_np1(RepSpec.gl3(K, 2))
+    names = {label: name for label, (name, _) in g.labelled().items()}
+    assert names == {
+        (1, 1): "E11", (1, 2): "E12", (2, 1): "E21", (2, 2): "E22", (0, 0): "E0",
+        (0, 1): "T1-", (0, 2): "T2-", (1, 0): "T1+", (2, 0): "T2+",
+    }
+    assert [op for _, op in g.labelled().values()] == g.all_ops()
+
+
 def test_e0_substitution_display():
     g = build_gl_np1(RepSpec.gl3(K, 1))
     e0 = g.E0.substitute({"k": 2})

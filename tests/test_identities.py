@@ -3,8 +3,9 @@ import os
 
 import pytest
 
-from matrixweyl import K, RepSpec, build_gl_np1, gl2_irrep
+from matrixweyl import Coeff, K, MatrixRep, RepSpec, build_gl_np1, gl2_irrep
 from matrixweyl.identities import (
+    _casimirs_c1_c2,
     art_dependency,
     art_relations,
     casimir_centrality,
@@ -26,6 +27,26 @@ def gens_for(d, k=K):
 def test_commutation_table_closes(d):
     failed = [r.name for r in commutation_table(gens_for(d)) if not r.passed]
     assert failed == []
+
+
+def scalar_gens(n):
+    """Scalar gl(n+1): every block M_ij is the 1 x 1 zero matrix."""
+    zero = {(i, j): [[Coeff.zero()]] for i in range(1, n + 1) for j in range(1, n + 1)}
+    return build_gl_np1(RepSpec(n, K, MatrixRep(n, 1, zero)))
+
+
+@pytest.mark.parametrize("n", [1, 3, 4])
+def test_scalar_gl_np1_table_and_casimirs_for_any_n(n):
+    g = scalar_gens(n)
+    reports = commutation_table(g)
+    size = (n + 1) ** 2
+    assert len(reports) == size * (size + 1) // 2
+    assert [r.name for r in reports if not r.passed] == []
+    C1, C2 = _casimirs_c1_c2(g)
+    for name, C in (("C1", C1), ("C2", C2)):
+        assert [r.name for r in casimir_centrality(C, g, name) if not r.passed] == []
+    assert casimir_value_report(g, "C1", C1, K).passed
+    assert casimir_value_report(g, "C2", C2, K * (K + n)).passed
 
 
 @pytest.mark.parametrize(

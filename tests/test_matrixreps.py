@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from matrixweyl import Coeff, check_canonical, gl2_irrep
+from matrixweyl import Coeff, MatrixDiffOp, check_canonical, gl2_irrep
 from matrixweyl.matrixreps import mat_mul
 from helpers_mw import C, random_coeff
 
@@ -34,6 +34,14 @@ def test_dim_three_matches_display():
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
 def test_canonical_relations_hold(d):
     assert check_canonical(gl2_irrep(d)).passed
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_block_operators_are_the_constant_blocks(d):
+    rep = gl2_irrep(d)
+    assert sorted(rep.ops) == [(1, 1), (1, 2), (2, 1), (2, 2)]
+    for (i, j), op in rep.ops.items():
+        assert op == MatrixDiffOp.from_coeff_matrix(rep.block(i, j), 2), (i, j)
 
 
 def test_corrupted_entry_fails_with_offending_pair():

@@ -8,12 +8,13 @@ captured, and one line is printed per argv:
 
 Save the digests of one checkout and compare another against them to
 show that a change keeps every output byte and exit code.  The grid
-covers gens for d <= 3, with k = 2 bound and as LaTeX and text at d = 2;
-gm for m <= 4, d <= 3; spectrum for both models, k <= 6, d <= 3
-and four values of nu, again for k <= 4 with --omega or --alpha at 3/2
-and -2, and the benchmark's Calogero k = 8 rows; every check, casimir,
-relations, space and model form; and the slow rows, the inputs that take
-the longest.
+covers gens, check, casimir and relations for d <= 4 (d = 4 is the first
+block whose gl2_irrep entries split a product rationally), gens with k = 2
+bound and as LaTeX and text at d = 2; gm for m <= 4, d <= 3, and m = 2 at
+d = 4; spectrum for both models, k <= 6, d <= 3 and four values of nu,
+again for k <= 4 with --omega or --alpha at 3/2 and -2, and the
+benchmark's Calogero k = 8 rows; every space and model form; and the slow
+rows, the inputs that take the longest.
 
     python3 tools/argv_digests.py > digests.txt
     python3 tools/argv_digests.py --compare digests.txt
@@ -61,14 +62,14 @@ SLOW = (
 
 
 def grid():
-    rows = [("gens", "--d", str(d)) for d in (1, 2, 3)]
+    rows = [("gens", "--d", str(d)) for d in (1, 2, 3, 4)]
     rows += [("gens", "--d", "2", "--k", "2")]
     rows += [("--output", out, "gens", "--d", "2") for out in ("latex", "text")]
     rows += [("check",)]
-    rows += [("check", "--d", str(d)) for d in (1, 2, 3)]
-    rows += [("casimir", "--d", str(d)) for d in (1, 2, 3)]
+    rows += [("check", "--d", str(d)) for d in (1, 2, 3, 4)]
+    rows += [("casimir", "--d", str(d)) for d in (1, 2, 3, 4)]
     rows += [("relations",)]
-    rows += [("relations", "--d", str(d)) for d in (1, 2, 3)]
+    rows += [("relations", "--d", str(d)) for d in (1, 2, 3, 4)]
     rows += [("space", "--k", str(k), "--d", str(d)) for k in (0, 1, 2, 3) for d in (1, 2, 3)]
     rows += [("space", "--k", "2", "--m", str(m)) for m in (1, 2)]
     rows += [("space", "--k", "3", "--d", "2", "--degree-cap", "1")]
@@ -81,6 +82,7 @@ def grid():
             for out in ("latex", "text")
         ]
     rows += [("gm", "--m", str(m), "--d", str(d)) for m in (1, 2, 3, 4) for d in (1, 2, 3)]
+    rows += [("gm", "--m", "2", "--d", "4")]
     for model in ("calogero", "sutherland"):
         for k in range(7):
             for d in (1, 2, 3):
