@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List
+from typing import Dict
 
 from .coeff import Coeff, as_coeff
 from .matrixreps import MatrixRep, gl2_irrep
@@ -100,9 +100,6 @@ class GeneratorSet:
         labels += [(0, i) for i in idx] + [(i, 0) for i in idx]
         return dict(zip(labels, self.named()))
 
-    def all_ops(self) -> List[MatrixDiffOp]:
-        return [op for _, op in self.named()]
-
 
 def build_gl_np1(spec: RepSpec) -> GeneratorSet:
     return GeneratorSet(spec)
@@ -175,9 +172,6 @@ class GmGeneratorSet:
         for i, op in enumerate(self.U):
             out.append(("U%d" % i, op))
         return out
-
-    def all_ops(self):
-        return [op for _, op in self.named()]
 
 
 def build_gm(m: int, k, rep: MatrixRep | None = None) -> GmGeneratorSet:

@@ -536,7 +536,7 @@ def g1_matches_gl3(gm: GmGeneratorSet, gl3: GeneratorSet):
     same nine-dimensional operator space).  The spans are equal exactly when
     both ranks equal the rank of their union.  Returns (equal, dim_g1, dim_gl3).
     """
-    a = [op.coords() for op in gm.all_ops()]
-    b = [op.coords() for op in gl3.all_ops()]
+    a = [op.coords() for _, op in gm.named()]
+    b = [op.coords() for _, op in gl3.named()]
     ra, rb = rank_of(a), rank_of(b)
     return ra == rb == rank_of(a + b), ra, rb

@@ -97,16 +97,6 @@ class MatrixRep:
     def block(self, i: int, j: int):
         return [list(row) for row in self.blocks[(i, j)]]
 
-    def diag(self, i: int):
-        """Diagonal of M_ii as plain Fractions (used for weight gradings)."""
-        out = []
-        for r, row in enumerate(self.blocks[(i, i)]):
-            a, b = row[r].constant_pair()
-            if b:
-                raise ValueError("diagonal entries are expected rational")
-            out.append(a)
-        return out
-
     def replaced(self, i: int, j: int, r: int, c: int, value) -> "MatrixRep":
         """Copy with one entry overwritten; skips validation (for negative tests)."""
         blocks = {key: [list(row) for row in self.blocks[key]] for key in self.blocks}

@@ -20,10 +20,11 @@ Spectra are computed on the discovered invariant flags, without applying
 the operator: the flag discovery records the parameter-free matrix of each
 generator, nu and omega/alpha are bound on the word coefficients only, and
 the matrix of the model is the bound combination of products of generator
-matrices.  The basis is ordered so the operator is block triangular: the
-Calogero grading 2 w1 + 3 w2 makes its blocks diagonal (exact eigenvalues
-read off), the Sutherland grading w1 + w2 leaves blocks that are resolved
-per block by exact characteristic polynomials.
+matrices.  The basis is ordered so the operator is block triangular, by a
+grading of the weights (w1, w2) that the recorded E11 and E22 columns give:
+the Calogero grading 2 w1 + 3 w2 makes its blocks diagonal (exact
+eigenvalues read off), the Sutherland grading w1 + w2 leaves blocks that
+are resolved per block by exact characteristic polynomials.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ from .spaces import (
     matrix_of,
     orbit_closure,
     record_action,
+    regraded,
     scalar_basis,
-    weight_grade,
 )
 from .weyl import MatrixDiffOp, PolySpinor, ScalarDiffOp
 
@@ -300,35 +301,27 @@ class NotTriangularError(RuntimeError):
 
 def flag_basis(kind: str, k: int, d: int, recorded=()) -> SpinorBasis:
     """The invariant flag: the polynomial triangle for d = 1, the orbit
-    closure of the lowest vector for the matrix extensions.
+    closure of the lowest vector for the matrix extensions, ordered by the
+    model's weight grading.
 
     The orbit closure records the action of every gl_3 generator on the
-    flag; on the triangle only the generators named in recorded are
-    recorded, from one solve over their images.
+    flag; on the triangle only E11, E22 (which give the weights) and the
+    generators named in recorded are recorded, from one solve over their
+    images.
     """
-    weights = (2, 3) if kind == "calogero" else (1, 1)
-    if d == 1:
-        basis = scalar_basis(k, 1, weights=weights, label="[%d,0]" % k)
-        if not recorded:
-            return basis
-        gens = build_gl_np1(RepSpec.gl3(Coeff.rational(k), 1))
-        return record_action(
-            [(name, op) for name, op in gens.named() if name in recorded], basis
-        )
-    if k < d - 1:
+    if d > 1 and k < d - 1:
         # the two-row label [k, d-1] needs k >= d-1; below that the orbit
         # of the lowest vector never closes
         raise ValueError("no finite flag for k=%d with d=%d (needs k >= %d)" % (k, d, d - 1))
-    rep = gl2_irrep(d)
     gens = build_gl_np1(RepSpec.gl3(Coeff.rational(k), d))
-    seed = PolySpinor.unit(d - 1, d, 2)
-    return orbit_closure(
-        gens.named(),
-        [seed],
-        degree_cap=k + 2,
-        grade_fn=weight_grade(rep, weights),
-        label="[%d,%d]" % (k, d - 1),
-    )
+    if d == 1:
+        wanted = {"E11", "E22", *recorded}
+        basis = record_action(
+            [(name, op) for name, op in gens.named() if name in wanted], scalar_basis(k, 1)
+        )
+    else:
+        basis = orbit_closure(gens.named(), [PolySpinor.unit(d - 1, d, 2)], degree_cap=k + 2)
+    return regraded(basis, (2, 3) if kind == "calogero" else (1, 1))
 
 
 def _int_k(c: Coeff) -> int:
@@ -377,7 +370,7 @@ def spectrum(model: ModelOperator, bindings: Dict[str, object]) -> SpectrumResul
             start = i
     # grade never increases under the operator: entries below the block
     # diagonal must vanish
-    for bi, (s, e) in enumerate(blocks):
+    for s, e in blocks:
         for i in range(e, n):
             for j in range(s, e):
                 if not opm.entries[i][j].is_zero():

@@ -11,7 +11,14 @@ The closure also records the action it computes: for every generator, the
 coordinates of its image of each basis vector, taken from the tracked
 elimination that accepted or rejected the image (a diagonal generator that
 acts on a vector as one scalar is not applied at all).  record_action does
-the same for named operators on any basis, by one solve.
+the same for named operators on any basis, by one solve.  Bases come in
+discovery order (scalar_basis: by degree), graded by total degree.
+
+The weights are not computed a second time: the weight of b_j is the tuple
+of eigenvalues of the Cartan generators E11, ..., Enn on it, which their
+recorded columns hold as multiples of the unit column j (basis_weights).
+regraded, the only code that permutes a basis, orders it stably by a
+linear form in those weights.
 
 matrix_of converts an operator to its exact matrix on a basis, failing
 loudly with the offending vector and residual when the span is not
@@ -26,11 +33,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from math import perm
-from typing import Callable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .coeff import Coeff, qp_add, qp_mul
 from .linalg import Indexer, QPEchelon, coeff_matrix_solve, scalarize, span_contains
-from .matrixreps import MatrixRep
 from .weyl import MatrixDiffOp, Polynomial, PolySpinor
 
 
@@ -69,7 +75,6 @@ class SpinorBasis:
 
     vectors: tuple
     grades: tuple
-    label: str = ""
     action: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
@@ -80,62 +85,18 @@ class SpinorBasis:
         return [v.coords() for v in self.vectors]
 
 
-def degree_grade(v: PolySpinor) -> int:
-    d = v.total_degree()
-    return 0 if d is None else d
-
-
-def weight_of(v: PolySpinor, rep: MatrixRep):
-    """(w1, w2) with E_11 v = w1 v, E_22 v = w2 v; None if not homogeneous.
-
-    On a monomial x^p sitting in component j the weight is
-    (p1 + M11[j][j], p2 + M22[j][j]).
-    """
-    d1 = rep.diag(1)
-    d2 = rep.diag(2)
-    w = None
-    for (j, mono), _c in v.coords().items():
-        cand = (mono[0] + d1[j], mono[1] + d2[j])
-        if w is None:
-            w = cand
-        elif cand != w:
-            return None
-    return w
-
-
-def weight_grade(rep: MatrixRep, weights=(2, 3)) -> Callable[[PolySpinor], int]:
-    """Grade 2*w1 + 3*w2 (by default) from the representation weight."""
-
-    def grade(v: PolySpinor):
-        w = weight_of(v, rep)
-        if w is None:
-            raise ValueError("spinor is not a weight vector: %r" % (v,))
-        g = weights[0] * w[0] + weights[1] * w[1]
-        if g.denominator != 1:
-            raise ValueError("non-integer weight grade")
-        return int(g)
-
-    return grade
-
-
-def scalar_basis(k: int, m: int, weights=(1, 1), label: str = "") -> SpinorBasis:
-    """Monomials x^p1 y^p2 with p1 + m*p2 <= k, as one-component spinors."""
+def scalar_basis(k: int, m: int) -> SpinorBasis:
+    """Monomials x^p1 y^p2 with p1 + m*p2 <= k, as one-component spinors,
+    graded and ordered by total degree."""
     if k < 0:
         raise ValueError("k must be a non-negative integer")
     if m < 1:
         raise ValueError("m must be positive")
-    items = []
-    for p2 in range(k // m + 1):
-        for p1 in range(k - m * p2 + 1):
-            g = weights[0] * p1 + weights[1] * p2
-            items.append((g, p2, p1))
-    items.sort()
-    vecs = []
-    grades = []
-    for g, p2, p1 in items:
-        vecs.append(PolySpinor([Polynomial.monomial((p1, p2), 1, 2)], 2))
-        grades.append(g)
-    return SpinorBasis(tuple(vecs), tuple(grades), label or "P(%d,%d)" % (k, m))
+    items = sorted(
+        (p1 + p2, p2, p1) for p2 in range(k // m + 1) for p1 in range(k - m * p2 + 1)
+    )
+    vecs = tuple(PolySpinor([Polynomial.monomial((p1, p2), 1, 2)], 2) for _, p2, p1 in items)
+    return SpinorBasis(vecs, tuple(g for g, _, _ in items))
 
 
 def _diagonal_table(op: MatrixDiffOp):
@@ -176,8 +137,6 @@ def orbit_closure(
     named_ops: Sequence[Tuple[str, MatrixDiffOp]],
     seeds: Sequence[PolySpinor],
     degree_cap: int,
-    grade_fn: Callable[[PolySpinor], int] = degree_grade,
-    label: str = "",
 ) -> SpinorBasis:
     """Smallest space containing the seeds and closed under every operator,
     with the action of every operator on it recorded.
@@ -189,30 +148,30 @@ def orbit_closure(
     basis and its column is a unit column; a dependent one is recorded with
     the combination that eliminated it.  A diagonal op (_diagonal_table) is
     not applied to a vector it maps to sigma times itself: its column there
-    is sigma times the unit column.  The basis comes out in the order of
-    grade, then discovery; the columns are given in that order.
+    is sigma times the unit column.  The basis comes out in discovery order,
+    graded by total degree; regraded orders it by weight.
     """
     if not seeds or all(s.is_zero() for s in seeds):
         raise ValueError("need at least one nonzero seed")
     ix = Indexer()
     ech = QPEchelon(track=True)
     basis: List[PolySpinor] = []
-    labels = []  # the echelon label of each basis vector
+    position = {}  # echelon label -> basis position
 
     def add(w):
-        """The echelon label of w after inserting it, or None if dependent."""
+        """The basis position of w after inserting it, or None if dependent."""
         tag = ech.inserted
         if ech.insert(scalarize(w.coords(), ix)) is None:
             return None
+        position[tag] = len(basis)
         basis.append(w)
-        labels.append(tag)
-        return tag
+        return position[tag]
 
     for s in seeds:
         if not s.is_zero():
             add(s)
     tables = [_diagonal_table(op) for _, op in named_ops]
-    # per op, one column per basis vector, keyed by echelon label
+    # per op, one column per basis vector
     columns = [[] for _ in named_ops]
     i = 0
     while i < len(basis):
@@ -220,7 +179,7 @@ def orbit_closure(
         for (_, op), table, cols in zip(named_ops, tables, columns):
             sigma = None if table is None else _eigenvalue(table, v)
             if sigma is not None:
-                cols.append({labels[i]: sigma} if sigma[0] or sigma[1] else {})
+                cols.append({i: sigma} if sigma[0] or sigma[1] else {})
                 continue
             w = op.apply(v)
             if w.is_zero():
@@ -229,18 +188,53 @@ def orbit_closure(
             deg = w.total_degree()
             if deg is not None and deg > degree_cap:
                 raise SpaceNotClosedError(degree_cap, w)
-            tag = add(w)
-            cols.append(ech.combination if tag is None else {tag: (1, 0)})
+            at = add(w)
+            if at is None:
+                cols.append({position[t]: p for t, p in ech.combination.items()})
+            else:
+                cols.append({at: (1, 0)})
         i += 1
-    grades = [grade_fn(v) for v in basis]
-    order = sorted(range(len(basis)), key=lambda t: (grades[t], t))
-    rank = {labels[old]: new for new, old in enumerate(order)}
+    action = {name: tuple(cols) for (name, _), cols in zip(named_ops, columns)}
+    return SpinorBasis(tuple(basis), tuple(v.total_degree() for v in basis), action)
+
+
+def basis_weights(basis: SpinorBasis):
+    """The weight (w_1, ..., w_n) of each basis vector, read off its recorded
+    columns of the Cartan generators E11, ..., Enn (n variables): b_j is a
+    weight vector exactly when each column is a multiple of the unit column
+    j, E_ii b_j = w_i b_j.  None for a vector with a column that is not
+    diagonal or a weight that is not rational.
+    """
+    n = basis.vectors[0].nvars
+    cartan = [basis.action["E%d%d" % (i, i)] for i in range(1, n + 1)]
+    out = []
+    for j, cols in enumerate(zip(*cartan)):
+        pairs = [col.get(j, (0, 0)) for col in cols]
+        diagonal = all(col.keys() <= {j} for col in cols)
+        rational = not any(b for _, b in pairs)
+        out.append(tuple(a for a, _ in pairs) if diagonal and rational else None)
+    return out
+
+
+def regraded(basis: SpinorBasis, form) -> SpinorBasis:
+    """basis sorted stably by the grade sum form[i] w_i of each vector's
+    weight, with its grades and recorded columns carried along.
+
+    Raises ValueError when a basis vector is not a weight vector.
+    """
+    grades = []
+    for j, w in enumerate(basis_weights(basis)):
+        if w is None:
+            raise ValueError("basis vector %d is not a weight vector" % j)
+        grades.append(sum(f * x for f, x in zip(form, w)))
+    order = sorted(range(basis.dim), key=grades.__getitem__)
+    rank = {old: new for new, old in enumerate(order)}
     action = {
-        name: tuple({rank[t]: p for t, p in cols[old].items()} for old in order)
-        for (name, _), cols in zip(named_ops, columns)
+        name: tuple({rank[i]: p for i, p in cols[old].items()} for old in order)
+        for name, cols in basis.action.items()
     }
     return SpinorBasis(
-        tuple(basis[t] for t in order), tuple(grades[t] for t in order), label, action
+        tuple(basis.vectors[t] for t in order), tuple(grades[t] for t in order), action
     )
 
 
@@ -250,7 +244,6 @@ class OperatorMatrix:
 
     dim: int
     entries: tuple  # N x N of Coeff, entries[i][j]: coefficient of b_i in A b_j
-    basis_label: str = ""
 
     def substitute(self, bindings) -> "OperatorMatrix":
         return OperatorMatrix(
@@ -258,7 +251,6 @@ class OperatorMatrix:
             tuple(
                 tuple(c.substitute(bindings) for c in row) for row in self.entries
             ),
-            self.basis_label,
         )
 
     def rows(self):
@@ -349,9 +341,7 @@ def matrix_of(op, basis: SpinorBasis) -> OperatorMatrix:
     if isinstance(op, MatrixDiffOp):
         (cols,) = _solve_images([op], basis)
         return OperatorMatrix(
-            n,
-            tuple(tuple(cols[j][i] for j in range(n)) for i in range(n)),
-            basis.label,
+            n, tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
         )
     acc = {}  # (i, j) -> {exps: pair}
     for c, word in op:
@@ -364,7 +354,7 @@ def matrix_of(op, basis: SpinorBasis) -> OperatorMatrix:
     for (i, j), sums in acc.items():
         if sums:
             rows[i][j] = Coeff._raw(sums)
-    return OperatorMatrix(n, tuple(map(tuple, rows)), basis.label)
+    return OperatorMatrix(n, tuple(map(tuple, rows)))
 
 
 def basis_contains(basis: SpinorBasis, vectors: Sequence[PolySpinor]) -> bool:
@@ -440,29 +430,26 @@ def top_layer_spinors(k: int) -> List[PolySpinor]:
     return out
 
 
-def hexagon_audit(basis: SpinorBasis, k: int, rep: MatrixRep) -> HexagonReport:
-    """Structure audit of a [k,1] space discovered by orbit closure."""
+def hexagon_audit(basis: SpinorBasis, k: int) -> HexagonReport:
+    """Structure audit of a [k,1] space discovered by orbit closure, with
+    the weights read off its recorded E11 and E22 columns."""
     issues = []
     dim_expected = k * (k + 2)
     if basis.dim != dim_expected:
         issues.append("dimension %d, expected %d" % (basis.dim, dim_expected))
 
-    degs = [degree_grade(v) for v in basis.vectors]
+    degs = [v.total_degree() for v in basis.vectors]
     layer_sizes = tuple(degs.count(t) for t in range(max(degs) + 1)) if degs else ()
     expected_layers = tuple(2 * (t + 1) for t in range(k)) + (k,)
     if layer_sizes != expected_layers:
         issues.append("layers %s, expected %s" % (layer_sizes, expected_layers))
 
-    weights = []
-    for v in basis.vectors:
-        w = weight_of(v, rep)
-        if w is None:
-            issues.append("non-weight basis vector found")
-            break
-        weights.append((int(w[0]), int(w[1])))
+    weights = basis_weights(basis)
     census_ok = False
     boundary = interior = 0
-    if len(weights) == len(basis.vectors):
+    if None in weights:
+        issues.append("non-weight basis vector found")
+    else:
         mult = {}
         for w in weights:
             mult[w] = mult.get(w, 0) + 1

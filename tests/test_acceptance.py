@@ -118,7 +118,7 @@ def test_criterion_4_representation_spaces():
         )
         ok = ok and basis.dim == expected
         if d == 2:
-            report = hexagon_audit(basis, k, gl2_irrep(2))
+            report = hexagon_audit(basis, k)
             ok = ok and report.passed
     elapsed = time.monotonic() - start
     ok = ok and elapsed < 30.0

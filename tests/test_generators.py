@@ -70,7 +70,7 @@ def test_labels_follow_the_unit_matrices_of_gl3():
         (1, 1): "E11", (1, 2): "E12", (2, 1): "E21", (2, 2): "E22", (0, 0): "E0",
         (0, 1): "T1-", (0, 2): "T2-", (1, 0): "T1+", (2, 0): "T2+",
     }
-    assert [op for _, op in g.labelled().values()] == g.all_ops()
+    assert list(g.labelled().values()) == g.named()
 
 
 def test_e0_substitution_display():

@@ -36,10 +36,24 @@ def test_liealgebraic_scalar_form_is_the_differential_operator(kind):
     assert scalar_form_check(kind, K).passed
 
 
-@pytest.mark.parametrize("kind", ["calogero", "sutherland"])
-def test_matrix_display_reduces_at_trivial_block(kind):
-    report = consistency_check(kind, K, 1)
-    golden = load("display_residuals.json")["%s_d1" % kind]
+def test_calogero_matrix_display_reduces_at_trivial_block():
+    report = consistency_check("calogero", K, 1)
+    assert report.passed
+    assert report.residual.is_zero()
+
+
+def test_sutherland_matrix_display_residual_at_trivial_block():
+    # Not zero, and not by design: the display's 2 alpha^2 (nu + 1/3) x2 d2
+    # term has the opposite sign to the differential operator's, which
+    # scalar_form_check proves equal to the lie-algebraic form, so the
+    # residual (display minus lie) is 4 alpha^2 (nu + 1/3) x2 d2.  The golden
+    # keeps it until the display is corrected.
+    from matrixweyl import MatrixDiffOp, ScalarDiffOp
+
+    report = consistency_check("sutherland", K, 1)
+    x2d2 = MatrixDiffOp.from_scalar(ScalarDiffOp.x(1, 2) * ScalarDiffOp.d(1, 2), 1)
+    assert report.residual == x2d2 * (ALPHA * ALPHA * (NU + Fraction(1, 3)) * 4)
+    golden = load("display_residuals.json")["sutherland_d1"]
     assert report.residual_terms == golden["residual_terms"]
     assert matrix_op_to_json(report.residual) == golden["residual"]
 

@@ -18,12 +18,13 @@ from matrixweyl.spaces import (
     NotInvariantError,
     SpaceNotClosedError,
     basis_contains,
+    basis_weights,
     hexagon_audit,
     matrix_of,
     orbit_closure,
+    regraded,
     scalar_basis,
     top_layer_spinors,
-    weight_of,
 )
 from matrixweyl.linalg import rank_of
 from helpers_mw import C, spinor
@@ -162,7 +163,7 @@ def test_k3_d3_fifteen_reference_vectors():
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_hexagon_audit(k):
     basis = closure(k, 2)
-    report = hexagon_audit(basis, k, gl2_irrep(2))
+    report = hexagon_audit(basis, k)
     assert report.passed, report.issues
     assert report.dim_found == k * (k + 2)
     assert report.layer_sizes == tuple(2 * (t + 1) for t in range(k)) + (k,)
@@ -170,12 +171,68 @@ def test_hexagon_audit(k):
     assert len(top_layer_spinors(k)) == k
 
 
-def test_weight_of_reference_vectors():
-    rep = gl2_irrep(2)
+def reference_weight(v, d):
+    """Oracle: the weight of a spinor from its terms, x^p e_j having weight
+    (p1 + M11[j][j], p2 + M22[j][j]); None when the terms disagree."""
+    rep = gl2_irrep(d)
+    diag = [
+        [rep.block(i, i)[j][j].constant_pair()[0] for j in range(d)] for i in (1, 2)
+    ]
+    found = {(p[0] + diag[0][j], p[1] + diag[1][j]) for j, p in v.coords()}
+    return found.pop() if len(found) == 1 else None
+
+
+@pytest.mark.parametrize(
+    "kind, k, d",
+    [(kind, k, d) for kind in ("calogero", "sutherland") for d in (1, 2, 3)
+     for k in range(d - 1, 5)],
+)
+def test_flag_column_weights_equal_the_reference_weights(kind, k, d):
+    basis = flag_basis(kind, k, d)
+    weights = basis_weights(basis)
+    assert weights == [reference_weight(v, d) for v in basis.vectors]
+    assert None not in weights
+
+
+def test_reference_weight_of_reference_vectors():
     y1 = spinor(2, [((0, 1), 1)], [((1, 0), -1)])
-    assert weight_of(y1, rep) == (1, 1)
-    pminus = PolySpinor.unit(1, 2, 2)
-    assert weight_of(pminus, rep) == (0, 1)
+    assert reference_weight(y1, 2) == (1, 1)
+    assert reference_weight(PolySpinor.unit(1, 2, 2), 2) == (0, 1)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_closure_column_weights_equal_the_reference_weights(k):
+    # the bases of `space --d 2`, in discovery order
+    basis = closure(k, 2)
+    assert basis_weights(basis) == [reference_weight(v, 2) for v in basis.vectors]
+
+
+def test_non_weight_seed_is_refused_by_regraded_and_reported_by_the_audit():
+    # e_0 + e_1 has weights (1, 0) and (0, 1) in its two components
+    seed = PolySpinor.unit(0, 2, 2) + PolySpinor.unit(1, 2, 2)
+    gens = build_gl_np1(RepSpec.gl3(Coeff.rational(2), 2))
+    basis = orbit_closure(gens.named(), [seed], degree_cap=4)
+    assert basis_weights(basis)[0] is None
+    with pytest.raises(ValueError, match="not a weight vector"):
+        regraded(basis, (1, 1))
+    report = hexagon_audit(basis, 2)
+    assert "non-weight basis vector found" in report.issues
+    assert not report.passed
+
+
+def test_regraded_sorts_stably_and_carries_the_columns():
+    basis = closure(3, 2)
+    graded = regraded(basis, (2, 3))
+    weights = basis_weights(basis)
+    grades = [2 * w1 + 3 * w2 for w1, w2 in weights]
+    order = sorted(range(basis.dim), key=grades.__getitem__)
+    assert graded.vectors == tuple(basis.vectors[t] for t in order)
+    assert list(graded.grades) == sorted(grades)
+    assert basis_weights(graded) == [weights[t] for t in order]
+    for name in GL3_NAMES:
+        assert recorded_matrix(graded, name) == [
+            [recorded_matrix(basis, name)[a][b] for b in order] for a in order
+        ], name
 
 
 def test_matrix_of_euler_complement_diagonal():
@@ -302,13 +359,13 @@ def test_recorded_generator_columns_equal_matrix_of(kind, k, d):
 
 
 def test_flag_basis_records_only_the_named_generators_on_the_triangle():
-    assert flag_basis("sutherland", 3, 1).action == {}
+    # E11 and E22 always: their columns give the weights the flag is graded by
+    assert set(flag_basis("sutherland", 3, 1).action) == {"E11", "E22"}
     basis = flag_basis("sutherland", 3, 1, {"E12", "T1-"})
-    assert set(basis.action) == {"E12", "T1-"}
+    assert set(basis.action) == {"E11", "E22", "E12", "T1-"}
     # the orbit closure records every generator whatever is asked for
     closed = flag_basis("sutherland", 3, 2)
     assert set(closed.action) == set(GL3_NAMES)
-    assert (basis.label, closed.label) == ("[3,0]", "[3,1]")
 
 
 def test_closure_records_each_op_under_its_name():
@@ -374,8 +431,8 @@ def test_diagonal_shortcut_records_sigma_v_and_applies_only_when_mixed(case):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(weyl.MatrixDiffOp, "apply", spy)
-        # one grade for all: the basis stays in discovery order, seed first
-        basis = orbit_closure([("op", op)], [v], degree_cap=6, grade_fn=lambda w: 0)
+        # the basis comes in discovery order, seed first
+        basis = orbit_closure([("op", op)], [v], degree_cap=6)
     assert basis.vectors[0] == v
     col = basis.action["op"][0]
     if len(sigmas) == 1:

@@ -10,11 +10,13 @@ Save the digests of one checkout and compare another against them to
 show that a change keeps every output byte and exit code.  The grid
 covers gens, check, casimir and relations for d <= 4 (d = 4 is the first
 block whose gl2_irrep entries split a product rationally), gens with k = 2
-bound and as LaTeX and text at d = 2; gm for m <= 4, d <= 3, and m = 2 at
-d = 4; spectrum for both models, k <= 6, d <= 3 and four values of nu,
-again for k <= 4 with --omega or --alpha at 3/2 and -2, and the
-benchmark's Calogero k = 8 rows; every space and model form; and the slow
-rows, the inputs that take the longest.
+bound and as LaTeX and text at d = 2; every space form, with closures for
+k <= 3 and d <= 3, the hexagon audits at k = 4, 5 and 6 (d = 2) and the
+closure at k = 4, d = 3; every model form; gm for m <= 4, d <= 3, and
+m = 2 at d = 4; spectrum for both models, k <= 6, d <= 3 and four values
+of nu, again for k <= 4 with --omega or --alpha at 3/2 and -2, and the
+benchmark's Calogero k = 8 rows; and the slow rows, the inputs that take
+the longest.
 
     python3 tools/argv_digests.py > digests.txt
     python3 tools/argv_digests.py --compare digests.txt
@@ -71,6 +73,9 @@ def grid():
     rows += [("relations",)]
     rows += [("relations", "--d", str(d)) for d in (1, 2, 3, 4)]
     rows += [("space", "--k", str(k), "--d", str(d)) for k in (0, 1, 2, 3) for d in (1, 2, 3)]
+    # the hexagon audits (d = 2) and a closure (d = 3) past k = 3
+    rows += [("space", "--k", str(k), "--d", "2") for k in (4, 5, 6)]
+    rows += [("space", "--k", "4", "--d", "3")]
     rows += [("space", "--k", "2", "--m", str(m)) for m in (1, 2)]
     rows += [("space", "--k", "3", "--d", "2", "--degree-cap", "1")]
     for model in ("calogero", "sutherland"):
