@@ -261,13 +261,16 @@ def cmd_spectrum(args) -> int:
         bindings["omega"] = args.omega
     else:
         bindings["alpha"] = args.alpha
+    # a fail manifest states the same inputs, bindings included
+    inputs = {"model": args.model, "k": args.k, "d": args.d}
+    inputs["bindings"] = {name: str(v) for name, v in sorted(bindings.items())}
     try:
         result = spectrum(model, bindings)
     except (NotInvariantError, SpaceNotClosedError, CoeffError, ValueError) as exc:
         return _finish(
             args,
             "spectrum",
-            {"model": args.model, "k": args.k, "d": args.d},
+            inputs,
             [{"name": "spectrum", "pass": False, "error": str(exc)}],
         )
     rec = result.to_json()
@@ -275,17 +278,7 @@ def cmd_spectrum(args) -> int:
     rec["pass"] = True
     if args.model == "calogero":
         rec["verdict_vs_scalar_pattern"] = pattern_verdict(result, args.omega)
-    return _finish(
-        args,
-        "spectrum",
-        {
-            "model": args.model,
-            "k": args.k,
-            "d": args.d,
-            "bindings": rec["bindings"],
-        },
-        [rec],
-    )
+    return _finish(args, "spectrum", inputs, [rec])
 
 
 def cmd_gm(args) -> int:

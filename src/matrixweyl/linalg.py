@@ -23,13 +23,13 @@ multiplier, and the result is the same as row-by-row elimination: the
 fully reduced echelon of a span under a fixed column order is unique.
 Residuals and combinations leave the echelon as canonical pairs.
 
-Characteristic polynomials are computed by the Faddeev-LeVerrier recursion,
-which only ever divides by integers and therefore stays exact over the
-coefficient ring.  Rational roots are found in integer arithmetic alone by
-p-adic expansion (Loos 1983): the square-free part of gcd(A, B), for
-p = A + B*sqrt2, is made monic over Z, its simple roots modulo a small prime
-are Hensel-lifted (Zassenhaus 1969) past the Cauchy bound, and every
-candidate is checked exactly before exact division sets its multiplicity.
+Characteristic polynomials come from a Hessenberg reduction and recurrence
+on raw Q(sqrt2) pairs (O(n^3) pair operations).  Rational roots are found
+in integer arithmetic alone by p-adic expansion (Loos 1983): the square-free
+part of gcd(A, B), for p = A + B*sqrt2, is made monic over Z, its simple
+roots modulo a small prime are Hensel-lifted (Zassenhaus 1969) past the
+Cauchy bound, and every candidate is checked exactly before exact division
+sets its multiplicity.
 Whatever remains is split into square-free parts over Q(sqrt2) (Yun 1976,
 with gcds in Q(sqrt2)[t] on the pair arithmetic) and each part is located
 numerically at high precision (mpmath, imported only then) with a certified
@@ -51,7 +51,6 @@ from .coeff import (
     qp_mul,
     qp_neg,
 )
-from .matrixreps import mat_mul
 
 
 class Indexer:
@@ -345,33 +344,54 @@ def coeff_matrix_solve(columns: Sequence[Mapping], targets: Sequence[Mapping]):
 
 
 def charpoly(matrix: Sequence[Sequence[Coeff]]):
-    """Monic characteristic polynomial of an exact matrix.
+    """Monic characteristic polynomial [c_0, ..., c_{n-1}, 1] of a
+    parameter-free exact matrix, p(t) = sum c_i t^i + t^n.
 
-    Returns [c_0, c_1, ..., c_{n-1}, 1] with p(t) = sum c_i t^i + t^n,
-    computed by Faddeev-LeVerrier (divisions by integers only).
+    The matrix is brought to upper Hessenberg form H by similarity over
+    Q(sqrt2) pairs, swapping a row below a zero subdiagonal pivot in (with
+    its column), and p_m = (t - H_mm) p_{m-1} - sum_{i<m} H_im (H_{i+1,i}
+    ... H_{m,m-1}) p_{i-1} (Cohen, A Course in Computational Algebraic
+    Number Theory, 2.2.9): O(n^3) pair operations, one Coeff per c_i.
     """
-    n = len(matrix)
-
-    def mat_add_scalar(A, s):
-        return [
-            [A[i][j] + (s if i == j else Coeff.zero()) for j in range(n)]
-            for i in range(n)
-        ]
-
-    def trace(A):
-        return sum((A[i][i] for i in range(n)), Coeff.zero())
-
-    coeffs = [Coeff.zero()] * n + [Coeff.one()]
-    M = None
-    c = None
-    for m in range(1, n + 1):
-        if m == 1:
-            M = [list(row) for row in matrix]
-        else:
-            M = mat_mul(matrix, mat_add_scalar(M, c))
-        c = trace(M) * Fraction(-1, m)
-        coeffs[n - m] = c
-    return coeffs
+    H = [[c.constant_pair() for c in row] for row in matrix]
+    n = len(H)
+    for m in range(1, n - 1):
+        pivot = next((i for i in range(m, n) if H[i][m - 1] != (0, 0)), m)
+        H[m], H[pivot] = H[pivot], H[m]
+        for row in H:
+            row[m], row[pivot] = row[pivot], row[m]
+        if H[m][m - 1] == (0, 0):
+            continue
+        # row_i -= u_i row_m for every i > m, then column_m += sum u_i
+        # column_i: one similarity, since these eliminations commute
+        Hm = H[m]
+        inv = qp_inv(Hm[m - 1])
+        support = [j for j in range(m - 1, n) if Hm[j] != (0, 0)]
+        us = []
+        for i, Hi in enumerate(H[m + 1 :], m + 1):
+            if Hi[m - 1] != (0, 0):
+                u = qp_mul(Hi[m - 1], inv)
+                us.append((i, u))
+                for j in support:
+                    Hi[j] = qp_add(Hi[j], qp_neg(qp_mul(u, Hm[j])))
+        for row in H:
+            for i, u in us:
+                if row[i] != (0, 0):
+                    row[m] = qp_add(row[m], qp_mul(u, row[i]))
+    polys = [[(1, 0)]]  # p_0, ..., p_m: polys[i] has degree i
+    for m in range(n):
+        p = [(0, 0)] + polys[m]  # t polys[m], then minus the column m terms
+        scale = (-1, 0)
+        for i in range(m, -1, -1):
+            f = qp_mul(scale, H[i][m])
+            if f != (0, 0):
+                for j, c in enumerate(polys[i]):
+                    p[j] = qp_add(p[j], qp_mul(f, c))
+            if i == 0 or H[i][i - 1] == (0, 0):
+                break
+            scale = qp_mul(scale, H[i][i - 1])
+        polys.append(p)
+    return [Coeff.rational(*pair) for pair in polys[n]]
 
 
 # -- polynomial roots ---------------------------------------------------------

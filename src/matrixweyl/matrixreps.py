@@ -30,28 +30,6 @@ def _mat_zero(d):
     return [[Coeff.zero() for _ in range(d)] for _ in range(d)]
 
 
-def mat_mul(A, B):
-    """Square matrix product over any ring: no zero element is needed.
-
-    Entry (i, j) starts from A[i][0] * B[0][j] and adds, in order of l, only
-    the products A[i][l] * B[l][j] whose two factors are nonzero.
-    """
-    d = len(A)
-    out = []
-    for Ai in A:
-        nonzero = [(l, Ai[l]) for l in range(1, d) if Ai[l]]
-        row = []
-        for j in range(d):
-            s = Ai[0] * B[0][j]
-            for l, a in nonzero:
-                b = B[l][j]
-                if b:
-                    s = s + a * b
-            row.append(s)
-        out.append(row)
-    return out
-
-
 @dataclass(frozen=True)
 class CanonicalReport:
     passed: bool

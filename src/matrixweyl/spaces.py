@@ -36,7 +36,7 @@ from math import perm
 from typing import List, Sequence, Tuple
 
 from .coeff import Coeff, qp_add, qp_mul
-from .linalg import Indexer, QPEchelon, coeff_matrix_solve, scalarize, span_contains
+from .linalg import Indexer, QPEchelon, coeff_matrix_solve, span_contains
 from .weyl import MatrixDiffOp, Polynomial, PolySpinor
 
 
@@ -114,11 +114,11 @@ def _diagonal_table(op: MatrixDiffOp):
     return table
 
 
-def _eigenvalue(table, v: PolySpinor):
-    """sigma as a pair when the diagonal op of table maps v to sigma v, that
-    is when sigma(j, P) is the same on every term of v; else None."""
+def _eigenvalue(table, keys):
+    """sigma (a pair) when the diagonal op of table maps the spinor with term
+    keys (j, x^P) to sigma times itself, sigma(j, P) equal on all; else None."""
     sigma = None
-    for j, P in v.terms:
+    for j, P in keys:
         s = (0, 0)
         for A, pair in table.get(j, ()):
             f = 1
@@ -143,51 +143,60 @@ def orbit_closure(
 
     named_ops is a sequence of (name, MatrixDiffOp) pairs, such as a
     generator set's named(); each op's action is recorded under its name,
-    as in record_action.  Every image is inserted into a tracked
-    echelon of the vectors found so far: an independent image joins the
-    basis and its column is a unit column; a dependent one is recorded with
-    the combination that eliminated it.  A diagonal op (_diagonal_table) is
+    as in record_action.  Every image, kept as raw pairs (MatrixDiffOp._act),
+    is inserted into a tracked echelon of the vectors found so far: an
+    independent image joins the basis as a PolySpinor and its column is a
+    unit column; a dependent one is recorded with the combination that
+    eliminated it, and is never built.  A diagonal op (_diagonal_table) is
     not applied to a vector it maps to sigma times itself: its column there
     is sigma times the unit column.  The basis comes out in discovery order,
     graded by total degree; regraded orders it by weight.
     """
     if not seeds or all(s.is_zero() for s in seeds):
         raise ValueError("need at least one nonzero seed")
+    shape = seeds[0]  # the ops are applied to raw terms: check shapes here
+    for x in [op for _, op in named_ops] + list(seeds):
+        x._require_like(shape)
     ix = Indexer()
     ech = QPEchelon(track=True)
     basis: List[PolySpinor] = []
+    raws = []  # the raw terms {(j, x^P): {exps: pair}} of each basis vector
     position = {}  # echelon label -> basis position
 
-    def add(w):
-        """The basis position of w after inserting it, or None if dependent."""
+    def spinor(raw):
+        return shape._like({key: Coeff._raw(t) for key, t in raw.items()})
+
+    def add(raw):
+        """The basis position of raw after inserting it, or None if dependent."""
         tag = ech.inserted
-        if ech.insert(scalarize(w.coords(), ix)) is None:
+        vec = {ix((key, e)): p for key, t in raw.items() for e, p in t.items()}
+        if ech.insert(vec) is None:
             return None
         position[tag] = len(basis)
-        basis.append(w)
+        basis.append(spinor(raw))
+        raws.append(raw)
         return position[tag]
 
     for s in seeds:
         if not s.is_zero():
-            add(s)
+            add({key: c.terms for key, c in s.terms.items()})
     tables = [_diagonal_table(op) for _, op in named_ops]
     # per op, one column per basis vector
     columns = [[] for _ in named_ops]
     i = 0
     while i < len(basis):
-        v = basis[i]
+        raw = raws[i]
         for (_, op), table, cols in zip(named_ops, tables, columns):
-            sigma = None if table is None else _eigenvalue(table, v)
+            sigma = None if table is None else _eigenvalue(table, raw)
             if sigma is not None:
                 cols.append({i: sigma} if sigma[0] or sigma[1] else {})
                 continue
-            w = op.apply(v)
-            if w.is_zero():
+            w = op._act(raw.items())
+            if not w:
                 cols.append({})
                 continue
-            deg = w.total_degree()
-            if deg is not None and deg > degree_cap:
-                raise SpaceNotClosedError(degree_cap, w)
+            if max(sum(P) for _, P in w) > degree_cap:
+                raise SpaceNotClosedError(degree_cap, spinor(w))
             at = add(w)
             if at is None:
                 cols.append({position[t]: p for t, p in ech.combination.items()})
@@ -290,7 +299,7 @@ def record_action(named_ops, basis: SpinorBasis) -> SpinorBasis:
     solve = []
     for name, op in named_ops:
         table = _diagonal_table(op)
-        sigmas = [None] if table is None else [_eigenvalue(table, v) for v in basis.vectors]
+        sigmas = [None] if table is None else [_eigenvalue(table, v.terms) for v in basis.vectors]
         if None in sigmas:
             solve.append((name, op))
         else:

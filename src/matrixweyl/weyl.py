@@ -517,15 +517,15 @@ class MatrixDiffOp(_TermMap):
     # -- action ----------------------------------------------------------------
 
     def apply(self, v: "PolySpinor") -> "PolySpinor":
-        if v.dim != self.dim:
-            raise ShapeError("matrix dim %d vs spinor dim %d" % (self.dim, v.dim))
-        if v.nvars != self.nvars:
-            raise ShapeError(
-                "variable counts differ: %d vs %d" % (self.nvars, v.nvars)
-            )
+        self._require_like(v)
+        return v._like(_coeffs(self._act((key, c.terms) for key, c in v.terms.items())))
+
+    def _act(self, terms):
+        """The action on raw spinor terms ((j, x^P), {exps: pair}), as the raw
+        accumulation {(i, x^P'): {exps: pair}} that apply wraps in Coeffs."""
         components = {}
-        for (j, P), cp in v.terms.items():
-            components.setdefault(j, []).append((P, cp.terms))
+        for (j, P), tp in terms:
+            components.setdefault(j, []).append((P, tp))
         acc = {}
         for (i, j, mono), c in self.terms.items():
             for P, tp in components.get(j, ()):
@@ -533,7 +533,7 @@ class MatrixDiffOp(_TermMap):
                 if hit is not None:
                     f, image = hit
                     _add_product(acc, (i, image), c.terms, tp, f)
-        return v._like(_coeffs(acc))
+        return acc
 
     def __repr__(self):
         from .render import matrix_op_str

@@ -67,3 +67,97 @@ def random_spinor(rng: random.Random, dim=2, nvars=2) -> PolySpinor:
     return PolySpinor(
         [random_poly(rng, nvars, nterms=2, maxdeg=2) for _ in range(dim)], nvars
     )
+
+
+def mat_mul(A, B):
+    """Square matrix product over any ring: no zero element is needed.
+
+    Entry (i, j) starts from A[i][0] * B[0][j] and adds, in order of l, only
+    the products A[i][l] * B[l][j] whose two factors are nonzero.
+    """
+    d = len(A)
+    out = []
+    for Ai in A:
+        nonzero = [(l, Ai[l]) for l in range(1, d) if Ai[l]]
+        row = []
+        for j in range(d):
+            s = Ai[0] * B[0][j]
+            for l, a in nonzero:
+                b = B[l][j]
+                if b:
+                    s = s + a * b
+            row.append(s)
+        out.append(row)
+    return out
+
+
+def faddeev_leverrier(matrix):
+    """Monic characteristic polynomial [c_0, ..., c_{n-1}, 1] of a Coeff
+    matrix by the Faddeev-LeVerrier recursion (divisions by integers only):
+    the oracle of linalg.charpoly.
+    """
+    n = len(matrix)
+    coeffs = [Coeff.zero()] * n + [Coeff.one()]
+    M = [list(row) for row in matrix]
+    for m in range(1, n + 1):
+        if m > 1:
+            shifted = [[M[i][j] + (c if i == j else Coeff.zero()) for j in range(n)] for i in range(n)]
+            M = mat_mul(matrix, shifted)
+        c = sum((M[i][i] for i in range(n)), Coeff.zero()) * Fraction(-1, m)
+        coeffs[n - m] = c
+    return coeffs
+
+
+def apply_orbit_closure(named_ops, seeds, degree_cap):
+    """spaces.orbit_closure as it was written on PolySpinor values: every
+    image is built by MatrixDiffOp.apply and scalarized from its Coeff
+    coordinates, rejected images included.  The oracle of the raw closure.
+    """
+    from matrixweyl.linalg import Indexer, QPEchelon, scalarize
+    from matrixweyl.spaces import (
+        SpaceNotClosedError,
+        SpinorBasis,
+        _diagonal_table,
+        _eigenvalue,
+    )
+
+    ix = Indexer()
+    ech = QPEchelon(track=True)
+    basis = []
+    position = {}
+
+    def add(w):
+        tag = ech.inserted
+        if ech.insert(scalarize(w.coords(), ix)) is None:
+            return None
+        position[tag] = len(basis)
+        basis.append(w)
+        return position[tag]
+
+    for s in seeds:
+        if not s.is_zero():
+            add(s)
+    tables = [_diagonal_table(op) for _, op in named_ops]
+    columns = [[] for _ in named_ops]
+    i = 0
+    while i < len(basis):
+        v = basis[i]
+        for (_, op), table, cols in zip(named_ops, tables, columns):
+            sigma = None if table is None else _eigenvalue(table, v.terms)
+            if sigma is not None:
+                cols.append({i: sigma} if sigma[0] or sigma[1] else {})
+                continue
+            w = op.apply(v)
+            if w.is_zero():
+                cols.append({})
+                continue
+            if w.total_degree() > degree_cap:
+                raise SpaceNotClosedError(degree_cap, w)
+            at = add(w)
+            if at is None:
+                cols.append({position[t]: p for t, p in ech.combination.items()})
+            else:
+                cols.append({at: (1, 0)})
+        i += 1
+    action = {name: tuple(cols) for (name, _), cols in zip(named_ops, columns)}
+    return SpinorBasis(tuple(basis), tuple(v.total_degree() for v in basis), action)

@@ -52,10 +52,41 @@ def test_space_triangle(capsys):
 
 
 def test_space_degree_cap_failure_exits_one(capsys):
-    code, out = run_cli(["space", "--k", "2", "--d", "2", "--degree-cap", "1"], capsys)
+    for d in ("2", "3"):
+        code, out = run_cli(["space", "--k", "2", "--d", d, "--degree-cap", "1"], capsys)
+        assert code == 1
+        data = json.loads(out)
+        assert data["verdict"] == "fail"
+        assert "grew to degree 2" in data["results"][0]["error"]
+
+
+@pytest.mark.parametrize(
+    "argv, bindings",
+    [
+        (
+            ["spectrum", "--model", "sutherland", "--k", "1", "--d", "3", "--nu", "1/3", "--alpha", "2"],
+            {"alpha": "2", "nu": "1/3"},
+        ),
+        (
+            ["spectrum", "--model", "calogero", "--k", "0", "--d", "3", "--nu=-1/2", "--omega", "3/2"],
+            {"nu": "-1/2", "omega": "3/2"},
+        ),
+        (["spectrum", "--model", "sutherland", "--k", "0", "--d", "2"], {"alpha": "1", "nu": "0"}),
+    ],
+)
+def test_spectrum_fail_manifest_records_the_bindings(argv, bindings, capsys):
+    code, out = run_cli(argv, capsys)
     assert code == 1
-    data = json.loads(out)
-    assert data["verdict"] == "fail"
+    failed = json.loads(out)
+    assert failed["verdict"] == "fail"
+    assert failed["inputs"]["bindings"] == bindings
+    # the same inputs a passing run records, k aside
+    k = argv.index("--k") + 1
+    passing = argv[:k] + [str(int(argv[argv.index("--d") + 1]) - 1)] + argv[k + 1 :]
+    code, out = run_cli(passing, capsys)
+    assert code == 0
+    inputs = json.loads(out)["inputs"]
+    assert inputs == dict(failed["inputs"], k=inputs["k"])
 
 
 def test_relations_command(capsys):

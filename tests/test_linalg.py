@@ -6,10 +6,10 @@ from math import gcd, isqrt
 import mpmath
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from matrixweyl import Coeff, K, models
-from matrixweyl.coeff import CoeffError
+from matrixweyl.coeff import CoeffError, qp_add, qp_mul, qp_neg
 from matrixweyl.linalg import (
     Indexer,
     QPEchelon,
@@ -25,7 +25,7 @@ from matrixweyl.linalg import (
     solve_combination,
     span_contains,
 )
-from helpers_mw import C
+from helpers_mw import C, faddeev_leverrier
 
 
 def vec(**kw):
@@ -125,6 +125,111 @@ def test_charpoly_matches_cofactor_determinant():
             for i in range(n)
         ]
         assert p == _det_cofactor(shifted)
+
+
+# -- charpoly against the Faddeev-LeVerrier oracle -----------------------------
+
+
+def _terms(poly):
+    return [list(c.terms.items()) for c in poly]
+
+
+# the benchmark's Sutherland spectra inputs: (k, d) at alpha = 1, three nu
+SPECTRA_SUTHERLAND = [(6, 1), (4, 2), (3, 3)]
+
+
+@pytest.mark.parametrize("nu", ["0", "1/3", "2/3"])
+@pytest.mark.parametrize("k, d", SPECTRA_SUTHERLAND)
+def test_charpoly_equals_faddeev_leverrier_on_the_spectra_blocks(monkeypatch, k, d, nu):
+    blocks = []
+
+    def recording_charpoly(block):
+        blocks.append(block)
+        return charpoly(block)
+
+    monkeypatch.setattr(models, "charpoly", recording_charpoly)
+    models.spectrum(models.sutherland("liealgebraic", C(k), d), {"nu": Fraction(nu), "alpha": 1})
+    assert blocks
+    for block in blocks:
+        assert _terms(charpoly(block)) == _terms(faddeev_leverrier(block))
+
+
+_PAIRS = [(1, 0), (-2, 0), (3, 0), (Fraction(1, 2), 0), (Fraction(-2, 3), 0)]
+_PAIRS += [(0, 1), (1, 1), (0, -2), (Fraction(1, 3), Fraction(-1, 2))]
+_ENTRY = st.one_of(st.just((0, 0)), st.sampled_from(_PAIRS))
+
+
+def _similar(M, steps):
+    """M conjugated by elementary integer matrices: for each (i, j, c) with
+    i != j, row_i += c row_j and then column_j -= c column_i."""
+    M = [list(row) for row in M]
+    for i, j, c in steps:
+        M[i] = [qp_add(x, qp_mul((c, 0), y)) for x, y in zip(M[i], M[j])]
+        for row in M:
+            row[j] = qp_add(row[j], qp_neg(qp_mul((c, 0), row[i])))
+    return M
+
+
+@st.composite
+def sparse_qp_matrices(draw):
+    """Sparse pair matrices up to 8 x 8: either random, or triangular with
+    few distinct diagonal values (repeated eigenvalues), then conjugated;
+    optionally with one column zeroed."""
+    n = draw(st.integers(0, 8))
+    if draw(st.booleans()):
+        M = [[draw(_ENTRY) for _ in range(n)] for _ in range(n)]
+    else:
+        diag = draw(st.lists(st.sampled_from(_PAIRS), min_size=1, max_size=2))
+        M = [
+            [draw(st.sampled_from(diag)) if i == j else draw(_ENTRY) if j > i else (0, 0) for j in range(n)]
+            for i in range(n)
+        ]
+        if n > len(diag):
+            event("repeated eigenvalues")
+        if n > 1:
+            step = st.tuples(st.integers(0, n - 1), st.integers(1, n - 1), st.integers(-2, 2))
+            steps = draw(st.lists(step, max_size=4))
+            M = _similar(M, [(i, (i + off) % n, c) for i, off, c in steps])
+    if n and draw(st.booleans()):
+        j = draw(st.integers(0, n - 1))
+        for row in M:
+            row[j] = (0, 0)
+    return M
+
+
+def _events(M):
+    n = len(M)
+    if n <= 1:
+        event("%dx%d" % (n, n))
+    if n >= 3 and M[1][0] == (0, 0) and any(M[i][0] != (0, 0) for i in range(2, n)):
+        event("zero subdiagonal pivot swapped")
+    if n >= 2 and M[1][0][1]:
+        event("sqrt2 pivot")
+    if any(all(row[j] == (0, 0) for row in M) for j in range(n)):
+        event("zero column")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(sparse_qp_matrices())
+@example([])
+@example([[(Fraction(-2, 3), 1)]])
+@example([[(1, 0), (2, 0), (3, 0)], [(0, 0), (4, 0), (5, 0)], [(6, 0), (7, 0), (8, 0)]])
+@example([[(0, 0), (0, 0), (0, 0)], [(0, 1), (0, 0), (1, 0)], [(1, 0), (1, 0), (0, 0)]])
+@example([[(1, 0), (0, 0), (2, 0)], [(3, 0), (0, 0), (0, 1)], [(0, 0), (0, 0), (1, 0)]])
+@example(_similar([[(2, 0), (1, 0), (0, 0)], [(0, 0), (2, 0), (1, 0)], [(0, 0), (0, 0), (2, 0)]], [(2, 0, 1), (1, 2, -1)]))
+def test_charpoly_equals_faddeev_leverrier_on_sparse_qp_matrices(M):
+    _events(M)
+    block = [[C(*p) for p in row] for row in M]
+    got = charpoly(block)
+    assert _terms(got) == _terms(faddeev_leverrier(block))
+    assert len(got) == len(M) + 1 and got[-1] == C(1)
+
+
+def test_charpoly_of_a_conjugated_jordan_block_has_one_repeated_root():
+    J = [[(Fraction(1, 2), 0) if i == j else (1, 0) if j == i + 1 else (0, 0) for j in range(5)] for i in range(5)]
+    M = [[C(*p) for p in row] for row in _similar(J, [(4, 0, 2), (1, 3, -1), (0, 2, 1)])]
+    roots, deflated = rational_roots(charpoly(M))
+    assert roots == [Fraction(1, 2)] * 5 and len(deflated) == 1
 
 
 def test_rational_root_extraction():

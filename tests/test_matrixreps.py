@@ -3,8 +3,7 @@ import random
 import pytest
 
 from matrixweyl import Coeff, MatrixDiffOp, check_canonical, gl2_irrep
-from matrixweyl.matrixreps import mat_mul
-from helpers_mw import C, random_coeff
+from helpers_mw import C, mat_mul, random_coeff
 
 
 def test_dim_one_is_trivial():

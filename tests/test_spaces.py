@@ -27,7 +27,7 @@ from matrixweyl.spaces import (
     top_layer_spinors,
 )
 from matrixweyl.linalg import rank_of
-from helpers_mw import C, spinor
+from helpers_mw import C, apply_orbit_closure, spinor
 
 
 S2 = Coeff.sqrt2()
@@ -424,13 +424,16 @@ def test_diagonal_shortcut_records_sigma_v_and_applies_only_when_mixed(case):
     image = op.apply(v)
     calls = []
     real_apply = weyl.MatrixDiffOp.apply
+    real_act = weyl.MatrixDiffOp._act
 
-    def spy(self, w):
-        calls.append(w)
-        return real_apply(self, w)
+    # the closure applies op through the raw action kernel that apply wraps
+    def spy(self, terms):
+        terms = list(terms)
+        calls.append(terms)
+        return real_act(self, terms)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(weyl.MatrixDiffOp, "apply", spy)
+        mp.setattr(weyl.MatrixDiffOp, "_act", spy)
         # the basis comes in discovery order, seed first
         basis = orbit_closure([("op", op)], [v], degree_cap=6)
     assert basis.vectors[0] == v
@@ -443,10 +446,55 @@ def test_diagonal_shortcut_records_sigma_v_and_applies_only_when_mixed(case):
         assert image == v.scale(sigma)
     else:
         event("mixed sigma")
-        assert calls and calls[0] == v
+        assert calls and calls[0] == [(key, c.terms) for key, c in v.terms.items()]
     # every recorded column rebuilds the image of its vector
     for j, bj in enumerate(basis.vectors):
         rebuilt = PolySpinor.zero(v.dim, 2)
         for i, pair in basis.action["op"][j].items():
             rebuilt = rebuilt + basis.vectors[i].scale(Coeff.rational(*pair))
         assert rebuilt == real_apply(op, bj)
+
+
+# -- the raw closure against the apply-based closure it replaced ---------------
+
+
+def _assert_same_basis(got, want):
+    """Same vectors with the same term order, grades and recorded columns."""
+    def terms(basis):
+        return [
+            [(key, list(c.terms.items())) for key, c in v.terms.items()]
+            for v in basis.vectors
+        ]
+
+    assert terms(got) == terms(want)
+    assert got.grades == want.grades
+    assert got.action == want.action
+
+
+def _closure_args(k, d, cap=None):
+    gens = build_gl_np1(RepSpec.gl3(Coeff.rational(k), d))
+    return gens.named(), [PolySpinor.unit(d - 1, d, 2)], k + 2 if cap is None else cap
+
+
+@pytest.mark.parametrize("k, d", [(k, d) for d in (2, 3) for k in range(d - 1, 9)])
+def test_every_flag_equals_the_apply_closure(k, d):
+    want = apply_orbit_closure(*_closure_args(k, d))
+    _assert_same_basis(orbit_closure(*_closure_args(k, d)), want)
+    for kind, form in (("calogero", (2, 3)), ("sutherland", (1, 1))):
+        _assert_same_basis(flag_basis(kind, k, d), regraded(want, form))
+
+
+@pytest.mark.parametrize(
+    "k, d, cap",
+    [(k, d, None) for d in (1, 2, 3) for k in range(4)] + [(2, 3, 1), (2, 2, 1)],
+)
+def test_every_space_closure_equals_the_apply_closure(k, d, cap):
+    try:
+        want = apply_orbit_closure(*_closure_args(k, d, cap))
+    except SpaceNotClosedError as exc:
+        with pytest.raises(SpaceNotClosedError) as got:
+            orbit_closure(*_closure_args(k, d, cap))
+        assert str(got.value) == str(exc)
+        assert got.value.vector == exc.vector
+        return
+    _assert_same_basis(orbit_closure(*_closure_args(k, d, cap)), want)

@@ -1,7 +1,7 @@
 """The sparse term-map storage of weyl against the d x d grid it replaced.
 
 The reference here is the grid implementation: a MatrixDiffOp as a grid of
-ScalarDiffOp entries multiplied by matrixreps.mat_mul, applied to a spinor
+ScalarDiffOp entries multiplied by helpers_mw.mat_mul, applied to a spinor
 as per-component sums of apply_poly (itself checked against the per-term
 action loop), and added, negated, scaled and substituted entry by entry
 with the per-term loops over plain dicts that each class used to carry.
@@ -17,9 +17,8 @@ from hypothesis import given, settings, strategies as st
 
 from matrixweyl import Coeff, MatrixDiffOp, Polynomial, PolySpinor, ScalarDiffOp
 from matrixweyl import weyl
-from matrixweyl.matrixreps import mat_mul
 from matrixweyl.weyl import DiffMonomial
-from helpers_mw import random_coeff, random_poly, random_scalar_op
+from helpers_mw import mat_mul, random_coeff, random_poly, random_scalar_op
 
 DIMS = (1, 2, 3)
 SEEDS = range(6)

@@ -14,6 +14,7 @@ from matrixweyl import (
     build_gl_np1,
     commutator,
 )
+from matrixweyl.spaces import orbit_closure
 from helpers_mw import (
     poly,
     random_matrix_op,
@@ -139,8 +140,13 @@ def test_dimension_mismatch_messages():
     with pytest.raises(ShapeError, match="2 vs 3"):
         A + B
     v = PolySpinor.zero(3, 2)
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError, match="2 vs 3"):
         A.apply(v)
+    # the orbit closure applies its ops to raw terms, so it checks up front
+    with pytest.raises(ShapeError, match="2 vs 3"):
+        orbit_closure([("A", A)], [PolySpinor.unit(0, 3, 2)], degree_cap=2)
+    with pytest.raises(ShapeError, match="dim differs: 3 vs 2"):
+        orbit_closure([("A", A)], [PolySpinor.unit(0, 2, 2), PolySpinor.unit(0, 3, 2)], degree_cap=2)
 
 
 def test_tplus_on_constant_gives_k_x1():

@@ -56,6 +56,7 @@ SLOW = (
     ("gm", "--m", "3", "--d", "2"),
     ("spectrum", "--model", "calogero", "--k", "12", "--d", "3"),
     ("spectrum", "--model", "sutherland", "--k", "10", "--d", "3"),
+    ("spectrum", "--model", "sutherland", "--k", "14", "--d", "3"),
     ("spectrum", "--model", "sutherland", "--k", "8", "--d", "2"),
     ("spectrum", "--model", "sutherland", "--k", "5", "--d", "3"),
     ("spectrum", "--model", "sutherland", "--k", "6", "--d", "1",
