@@ -20,6 +20,10 @@ values (hash(3) == hash(Fraction(3))) and print alike ('3'), so equality
 stays literal term-map equality.  Most values the engine meets are
 rational and many are integers, so qp_add and qp_mul skip the sqrt(2) half
 when both b's are 0, and integer halves never pay for Fraction's gcd.
+
+Every sum of pairs in the engine goes through _add_pair or _add_product,
+which add into a raw term map {exps: pair} and drop a pair that cancels at
+once; the caller wraps each finished map once with Coeff._raw.
 """
 
 from __future__ import annotations
@@ -89,6 +93,38 @@ def qp_float(p):
     return float(p[0]) + float(p[1]) * 1.4142135623730951
 
 
+def _add_pair(acc, key, pair):
+    """acc[key] += pair for a nonzero pair, dropping the key when the sum is 0."""
+    cur = acc.get(key)
+    if cur is not None:
+        pair = qp_add(cur, pair)
+        if not (pair[0] or pair[1]):
+            del acc[key]
+            return
+    acc[key] = pair
+
+
+def _add_product(acc, t1, t2, f=1):
+    """acc += f * t1 * t2, for raw term maps {exps: pair} and an int f > 0.
+
+    A pair that cancels is dropped at once, so acc keeps its keys in the
+    order a running sum of Coeff values would.
+    """
+    for e1, p1 in t1.items():
+        if f != 1:
+            p1 = qp_mul(p1, (f, 0))
+        for e2, p2 in t2.items():
+            e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3])
+            p = qp_mul(p1, p2)
+            cur = acc.get(e)
+            if cur is not None:
+                p = qp_add(cur, p)
+                if not (p[0] or p[1]):
+                    del acc[e]
+                    continue
+            acc[e] = p
+
+
 class Coeff:
     """Element of Q(sqrt2)[k, omega, nu, alpha]."""
 
@@ -155,25 +191,13 @@ class Coeff:
             return other
         out = dict(self.terms)
         for exps, pair in other.terms.items():
-            cur = out.get(exps)
-            if cur is None:
-                out[exps] = pair
-            else:
-                s = qp_add(cur, pair)
-                if qp_is_zero(s):
-                    del out[exps]
-                else:
-                    out[exps] = s
-        c = Coeff.__new__(Coeff)
-        c.terms = out
-        return c
+            _add_pair(out, exps, pair)
+        return Coeff._raw(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        c = Coeff.__new__(Coeff)
-        c.terms = {e: qp_neg(p) for e, p in self.terms.items()}
-        return c
+        return Coeff._raw({e: qp_neg(p) for e, p in self.terms.items()})
 
     def __sub__(self, other):
         other = as_coeff(other)
@@ -192,19 +216,8 @@ class Coeff:
         if other is NotImplemented:
             return NotImplemented
         out = {}
-        for e1, p1 in self.terms.items():
-            for e2, p2 in other.terms.items():
-                e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3])
-                prod = qp_mul(p1, p2)
-                cur = out.get(e)
-                s = prod if cur is None else qp_add(cur, prod)
-                if qp_is_zero(s):
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        c = Coeff.__new__(Coeff)
-        c.terms = out
-        return c
+        _add_product(out, self.terms, other.terms)
+        return Coeff._raw(out)
 
     __rmul__ = __mul__
 
@@ -256,7 +269,7 @@ class Coeff:
         if not bindings or not self.terms:
             return self
         values = [_half(bindings[p]) if p in bindings else None for p in PARAMS]
-        out = Coeff.zero()
+        out = {}
         for exps, (a, b) in self.terms.items():
             factor = 1
             new = list(exps)
@@ -264,8 +277,9 @@ class Coeff:
                 if v is not None and exps[i]:
                     factor *= v ** exps[i]
                     new[i] = 0
-            out = out + Coeff({tuple(new): (a * factor, b * factor)})
-        return out
+            if factor:
+                _add_pair(out, tuple(new), (_half(a * factor), _half(b * factor)))
+        return Coeff._raw(out)
 
     # -- display -----------------------------------------------------------
 
@@ -280,9 +294,7 @@ def as_coeff(x) -> "Coeff":
         return x
     if isinstance(x, (int, Fraction)):
         a = _half(x)
-        c = Coeff.__new__(Coeff)
-        c.terms = {_ZEXP: (a, 0)} if a else {}
-        return c
+        return Coeff._raw({_ZEXP: (a, 0)} if a else {})
     return NotImplemented
 
 

@@ -43,8 +43,10 @@ from math import gcd, inf, lcm, nextafter
 from typing import Mapping, Sequence
 
 from .coeff import (
+    ZERO,
     Coeff,
     CoeffError,
+    _add_pair,
     qp_add,
     qp_inv,
     qp_is_zero,
@@ -326,19 +328,19 @@ def coeff_matrix_solve(columns: Sequence[Mapping], targets: Sequence[Mapping]):
             for exps, pair in c.terms.items():
                 groups.setdefault(exps, {})[key] = pair
 
-        coords = [Coeff.zero()] * len(columns)
+        sums = {}  # column -> {exps: pair}
         residual = {}
         for exps, vec in sorted(groups.items()):
             flat = {ix(key): pair for key, pair in vec.items()}
             res, combo = ech.reduce(flat)
-            if res:
-                for col, pair in res.items():
-                    key = ix.keys[col]
-                    residual[key] = residual.get(key, Coeff.zero()) + Coeff({exps: pair})
-            if combo:
-                for j, pair in combo.items():
-                    coords[j] = coords[j] + Coeff({exps: pair})
-        residual = {k: v for k, v in residual.items() if not v.is_zero()}
+            for col, pair in res.items():
+                _add_pair(residual.setdefault(ix.keys[col], {}), exps, pair)
+            for j, pair in combo.items():
+                _add_pair(sums.setdefault(j, {}), exps, pair)
+        coords = [ZERO] * len(columns)
+        for j, t in sums.items():
+            coords[j] = Coeff._raw(t)
+        residual = {key: Coeff._raw(t) for key, t in residual.items() if t}
         out.append((coords, residual))
     return out
 
@@ -652,25 +654,27 @@ def _squarefree_parts(f):
 
 
 _NUMERIC_ATTEMPTS = 4
+_NUMERIC_DPS = 50  # decimal digits of the approximations numeric_roots returns
 
 
-def numeric_roots(coeffs, dps: int = 50):
+def numeric_roots(coeffs):
     """High-precision roots of the residual factor, with a certified radius.
 
-    Returns (roots, err): roots are dps-digit mpmath approximations, each
-    repeated by its multiplicity, and every root of the polynomial lies
-    within err of one of them.  The factor is first split into square-free
-    parts over Q(sqrt2), so every part has simple roots only; err is the
-    largest inclusion radius over the parts (see _certified_roots).
+    Returns (roots, err): roots are _NUMERIC_DPS-digit mpmath
+    approximations, each repeated by its multiplicity, and every root of
+    the polynomial lies within err of one of them.  The factor is first
+    split into square-free parts over Q(sqrt2), so every part has simple
+    roots only; err is the largest inclusion radius over the parts (see
+    _certified_roots).
     """
     import mpmath
 
     roots = []
     err = 0.0
     pairs = [c.constant_pair() for c in coeffs]
-    with mpmath.workdps(dps):
+    with mpmath.workdps(_NUMERIC_DPS):
         for part, mult in _squarefree_parts(pairs):
-            found, part_err = _certified_roots(part, dps)
+            found, part_err = _certified_roots(part, _NUMERIC_DPS)
             roots.extend(z for z in found for _ in range(mult))
             err = max(err, part_err)
     return roots, err

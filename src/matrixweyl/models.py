@@ -36,7 +36,7 @@ from functools import cached_property, reduce
 from operator import mul
 from typing import Dict, List, Optional, Tuple
 
-from .coeff import ALPHA, NU, OMEGA, Coeff, as_coeff, qp_float
+from .coeff import ALPHA, NU, OMEGA, PARAMS, ZERO, Coeff, as_coeff, qp_float
 from .generators import RepSpec, build_gl_np1
 from .identities import IdentityReport, _report
 from .linalg import charpoly, numeric_roots, rational_roots
@@ -334,68 +334,59 @@ def _int_k(c: Coeff) -> int:
     return int(pair[0])
 
 
+def _grade_blocks(opm, grades):
+    """({grade: (start, size)}, diagonal) of an OperatorMatrix on a
+    grade-sorted basis, from its nonzero entries.  An entry (i, j) with
+    grades[i] > grades[j] lies below the block diagonal and raises
+    NotTriangularError, naming the entry with the least (grades[j], i, j).
+    """
+    blocks = {}
+    for i, g in enumerate(grades):
+        s, size = blocks.get(g, (i, 0))
+        blocks[g] = (s, size + 1)
+    below = [(grades[j], i, j) for i, j in opm.terms if grades[i] > grades[j]]
+    if below:
+        _, i, j = min(below)
+        raise NotTriangularError("entry (%d,%d) breaks block triangularity" % (i, j))
+    return blocks, not any(i != j and grades[i] == grades[j] for i, j in opm.terms)
+
+
 def spectrum(model: ModelOperator, bindings: Dict[str, object]) -> SpectrumResult:
     """Exact spectrum of the model on its invariant flag.
 
     The flag is rediscovered from one generator set, which records the
     parameter-free matrix of every generator the words use.  The parameters
-    are bound on the word coefficients only, and the matrix of the model is
-    the bound combination of products of those generator matrices (the
-    flag is invariant, so the matrix of a product is the product of the
-    matrices).  The basis order (by grade) must make the matrix block upper
-    triangular, and eigenvalues come from the diagonal when the blocks are
-    diagonal and from per-block characteristic polynomials otherwise.
+    are bound on the word coefficients only, each one they carry is
+    required, and the matrix of the model is the bound combination of
+    products of those generator matrices (the flag is invariant, so the
+    matrix of a product is the product of the matrices).  The basis
+    order (by grade) must make the matrix block upper triangular
+    (_grade_blocks), and eigenvalues come from the diagonal when the blocks
+    are diagonal and from per-block characteristic polynomials otherwise.
     """
     if model.words is None:
         raise ValueError("spectrum needs the lie-algebraic form, not %s" % model.form)
     k = _int_k(model.k)
     bind = {name: Fraction(v) for name, v in bindings.items()}
-    required = "omega" if model.kind == "calogero" else "alpha"
-    if required not in bind:
-        raise ValueError("binding for %s is required" % required)
-
     words = tuple((c.substitute(bind), word) for c, word in model.words)
+    for i, name in enumerate(PARAMS):
+        if any(exps[i] for c, _ in words for exps in c.terms):
+            raise ValueError("binding for %s is required" % name)
     names = {name for _, word in words for name in word}
     basis = flag_basis(model.kind, k, model.d, names)
     opm = matrix_of(words, basis)
 
-    grades = list(basis.grades)
-    n = basis.dim
-    # consecutive blocks of equal grade
-    blocks = []
-    start = 0
-    for i in range(1, n + 1):
-        if i == n or grades[i] != grades[start]:
-            blocks.append((start, i))
-            start = i
-    # grade never increases under the operator: entries below the block
-    # diagonal must vanish
-    for s, e in blocks:
-        for i in range(e, n):
-            for j in range(s, e):
-                if not opm.entries[i][j].is_zero():
-                    raise NotTriangularError(
-                        "entry (%d,%d) breaks block triangularity" % (i, j)
-                    )
-
-    diagonal = True
-    for s, e in blocks:
-        for i in range(s, e):
-            for j in range(s, e):
-                if i != j and not opm.entries[i][j].is_zero():
-                    diagonal = False
+    blocks, diagonal = _grade_blocks(opm, basis.grades)
     eigs: List[EigRecord] = []
     charpolys: List[List[str]] = []
     if diagonal:
-        for i in range(n):
-            pair = opm.entries[i][i].constant_pair()
+        for i in range(basis.dim):
+            pair = opm.terms.get((i, i), ZERO).constant_pair()
             eigs.append(EigRecord(True, pair, qp_float(pair)))
     else:
-        for s, e in blocks:
-            block = [
-                [opm.entries[i][j] for j in range(s, e)] for i in range(s, e)
-            ]
-            poly = charpoly(block)
+        for s, size in blocks.values():
+            span = range(s, s + size)
+            poly = charpoly([[opm.terms.get((i, j), ZERO) for j in span] for i in span])
             charpolys.append([repr(c) for c in poly])
             roots, deflated = rational_roots(poly)
             for r in roots:
@@ -413,8 +404,8 @@ def spectrum(model: ModelOperator, bindings: Dict[str, object]) -> SpectrumResul
         k=k,
         d=model.d,
         bindings=bind,
-        basis_dim=n,
-        block_sizes=[e - s for s, e in blocks],
+        basis_dim=basis.dim,
+        block_sizes=[size for _, size in blocks.values()],
         diagonal=diagonal,
         eigenvalues=eigs,
         charpolys=charpolys,

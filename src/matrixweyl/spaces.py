@@ -23,10 +23,11 @@ linear form in those weights.
 matrix_of converts an operator to its exact matrix on a basis, failing
 loudly with the offending vector and residual when the span is not
 invariant; given words (sums of products of named generators) it composes
-the recorded generator matrices instead.  hexagon_audit checks the
-structural facts of the [k,1] family: dimension k(k+2), layer sizes, weight
-multiplicities (double inside the hull, single on its boundary) and the
-specific top-layer span.
+the recorded generator matrices instead.  The matrix is an OperatorMatrix,
+a term map keyed by (row, column) like the operators of weyl.
+hexagon_audit checks the structural facts of the [k,1] family: dimension
+k(k+2), layer sizes, weight multiplicities (double inside the hull, single
+on its boundary) and the specific top-layer span.
 """
 
 from __future__ import annotations
@@ -35,9 +36,9 @@ from dataclasses import dataclass, field, replace
 from math import perm
 from typing import List, Sequence, Tuple
 
-from .coeff import Coeff, qp_add, qp_mul
+from .coeff import ZERO, _ZEXP, _add_pair, qp_add, qp_mul
 from .linalg import Indexer, QPEchelon, coeff_matrix_solve, span_contains
-from .weyl import MatrixDiffOp, Polynomial, PolySpinor
+from .weyl import MatrixDiffOp, Polynomial, PolySpinor, _add_at, _coeffs, _TermMap
 
 
 class SpaceNotClosedError(RuntimeError):
@@ -164,7 +165,7 @@ def orbit_closure(
     position = {}  # echelon label -> basis position
 
     def spinor(raw):
-        return shape._like({key: Coeff._raw(t) for key, t in raw.items()})
+        return shape._like(_coeffs(raw))
 
     def add(raw):
         """The basis position of raw after inserting it, or None if dependent."""
@@ -247,23 +248,33 @@ def regraded(basis: SpinorBasis, form) -> SpinorBasis:
     )
 
 
-@dataclass
-class OperatorMatrix:
-    """Exact matrix of an operator restricted to a SpinorBasis."""
+class OperatorMatrix(_TermMap):
+    """Exact matrix of an operator restricted to a SpinorBasis.
 
-    dim: int
-    entries: tuple  # N x N of Coeff, entries[i][j]: coefficient of b_i in A b_j
+    Keyed by (i, j), the coefficient of b_i in A b_j, with no zero stored;
+    `entries` is the dim x dim grid view.
+    """
 
-    def substitute(self, bindings) -> "OperatorMatrix":
-        return OperatorMatrix(
-            self.dim,
-            tuple(
-                tuple(c.substitute(bindings) for c in row) for row in self.entries
-            ),
-        )
+    __slots__ = ("dim",)
+    _SHAPE = ("dim",)
+
+    def __init__(self, dim: int, terms=None):
+        self.dim = dim
+        self.terms = {key: c for key, c in (terms or {}).items() if not c.is_zero()}
+
+    @property
+    def entries(self):
+        """The dim x dim grid of Coeff entries, built on each access."""
+        grid = [[ZERO] * self.dim for _ in range(self.dim)]
+        for (i, j), c in self.terms.items():
+            grid[i][j] = c
+        return tuple(map(tuple, grid))
 
     def rows(self):
         return [list(row) for row in self.entries]
+
+    def __repr__(self):
+        return "OperatorMatrix(dim=%r, entries=%r)" % (self.dim, self.entries)
 
 
 def _solve_images(ops, basis: SpinorBasis):
@@ -311,17 +322,6 @@ def record_action(named_ops, basis: SpinorBasis) -> SpinorBasis:
     return replace(basis, action=action)
 
 
-def _add_pair(acc, key, x):
-    """acc[key] += x for a pair x, dropping the key when the sum vanishes."""
-    cur = acc.get(key)
-    if cur is not None:
-        x = qp_add(cur, x)
-        if not (x[0] or x[1]):
-            del acc[key]
-            return
-    acc[key] = x
-
-
 def _word_column(word, j, action):
     """The sparse column j of the product of the generator matrices in word
     (the last name acts first), as {i: pair}."""
@@ -350,20 +350,14 @@ def matrix_of(op, basis: SpinorBasis) -> OperatorMatrix:
     if isinstance(op, MatrixDiffOp):
         (cols,) = _solve_images([op], basis)
         return OperatorMatrix(
-            n, tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+            n, {(i, j): c for j, col in enumerate(cols) for i, c in enumerate(col)}
         )
     acc = {}  # (i, j) -> {exps: pair}
     for c, word in op:
         for j in range(n):
             for i, p in _word_column(word, j, basis.action).items():
-                sums = acc.setdefault((i, j), {})
-                for exps, cp in c.terms.items():
-                    _add_pair(sums, exps, qp_mul(cp, p))
-    rows = [[Coeff.zero()] * n for _ in range(n)]
-    for (i, j), sums in acc.items():
-        if sums:
-            rows[i][j] = Coeff._raw(sums)
-    return OperatorMatrix(n, tuple(map(tuple, rows)))
+                _add_at(acc, (i, j), c.terms, {_ZEXP: p}, 1)
+    return OperatorMatrix._raw(_coeffs(acc), n)
 
 
 def basis_contains(basis: SpinorBasis, vectors: Sequence[PolySpinor]) -> bool:

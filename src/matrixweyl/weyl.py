@@ -13,8 +13,9 @@ PolySpinor and (row, column, x^A d^B) for a MatrixDiffOp.  The linear
 arithmetic, equality and coordinates are written once over that map, and
 products and actions visit only nonzero terms.  A product or an action sums
 its contributions into raw Q(sqrt2) pairs per output key and per parameter
-monomial, with qp_mul and qp_add, and builds each output Coeff once at the
-end, so no temporary Coeff is made per pair of terms.
+monomial, with the multiply-accumulate kernel of coeff, and builds each
+output Coeff once at the end, so no temporary Coeff is made per pair of
+terms.
 
 The monomial expansions are memoized per exponent pair, with no setting:
 the normal-ordered expansion of (x^A d^B)(x^C d^D) and the image of x^P
@@ -32,7 +33,7 @@ from math import comb, factorial, perm
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
-from .coeff import Coeff, as_coeff, qp_add, qp_mul
+from .coeff import Coeff, _add_product, as_coeff
 
 
 class ShapeError(ValueError):
@@ -221,7 +222,7 @@ class ScalarDiffOp(_TermMap):
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 for f, mono in _product_expansion(m1, m2):
-                    _add_product(acc, mono, c1.terms, c2.terms, f)
+                    _add_at(acc, mono, c1.terms, c2.terms, f)
         return self._like(_coeffs(acc))
 
     def __rmul__(self, other):
@@ -252,7 +253,7 @@ class ScalarDiffOp(_TermMap):
                 hit = _action_expansion(mono, P)
                 if hit is not None:
                     f, image = hit
-                    _add_product(acc, image, c.terms, tp, f)
+                    _add_at(acc, image, c.terms, tp, f)
         return p._like(_coeffs(acc))
 
     # -- structure queries -----------------------------------------------------
@@ -277,29 +278,14 @@ class ScalarDiffOp(_TermMap):
         return scalar_op_str(self)
 
 
-def _add_product(acc, key, t1, t2, f):
-    """acc[key] += f * t1 * t2, for Coeff term maps t1, t2 and an int f > 0.
-
-    acc maps each key to a raw {exps: pair} map.  A pair that cancels is
-    dropped at once and a key whose map empties is removed, so acc holds the
-    keys in the order a running sum of Coeff values would.
-    """
+def _add_at(acc, key, t1, t2, f):
+    """acc[key] += f * t1 * t2 (coeff._add_product) for a map acc of raw
+    term maps; a key whose map empties is removed at once, so acc holds the
+    keys in the order a running sum of Coeff values would."""
     sums = acc.get(key)
     if sums is None:
         sums = acc[key] = {}
-    for e1, p1 in t1.items():
-        if f != 1:
-            p1 = qp_mul(p1, (f, 0))
-        for e2, p2 in t2.items():
-            e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3])
-            p = qp_mul(p1, p2)
-            cur = sums.get(e)
-            if cur is not None:
-                p = qp_add(cur, p)
-                if not (p[0] or p[1]):
-                    del sums[e]
-                    continue
-            sums[e] = p
+    _add_product(sums, t1, t2, f)
     if not sums:
         del acc[key]
 
@@ -500,7 +486,7 @@ class MatrixDiffOp(_TermMap):
         for (i, k, m1), c1 in self.terms.items():
             for j, m2, t2 in rows.get(k, ()):
                 for f, mono in _product_expansion(m1, m2):
-                    _add_product(acc, (i, j, mono), c1.terms, t2, f)
+                    _add_at(acc, (i, j, mono), c1.terms, t2, f)
         return self._like(_coeffs(acc))
 
     def __rmul__(self, other):
@@ -532,7 +518,7 @@ class MatrixDiffOp(_TermMap):
                 hit = _action_expansion(mono, P)
                 if hit is not None:
                     f, image = hit
-                    _add_product(acc, (i, image), c.terms, tp, f)
+                    _add_at(acc, (i, image), c.terms, tp, f)
         return acc
 
     def __repr__(self):

@@ -161,3 +161,33 @@ def apply_orbit_closure(named_ops, seeds, degree_cap):
         i += 1
     action = {name: tuple(cols) for (name, _), cols in zip(named_ops, columns)}
     return SpinorBasis(tuple(basis), tuple(v.total_degree() for v in basis), action)
+
+
+def dense_block_scan(entries, grades):
+    """The block checks models.spectrum made cell by cell over the dense grid
+    of a matrix on a grade-sorted basis: the oracle of models._grade_blocks.
+
+    Returns (blocks, diagonal, first): blocks are the (start, end) runs of
+    equal grade; first is the first entry below the block diagonal that the
+    scan meets, block by block, rows then columns, or None, and diagonal is
+    None when first is not.
+    """
+    n = len(grades)
+    blocks = []
+    start = 0
+    for i in range(1, n + 1):
+        if i == n or grades[i] != grades[start]:
+            blocks.append((start, i))
+            start = i
+    for s, e in blocks:
+        for i in range(e, n):
+            for j in range(s, e):
+                if not entries[i][j].is_zero():
+                    return blocks, None, (i, j)
+    diagonal = True
+    for s, e in blocks:
+        for i in range(s, e):
+            for j in range(s, e):
+                if i != j and not entries[i][j].is_zero():
+                    diagonal = False
+    return blocks, diagonal, None

@@ -234,7 +234,7 @@ def test_uncertified_numeric_roots_give_a_fail_manifest(monkeypatch, capsys):
     import matrixweyl.models as models
     from matrixweyl.coeff import CoeffError
 
-    def no_certificate(coeffs, dps=50):
+    def no_certificate(coeffs):
         raise CoeffError("no certified numeric roots of the degree-2 factor")
 
     # no benchmark input has an irrational eigenvalue, so the rational finder

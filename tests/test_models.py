@@ -12,6 +12,7 @@ from matrixweyl import ALPHA, Coeff, K, NU, OMEGA, RepSpec, build_gl_np1
 from matrixweyl.models import (
     EigRecord,
     NotTriangularError,
+    _grade_blocks,
     calogero,
     consistency_check,
     flag_basis,
@@ -21,7 +22,8 @@ from matrixweyl.models import (
     sutherland,
 )
 from matrixweyl.serialize import matrix_op_to_json
-from matrixweyl.spaces import matrix_of
+from matrixweyl.spaces import OperatorMatrix, matrix_of
+from helpers_mw import dense_block_scan
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "goldens")
 
@@ -187,6 +189,21 @@ def test_spectrum_requires_frequency_binding():
         spectrum(model, {"nu": 0})
 
 
+@pytest.mark.parametrize(
+    "build, bindings, missing",
+    [
+        (calogero, {"nu": 0}, "omega"),
+        (calogero, {"omega": 1}, "nu"),
+        (sutherland, {"nu": 0}, "alpha"),
+        (sutherland, {"alpha": 1}, "nu"),
+    ],
+)
+def test_spectrum_requires_every_parameter_the_words_carry(build, bindings, missing):
+    model = build("liealgebraic", Coeff.rational(2), 2)
+    with pytest.raises(ValueError, match="binding for %s is required" % missing):
+        spectrum(model, bindings)
+
+
 def test_spectrum_requires_integer_k():
     model = calogero("liealgebraic", K, 1)
     with pytest.raises(ValueError):
@@ -308,6 +325,32 @@ def test_a_grade_raising_word_is_not_triangular(d, entry):
     op = dataclasses.replace(m, words=m.words + ((_ONE, ("T1+",)),))
     with pytest.raises(NotTriangularError, match=re.escape("entry %s " % entry)):
         spectrum(op, {"nu": 0, "omega": 1})
+
+
+@st.composite
+def _graded_sparse_matrix(draw):
+    """(grades, OperatorMatrix): a non-decreasing grade vector of length 1 to
+    7, so runs of any length (1 x 1 blocks among them), and nonzero entries
+    at random cells, below the diagonal of any block or none."""
+    grades = sorted(draw(st.lists(st.integers(-2, 3), min_size=1, max_size=7)))
+    n = len(grades)
+    cells = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=12))
+    values = st.sampled_from([Coeff.rational(3), Coeff.rational(-1, 2), NU * 2, OMEGA + 1])
+    return grades, OperatorMatrix(n, {cell: draw(values) for cell in sorted(cells)})
+
+
+@settings(max_examples=400, deadline=None)
+@given(_graded_sparse_matrix())
+def test_sparse_block_checks_match_the_dense_scan(case):
+    grades, opm = case
+    blocks, diagonal, first = dense_block_scan(opm.entries, grades)
+    if first is not None:
+        with pytest.raises(NotTriangularError, match=re.escape("entry (%d,%d) " % first)):
+            _grade_blocks(opm, grades)
+        return
+    got, got_diagonal = _grade_blocks(opm, grades)
+    assert [(s, s + size) for s, size in got.values()] == blocks
+    assert got_diagonal == diagonal
 
 
 @pytest.mark.parametrize("kind", ["calogero", "sutherland"])

@@ -5,7 +5,8 @@ ScalarDiffOp entries multiplied by helpers_mw.mat_mul, applied to a spinor
 as per-component sums of apply_poly (itself checked against the per-term
 action loop), and added, negated, scaled and substituted entry by entry
 with the per-term loops over plain dicts that each class used to carry.
-Randomized with fixed seeds at d = 1, 2, 3.
+The flag matrix spaces.OperatorMatrix is checked against the dense grid of
+Coeff entries it replaced.  Randomized with fixed seeds at d = 1, 2, 3.
 """
 
 import random
@@ -17,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from matrixweyl import Coeff, MatrixDiffOp, Polynomial, PolySpinor, ScalarDiffOp
 from matrixweyl import weyl
+from matrixweyl.spaces import OperatorMatrix
 from matrixweyl.weyl import DiffMonomial
 from helpers_mw import mat_mul, random_coeff, random_poly, random_scalar_op
 
@@ -208,7 +210,21 @@ def test_views_round_trip_and_equality(dim, seed):
     assert Polynomial(p.nvars, dict(p.terms)) == p
     bump = MatrixDiffOp.identity(dim, 2)
     assert A + bump != A
+    # the flag matrix: a grid of Coeff, zero cells included, as a term map
+    grid = [[random_coeff(rng) for _ in range(dim)] for _ in range(dim)]
+    M = OperatorMatrix(dim, {(i, j): c for i, row in enumerate(grid) for j, c in enumerate(row)})
+    assert M.entries == tuple(map(tuple, grid))
+    assert set(M.coords()) == {(i, j) for i, row in enumerate(grid) for j, c in enumerate(row) if c}
+    assert not any(c.is_zero() for c in M.terms.values())
+    cells = {(i, j): c for i, row in enumerate(M.entries) for j, c in enumerate(row)}
+    for same in (OperatorMatrix(dim, cells), M.with_coords(M.coords()), M + OperatorMatrix(dim)):
+        assert same == M and hash(same) == hash(M) and repr(same) == repr(M)
+    for bindings in BINDINGS:
+        assert M.substitute(bindings).entries == tuple(
+            tuple(c.substitute(bindings) for c in row) for row in grid
+        )
     # equal (empty) term maps of different shapes are different values
+    assert OperatorMatrix(dim) != OperatorMatrix(dim + 1)
     assert MatrixDiffOp.zero(dim, 2) != MatrixDiffOp.zero(dim + 1, 2)
     assert MatrixDiffOp.zero(dim, 2) != MatrixDiffOp.zero(dim, 1)
     assert PolySpinor.zero(dim, 2) != PolySpinor.zero(dim + 1, 2)

@@ -14,9 +14,11 @@ bound and as LaTeX and text at d = 2; every space form, with closures for
 k <= 3 and d <= 3, the hexagon audits at k = 4, 5 and 6 (d = 2) and the
 closure at k = 4, d = 3; every model form; gm for m <= 4, d <= 3, and
 m = 2 at d = 4; spectrum for both models, k <= 6, d <= 3 and four values
-of nu, again for k <= 4 with --omega or --alpha at 3/2 and -2, and the
-benchmark's Calogero k = 8 rows; and the slow rows, the inputs that take
-the longest.
+of nu, again for k <= 4 with --omega or --alpha at 3/2 and -2, again
+for k <= 4 at the nu that make a word coefficient vanish (-1/3 for both
+models, which cancels the T1- word, and -1/12 for Sutherland, which
+cancels its E11 and E22 words), and the benchmark's Calogero k = 8 rows;
+and the slow rows, the inputs that take the longest.
 
     python3 tools/argv_digests.py > digests.txt
     python3 tools/argv_digests.py --compare digests.txt
@@ -47,6 +49,8 @@ from matrixweyl import cli  # noqa: E402
 NUS = ("0", "1/3", "2", "-1/2")
 # --omega (Calogero) and --alpha (Sutherland) values besides the default 1
 FREQS = ("3/2", "-2")
+# per model, the nu values at which a word coefficient is 0
+CANCELLING_NUS = {"calogero": ("-1/3",), "sutherland": ("-1/3", "-1/12")}
 # the nu values of the benchmark's spectrum operations (perfbench/workloads.py)
 BENCH_NUS = ("0", "1/3", "2/3")
 
@@ -105,6 +109,13 @@ def grid():
                     for value in FREQS
                     for nu in NUS
                 ]
+    for model, nus in CANCELLING_NUS.items():
+        rows += [
+            ("spectrum", "--model", model, "--k", str(k), "--d", str(d), "--nu=" + nu)
+            for k in range(5)
+            for d in (1, 2, 3)
+            for nu in nus
+        ]
     rows += [
         ("spectrum", "--model", "calogero", "--k", "8", "--d", str(d), "--nu=" + nu)
         for d in (1, 2, 3)
