@@ -238,16 +238,17 @@ def cmd_model(args) -> int:
             "op": matrix_op_to_json(model.op),
         }
     ]
-    checks = [scalar_form_check(args.model, K).record()]
-    if args.d > 1:
-        checks.append(consistency_check(args.model, K, args.d).record())
+    checks = [
+        scalar_form_check(args.model, K).record(),
+        consistency_check(args.model, K, args.d).record(),
+    ]
     inputs = {"model": args.model, "form": args.form, "d": args.d}
     if args.k is not None:
         # k binds the printed operator only; both checks keep a formal k
         inputs["k"] = str(args.k)
     _finish(args, "model", inputs, results + checks)
-    # The display-vs-lie record is `pass: false` at d >= 2 (partly a sign
-    # error of the Sutherland display, see README), and
+    # The display-vs-lie record is `pass: false` at d >= 2, and for
+    # Sutherland at d = 1 too (a sign error of its display, see README), and
     # perfbench/reference.json pins exit 0 with these bytes for
     # `model --form matrix --d 3`; the exit status follows the verdict only
     # once the benchmark records its reference again.

@@ -20,11 +20,12 @@ Spectra are computed on the discovered invariant flags, without applying
 the operator: the flag discovery records the parameter-free matrix of each
 generator, nu and omega/alpha are bound on the word coefficients only, and
 the matrix of the model is the bound combination of products of generator
-matrices.  The basis is ordered so the operator is block triangular, by a
-grading of the weights (w1, w2) that the recorded E11 and E22 columns give:
-the Calogero grading 2 w1 + 3 w2 makes its blocks diagonal (exact
-eigenvalues read off), the Sutherland grading w1 + w2 leaves blocks that
-are resolved per block by exact characteristic polynomials.
+matrices.  Both models share one flag, in discovery order; the operator
+is block triangular in each model's grading (GRADINGS) of the weights
+(w1, w2) that the recorded E11 and E22 columns give.  The Calogero grading
+2 w1 + 3 w2 makes its blocks diagonal (exact eigenvalues read off), the
+Sutherland grading w1 + w2 leaves blocks that are resolved per block by
+exact characteristic polynomials.
 """
 
 from __future__ import annotations
@@ -43,10 +44,10 @@ from .linalg import charpoly, numeric_roots, rational_roots
 from .matrixreps import gl2_irrep
 from .spaces import (
     SpinorBasis,
+    basis_weights,
     matrix_of,
     orbit_closure,
     record_action,
-    regraded,
     scalar_basis,
 )
 from .weyl import MatrixDiffOp, PolySpinor, ScalarDiffOp
@@ -209,6 +210,8 @@ def sutherland(form: str, k, d: int = 1) -> ModelOperator:
 
 
 MODELS = {"calogero": calogero, "sutherland": sutherland}
+# the linear form in the weights (w1, w2) that grades each model's flag
+GRADINGS = {"calogero": (2, 3), "sutherland": (1, 1)}
 
 
 def scalar_form_check(kind: str, k) -> IdentityReport:
@@ -299,10 +302,10 @@ class NotTriangularError(RuntimeError):
     pass
 
 
-def flag_basis(kind: str, k: int, d: int, recorded=()) -> SpinorBasis:
-    """The invariant flag: the polynomial triangle for d = 1, the orbit
-    closure of the lowest vector for the matrix extensions, ordered by the
-    model's weight grading.
+def flag_basis(k: int, d: int, recorded=()) -> SpinorBasis:
+    """The invariant flag of both models: the polynomial triangle for d = 1,
+    the orbit closure of the lowest vector for the matrix extensions, in
+    discovery order.
 
     The orbit closure records the action of every gl_3 generator on the
     flag; on the triangle only E11, E22 (which give the weights) and the
@@ -316,12 +319,10 @@ def flag_basis(kind: str, k: int, d: int, recorded=()) -> SpinorBasis:
     gens = build_gl_np1(RepSpec.gl3(Coeff.rational(k), d))
     if d == 1:
         wanted = {"E11", "E22", *recorded}
-        basis = record_action(
+        return record_action(
             [(name, op) for name, op in gens.named() if name in wanted], scalar_basis(k, 1)
         )
-    else:
-        basis = orbit_closure(gens.named(), [PolySpinor.unit(d - 1, d, 2)], degree_cap=k + 2)
-    return regraded(basis, (2, 3) if kind == "calogero" else (1, 1))
+    return orbit_closure(gens.named(), [PolySpinor.unit(d - 1, d, 2)], degree_cap=k + 2)
 
 
 def _int_k(c: Coeff) -> int:
@@ -334,19 +335,29 @@ def _int_k(c: Coeff) -> int:
     return int(pair[0])
 
 
+def _grades(basis: SpinorBasis, form):
+    """The grade sum form[i] w_i of each basis vector's weight; ValueError
+    when a basis vector is not a weight vector."""
+    weights = basis_weights(basis)
+    if None in weights:
+        raise ValueError("basis vector %d is not a weight vector" % weights.index(None))
+    return [sum(f * x for f, x in zip(form, w)) for w in weights]
+
+
 def _grade_blocks(opm, grades):
-    """({grade: (start, size)}, diagonal) of an OperatorMatrix on a
-    grade-sorted basis, from its nonzero entries.  An entry (i, j) with
-    grades[i] > grades[j] lies below the block diagonal and raises
-    NotTriangularError, naming the entry with the least (grades[j], i, j).
+    """({grade: [row, ...]}, diagonal) of an OperatorMatrix, from its nonzero
+    entries: the rows of each grade in index order, the grades ascending.
+    An entry (i, j) with grades[i] > grades[j] lies below the block diagonal
+    and raises NotTriangularError, naming the entry with the least
+    (grades[j], grades[i], i, j), the first a scan of the grade-sorted
+    matrix meets.
     """
     blocks = {}
-    for i, g in enumerate(grades):
-        s, size = blocks.get(g, (i, 0))
-        blocks[g] = (s, size + 1)
-    below = [(grades[j], i, j) for i, j in opm.terms if grades[i] > grades[j]]
+    for i in sorted(range(len(grades)), key=grades.__getitem__):
+        blocks.setdefault(grades[i], []).append(i)
+    below = [(grades[j], grades[i], i, j) for i, j in opm.terms if grades[i] > grades[j]]
     if below:
-        _, i, j = min(below)
+        *_, i, j = min(below)
         raise NotTriangularError("entry (%d,%d) breaks block triangularity" % (i, j))
     return blocks, not any(i != j and grades[i] == grades[j] for i, j in opm.terms)
 
@@ -359,8 +370,8 @@ def spectrum(model: ModelOperator, bindings: Dict[str, object]) -> SpectrumResul
     are bound on the word coefficients only, each one they carry is
     required, and the matrix of the model is the bound combination of
     products of those generator matrices (the flag is invariant, so the
-    matrix of a product is the product of the matrices).  The basis
-    order (by grade) must make the matrix block upper triangular
+    matrix of a product is the product of the matrices).  The model's
+    grading of the weights must make the matrix block upper triangular
     (_grade_blocks), and eigenvalues come from the diagonal when the blocks
     are diagonal and from per-block characteristic polynomials otherwise.
     """
@@ -373,20 +384,21 @@ def spectrum(model: ModelOperator, bindings: Dict[str, object]) -> SpectrumResul
         if any(exps[i] for c, _ in words for exps in c.terms):
             raise ValueError("binding for %s is required" % name)
     names = {name for _, word in words for name in word}
-    basis = flag_basis(model.kind, k, model.d, names)
+    basis = flag_basis(k, model.d, names)
+    grades = _grades(basis, GRADINGS[model.kind])
     opm = matrix_of(words, basis)
 
-    blocks, diagonal = _grade_blocks(opm, basis.grades)
+    blocks, diagonal = _grade_blocks(opm, grades)
     eigs: List[EigRecord] = []
     charpolys: List[List[str]] = []
     if diagonal:
-        for i in range(basis.dim):
-            pair = opm.terms.get((i, i), ZERO).constant_pair()
-            eigs.append(EigRecord(True, pair, qp_float(pair)))
+        for rows in blocks.values():
+            for i in rows:
+                pair = opm.terms.get((i, i), ZERO).constant_pair()
+                eigs.append(EigRecord(True, pair, qp_float(pair)))
     else:
-        for s, size in blocks.values():
-            span = range(s, s + size)
-            poly = charpoly([[opm.terms.get((i, j), ZERO) for j in span] for i in span])
+        for rows in blocks.values():
+            poly = charpoly([[opm.terms.get((i, j), ZERO) for j in rows] for i in rows])
             charpolys.append([repr(c) for c in poly])
             roots, deflated = rational_roots(poly)
             for r in roots:
@@ -405,7 +417,7 @@ def spectrum(model: ModelOperator, bindings: Dict[str, object]) -> SpectrumResul
         d=model.d,
         bindings=bind,
         basis_dim=basis.dim,
-        block_sizes=[size for _, size in blocks.values()],
+        block_sizes=[len(rows) for rows in blocks.values()],
         diagonal=diagonal,
         eigenvalues=eigs,
         charpolys=charpolys,

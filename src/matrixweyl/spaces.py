@@ -12,13 +12,11 @@ coordinates of its image of each basis vector, taken from the tracked
 elimination that accepted or rejected the image (a diagonal generator that
 acts on a vector as one scalar is not applied at all).  record_action does
 the same for named operators on any basis, by one solve.  Bases come in
-discovery order (scalar_basis: by degree), graded by total degree.
+discovery order (scalar_basis: by degree) and are never permuted.
 
 The weights are not computed a second time: the weight of b_j is the tuple
 of eigenvalues of the Cartan generators E11, ..., Enn on it, which their
 recorded columns hold as multiples of the unit column j (basis_weights).
-regraded, the only code that permutes a basis, orders it stably by a
-linear form in those weights.
 
 matrix_of converts an operator to its exact matrix on a basis, failing
 loudly with the offending vector and residual when the span is not
@@ -66,7 +64,7 @@ class NotInvariantError(RuntimeError):
 
 @dataclass
 class SpinorBasis:
-    """Ordered, linearly independent spinors with per-vector grades.
+    """Ordered, linearly independent spinors.
 
     action maps a generator name to its recorded coordinate columns on this
     basis: column j is the sparse map {i: (a, b)} with op(b_j) = sum of
@@ -75,7 +73,6 @@ class SpinorBasis:
     """
 
     vectors: tuple
-    grades: tuple
     action: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
@@ -88,7 +85,7 @@ class SpinorBasis:
 
 def scalar_basis(k: int, m: int) -> SpinorBasis:
     """Monomials x^p1 y^p2 with p1 + m*p2 <= k, as one-component spinors,
-    graded and ordered by total degree."""
+    ordered by total degree."""
     if k < 0:
         raise ValueError("k must be a non-negative integer")
     if m < 1:
@@ -97,7 +94,7 @@ def scalar_basis(k: int, m: int) -> SpinorBasis:
         (p1 + p2, p2, p1) for p2 in range(k // m + 1) for p1 in range(k - m * p2 + 1)
     )
     vecs = tuple(PolySpinor([Polynomial.monomial((p1, p2), 1, 2)], 2) for _, p2, p1 in items)
-    return SpinorBasis(vecs, tuple(g for g, _, _ in items))
+    return SpinorBasis(vecs)
 
 
 def _diagonal_table(op: MatrixDiffOp):
@@ -150,8 +147,7 @@ def orbit_closure(
     unit column; a dependent one is recorded with the combination that
     eliminated it, and is never built.  A diagonal op (_diagonal_table) is
     not applied to a vector it maps to sigma times itself: its column there
-    is sigma times the unit column.  The basis comes out in discovery order,
-    graded by total degree; regraded orders it by weight.
+    is sigma times the unit column.  The basis comes out in discovery order.
     """
     if not seeds or all(s.is_zero() for s in seeds):
         raise ValueError("need at least one nonzero seed")
@@ -205,7 +201,7 @@ def orbit_closure(
                 cols.append({at: (1, 0)})
         i += 1
     action = {name: tuple(cols) for (name, _), cols in zip(named_ops, columns)}
-    return SpinorBasis(tuple(basis), tuple(v.total_degree() for v in basis), action)
+    return SpinorBasis(tuple(basis), action)
 
 
 def basis_weights(basis: SpinorBasis):
@@ -224,28 +220,6 @@ def basis_weights(basis: SpinorBasis):
         rational = not any(b for _, b in pairs)
         out.append(tuple(a for a, _ in pairs) if diagonal and rational else None)
     return out
-
-
-def regraded(basis: SpinorBasis, form) -> SpinorBasis:
-    """basis sorted stably by the grade sum form[i] w_i of each vector's
-    weight, with its grades and recorded columns carried along.
-
-    Raises ValueError when a basis vector is not a weight vector.
-    """
-    grades = []
-    for j, w in enumerate(basis_weights(basis)):
-        if w is None:
-            raise ValueError("basis vector %d is not a weight vector" % j)
-        grades.append(sum(f * x for f, x in zip(form, w)))
-    order = sorted(range(basis.dim), key=grades.__getitem__)
-    rank = {old: new for new, old in enumerate(order)}
-    action = {
-        name: tuple({rank[i]: p for i, p in cols[old].items()} for old in order)
-        for name, cols in basis.action.items()
-    }
-    return SpinorBasis(
-        tuple(basis.vectors[t] for t in order), tuple(grades[t] for t in order), action
-    )
 
 
 class OperatorMatrix(_TermMap):
@@ -344,7 +318,7 @@ def matrix_of(op, basis: SpinorBasis) -> OperatorMatrix:
     sum c * (product of the generators).  Words are composed from the
     columns recorded in basis.action, which must hold every name they use:
     the matrix of a product on an invariant space is the product of the
-    matrices.
+    matrices.  A word whose coefficient is 0 is skipped.
     """
     n = basis.dim
     if isinstance(op, MatrixDiffOp):
@@ -354,6 +328,8 @@ def matrix_of(op, basis: SpinorBasis) -> OperatorMatrix:
         )
     acc = {}  # (i, j) -> {exps: pair}
     for c, word in op:
+        if c.is_zero():
+            continue
         for j in range(n):
             for i, p in _word_column(word, j, basis.action).items():
                 _add_at(acc, (i, j), c.terms, {_ZEXP: p}, 1)

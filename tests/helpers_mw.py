@@ -160,12 +160,13 @@ def apply_orbit_closure(named_ops, seeds, degree_cap):
                 cols.append({at: (1, 0)})
         i += 1
     action = {name: tuple(cols) for (name, _), cols in zip(named_ops, columns)}
-    return SpinorBasis(tuple(basis), tuple(v.total_degree() for v in basis), action)
+    return SpinorBasis(tuple(basis), action)
 
 
 def dense_block_scan(entries, grades):
     """The block checks models.spectrum made cell by cell over the dense grid
-    of a matrix on a grade-sorted basis: the oracle of models._grade_blocks.
+    of a matrix on a grade-sorted basis: the oracle of models._grade_blocks,
+    which reads the same blocks off any basis order.
 
     Returns (blocks, diagonal, first): blocks are the (start, end) runs of
     equal grade; first is the first entry below the block diagonal that the

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -358,6 +359,26 @@ def test_model_manifest_records_k_only_when_given(model, capsys):
 
 
 @pytest.mark.parametrize(
+    "model, verdict, residual_terms", [("calogero", "pass", 0), ("sutherland", "fail", 1)]
+)
+def test_model_runs_the_display_check_at_d1(model, verdict, residual_terms, capsys):
+    # the Sutherland display carries a sign error already at d = 1; the
+    # record matches display_residuals.json, and the exit status stays 0
+    code, out = run_cli(["model", "--model", model, "--form", "matrix", "--d", "1"], capsys)
+    assert code == 0
+    data = json.loads(out)
+    assert data["verdict"] == verdict
+    assert data["results"][-1] == {
+        "name": "%s matrix display vs lie [d=1]" % model,
+        "pass": verdict == "pass",
+        "residual_terms": residual_terms,
+    }
+    path = os.path.join(os.path.dirname(__file__), "goldens", "display_residuals.json")
+    with open(path) as fh:
+        assert json.load(fh)["%s_d1" % model]["residual_terms"] == residual_terms
+
+
+@pytest.mark.parametrize(
     "model, option, value",
     [
         ("sutherland", "--nu", "-1/2"),
@@ -391,3 +412,19 @@ def test_negative_rational_does_not_hide_a_usage_error(argv, capsys):
         main(argv)
     assert err.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+def test_cli_digest_grid_matches_the_committed_digests(capsys):
+    # every output byte and exit code of tools/argv_digests.py's grid, slow
+    # rows included; regenerate the file when a change alters them on purpose
+    root = os.path.join(os.path.dirname(__file__), "..")
+    spec = importlib.util.spec_from_file_location(
+        "argv_digests", os.path.join(root, "tools", "argv_digests.py")
+    )
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    saved = os.path.join(os.path.dirname(__file__), "goldens", "argv_digests.txt")
+    code = tool.main(["--compare", saved])
+    out = capsys.readouterr().out
+    assert code == 0, out
+    assert out.startswith("0 of ")

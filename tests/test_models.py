@@ -10,9 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 from matrixweyl import ALPHA, Coeff, K, NU, OMEGA, RepSpec, build_gl_np1
 from matrixweyl.models import (
+    GRADINGS,
     EigRecord,
     NotTriangularError,
     _grade_blocks,
+    _grades,
     calogero,
     consistency_check,
     flag_basis,
@@ -22,7 +24,8 @@ from matrixweyl.models import (
     sutherland,
 )
 from matrixweyl.serialize import matrix_op_to_json
-from matrixweyl.spaces import OperatorMatrix, matrix_of
+from matrixweyl.spaces import OperatorMatrix, basis_weights, matrix_of, orbit_closure
+from matrixweyl.weyl import PolySpinor
 from helpers_mw import dense_block_scan
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "goldens")
@@ -130,7 +133,7 @@ def test_matrix_calogero_spectra_match_golden(k, d):
 
 def test_matrix_flag_needs_long_enough_first_row():
     with pytest.raises(ValueError):
-        flag_basis("calogero", 1, 3)
+        flag_basis(1, 3)
 
 
 @pytest.mark.parametrize(
@@ -293,7 +296,7 @@ def test_numeric_fallback_end_to_end_is_certified(monkeypatch, k, extra, inexact
     assert {e.err for e in records} <= set(errs)
 
     # sympy, independently: the eigenvalues of the whole operator matrix
-    basis = flag_basis("sutherland", k, 1)
+    basis = flag_basis(k, 1)
     opm = matrix_of(op.op, basis).substitute(bind)
     rows = []
     for row in opm.entries:
@@ -317,10 +320,11 @@ def test_numeric_fallback_end_to_end_is_certified(monkeypatch, k, extra, inexact
     assert sorted(e.pair[0] for e in result.eigenvalues if e.exact) == rational
 
 
-@pytest.mark.parametrize("d, entry", [(1, "(1,0)"), (2, "(2,0)")])
+@pytest.mark.parametrize("d, entry", [(1, "(1,0)"), (2, "(4,1)")])
 def test_a_grade_raising_word_is_not_triangular(d, entry):
     # T1+ raises the grade, so the added word puts a nonzero entry below
-    # the block diagonal of the flag's grade order
+    # the block diagonal of the flag's grade order; the entry is named in
+    # discovery indices (at d = 2 the grade-sorted position (2,0))
     m = calogero("liealgebraic", Coeff.rational(2), d)
     op = dataclasses.replace(m, words=m.words + ((_ONE, ("T1+",)),))
     with pytest.raises(NotTriangularError, match=re.escape("entry %s " % entry)):
@@ -329,11 +333,13 @@ def test_a_grade_raising_word_is_not_triangular(d, entry):
 
 @st.composite
 def _graded_sparse_matrix(draw):
-    """(grades, OperatorMatrix): a non-decreasing grade vector of length 1 to
-    7, so runs of any length (1 x 1 blocks among them), and nonzero entries
-    at random cells, below the diagonal of any block or none."""
-    grades = sorted(draw(st.lists(st.integers(-2, 3), min_size=1, max_size=7)))
-    n = len(grades)
+    """(grades, OperatorMatrix): grades of length 1 to 7 in shuffled order,
+    with runs of any length once sorted (1 x 1 blocks among them), and
+    nonzero entries at random cells, below the diagonal of any block or
+    none."""
+    ordered = sorted(draw(st.lists(st.integers(-2, 3), min_size=1, max_size=7)))
+    n = len(ordered)
+    grades = [ordered[p] for p in draw(st.permutations(range(n)))]
     cells = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=12))
     values = st.sampled_from([Coeff.rational(3), Coeff.rational(-1, 2), NU * 2, OMEGA + 1])
     return grades, OperatorMatrix(n, {cell: draw(values) for cell in sorted(cells)})
@@ -342,15 +348,52 @@ def _graded_sparse_matrix(draw):
 @settings(max_examples=400, deadline=None)
 @given(_graded_sparse_matrix())
 def test_sparse_block_checks_match_the_dense_scan(case):
+    # the oracle scans the matrix on the stably grade-sorted basis; its
+    # positions p map back to the discovery indices order[p]
     grades, opm = case
-    blocks, diagonal, first = dense_block_scan(opm.entries, grades)
+    order = sorted(range(opm.dim), key=grades.__getitem__)
+    entries = opm.entries
+    permuted = [[entries[i][j] for j in order] for i in order]
+    blocks, diagonal, first = dense_block_scan(permuted, [grades[i] for i in order])
     if first is not None:
-        with pytest.raises(NotTriangularError, match=re.escape("entry (%d,%d) " % first)):
+        entry = (order[first[0]], order[first[1]])
+        with pytest.raises(NotTriangularError, match=re.escape("entry (%d,%d) " % entry)):
             _grade_blocks(opm, grades)
         return
     got, got_diagonal = _grade_blocks(opm, grades)
-    assert [(s, s + size) for s, size in got.values()] == blocks
+    assert list(got.values()) == [order[s:e] for s, e in blocks]
+    assert list(got) == sorted(set(grades))
     assert got_diagonal == diagonal
+
+
+def test_spectrum_grading_refuses_a_non_weight_vector():
+    # e_0 + e_1 has weights (1, 0) and (0, 1) in its two components
+    seed = PolySpinor.unit(0, 2, 2) + PolySpinor.unit(1, 2, 2)
+    gens = build_gl_np1(RepSpec.gl3(Coeff.rational(2), 2))
+    basis = orbit_closure(gens.named(), [seed], degree_cap=4)
+    assert basis_weights(basis)[0] is None
+    for form in GRADINGS.values():
+        with pytest.raises(ValueError, match="basis vector 0 is not a weight vector"):
+            _grades(basis, form)
+
+
+@pytest.mark.parametrize(
+    "kind, k, d", [(kind, k, d) for kind in GRADINGS for d in (1, 2, 3) for k in range(d - 1, 5)]
+)
+def test_the_model_grading_steps_no_word_up(kind, k, d):
+    # every generator a word uses moves the model's grade by one fixed step
+    # on the flag, and no word's steps sum above 0: so the matrix is block
+    # upper triangular in that grade
+    words = (calogero if kind == "calogero" else sutherland)("liealgebraic", k, d).words
+    names = {name for _, word in words for name in word}
+    basis = flag_basis(k, d, names)
+    grades = _grades(basis, GRADINGS[kind])
+    step = {}
+    for name in names:
+        moves = {grades[i] - grades[j] for j, col in enumerate(basis.action[name]) for i in col}
+        assert len(moves) <= 1, name
+        step[name] = moves.pop() if moves else 0
+    assert all(sum(step[name] for name in word) <= 0 for _, word in words)
 
 
 @pytest.mark.parametrize("kind", ["calogero", "sutherland"])
@@ -360,7 +403,7 @@ def test_binding_before_the_matrix_equals_binding_after(kind, d):
     # matrix; OperatorMatrix.substitute on the formal matrix is the oracle
     k = d
     op = (calogero if kind == "calogero" else sutherland)("liealgebraic", k, d).op
-    basis = flag_basis(kind, k, d)
+    basis = flag_basis(k, d)
     formal = matrix_of(op, basis)
     other = "omega" if kind == "calogero" else "alpha"
     for nu in (0, Fraction(1, 3), 2, Fraction(-1, 2)):
@@ -422,7 +465,7 @@ def test_matrix_of_words_equals_matrix_of_the_operator(kind, k, d):
     model = _MODELS[kind]("liealgebraic", k, d)
     op = _hand_written(kind, build_gl_np1(RepSpec.gl3(Coeff.rational(k), d)))
     names = {name for _, word in model.words for name in word}
-    basis = flag_basis(kind, k, d, names)
+    basis = flag_basis(k, d, names)
     other = "omega" if kind == "calogero" else "alpha"
     bindings = (
         {},

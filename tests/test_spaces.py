@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
@@ -13,7 +15,7 @@ from matrixweyl import (
     gl2_irrep,
 )
 from matrixweyl.identities import casimirs_gl3
-from matrixweyl.models import calogero, flag_basis, sutherland
+from matrixweyl.models import GRADINGS, _grades, calogero, flag_basis, sutherland
 from matrixweyl.spaces import (
     NotInvariantError,
     SpaceNotClosedError,
@@ -22,10 +24,10 @@ from matrixweyl.spaces import (
     hexagon_audit,
     matrix_of,
     orbit_closure,
-    regraded,
     scalar_basis,
     top_layer_spinors,
 )
+from matrixweyl import spaces
 from matrixweyl.linalg import rank_of
 from helpers_mw import C, apply_orbit_closure, spinor
 
@@ -188,10 +190,12 @@ def reference_weight(v, d):
      for k in range(d - 1, 5)],
 )
 def test_flag_column_weights_equal_the_reference_weights(kind, k, d):
-    basis = flag_basis(kind, k, d)
+    basis = flag_basis(k, d)
     weights = basis_weights(basis)
     assert weights == [reference_weight(v, d) for v in basis.vectors]
     assert None not in weights
+    form = GRADINGS[kind]
+    assert _grades(basis, form) == [form[0] * w1 + form[1] * w2 for w1, w2 in weights]
 
 
 def test_reference_weight_of_reference_vectors():
@@ -207,32 +211,16 @@ def test_closure_column_weights_equal_the_reference_weights(k):
     assert basis_weights(basis) == [reference_weight(v, 2) for v in basis.vectors]
 
 
-def test_non_weight_seed_is_refused_by_regraded_and_reported_by_the_audit():
-    # e_0 + e_1 has weights (1, 0) and (0, 1) in its two components
+def test_non_weight_seed_is_reported_by_the_audit():
+    # e_0 + e_1 has weights (1, 0) and (0, 1) in its two components; the
+    # spectrum's grading refuses such a vector (test_models)
     seed = PolySpinor.unit(0, 2, 2) + PolySpinor.unit(1, 2, 2)
     gens = build_gl_np1(RepSpec.gl3(Coeff.rational(2), 2))
     basis = orbit_closure(gens.named(), [seed], degree_cap=4)
     assert basis_weights(basis)[0] is None
-    with pytest.raises(ValueError, match="not a weight vector"):
-        regraded(basis, (1, 1))
     report = hexagon_audit(basis, 2)
     assert "non-weight basis vector found" in report.issues
     assert not report.passed
-
-
-def test_regraded_sorts_stably_and_carries_the_columns():
-    basis = closure(3, 2)
-    graded = regraded(basis, (2, 3))
-    weights = basis_weights(basis)
-    grades = [2 * w1 + 3 * w2 for w1, w2 in weights]
-    order = sorted(range(basis.dim), key=grades.__getitem__)
-    assert graded.vectors == tuple(basis.vectors[t] for t in order)
-    assert list(graded.grades) == sorted(grades)
-    assert basis_weights(graded) == [weights[t] for t in order]
-    for name in GL3_NAMES:
-        assert recorded_matrix(graded, name) == [
-            [recorded_matrix(basis, name)[a][b] for b in order] for a in order
-        ], name
 
 
 def test_matrix_of_euler_complement_diagonal():
@@ -287,13 +275,11 @@ def test_not_invariant_error_carries_residual():
     assert not err.value.residual.is_zero()
 
 
-@pytest.mark.parametrize(
-    "build,kind,k,d", [(calogero, "calogero", 4, 2), (sutherland, "sutherland", 3, 2)]
-)
-def test_matrix_of_reconstructs_every_image(build, kind, k, d):
+@pytest.mark.parametrize("build,k,d", [(calogero, 4, 2), (sutherland, 3, 2)])
+def test_matrix_of_reconstructs_every_image(build, k, d):
     # sum_i M[i][j] b_i == op(b_j) exactly, parameters (omega, nu, alpha) kept
     op = build("liealgebraic", Coeff.rational(k), d).op
-    basis = flag_basis(kind, k, d)
+    basis = flag_basis(k, d)
     m = matrix_of(op, basis)
     zero = PolySpinor.zero(d, 2)
     for j, bj in enumerate(basis.vectors):
@@ -316,8 +302,6 @@ def test_not_invariant_error_names_first_failing_column():
 
 def test_orbit_cap_failure_reports():
     # k bound to a non-integer rational never closes: the cap must trip
-    from fractions import Fraction
-
     halfgens = build_gl_np1(RepSpec.gl3(Coeff.rational(Fraction(1, 2)), 1))
     seed = PolySpinor.unit(0, 1, 2)
     with pytest.raises(SpaceNotClosedError):
@@ -327,12 +311,7 @@ def test_orbit_cap_failure_reports():
 # -- the generator action the orbit closure records ------------------------------
 
 GL3_NAMES = ("E11", "E12", "E21", "E22", "E0", "T1-", "T2-", "T1+", "T2+")
-FLAGS = [
-    (kind, k, d)
-    for kind in ("calogero", "sutherland")
-    for d in (1, 2, 3)
-    for k in range(max(d - 1, 0), 5)
-] + [("calogero", 8, 3)]
+FLAGS = [(k, d) for d in (1, 2, 3) for k in range(max(d - 1, 0), 5)] + [(8, 3)]
 
 
 def recorded_matrix(basis, name):
@@ -345,10 +324,10 @@ def recorded_matrix(basis, name):
     return rows
 
 
-@pytest.mark.parametrize("kind, k, d", FLAGS)
-def test_recorded_generator_columns_equal_matrix_of(kind, k, d):
+@pytest.mark.parametrize("k, d", FLAGS)
+def test_recorded_generator_columns_equal_matrix_of(k, d):
     # oracle: apply the generator to every basis vector and solve
-    basis = flag_basis(kind, k, d, GL3_NAMES)
+    basis = flag_basis(k, d, GL3_NAMES)
     assert set(basis.action) == set(GL3_NAMES)
     gens = build_gl_np1(RepSpec.gl3(Coeff.rational(k), d))
     for name, op in gens.named():
@@ -360,11 +339,11 @@ def test_recorded_generator_columns_equal_matrix_of(kind, k, d):
 
 def test_flag_basis_records_only_the_named_generators_on_the_triangle():
     # E11 and E22 always: their columns give the weights the flag is graded by
-    assert set(flag_basis("sutherland", 3, 1).action) == {"E11", "E22"}
-    basis = flag_basis("sutherland", 3, 1, {"E12", "T1-"})
+    assert set(flag_basis(3, 1).action) == {"E11", "E22"}
+    basis = flag_basis(3, 1, {"E12", "T1-"})
     assert set(basis.action) == {"E11", "E22", "E12", "T1-"}
     # the orbit closure records every generator whatever is asked for
-    closed = flag_basis("sutherland", 3, 2)
+    closed = flag_basis(3, 2)
     assert set(closed.action) == set(GL3_NAMES)
 
 
@@ -374,6 +353,36 @@ def test_closure_records_each_op_under_its_name():
     assert set(basis.action) == set(GL3_NAMES)
     for name, op in gens.named():
         assert recorded_matrix(basis, name) == matrix_of(op, basis).rows(), name
+
+
+@pytest.mark.parametrize(
+    "build, nu, cancelled",
+    [
+        (calogero, Fraction(-1, 3), {("T1-",)}),
+        (sutherland, Fraction(-1, 3), {("T1-",)}),
+        (sutherland, Fraction(-1, 12), {("E11",), ("E22",)}),
+    ],
+)
+def test_matrix_of_skips_a_word_whose_coefficient_is_zero(build, nu, cancelled, monkeypatch):
+    words = build("liealgebraic", Coeff.rational(3), 2).words
+    bind = {"nu": nu, "omega": 1, "alpha": 1}
+    bound = tuple((c.substitute(bind), word) for c, word in words)
+    assert {word for c, word in bound if c.is_zero()} == cancelled
+    basis = flag_basis(3, 2)
+    # oracle: the formal matrix, every word composed, then bound
+    want = matrix_of(words, basis).substitute(bind)
+    seen = []
+
+    def spy(word, j, action):
+        seen.append(word)
+        return word_column(word, j, action)
+
+    word_column = spaces._word_column
+    monkeypatch.setattr(spaces, "_word_column", spy)
+    got = matrix_of(bound, basis)
+    assert not cancelled & set(seen)
+    assert set(seen) == {word for _, word in words} - cancelled
+    assert got == want and repr(got) == repr(want)
 
 
 # -- the diagonal shortcut ---------------------------------------------------------
@@ -459,7 +468,7 @@ def test_diagonal_shortcut_records_sigma_v_and_applies_only_when_mixed(case):
 
 
 def _assert_same_basis(got, want):
-    """Same vectors with the same term order, grades and recorded columns."""
+    """Same vectors with the same term order and recorded columns."""
     def terms(basis):
         return [
             [(key, list(c.terms.items())) for key, c in v.terms.items()]
@@ -467,7 +476,6 @@ def _assert_same_basis(got, want):
         ]
 
     assert terms(got) == terms(want)
-    assert got.grades == want.grades
     assert got.action == want.action
 
 
@@ -480,8 +488,7 @@ def _closure_args(k, d, cap=None):
 def test_every_flag_equals_the_apply_closure(k, d):
     want = apply_orbit_closure(*_closure_args(k, d))
     _assert_same_basis(orbit_closure(*_closure_args(k, d)), want)
-    for kind, form in (("calogero", (2, 3)), ("sutherland", (1, 1))):
-        _assert_same_basis(flag_basis(kind, k, d), regraded(want, form))
+    _assert_same_basis(flag_basis(k, d), want)
 
 
 @pytest.mark.parametrize(

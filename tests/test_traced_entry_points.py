@@ -78,7 +78,7 @@ def test_height_reads_the_pairs_charpoly_and_matrix_of_return():
     # the tracer reads .numerator/.denominator of both halves of each pair
     # of the values these two entry points return
     model = sutherland("liealgebraic", Coeff.rational(2), 2)
-    opm = matrix_of(model.op, flag_basis("sutherland", 2, 2))
+    opm = matrix_of(model.op, flag_basis(2, 2))
     entries = [c for row in opm.entries for c in row]
     bound = opm.substitute({"nu": Fraction(2, 3), "alpha": 2})
     poly = charpoly(bound.entries)

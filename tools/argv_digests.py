@@ -7,7 +7,11 @@ captured, and one line is printed per argv:
     <sha256 of stdout> <exit code> <argv>
 
 Save the digests of one checkout and compare another against them to
-show that a change keeps every output byte and exit code.  The grid
+show that a change keeps every output byte and exit code.  The digests of
+the current code are committed as tests/goldens/argv_digests.txt, which
+tests/test_cli.py compares against: regenerate that file (first command below)
+whenever a change alters output bytes or exit codes on purpose, and review
+which rows moved with --compare before overwriting it.  The grid
 covers gens, check, casimir and relations for d <= 4 (d = 4 is the first
 block whose gl2_irrep entries split a product rationally), gens with k = 2
 bound and as LaTeX and text at d = 2; every space form, with closures for
@@ -20,8 +24,8 @@ models, which cancels the T1- word, and -1/12 for Sutherland, which
 cancels its E11 and E22 words), and the benchmark's Calogero k = 8 rows;
 and the slow rows, the inputs that take the longest.
 
-    python3 tools/argv_digests.py > digests.txt
-    python3 tools/argv_digests.py --compare digests.txt
+    python3 tools/argv_digests.py > tests/goldens/argv_digests.txt
+    python3 tools/argv_digests.py --compare tests/goldens/argv_digests.txt
     python3 tools/argv_digests.py --slow --timing
 
 --timing adds the wall seconds of each run after the exit code; --slow
