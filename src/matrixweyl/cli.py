@@ -13,6 +13,7 @@ any mathematics runs.  `model` always exits 0 (see cmd_model).
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 from fractions import Fraction
@@ -310,7 +311,9 @@ def cmd_gm(args) -> int:
     return _finish(args, "gm", {"m": args.m, "d": args.d}, results)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process; subcommand NAME runs cmd_NAME."""
     p = argparse.ArgumentParser(
         prog="matrixweyl",
         description="exact gl(n+1) matrix-differential-operator engine",
@@ -327,29 +330,24 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("gens", help="dump the gl3 generators for one block size")
     sp.add_argument("--d", type=_POSITIVE, required=True)
     sp.add_argument("--k", type=int, default=None, help="bind k (default symbolic)")
-    sp.set_defaults(func=cmd_gens)
 
     sp = sub.add_parser("check", help="verify the full commutation table")
     sp.add_argument("--n", type=int, choices=(2,), default=2, help="only gl(3) is built")
     sp.add_argument(
         "--d", type=_POSITIVE, default=None, help="one block size (default 1,2,3)"
     )
-    sp.set_defaults(func=cmd_check)
 
     sp = sub.add_parser("casimir", help="verify Casimir values and centrality")
     sp.add_argument("--d", type=_POSITIVE, required=True)
-    sp.set_defaults(func=cmd_casimir)
 
     sp = sub.add_parser("relations", help="verify the nine quadratic relations")
     sp.add_argument("--d", type=_POSITIVE, default=None)
-    sp.set_defaults(func=cmd_relations)
 
     sp = sub.add_parser("space", help="discover an invariant space")
     sp.add_argument("--k", type=_NON_NEGATIVE, required=True)
     sp.add_argument("--d", type=_POSITIVE, default=2)
     sp.add_argument("--m", type=_POSITIVE, default=None, help="triangle space instead")
     sp.add_argument("--degree-cap", type=_NON_NEGATIVE, default=None)
-    sp.set_defaults(func=cmd_space)
 
     sp = sub.add_parser("model", help="build a model operator")
     sp.add_argument("--model", choices=tuple(MODELS), required=True)
@@ -360,7 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument("--d", type=_POSITIVE, default=1)
     sp.add_argument("--k", type=int, default=None)
-    sp.set_defaults(func=cmd_model)
 
     sp = sub.add_parser("spectrum", help="exact spectrum on the invariant flag")
     sp.add_argument("--model", choices=tuple(MODELS), required=True)
@@ -369,7 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--omega", type=_fraction, default="1")
     sp.add_argument("--alpha", type=_fraction, default="1")
     sp.add_argument("--nu", type=_fraction, default="0")
-    sp.set_defaults(func=cmd_spectrum)
     # argparse reads "-1" and "-0.5" as values but "-1/2" as an option; let
     # this subcommand read a negative rational as a value too
     sp._negative_number_matcher = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\d+/\d+$")
@@ -377,14 +373,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("gm", help="polynomial-algebra tower checks")
     sp.add_argument("--m", type=_POSITIVE, required=True)
     sp.add_argument("--d", type=_POSITIVE, default=1)
-    sp.set_defaults(func=cmd_gm)
 
     return p
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    # looked up at call time, so a wrapper bound over cmd_NAME is what runs
+    return globals()["cmd_" + args.command](args)
 
 
 if __name__ == "__main__":

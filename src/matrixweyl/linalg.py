@@ -28,8 +28,8 @@ on raw Q(sqrt2) pairs (O(n^3) pair operations).  Rational roots are found
 in integer arithmetic alone by p-adic expansion (Loos 1983): the square-free
 part of gcd(A, B), for p = A + B*sqrt2, is made monic over Z, its simple
 roots modulo a small prime are Hensel-lifted (Zassenhaus 1969) past the
-Cauchy bound, and every candidate is checked exactly before exact division
-sets its multiplicity.
+Cauchy bound, and every candidate u/L is checked, and its multiplicity
+set, by exact division of the primitive integer halves by L t - u.
 Whatever remains is split into square-free parts over Q(sqrt2) (Yun 1976,
 with gcds in Q(sqrt2)[t] on the pair arithmetic) and each part is located
 numerically at high precision (mpmath, imported only then) with a certified
@@ -527,15 +527,14 @@ def _integer_roots(m):
     return out
 
 
-def _divide_linear(f, r):
-    """(quotient, remainder) of sum f_i t^i divided by (t - r)."""
-    n = len(f) - 1
-    out = [0] * n
-    carry = f[n]
-    for i in range(n - 1, -1, -1):
-        out[i] = carry
-        carry = f[i] + carry * r
-    return out, carry
+def _zdiv_linear(f, L, u):
+    """f / (L t - u) in Z[t], or None when it leaves a remainder."""
+    q = [0] * len(f)  # q_(i-1) = (f_i + u q_i) / L, from the top down
+    for i in range(len(f) - 1, 0, -1):
+        q[i - 1], rem = divmod(f[i] + u * q[i], L)
+        if rem:
+            return None
+    return None if f and f[0] + u * q[0] else q[:-1]
 
 
 def rational_roots(coeffs):
@@ -546,8 +545,9 @@ def rational_roots(coeffs):
     its multiplicity.  Writing p = A + B*sqrt2 with A, B in Q[t], a rational
     root is a root of g = gcd(A, B); the integer roots u of the monic
     m(u) = L^(n-1) s(u/L), for s the primitive square-free part of g with
-    leading coefficient L, give the candidates u/L, and exact division of A
-    and B gives each multiplicity.
+    leading coefficient L, give the candidates u/L, and exact division of
+    the primitive integer parts of A and B by L t - u in Z[t] gives each
+    multiplicity, with the scales carried beside them.
     """
     coeffs = list(coeffs)
     while len(coeffs) > 1 and coeffs[-1].is_zero():
@@ -560,23 +560,31 @@ def rational_roots(coeffs):
     if len(coeffs) <= 1:
         return roots, coeffs
 
-    a, b = (list(half) for half in zip(*(c.constant_pair() for c in coeffs)))
-    parts = [_integral(half) for half in (a, b) if any(half)]
-    g = parts[0] if len(parts) == 1 else _zgcd(*parts)
+    # each half of p is scale * X for a primitive integer X ([] for 0)
+    parts = []
+    for half in zip(*(c.constant_pair() for c in coeffs)):
+        X = _integral(half) if any(half) else []
+        parts.append((Fraction(half[len(X) - 1]) / X[-1] if X else 0, X))
+    live = [X for _, X in parts if X]
+    g = live[0] if len(live) == 1 else _zgcd(*live)
     if len(g) == 1:
         return roots, coeffs
     s = _zdiv(g, _zgcd(g, _deriv(g)))
     n = len(s) - 1
     lead = s[n]
     m = [c * lead ** (n - 1 - i) for i, c in enumerate(s[:n])] + [1]
+    size = len(coeffs)
     for r in sorted(Fraction(u, lead) for u in _integer_roots(m)):
+        # X / (t - u/L) = L X / (L t - u), and the quotient of a primitive X
+        # by the primitive L t - u is primitive again (Gauss)
         while True:
-            qa, ra = _divide_linear(a, r)
-            qb, rb = _divide_linear(b, r)
-            if ra or rb:
+            quotients = [_zdiv_linear(X, r.denominator, r.numerator) for _, X in parts]
+            if None in quotients:
                 break
             roots.append(r)
-            a, b = qa, qb
+            size -= 1
+            parts = [(scale * r.denominator, Q) for (scale, _), Q in zip(parts, quotients)]
+    a, b = ([scale * x for x in X] + [0] * (size - len(X)) for scale, X in parts)
     return roots, [Coeff.rational(x, y) for x, y in zip(a, b)]
 
 

@@ -7,12 +7,14 @@ closed-form basis lists for these families then become assertions on the
 discovered spaces (tests), which guards against transcription slips on both
 sides.
 
-The closure also records the action it computes: for every generator, the
-coordinates of its image of each basis vector, taken from the tracked
-elimination that accepted or rejected the image (a diagonal generator that
-acts on a vector as one scalar is not applied at all).  record_action does
-the same for named operators on any basis, by one solve.  Bases come in
-discovery order (scalar_basis: by degree) and are never permuted.
+The closure runs on pair maps {(component, x^P): (a, b)} with each
+generator compiled once (_rules), and records the action it computes: for
+every generator, the coordinates of its image of each basis vector, from
+the tracked elimination that accepted or rejected the image (a diagonal
+generator that acts on a vector as one scalar is not applied at all).
+record_action does the same for named operators on any basis, by one
+solve.  Bases come in discovery order (scalar_basis: by degree) and are
+never permuted.
 
 The weights are not computed a second time: the weight of b_j is the tuple
 of eigenvalues of the Cartan generators E11, ..., Enn on it, which their
@@ -31,11 +33,12 @@ on its boundary) and the specific top-layer span.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from math import perm
+from math import perm, prod
+from operator import add
 from typing import List, Sequence, Tuple
 
-from .coeff import ZERO, _ZEXP, _add_pair, qp_add, qp_mul
-from .linalg import Indexer, QPEchelon, coeff_matrix_solve, span_contains
+from .coeff import ZERO, _ZEXP, Coeff, _add_pair, qp_add, qp_mul
+from .linalg import QPEchelon, coeff_matrix_solve, span_contains
 from .weyl import MatrixDiffOp, Polynomial, PolySpinor, _add_at, _coeffs, _TermMap
 
 
@@ -97,18 +100,29 @@ def scalar_basis(k: int, m: int) -> SpinorBasis:
     return SpinorBasis(vecs)
 
 
-def _diagonal_table(op: MatrixDiffOp):
-    """{j: [(A, pair), ...]} when every term of op is (j, j, x^A d^A) with a
-    parameter-free coefficient, else None.
+def _rules(name, op: MatrixDiffOp):
+    """op compiled for _image: one rule (i, j, A - B, B, pair) per term x^A d^B
+    at (i, j), in term order; ValueError naming op if it carries a parameter."""
+    rules = []
+    for (i, j, (A, B)), c in op.terms.items():
+        if not c.is_constant():
+            raise ValueError("op %r carries a parameter; it must be parameter-free" % name)
+        rules.append((i, j, tuple(a - b for a, b in zip(A, B)), B, c.constant_pair()))
+    return rules
+
+
+def _diagonal_table(rules):
+    """{j: [(B, pair), ...]} when every rule is a diagonal term (j, j, 0, B,
+    pair), else None.
 
     Such an op maps x^P e_j to sigma(j, P) x^P e_j with sigma(j, P) the sum
-    of pair * prod_i P_i! / (P_i - A_i)! over the terms of row j.
+    of pair * prod_i P_i! / (P_i - B_i)! over the rules of column j.
     """
     table = {}
-    for (i, j, mono), c in op.terms.items():
-        if i != j or mono.xpow != mono.dpow or not c.is_constant():
+    for i, j, shift, B, pair in rules:
+        if i != j or any(shift):
             return None
-        table.setdefault(j, []).append((mono.xpow, c.constant_pair()))
+        table.setdefault(j, []).append((B, pair))
     return table
 
 
@@ -118,10 +132,8 @@ def _eigenvalue(table, keys):
     sigma = None
     for j, P in keys:
         s = (0, 0)
-        for A, pair in table.get(j, ()):
-            f = 1
-            for q, a in zip(P, A):
-                f *= perm(q, a)
+        for B, pair in table.get(j, ()):
+            f = prod(map(perm, P, B))
             if f:
                 s = qp_add(s, qp_mul(pair, (f, 0)))
         if sigma is None:
@@ -129,6 +141,22 @@ def _eigenvalue(table, keys):
         elif s != sigma:
             return None
     return sigma
+
+
+def _image(rules, raw):
+    """The op of rules applied to the pair map raw {(j, x^P): pair}: the
+    pair map of MatrixDiffOp.apply, same canonical pairs and key order."""
+    components = {}
+    for (j, P), v in raw.items():
+        components.setdefault(j, []).append((P, v))
+    out = {}
+    for i, j, shift, B, c in rules:
+        for P, v in components.get(j, ()):
+            f = prod(map(perm, P, B))
+            if f:
+                p = qp_mul(c if f == 1 else qp_mul(c, (f, 0)), v)
+                _add_pair(out, (i, tuple(map(add, P, shift))), p)
+    return out
 
 
 def orbit_closure(
@@ -141,33 +169,36 @@ def orbit_closure(
 
     named_ops is a sequence of (name, MatrixDiffOp) pairs, such as a
     generator set's named(); each op's action is recorded under its name,
-    as in record_action.  Every image, kept as raw pairs (MatrixDiffOp._act),
-    is inserted into a tracked echelon of the vectors found so far: an
-    independent image joins the basis as a PolySpinor and its column is a
-    unit column; a dependent one is recorded with the combination that
-    eliminated it, and is never built.  A diagonal op (_diagonal_table) is
-    not applied to a vector it maps to sigma times itself: its column there
-    is sigma times the unit column.  The basis comes out in discovery order.
+    as in record_action.  Ops and seeds must be parameter-free (else
+    ValueError: each power of a parameter would be a new direction).
+    Every image, a pair map (_image), is inserted into a tracked echelon
+    whose columns are its keys: an independent image joins the basis as a
+    PolySpinor and its column is a unit column; a dependent one is recorded
+    with the combination that eliminated it, and is never built.  A
+    diagonal op (_diagonal_table) is not applied to a vector it maps to
+    sigma times itself: its column there is sigma times the unit column.
+    The basis comes out in discovery order.
     """
     if not seeds or all(s.is_zero() for s in seeds):
         raise ValueError("need at least one nonzero seed")
     shape = seeds[0]  # the ops are applied to raw terms: check shapes here
     for x in [op for _, op in named_ops] + list(seeds):
         x._require_like(shape)
-    ix = Indexer()
+    if not all(c.is_constant() for s in seeds for c in s.terms.values()):
+        raise ValueError("seeds must be parameter-free")
+    compiled = [_rules(name, op) for name, op in named_ops]
     ech = QPEchelon(track=True)
     basis: List[PolySpinor] = []
-    raws = []  # the raw terms {(j, x^P): {exps: pair}} of each basis vector
+    raws = []  # the pair map of each basis vector
     position = {}  # echelon label -> basis position
 
     def spinor(raw):
-        return shape._like(_coeffs(raw))
+        return shape._like({key: Coeff._raw({_ZEXP: p}) for key, p in raw.items()})
 
-    def add(raw):
+    def keep(raw):
         """The basis position of raw after inserting it, or None if dependent."""
         tag = ech.inserted
-        vec = {ix((key, e)): p for key, t in raw.items() for e, p in t.items()}
-        if ech.insert(vec) is None:
+        if ech.insert(raw) is None:
             return None
         position[tag] = len(basis)
         basis.append(spinor(raw))
@@ -176,25 +207,25 @@ def orbit_closure(
 
     for s in seeds:
         if not s.is_zero():
-            add({key: c.terms for key, c in s.terms.items()})
-    tables = [_diagonal_table(op) for _, op in named_ops]
+            keep({key: c.constant_pair() for key, c in s.terms.items()})
+    tables = [_diagonal_table(rules) for rules in compiled]
     # per op, one column per basis vector
     columns = [[] for _ in named_ops]
     i = 0
     while i < len(basis):
         raw = raws[i]
-        for (_, op), table, cols in zip(named_ops, tables, columns):
+        for rules, table, cols in zip(compiled, tables, columns):
             sigma = None if table is None else _eigenvalue(table, raw)
             if sigma is not None:
                 cols.append({i: sigma} if sigma[0] or sigma[1] else {})
                 continue
-            w = op._act(raw.items())
+            w = _image(rules, raw)
             if not w:
                 cols.append({})
                 continue
             if max(sum(P) for _, P in w) > degree_cap:
                 raise SpaceNotClosedError(degree_cap, spinor(w))
-            at = add(w)
+            at = keep(w)
             if at is None:
                 cols.append({position[t]: p for t, p in ech.combination.items()})
             else:
@@ -277,13 +308,13 @@ def record_action(named_ops, basis: SpinorBasis) -> SpinorBasis:
 
     A diagonal op (_diagonal_table) that maps every basis vector to a
     multiple of itself is read off, as in orbit_closure.  The images of the
-    other ops are solved for together, against one echelon of the basis;
-    they must be parameter-free.
+    other ops are solved for together, against one echelon of the basis.
+    Every op must be parameter-free (ValueError naming it otherwise).
     """
     action = dict(basis.action)
     solve = []
     for name, op in named_ops:
-        table = _diagonal_table(op)
+        table = _diagonal_table(_rules(name, op))
         sigmas = [None] if table is None else [_eigenvalue(table, v.terms) for v in basis.vectors]
         if None in sigmas:
             solve.append((name, op))

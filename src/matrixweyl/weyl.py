@@ -504,14 +504,9 @@ class MatrixDiffOp(_TermMap):
 
     def apply(self, v: "PolySpinor") -> "PolySpinor":
         self._require_like(v)
-        return v._like(_coeffs(self._act((key, c.terms) for key, c in v.terms.items())))
-
-    def _act(self, terms):
-        """The action on raw spinor terms ((j, x^P), {exps: pair}), as the raw
-        accumulation {(i, x^P'): {exps: pair}} that apply wraps in Coeffs."""
         components = {}
-        for (j, P), tp in terms:
-            components.setdefault(j, []).append((P, tp))
+        for (j, P), c in v.terms.items():
+            components.setdefault(j, []).append((P, c.terms))
         acc = {}
         for (i, j, mono), c in self.terms.items():
             for P, tp in components.get(j, ()):
@@ -519,7 +514,7 @@ class MatrixDiffOp(_TermMap):
                 if hit is not None:
                     f, image = hit
                     _add_at(acc, (i, image), c.terms, tp, f)
-        return acc
+        return v._like(_coeffs(acc))
 
     def __repr__(self):
         from .render import matrix_op_str

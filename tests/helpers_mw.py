@@ -108,6 +108,53 @@ def faddeev_leverrier(matrix):
     return coeffs
 
 
+def _divide_linear(f, r):
+    """(quotient, remainder) of sum f_i t^i divided by (t - r)."""
+    n = len(f) - 1
+    out = [0] * n
+    carry = f[n]
+    for i in range(n - 1, -1, -1):
+        out[i] = carry
+        carry = f[i] + carry * r
+    return out, carry
+
+
+def fraction_rational_roots(coeffs):
+    """linalg.rational_roots as it was written on Fraction halves: each
+    candidate root r divides A and B by (t - r) in Q[t].  The oracle of the
+    integer division by (L t - u) on the primitive halves.
+    """
+    from matrixweyl.linalg import _deriv, _integer_roots, _integral, _zdiv, _zgcd
+
+    coeffs = list(coeffs)
+    while len(coeffs) > 1 and coeffs[-1].is_zero():
+        coeffs.pop()
+    roots = []
+    while len(coeffs) > 1 and coeffs[0].is_zero():
+        roots.append(Fraction(0))
+        coeffs = coeffs[1:]
+    if len(coeffs) <= 1:
+        return roots, coeffs
+    a, b = (list(half) for half in zip(*(c.constant_pair() for c in coeffs)))
+    parts = [_integral(half) for half in (a, b) if any(half)]
+    g = parts[0] if len(parts) == 1 else _zgcd(*parts)
+    if len(g) == 1:
+        return roots, coeffs
+    s = _zdiv(g, _zgcd(g, _deriv(g)))
+    n = len(s) - 1
+    lead = s[n]
+    m = [c * lead ** (n - 1 - i) for i, c in enumerate(s[:n])] + [1]
+    for r in sorted(Fraction(u, lead) for u in _integer_roots(m)):
+        while True:
+            qa, ra = _divide_linear(a, r)
+            qb, rb = _divide_linear(b, r)
+            if ra or rb:
+                break
+            roots.append(r)
+            a, b = qa, qb
+    return roots, [Coeff.rational(x, y) for x, y in zip(a, b)]
+
+
 def apply_orbit_closure(named_ops, seeds, degree_cap):
     """spaces.orbit_closure as it was written on PolySpinor values: every
     image is built by MatrixDiffOp.apply and scalarized from its Coeff
@@ -119,6 +166,7 @@ def apply_orbit_closure(named_ops, seeds, degree_cap):
         SpinorBasis,
         _diagonal_table,
         _eigenvalue,
+        _rules,
     )
 
     ix = Indexer()
@@ -137,7 +185,7 @@ def apply_orbit_closure(named_ops, seeds, degree_cap):
     for s in seeds:
         if not s.is_zero():
             add(s)
-    tables = [_diagonal_table(op) for _, op in named_ops]
+    tables = [_diagonal_table(_rules(name, op)) for name, op in named_ops]
     columns = [[] for _ in named_ops]
     i = 0
     while i < len(basis):

@@ -220,6 +220,32 @@ def test_out_of_domain_input_is_a_usage_error(argv, capsys):
     assert "usage:" in captured.err
 
 
+def test_two_main_calls_build_one_parser(monkeypatch, capsys):
+    import argparse
+
+    import matrixweyl.cli as cli
+
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        built.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    try:
+        assert run_cli(["space", "--k", "1", "--d", "2"], capsys)[0] == 0
+        assert run_cli(["space", "--k", "2", "--m", "1"], capsys)[0] == 0
+        with pytest.raises(SystemExit):
+            main(["spectrum"])
+    finally:
+        cli.build_parser.cache_clear()
+    # one tree: the top parser and each subparser, each built once
+    assert "matrixweyl" in built and len(built) == len(set(built))
+    assert capsys.readouterr().err.startswith("usage: matrixweyl spectrum")
+
+
 def test_value_error_in_the_mathematics_is_not_a_usage_error(monkeypatch):
     import matrixweyl.cli as cli
 

@@ -25,7 +25,7 @@ from matrixweyl.linalg import (
     solve_combination,
     span_contains,
 )
-from helpers_mw import C, faddeev_leverrier
+from helpers_mw import C, faddeev_leverrier, fraction_rational_roots
 
 
 def vec(**kw):
@@ -409,6 +409,40 @@ def test_rational_roots_match_divisor_enumeration(factors, scale, by_sqrt2):
     # same multiset, and the same order: zeros first, then increasing
     assert roots == ref_roots
     assert deflated == ref_deflated
+
+
+_pair_half = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.lists(
+        st.tuples(st.integers(-6, 6), st.integers(1, 4), st.integers(1, 3)),
+        min_size=1,
+        max_size=3,
+    ),
+    st.lists(st.tuples(_pair_half, _pair_half), min_size=1, max_size=4).filter(
+        lambda cof: cof[-1] != (0, 0) and any(b for _, b in cof)
+    ),
+)
+def test_rational_roots_divide_integer_halves_as_the_fraction_loop(linears, cofactor):
+    """(L t - u)^m factors times a cofactor with a sqrt2 half: the integer
+    division by L t - u gives the roots and deflated polynomial of the
+    Fraction division by t - u/L, with the same canonical halves."""
+    poly = [C(*pair) for pair in cofactor]
+    for u, L, m in linears:
+        for _ in range(m):
+            poly = _poly_mul(poly, [C(-u), C(L)])
+    roots, deflated = rational_roots(poly)
+    want_roots, want_deflated = fraction_rational_roots(poly)
+    assert roots == want_roots
+    assert deflated == want_deflated
+    halves = lambda cs: [tuple(map(type, c.constant_pair())) for c in cs]
+    assert halves(deflated) == halves(want_deflated)
+    made = Counter()
+    for u, L, m in linears:
+        made[Fraction(u, L)] += m
+    assert all(roots.count(r) >= m for r, m in made.items())
 
 
 def _sympy_value(c):

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from matrixweyl import (
     Coeff,
@@ -24,6 +24,7 @@ from matrixweyl.spaces import (
     hexagon_audit,
     matrix_of,
     orbit_closure,
+    record_action,
     scalar_basis,
     top_layer_spinors,
 )
@@ -426,23 +427,19 @@ def _sigma(op, j, P, d):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(diagonal_op_and_spinor())
 def test_diagonal_shortcut_records_sigma_v_and_applies_only_when_mixed(case):
-    from matrixweyl import weyl
-
     op, v = case
     sigmas = {_sigma(op, j, P, v.dim) for j, P in v.terms}
     image = op.apply(v)
     calls = []
-    real_apply = weyl.MatrixDiffOp.apply
-    real_act = weyl.MatrixDiffOp._act
+    real_image = spaces._image
 
-    # the closure applies op through the raw action kernel that apply wraps
-    def spy(self, terms):
-        terms = list(terms)
-        calls.append(terms)
-        return real_act(self, terms)
+    # the closure applies op through the compiled pair kernel
+    def spy(rules, raw):
+        calls.append(dict(raw))
+        return real_image(rules, raw)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(weyl.MatrixDiffOp, "_act", spy)
+        mp.setattr(spaces, "_image", spy)
         # the basis comes in discovery order, seed first
         basis = orbit_closure([("op", op)], [v], degree_cap=6)
     assert basis.vectors[0] == v
@@ -455,13 +452,87 @@ def test_diagonal_shortcut_records_sigma_v_and_applies_only_when_mixed(case):
         assert image == v.scale(sigma)
     else:
         event("mixed sigma")
-        assert calls and calls[0] == [(key, c.terms) for key, c in v.terms.items()]
+        assert calls and list(calls[0].items()) == [
+            (key, c.constant_pair()) for key, c in v.terms.items()
+        ]
     # every recorded column rebuilds the image of its vector
     for j, bj in enumerate(basis.vectors):
         rebuilt = PolySpinor.zero(v.dim, 2)
         for i, pair in basis.action["op"][j].items():
             rebuilt = rebuilt + basis.vectors[i].scale(Coeff.rational(*pair))
-        assert rebuilt == real_apply(op, bj)
+        assert rebuilt == op.apply(bj)
+
+
+# -- the compiled pair kernel ---------------------------------------------------
+
+_halves = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+_pairs = st.tuples(_halves, st.just(0) | _halves)
+
+
+@st.composite
+def parameter_free_op_and_spinor(draw):
+    """A d x d op of random terms (i, j, x^A d^B) and a spinor, every
+    coefficient a + b sqrt2 with rational a, b."""
+    d = draw(st.integers(1, 3))
+    exps = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    terms = draw(
+        st.dictionaries(
+            st.tuples(st.integers(0, d - 1), st.integers(0, d - 1), exps, exps),
+            _pairs.filter(any),
+            max_size=6,
+        )
+    )
+    entries = [[{} for _ in range(d)] for _ in range(d)]
+    for (i, j, A, B), pair in terms.items():
+        entries[i][j][DiffMonomial(A, B)] = Coeff.rational(*pair)
+    op = MatrixDiffOp([[ScalarDiffOp(2, t) for t in row] for row in entries])
+    vterms = draw(
+        st.dictionaries(
+            st.tuples(st.integers(0, d - 1), st.tuples(st.integers(0, 3), st.integers(0, 3))),
+            _pairs.filter(any),
+            max_size=5,
+        )
+    )
+    comps = [{} for _ in range(d)]
+    for (j, P), pair in vterms.items():
+        comps[j][P] = Coeff.rational(*pair)
+    return op, PolySpinor([Polynomial(2, t) for t in comps], 2)
+
+
+def _cancelling_case():
+    """x1 e_0 + x1 e_1 under an op whose x1 e_0 image cancels and then comes
+    back from column 1: the key moves behind x1 x2 e_0, as in apply."""
+    x, one = DiffMonomial((1, 0), (1, 0)), DiffMonomial((0, 0), (0, 0))
+    x2 = DiffMonomial((0, 1), (0, 0))
+    top = [ScalarDiffOp(2, {x: 1, x2: 1, one: -1}), ScalarDiffOp(2, {one: S2})]
+    op = MatrixDiffOp([top, [ScalarDiffOp.zero(2)] * 2])
+    return op, spinor(2, [((1, 0), 1)], [((1, 0), Fraction(1, 2))])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(parameter_free_op_and_spinor())
+@example(_cancelling_case())
+def test_compiled_pair_action_equals_apply(case):
+    op, v = case
+    raw = {key: c.constant_pair() for key, c in v.terms.items()}
+    got = spaces._image(spaces._rules("op", op), raw)
+    want = [(key, c.constant_pair()) for key, c in op.apply(v).terms.items()]
+    # same keys in the same order, same values, same canonical halves
+    assert list(got.items()) == want
+    assert [tuple(map(type, p)) for p in got.values()] == [tuple(map(type, p)) for _, p in want]
+
+
+def test_a_parametric_op_is_refused_by_name():
+    from matrixweyl import K
+
+    seed = PolySpinor.unit(0, 1, 2)
+    kI = MatrixDiffOp.identity(1, 2) * K
+    with pytest.raises(ValueError, match="'kI'"):
+        orbit_closure([("kI", kI)], [seed], degree_cap=3)
+    with pytest.raises(ValueError, match="'kI'"):
+        record_action([("kI", kI)], scalar_basis(1, 1))
+    with pytest.raises(ValueError, match="seeds must be parameter-free"):
+        orbit_closure([("I", MatrixDiffOp.identity(1, 2))], [seed.scale(K)], degree_cap=3)
 
 
 # -- the raw closure against the apply-based closure it replaced ---------------

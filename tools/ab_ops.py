@@ -1,0 +1,92 @@
+#!/usr/bin/env python3
+"""A/B timing of CLI operations between two checkouts, in fresh processes.
+
+    python3 tools/ab_ops.py ROOT_A ROOT_B --reps N -- "ARGV" ["ARGV" ...]
+    python3 tools/ab_ops.py ROOT_A ROOT_B --reps N --workload spectra
+
+Each ARGV is one matrixweyl command line in one shell word, such as
+"spectrum --model calogero --k 8 --d 2 --nu 1/3"; --workload NAME takes
+instead every (operation, nu) pair of that workload from ROOT_A's
+perfbench/workloads.py.  Every rep runs each argv once per checkout, A and
+B alternating and the side that goes first alternating too, each as
+ROOT/perfbench/child.py in a new interpreter with PYTHONPATH=ROOT/src and
+no bytecode cache read or written, as the benchmark's children start.  The
+output is one line per argv, the median run_s of A and of B in ms and
+B/A, and then their sums.  Nothing under either checkout is changed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import shlex
+import statistics
+import subprocess
+import sys
+import tempfile
+
+
+def workload_argvs(root, name):
+    sys.path.insert(0, os.path.join(root, "perfbench"))
+    from workloads import NU_POOL, WORKLOADS
+
+    return [
+        list(op.argv) + (["--nu", nu] if nu else [])
+        for op in WORKLOADS[name]
+        for nu in (NU_POOL if op.takes_nu else (None,))
+    ]
+
+
+def run_s(root, argv, cache):
+    """run_s of one fresh child of root on argv (its last stderr line)."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("MATRIXWEYL_")}
+    env.update(
+        PYTHONPATH=os.path.join(root, "src"),
+        PYTHONDONTWRITEBYTECODE="1",
+        PYTHONPYCACHEPREFIX=cache,  # empty: every module compiles from source
+    )
+    proc = subprocess.run(
+        [sys.executable, os.path.join(root, "perfbench", "child.py"), "0", *argv],
+        cwd=root,
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    return json.loads(proc.stderr.strip().splitlines()[-1])["run_s"]
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("root_a")
+    p.add_argument("root_b")
+    p.add_argument("--reps", type=int, default=7)
+    p.add_argument("--workload", help="every argv of this benchmark workload")
+    argv = sys.argv[1:] if argv is None else list(argv)
+    cut = argv.index("--") if "--" in argv else len(argv)
+    args = p.parse_args(argv[:cut])
+    roots = [os.path.abspath(args.root_a), os.path.abspath(args.root_b)]
+    ops = [shlex.split(a) for a in argv[cut + 1 :]]
+    if args.workload:
+        ops += workload_argvs(roots[0], args.workload)
+    if not ops or args.reps < 1:
+        p.error("give at least one argv or --workload, and --reps >= 1")
+    times = [[[], []] for _ in ops]
+    with tempfile.TemporaryDirectory() as cache:
+        for rep in range(args.reps):
+            for op, pair in zip(ops, times):
+                for side in (0, 1) if rep % 2 == 0 else (1, 0):
+                    pair[side].append(run_s(roots[side], op, cache))
+    total = [0.0, 0.0]
+    for op, pair in zip(ops, times):
+        a, b = (1000 * statistics.median(t) for t in pair)
+        total[0] += a
+        total[1] += b
+        print("%9.2f %9.2f %6.3f  %s" % (a, b, b / a, shlex.join(op)))
+    print("%9.2f %9.2f %6.3f  sum of medians (ms): A %s, B %s" % (
+        total[0], total[1], total[1] / total[0], roots[0], roots[1]))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
