@@ -366,9 +366,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--omega", type=_fraction, default="1")
     sp.add_argument("--alpha", type=_fraction, default="1")
     sp.add_argument("--nu", type=_fraction, default="0")
-    # argparse reads "-1" and "-0.5" as values but "-1/2" as an option; let
-    # this subcommand read a negative rational as a value too
-    sp._negative_number_matcher = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\d+/\d+$")
+    # argparse reads "-1" and "-0.5" as values but "-1/2" or "-1e-3" as an
+    # option; let this subcommand read as a value every negative spelling of
+    # Fraction's grammar (_fraction): -N/M, or -N.M with an optional exponent
+    digits = r"\d+(?:_\d+)*"
+    sp._negative_number_matcher = re.compile(
+        rf"-(?=\.?\d)({digits})?(/{digits}|(\.({digits})?)?(e[-+]?{digits})?)\s*\Z",
+        re.IGNORECASE,
+    )
 
     sp = sub.add_parser("gm", help="polynomial-algebra tower checks")
     sp.add_argument("--m", type=_POSITIVE, required=True)

@@ -473,7 +473,6 @@ def _pbw_tiers(gm: GmGeneratorSet, max_degree: int):
 class ClosureReport:
     """Membership of each [T_i^-, U_j] in the Cartan enveloping filtration."""
 
-    m: int
     degree_cap: int
     memberships: Dict[Tuple[int, int], int | None]  # (i, j) -> minimal degree
 
@@ -491,11 +490,12 @@ def gm_closure_check(gm: GmGeneratorSet) -> ClosureReport:
     """Find the minimal filtration degree containing every [T_i^-, U_j].
 
     Filtration degree deg is spanned by the PBW products of degree <= deg
-    times powers k^0 .. k^(m+1).  One echelon grows tier by tier; after
-    each tier only the targets not yet inside are reduced, and a target's
-    degree is the first tier that leaves it no residual.
+    times powers k^0 .. k^(m+1).  A product P times k^t has P's own
+    (key, exps, pair) terms with t added to the k exponent, so each copy is
+    inserted from P's terms with no Coeff product.  One echelon grows tier
+    by tier; after each tier only the targets not yet inside are reduced,
+    and a target's degree is the first tier that leaves it no residual.
     """
-    kpowers = [Coeff.param("k") ** t for t in range(1, gm.m + 2)]
     ix = Indexer()
     memberships = {}
     pending = {}
@@ -513,10 +513,15 @@ def gm_closure_check(gm: GmGeneratorSet) -> ClosureReport:
         if not pending:
             break
         for op in prods:
-            base = op.coords()
-            ech.insert(scalarize(base, ix))
-            for kt in kpowers:
-                ech.insert(scalarize({key: c * kt for key, c in base.items()}, ix))
+            terms = [
+                (key, exps, pair)
+                for key, c in op.terms.items()
+                for exps, pair in c.terms.items()
+            ]
+            for t in range(gm.m + 2):
+                ech.insert(
+                    {ix((key, (e[0] + t, *e[1:]))): pair for key, e, pair in terms}
+                )
         for key, vec in list(pending.items()):
             res, _ = ech.reduce(vec)
             if res:
@@ -526,7 +531,7 @@ def gm_closure_check(gm: GmGeneratorSet) -> ClosureReport:
             else:
                 memberships[key] = deg
                 del pending[key]
-    return ClosureReport(gm.m, gm.m, memberships)
+    return ClosureReport(gm.m, memberships)
 
 
 def g1_matches_gl3(gm: GmGeneratorSet, gl3: GeneratorSet):

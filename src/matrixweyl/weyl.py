@@ -17,10 +17,11 @@ monomial, with the multiply-accumulate kernel of coeff, and builds each
 output Coeff once at the end, so no temporary Coeff is made per pair of
 terms.
 
-The monomial expansions are memoized per exponent pair, with no setting:
-the normal-ordered expansion of (x^A d^B)(x^C d^D) and the image of x^P
-under x^A d^B are each built once per process, as immutable tuples, in two
-module dicts that every product and action reads.
+One table is memoized, with no setting: _PRODUCTS, the normal-ordered
+expansion of (x^A d^B)(x^C d^D), built once per exponent pair and process
+as an immutable tuple that every product reads.  An action needs no table:
+x^A d^B maps x^P to f x^(A + P - B), f = prod P_i!/(P_i - B_i)!, which
+math.perm makes 0 when some B_i > P_i.
 
 Composition normal-orders eagerly, so equality of operators is equality of
 term maps and no separate simplifier exists or is needed.
@@ -29,7 +30,7 @@ term maps and no separate simplifier exists or is needed.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial, perm
+from math import comb, factorial, perm, prod
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
@@ -248,11 +249,11 @@ class ScalarDiffOp(_TermMap):
             )
         poly = [(P, cp.terms) for P, cp in p.terms.items()]
         acc = {}
-        for mono, c in self.terms.items():
+        for (A, B), c in self.terms.items():
             for P, tp in poly:
-                hit = _action_expansion(mono, P)
-                if hit is not None:
-                    f, image = hit
+                f = prod(map(perm, P, B))
+                if f:
+                    image = tuple(a + q - b for a, q, b in zip(A, P, B))
                     _add_at(acc, image, c.terms, tp, f)
         return p._like(_coeffs(acc))
 
@@ -295,10 +296,9 @@ def _coeffs(acc):
     return {key: Coeff._raw(d) for key, d in acc.items()}
 
 
-# Memoized monomial expansions.  Each value depends on its exponent pair
-# alone, so one table per process serves every operator and spinor.
+# The memoized product expansions.  Each value depends on its exponent pair
+# alone, so one table per process serves every operator.
 _PRODUCTS = {}  # (x^A d^B, x^C d^D) -> ((f, x^E d^F), ...)
-_ACTIONS = {}  # (x^A d^B, P) -> (f, image power tuple) or None
 
 
 def _product_expansion(m1, m2):
@@ -337,29 +337,6 @@ def _product_expansion(m1, m2):
         else:
             break
     _PRODUCTS[key] = out = tuple(out)
-    return out
-
-
-def _action_expansion(mono, P):
-    """x^A d^B applied to x^P: (f, image power tuple), or None if it vanishes.
-
-    mono = (A, B); the image is f x^(A + P - B) with f = prod P_i! / (P_i -
-    B_i)!.  Built on the first call for each pair and read from _ACTIONS
-    after.
-    """
-    key = (mono, P)
-    try:
-        return _ACTIONS[key]
-    except KeyError:
-        pass
-    A, B = mono
-    out = None
-    if all(b <= q for b, q in zip(B, P)):
-        f = 1
-        for b, q in zip(B, P):
-            f *= perm(q, b)
-        out = (f, tuple(a + q - b for a, q, b in zip(A, P, B)))
-    _ACTIONS[key] = out
     return out
 
 
@@ -508,11 +485,11 @@ class MatrixDiffOp(_TermMap):
         for (j, P), c in v.terms.items():
             components.setdefault(j, []).append((P, c.terms))
         acc = {}
-        for (i, j, mono), c in self.terms.items():
+        for (i, j, (A, B)), c in self.terms.items():
             for P, tp in components.get(j, ()):
-                hit = _action_expansion(mono, P)
-                if hit is not None:
-                    f, image = hit
+                f = prod(map(perm, P, B))
+                if f:
+                    image = tuple(a + q - b for a, q, b in zip(A, P, B))
                     _add_at(acc, (i, image), c.terms, tp, f)
         return v._like(_coeffs(acc))
 

@@ -4,10 +4,12 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from matrixweyl.cli import main
+from matrixweyl.cli import build_parser, main
 
 
 def run_cli(args, capsys):
@@ -413,6 +415,9 @@ def test_model_runs_the_display_check_at_d1(model, verdict, residual_terms, caps
         ("sutherland", "--alpha", "-3/2"),
         ("sutherland", "--nu", "-1"),
         ("calogero", "--nu", "-0.5"),
+        ("calogero", "--nu", "-1e-3"),
+        ("calogero", "--omega", "-2E1"),
+        ("sutherland", "--alpha", "-.5e1"),
     ],
 )
 def test_negative_rational_may_follow_its_option(model, option, value, capsys):
@@ -423,12 +428,33 @@ def test_negative_rational_may_follow_its_option(model, option, value, capsys):
     assert joined[0] == 0
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.text("0123456789./eE+-_ ", max_size=6))
+def test_spectrum_reads_every_negative_rational_as_its_value(tail):
+    # a negative word is --nu's value exactly when Fraction parses it
+    word = "-" + tail
+    try:
+        value = Fraction(word)
+    except (ValueError, ZeroDivisionError):
+        value = None
+    try:
+        args = build_parser().parse_args(
+            ["spectrum", "--model", "calogero", "--k", "2", "--nu", word]
+        )
+    except SystemExit as err:
+        assert err.code == 2 and value is None
+    else:
+        assert args.nu == value is not None
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ["spectrum", "--model", "calogero", "--k", "2", "--bogus", "-1/2"],
         ["spectrum", "--model", "calogero", "--k", "2", "-1/2"],
         ["spectrum", "--model", "calogero", "--k", "2", "--nu", "-x"],
+        ["spectrum", "--model", "calogero", "--k", "2", "--nu", "-e3"],
+        ["spectrum", "--model", "calogero", "--k", "2", "--nu", "-1e"],
         ["spectrum", "--model", "calogero", "--k", "2", "--nu", "-1/0"],
         ["check", "--d", "-1/2"],
     ],

@@ -489,7 +489,7 @@ def test_raw_kernel_drops_a_key_that_cancels_completely():
     assert pair == (3, Fraction(10, 3)) and type(pair[0]) is int
 
 
-# -- the memoized monomial expansions against the uncached loops -------------
+# -- the memoized product expansion and the single-term action, per loop -----
 
 
 @st.composite
@@ -517,14 +517,21 @@ def test_product_expansion_is_the_odometer(exps):
 
 @settings(max_examples=300, deadline=None)
 @given(_exponent_tuples(3))
-def test_action_expansion_is_the_perm_loop(exps):
+def test_single_term_action_is_the_perm_loop(exps):
+    """x^A d^B on x^P through apply_poly and apply, vanishing cases included."""
     A, B, P = exps
-    mono = DiffMonomial(A, B)
+    nvars = len(A)
+    c = Coeff.param("k") + Coeff.sqrt2()
+    cp = Coeff.rational(Fraction(3, 2))
+    op = ScalarDiffOp(nvars, {DiffMonomial(A, B): c})
+    p = Polynomial.monomial(P, cp, nvars)
     ref = _ref_action_term(A, B, P)
-    weyl._ACTIONS.pop((mono, P), None)
-    built = weyl._action_expansion(mono, P)
-    cached = weyl._action_expansion(mono, P)
-    assert cached is built
-    assert built == ref
-    if built is not None:
-        assert type(built) is tuple and type(built[1]) is tuple
+    expected = {} if ref is None else {ref[1]: c * cp * ref[0]}
+    assert op.apply_poly(p).terms == expected
+    zero = ScalarDiffOp.zero(nvars)
+    mop = MatrixDiffOp([[zero, op], [zero, zero]])
+    v = PolySpinor([Polynomial.zero(nvars), p])
+    image = mop.apply(v)
+    assert image.terms == {(0, mono): e for mono, e in expected.items()}
+    for _, mono in image.terms:
+        assert type(mono) is tuple

@@ -11,8 +11,12 @@ perfbench/workloads.py.  Every rep runs each argv once per checkout, A and
 B alternating and the side that goes first alternating too, each as
 ROOT/perfbench/child.py in a new interpreter with PYTHONPATH=ROOT/src and
 no bytecode cache read or written, as the benchmark's children start.  The
-output is one line per argv, the median run_s of A and of B in ms and
-B/A, and then their sums.  Nothing under either checkout is changed.
+output is one line per argv: the median run_s of A and of B in ms, each
+with its interquartile range over the reps, B/A, and in how many reps B ran
+faster than A.  The last line is the same for the sums: the sum of the
+medians, and the IQR and wins of the per-rep sums.  A gain shows as B
+winning nearly every rep, by more than A's IQR.  Nothing under either
+checkout is changed.
 """
 
 from __future__ import annotations
@@ -56,6 +60,22 @@ def run_s(root, argv, cache):
     return json.loads(proc.stderr.strip().splitlines()[-1])["run_s"]
 
 
+def iqr(xs):
+    """Interquartile range of xs (0 for a single value)."""
+    if len(xs) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(xs, n=4)
+    return q3 - q1
+
+
+def row(a, b, medians=None):
+    """Median and IQR of A and of B in ms, B/A, and the reps B won, of n."""
+    ma, mb = medians or (statistics.median(a), statistics.median(b))
+    wins = sum(y < x for x, y in zip(a, b))
+    return "%9.2f %7.2f %9.2f %7.2f %6.3f %2d/%-2d" % (
+        1000 * ma, 1000 * iqr(a), 1000 * mb, 1000 * iqr(b), mb / ma, wins, len(a))
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("root_a")
@@ -77,14 +97,13 @@ def main(argv=None) -> int:
             for op, pair in zip(ops, times):
                 for side in (0, 1) if rep % 2 == 0 else (1, 0):
                     pair[side].append(run_s(roots[side], op, cache))
-    total = [0.0, 0.0]
-    for op, pair in zip(ops, times):
-        a, b = (1000 * statistics.median(t) for t in pair)
-        total[0] += a
-        total[1] += b
-        print("%9.2f %9.2f %6.3f  %s" % (a, b, b / a, shlex.join(op)))
-    print("%9.2f %9.2f %6.3f  sum of medians (ms): A %s, B %s" % (
-        total[0], total[1], total[1] / total[0], roots[0], roots[1]))
+    print("%9s %7s %9s %7s %6s %5s" % ("A ms", "IQR", "B ms", "IQR", "B/A", "wins"))
+    for op, (a, b) in zip(ops, times):
+        print("%s  %s" % (row(a, b), shlex.join(op)))
+    sums = [[sum(t[side][rep] for t in times) for rep in range(args.reps)]
+            for side in (0, 1)]
+    medians = [sum(statistics.median(t[side]) for t in times) for side in (0, 1)]
+    print("%s  sum of medians: A %s, B %s" % (row(*sums, medians), *roots))
     return 0
 
 
