@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import re
 import sys
 from fractions import Fraction
@@ -50,6 +51,9 @@ from .spaces import (
     orbit_closure,
 )
 from .weyl import PolySpinor
+
+# The import-time heap lives as long as the process: frozen, no collection in main rescans it.
+gc.freeze()
 
 
 def _int_at_least(low: int):

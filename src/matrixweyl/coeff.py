@@ -105,7 +105,7 @@ def _add_pair(acc, key, pair):
 
 
 def _add_product(acc, t1, t2, f=1):
-    """acc += f * t1 * t2, for raw term maps {exps: pair} and an int f > 0.
+    """acc += f * t1 * t2, for raw term maps {exps: pair} and a nonzero int f.
 
     A pair that cancels is dropped at once, so acc keeps its keys in the
     order a running sum of Coeff values would.

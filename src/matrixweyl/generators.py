@@ -14,7 +14,6 @@ for m = 1 it spans the same operator space as the scalar gl_3 family.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict
 
@@ -23,19 +22,17 @@ from .matrixreps import MatrixRep, gl2_irrep
 from .weyl import MatrixDiffOp, ScalarDiffOp, commutator
 
 
-@dataclass(frozen=True)
 class RepSpec:
     """Recipe (n, k, matrix block family) naming one mixed representation."""
 
-    n: int
-    k: Coeff
-    rep: MatrixRep
-
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, k: Coeff, rep: MatrixRep):
+        if n < 1:
             raise ValueError("n must be positive")
-        if self.rep.n != self.n:
-            raise ValueError("matrix block family is for gl_%d, not gl_%d" % (self.rep.n, self.n))
+        if rep.n != n:
+            raise ValueError("matrix block family is for gl_%d, not gl_%d" % (rep.n, n))
+        self.n = n
+        self.k = k
+        self.rep = rep
 
     @classmethod
     def gl3(cls, k, d: int) -> "RepSpec":

@@ -12,7 +12,6 @@ nine relations and the gradings are the n = 2 (gl_3) statements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations_with_replacement, product
@@ -31,14 +30,16 @@ from .linalg import (
 from .weyl import MatrixDiffOp, ScalarDiffOp, commutator
 
 
-@dataclass
 class IdentityReport:
     """One verified identity: lhs = rhs with residual = lhs - rhs."""
 
-    name: str
-    lhs: MatrixDiffOp
-    rhs: MatrixDiffOp
-    residual: MatrixDiffOp
+    def __init__(
+        self, name: str, lhs: MatrixDiffOp, rhs: MatrixDiffOp, residual: MatrixDiffOp
+    ):
+        self.name = name
+        self.lhs = lhs
+        self.rhs = rhs
+        self.residual = residual
 
     @property
     def passed(self) -> bool:
@@ -259,12 +260,12 @@ def art_relations(gens: GeneratorSet) -> List[IdentityReport]:
     return [_report(name, lhs, rhs) for name, lhs, rhs in rel]
 
 
-@dataclass
 class DependencyResult:
     """The affine combination tying relations 5, 6, 7 to the Casimir C2."""
 
-    coefficients: Dict[str, Fraction]
-    reports: List[IdentityReport]
+    def __init__(self, coefficients: Dict[str, Fraction], reports: List[IdentityReport]):
+        self.coefficients = coefficients
+        self.reports = reports
 
     @property
     def passed(self) -> bool:
@@ -354,19 +355,21 @@ REFERENCE_GRADINGS = {
 }
 
 
-@dataclass
 class GradingLine:
-    name: str
-    factors: tuple
-    computed: tuple  # ((g,g),(g,g)) for the two products
-    balanced: bool
-    matches_reference: bool
+    def __init__(
+        self, name: str, factors: tuple, computed: tuple, balanced: bool, matches_reference: bool
+    ):
+        self.name = name
+        self.factors = factors
+        self.computed = computed  # ((g,g),(g,g)) for the two products
+        self.balanced = balanced
+        self.matches_reference = matches_reference
 
 
-@dataclass
 class GradingReport:
-    generator_grades: Dict[str, tuple]
-    lines: List[GradingLine]
+    def __init__(self, generator_grades: Dict[str, tuple], lines: List[GradingLine]):
+        self.generator_grades = generator_grades
+        self.lines = lines
 
     @property
     def all_balanced(self) -> bool:
@@ -469,12 +472,12 @@ def _pbw_tiers(gm: GmGeneratorSet, max_degree: int):
         yield [op for op, _ in frontier]
 
 
-@dataclass
 class ClosureReport:
     """Membership of each [T_i^-, U_j] in the Cartan enveloping filtration."""
 
-    degree_cap: int
-    memberships: Dict[Tuple[int, int], int | None]  # (i, j) -> minimal degree
+    def __init__(self, degree_cap: int, memberships: Dict[Tuple[int, int], int | None]):
+        self.degree_cap = degree_cap
+        self.memberships = memberships  # (i, j) -> minimal degree
 
     @property
     def closed(self) -> bool:

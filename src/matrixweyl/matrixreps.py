@@ -17,7 +17,6 @@ the operator blocks and reports each offending pair instead of raising.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
 from typing import Dict, Sequence, Tuple
@@ -30,10 +29,10 @@ def _mat_zero(d):
     return [[Coeff.zero() for _ in range(d)] for _ in range(d)]
 
 
-@dataclass(frozen=True)
 class CanonicalReport:
-    passed: bool
-    failures: tuple  # ((i,j),(k,l), residual MatrixDiffOp) triples
+    def __init__(self, passed: bool, failures: tuple):
+        self.passed = passed
+        self.failures = failures  # ((i,j),(k,l), residual MatrixDiffOp) triples
 
     def first_failure(self):
         return self.failures[0] if self.failures else None

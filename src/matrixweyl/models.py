@@ -30,7 +30,6 @@ exact characteristic polynomials.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from decimal import ROUND_CEILING, Decimal
 from fractions import Fraction
 from functools import cached_property, reduce
@@ -55,7 +54,6 @@ from .weyl import MatrixDiffOp, PolySpinor, ScalarDiffOp
 _F = Fraction
 
 
-@dataclass(frozen=True)
 class ModelOperator:
     """One model in one form.
 
@@ -65,12 +63,16 @@ class ModelOperator:
     hold their operator in explicit.
     """
 
-    kind: str  # calogero | sutherland
-    form: str  # differential | liealgebraic | matrix
-    k: Coeff
-    d: int
-    words: Optional[tuple] = None
-    explicit: Optional[MatrixDiffOp] = field(default=None, repr=False)
+    def __init__(
+        self, kind: str, form: str, k: Coeff, d: int,
+        words: Optional[tuple] = None, explicit: Optional[MatrixDiffOp] = None
+    ):
+        self.kind = kind  # calogero | sutherland
+        self.form = form  # differential | liealgebraic | matrix
+        self.k = k
+        self.d = d
+        self.words = words
+        self.explicit = explicit
 
     @cached_property
     def op(self) -> MatrixDiffOp:
@@ -233,13 +235,16 @@ def consistency_check(kind: str, k, d: int) -> IdentityReport:
 # -- spectra ---------------------------------------------------------------------
 
 
-@dataclass
 class EigRecord:
-    exact: bool
-    pair: Optional[Tuple[Fraction, Fraction]]  # a + b sqrt2 when exact
-    approx_re: float
-    approx_im: float = 0.0
-    err: Optional[float] = None
+    def __init__(
+        self, exact: bool, pair: Optional[Tuple[Fraction, Fraction]], approx_re: float,
+        approx_im: float = 0.0, err: Optional[float] = None
+    ):
+        self.exact = exact
+        self.pair = pair  # a + b sqrt2 when exact
+        self.approx_re = approx_re
+        self.approx_im = approx_im
+        self.err = err
 
     def sort_key(self):
         return (self.approx_re, self.approx_im)
@@ -267,18 +272,22 @@ def _sci_up(x: float) -> str:
     return "%se%+03d" % (mantissa, int(exponent))
 
 
-@dataclass
 class SpectrumResult:
-    kind: str
-    form: str
-    k: int
-    d: int
-    bindings: Dict[str, Fraction]
-    basis_dim: int
-    block_sizes: List[int]
-    diagonal: bool
-    eigenvalues: List[EigRecord]
-    charpolys: List[List[str]] = field(default_factory=list)
+    def __init__(
+        self, kind: str, form: str, k: int, d: int, bindings: Dict[str, Fraction],
+        basis_dim: int, block_sizes: List[int], diagonal: bool, eigenvalues: List[EigRecord],
+        charpolys: Optional[List[List[str]]] = None
+    ):
+        self.kind = kind
+        self.form = form
+        self.k = k
+        self.d = d
+        self.bindings = bindings
+        self.basis_dim = basis_dim
+        self.block_sizes = block_sizes
+        self.diagonal = diagonal
+        self.eigenvalues = eigenvalues
+        self.charpolys = [] if charpolys is None else charpolys
 
     def all_exact(self) -> bool:
         return all(e.exact for e in self.eigenvalues)

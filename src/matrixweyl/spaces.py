@@ -32,7 +32,6 @@ on its boundary) and the specific top-layer span.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from math import perm, prod
 from operator import add
 from typing import List, Sequence, Tuple
@@ -65,7 +64,6 @@ class NotInvariantError(RuntimeError):
         self.residual = residual
 
 
-@dataclass
 class SpinorBasis:
     """Ordered, linearly independent spinors.
 
@@ -75,8 +73,9 @@ class SpinorBasis:
     record_action adds named ops to any basis.
     """
 
-    vectors: tuple
-    action: dict = field(default_factory=dict, compare=False, repr=False)
+    def __init__(self, vectors: tuple, action: dict | None = None):
+        self.vectors = vectors
+        self.action = {} if action is None else action
 
     @property
     def dim(self) -> int:
@@ -324,7 +323,7 @@ def record_action(named_ops, basis: SpinorBasis) -> SpinorBasis:
         action[name] = tuple(
             {i: c.constant_pair() for i, c in enumerate(coords) if c} for coords in cols
         )
-    return replace(basis, action=action)
+    return SpinorBasis(basis.vectors, action)
 
 
 def _word_column(word, j, action):
@@ -411,19 +410,22 @@ def _on_hull_boundary(p, hull):
     return False
 
 
-@dataclass
 class HexagonReport:
-    k: int
-    dim_expected: int
-    dim_found: int
-    layer_sizes: tuple
-    layer_sizes_expected: tuple
-    boundary_points: int
-    interior_points: int
-    census_ok: bool
-    lower_span_full: bool
-    top_layer_ok: bool
-    issues: tuple
+    def __init__(
+        self, k, dim_expected, dim_found, layer_sizes, layer_sizes_expected,
+        boundary_points, interior_points, census_ok, lower_span_full, top_layer_ok, issues
+    ):
+        self.k = k
+        self.dim_expected = dim_expected
+        self.dim_found = dim_found
+        self.layer_sizes = layer_sizes
+        self.layer_sizes_expected = layer_sizes_expected
+        self.boundary_points = boundary_points
+        self.interior_points = interior_points
+        self.census_ok = census_ok
+        self.lower_span_full = lower_span_full
+        self.top_layer_ok = top_layer_ok
+        self.issues = issues
 
     @property
     def passed(self) -> bool:

@@ -11,11 +11,11 @@ Every value is stored as one sparse map from a key to a nonzero Coeff: x^A
 for a Polynomial, x^A d^B for a ScalarDiffOp, (component, x^A) for a
 PolySpinor and (row, column, x^A d^B) for a MatrixDiffOp.  The linear
 arithmetic, equality and coordinates are written once over that map, and
-products and actions visit only nonzero terms.  A product or an action sums
-its contributions into raw Q(sqrt2) pairs per output key and per parameter
-monomial, with the multiply-accumulate kernel of coeff, and builds each
-output Coeff once at the end, so no temporary Coeff is made per pair of
-terms.
+products and actions visit only nonzero terms.  A product, a commutator or
+an action sums its contributions into raw Q(sqrt2) pairs per output key and
+per parameter monomial, with the multiply-accumulate kernel of coeff, and
+builds each output Coeff once at the end, so no temporary Coeff is made per
+pair of terms.
 
 One table is memoized, with no setting: _PRODUCTS, the normal-ordered
 expansion of (x^A d^B)(x^C d^D), built once per exponent pair and process
@@ -52,16 +52,6 @@ def _as_scalar_coeff(x):
     if isinstance(x, (int, Fraction, Coeff)):
         return as_coeff(x)
     return None
-
-
-def _add_into(out, key, v):
-    """out[key] += v, dropping the key when the sum vanishes."""
-    cur = out.get(key)
-    s = v if cur is None else cur + v
-    if s.is_zero():
-        out.pop(key, None)
-    else:
-        out[key] = s
 
 
 class _TermMap:
@@ -108,15 +98,27 @@ class _TermMap:
                 out[key] = c
         return self._like(out)
 
-    def __add__(self, other):
+    def _merge(self, other, subtract):
+        """self + other, or self - other, in one pass over other's terms."""
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         self._require_like(other)
         out = dict(self.terms)
         for key, c in other.terms.items():
-            _add_into(out, key, c)
+            cur = out.get(key)
+            if cur is None:
+                out[key] = -c if subtract else c
+                continue
+            s = cur - c if subtract else cur + c
+            if s.is_zero():
+                del out[key]
+            else:
+                out[key] = s
         return self._like(out)
+
+    def __add__(self, other):
+        return self._merge(other, False)
 
     __radd__ = __add__
 
@@ -124,10 +126,7 @@ class _TermMap:
         return self._like({key: -c for key, c in self.terms.items()})
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        return self._merge(other, True)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -220,11 +219,15 @@ class ScalarDiffOp(_TermMap):
             return NotImplemented
         self._require_like(other)
         acc = {}
+        self._compose_into(acc, other, 1)
+        return self._like(_coeffs(acc))
+
+    def _compose_into(self, acc, other, sign):
+        """acc[x^E d^F] += sign * (self o other)'s raw sums (_add_at)."""
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 for f, mono in _product_expansion(m1, m2):
-                    _add_at(acc, mono, c1.terms, c2.terms, f)
-        return self._like(_coeffs(acc))
+                    _add_at(acc, mono, c1.terms, c2.terms, sign * f)
 
     def __rmul__(self, other):
         c = _as_scalar_coeff(other)
@@ -456,15 +459,19 @@ class MatrixDiffOp(_TermMap):
         if other is None:
             return NotImplemented
         self._require_like(other)
+        acc = {}
+        self._compose_into(acc, other, 1)
+        return self._like(_coeffs(acc))
+
+    def _compose_into(self, acc, other, sign):
+        """acc[(i, j, x^E d^F)] += sign * (self o other)'s raw sums (_add_at)."""
         rows = {}
         for (k, j, m2), c2 in other.terms.items():
             rows.setdefault(k, []).append((j, m2, c2.terms))
-        acc = {}
         for (i, k, m1), c1 in self.terms.items():
             for j, m2, t2 in rows.get(k, ()):
                 for f, mono in _product_expansion(m1, m2):
-                    _add_at(acc, (i, j, mono), c1.terms, t2, f)
-        return self._like(_coeffs(acc))
+                    _add_at(acc, (i, j, mono), c1.terms, t2, sign * f)
 
     def __rmul__(self, other):
         c = _as_scalar_coeff(other)
@@ -552,9 +559,20 @@ class PolySpinor(_TermMap):
 
 
 def commutator(a: MatrixDiffOp, b: MatrixDiffOp) -> MatrixDiffOp:
-    """a o b - b o a, exactly."""
-    return a * b - b * a
+    """a o b - b o a, exactly.
+
+    For two operators of one class, b o a is summed with sign -1 into the
+    raw accumulation of a o b by the loop that composition runs, so each
+    output Coeff is built once and no product, negated copy or difference
+    is built on the way.  Mixed operands go through * and -.
+    """
+    if type(b) is not type(a):
+        return a * b - b * a
+    a._require_like(b)
+    acc = {}
+    a._compose_into(acc, b, 1)
+    b._compose_into(acc, a, -1)
+    return a._like(_coeffs(acc))
 
 
-def scalar_commutator(a: ScalarDiffOp, b: ScalarDiffOp) -> ScalarDiffOp:
-    return a * b - b * a
+scalar_commutator = commutator

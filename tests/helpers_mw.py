@@ -55,6 +55,12 @@ def random_matrix_op(rng: random.Random, dim=2, nvars=2) -> MatrixDiffOp:
     )
 
 
+def commutator_oracle(a, b):
+    """a o b - b o a as two products and a difference: the commutator's
+    definition, built the way weyl.commutator's one accumulation avoids."""
+    return a * b - b * a
+
+
 def random_poly(rng: random.Random, nvars=2, nterms=3, maxdeg=3) -> Polynomial:
     out = Polynomial.zero(nvars)
     for _ in range(nterms):

@@ -369,6 +369,24 @@ def test_exact_spectrum_does_not_import_mpmath():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_cli_import_skips_dataclasses_and_freezes_its_heap():
+    # start-up contract: no dataclasses (which pulls in inspect, ast, dis,
+    # tokenize), and the import-time heap frozen out of the collector
+    root = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(root))
+    code = (
+        "import gc, sys\n"
+        "import matrixweyl.cli\n"
+        "assert 'dataclasses' not in sys.modules\n"
+        "assert 'inspect' not in sys.modules\n"
+        "assert gc.get_freeze_count() > 0\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.mark.parametrize("model", ["calogero", "sutherland"])
 def test_model_manifest_records_k_only_when_given(model, capsys):
     argv = ["model", "--model", model, "--form", "liealgebraic", "--d", "2"]

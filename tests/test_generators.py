@@ -120,5 +120,7 @@ def test_structure_constants_of_mixed_pairs():
 
 
 def test_repspec_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n must be positive"):
+        RepSpec(0, K, gl2_irrep(2))
+    with pytest.raises(ValueError, match="block family is for gl_2, not gl_1"):
         RepSpec(1, K, gl2_irrep(2))

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import re
@@ -12,7 +11,9 @@ from matrixweyl import ALPHA, Coeff, K, NU, OMEGA, RepSpec, build_gl_np1
 from matrixweyl.models import (
     GRADINGS,
     EigRecord,
+    ModelOperator,
     NotTriangularError,
+    SpectrumResult,
     _grade_blocks,
     _grades,
     calogero,
@@ -34,6 +35,12 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "goldens")
 def load(name):
     with open(os.path.join(GOLDEN, name)) as fh:
         return json.load(fh)
+
+
+def test_each_spectrum_result_gets_its_own_charpolys():
+    a, b = (SpectrumResult("calogero", "liealgebraic", 1, 1, {}, 0, [], True, []) for _ in "ab")
+    a.charpolys.append(["1"])
+    assert a.charpolys is not b.charpolys and b.charpolys == []
 
 
 @pytest.mark.parametrize("kind", ["calogero", "sutherland"])
@@ -252,7 +259,7 @@ def _perturbed_sutherland(k, extra):
     numeric branch.
     """
     m = sutherland("liealgebraic", Coeff.rational(k), 1)
-    return dataclasses.replace(m, words=m.words + extra)
+    return ModelOperator(m.kind, m.form, m.k, m.d, m.words + extra, m.explicit)
 
 
 _ONE = Coeff.one()
@@ -326,7 +333,7 @@ def test_a_grade_raising_word_is_not_triangular(d, entry):
     # the block diagonal of the flag's grade order; the entry is named in
     # discovery indices (at d = 2 the grade-sorted position (2,0))
     m = calogero("liealgebraic", Coeff.rational(2), d)
-    op = dataclasses.replace(m, words=m.words + ((_ONE, ("T1+",)),))
+    op = ModelOperator(m.kind, m.form, m.k, m.d, m.words + ((_ONE, ("T1+",)),), m.explicit)
     with pytest.raises(NotTriangularError, match=re.escape("entry %s " % entry)):
         spectrum(op, {"nu": 0, "omega": 1})
 

@@ -19,6 +19,7 @@ from matrixweyl.models import GRADINGS, _grades, calogero, flag_basis, sutherlan
 from matrixweyl.spaces import (
     NotInvariantError,
     SpaceNotClosedError,
+    SpinorBasis,
     basis_contains,
     basis_weights,
     hexagon_audit,
@@ -55,6 +56,13 @@ def test_scalar_basis_counts_and_monomials():
     b32 = scalar_basis(3, 2)
     monos = {v.components[0].terms.copy().popitem()[0] for v in b32.vectors}
     assert monos == {(0, 0), (1, 0), (2, 0), (3, 0), (0, 1), (1, 1)}
+
+
+def test_each_basis_gets_its_own_action():
+    vectors = scalar_basis(1, 1).vectors
+    a, b = SpinorBasis(vectors), SpinorBasis(vectors)
+    a.action["E0"] = ()
+    assert a.action is not b.action and b.action == {}
 
 
 def test_orbit_dimensions():

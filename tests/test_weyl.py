@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from matrixweyl import (
     Coeff,
@@ -15,7 +16,9 @@ from matrixweyl import (
     commutator,
 )
 from matrixweyl.spaces import orbit_closure
+from matrixweyl.weyl import scalar_commutator
 from helpers_mw import (
+    commutator_oracle,
     poly,
     random_matrix_op,
     random_scalar_op,
@@ -72,6 +75,68 @@ def test_antisymmetry_on_random_operators():
     for _ in range(20):
         A = random_matrix_op(rng)
         assert commutator(A, A).is_zero()
+
+
+# -- the one-pass commutator against its definition ----------------------------
+
+_HALF = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+# a + b sqrt2 per parameter monomial; the b halves make sqrt2 parts
+_COEFF = st.builds(
+    Coeff,
+    st.dictionaries(st.tuples(*[st.integers(0, 1)] * 4), st.tuples(_HALF, _HALF), max_size=2),
+)
+_EXPS = st.tuples(st.integers(0, 2), st.integers(0, 2))
+_SCALAR = st.builds(
+    ScalarDiffOp,
+    st.just(2),
+    st.dictionaries(st.tuples(_EXPS, _EXPS), _COEFF, max_size=3),
+)
+
+
+@st.composite
+def _matrix_pair(draw):
+    dim = draw(st.integers(1, 3))
+    grid = st.lists(st.lists(_SCALAR, min_size=dim, max_size=dim), min_size=dim, max_size=dim)
+    return MatrixDiffOp(draw(grid)), MatrixDiffOp(draw(grid))
+
+
+def _sqrt2_op(c):
+    return ScalarDiffOp(2, {((0, 0), (1, 0)): Coeff.rational(0, 1), ((1, 0), (0, 0)): c})
+
+
+# [d1 + sqrt2 x1, x1 + sqrt2 d1]: x1 d1 cancels between a b and b a
+_CANCEL_A = d(0) + x(0) * Coeff.sqrt2()
+_CANCEL_B = x(0) + d(0) * Coeff.sqrt2()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(_SCALAR, _SCALAR))
+@example((_CANCEL_A, _CANCEL_B))
+@example((_CANCEL_A, _CANCEL_A))
+@example((_sqrt2_op(Coeff.rational(Fraction(1, 2), 3)), x(1) * d(0) + x(0) * Fraction(2, 3)))
+def test_scalar_commutator_is_ab_minus_ba(pair):
+    a, b = pair
+    got = scalar_commutator(a, b)
+    assert got == commutator_oracle(a, b)
+    assert all(not c.is_zero() for c in got.terms.values())
+
+
+@settings(max_examples=40, deadline=None)
+@given(_matrix_pair())
+@example(
+    (
+        MatrixDiffOp([[_CANCEL_A, x(1)], [ScalarDiffOp.zero(2), _CANCEL_B]]),
+        MatrixDiffOp([[_CANCEL_B, ScalarDiffOp.zero(2)], [d(1), _CANCEL_A]]),
+    )
+)
+def test_commutator_is_ab_minus_ba(pair):
+    a, b = pair
+    got = commutator(a, b)
+    assert got == commutator_oracle(a, b)
+    assert all(not c.is_zero() for c in got.terms.values())
+    # one-pass subtraction: the same terms, in the same order, as a + (-b)
+    diff, ref = a - b, a + (-b)
+    assert diff == ref and list(diff.terms) == list(ref.terms)
 
 
 def test_mul_associative_randomized():

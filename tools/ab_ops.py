@@ -13,10 +13,11 @@ ROOT/perfbench/child.py in a new interpreter with PYTHONPATH=ROOT/src and
 no bytecode cache read or written, as the benchmark's children start.  The
 output is one line per argv: the median run_s of A and of B in ms, each
 with its interquartile range over the reps, B/A, and in how many reps B ran
-faster than A.  The last line is the same for the sums: the sum of the
-medians, and the IQR and wins of the per-rep sums.  A gain shows as B
-winning nearly every rep, by more than A's IQR.  Nothing under either
-checkout is changed.
+faster than A; then the median setup_s (import and parser build, before
+cli.main) of A and of B in ms, each with its IQR.  The last line is the
+same for the sums: the sum of the medians, and the IQR and wins of the
+per-rep sums.  A gain shows as B winning nearly every rep, by more than
+A's IQR.  Nothing under either checkout is changed.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ def workload_argvs(root, name):
     ]
 
 
-def run_s(root, argv, cache):
-    """run_s of one fresh child of root on argv (its last stderr line)."""
+def envelope(root, argv, cache):
+    """(run_s, setup_s) of one fresh child of root on argv (its last stderr line)."""
     env = {k: v for k, v in os.environ.items() if not k.startswith("MATRIXWEYL_")}
     env.update(
         PYTHONPATH=os.path.join(root, "src"),
@@ -57,7 +58,8 @@ def run_s(root, argv, cache):
         capture_output=True,
         text=True,
     )
-    return json.loads(proc.stderr.strip().splitlines()[-1])["run_s"]
+    env = json.loads(proc.stderr.strip().splitlines()[-1])
+    return env["run_s"], env["setup_s"]
 
 
 def iqr(xs):
@@ -68,12 +70,25 @@ def iqr(xs):
     return q3 - q1
 
 
+def spread(a, b, medians=None):
+    """Median and IQR of A and of B in ms."""
+    ma, mb = medians or (statistics.median(a), statistics.median(b))
+    return "%9.2f %7.2f %9.2f %7.2f" % (1000 * ma, 1000 * iqr(a), 1000 * mb, 1000 * iqr(b))
+
+
 def row(a, b, medians=None):
-    """Median and IQR of A and of B in ms, B/A, and the reps B won, of n."""
+    """spread, B/A, and the reps B won, of n."""
     ma, mb = medians or (statistics.median(a), statistics.median(b))
     wins = sum(y < x for x, y in zip(a, b))
-    return "%9.2f %7.2f %9.2f %7.2f %6.3f %2d/%-2d" % (
-        1000 * ma, 1000 * iqr(a), 1000 * mb, 1000 * iqr(b), mb / ma, wins, len(a))
+    return "%s %6.3f %2d/%-2d" % (spread(a, b, (ma, mb)), mb / ma, wins, len(a))
+
+
+def sums_row(times, fmt):
+    """fmt applied to the per-rep sums over every argv and the sum of the medians."""
+    reps = len(times[0][0])
+    sums = [[sum(t[side][rep] for t in times) for rep in range(reps)] for side in (0, 1)]
+    medians = [sum(statistics.median(t[side]) for t in times) for side in (0, 1)]
+    return fmt(*sums, medians)
 
 
 def main(argv=None) -> int:
@@ -92,18 +107,20 @@ def main(argv=None) -> int:
     if not ops or args.reps < 1:
         p.error("give at least one argv or --workload, and --reps >= 1")
     times = [[[], []] for _ in ops]
+    setups = [[[], []] for _ in ops]
     with tempfile.TemporaryDirectory() as cache:
         for rep in range(args.reps):
-            for op, pair in zip(ops, times):
+            for op, pair, setup in zip(ops, times, setups):
                 for side in (0, 1) if rep % 2 == 0 else (1, 0):
-                    pair[side].append(run_s(roots[side], op, cache))
-    print("%9s %7s %9s %7s %6s %5s" % ("A ms", "IQR", "B ms", "IQR", "B/A", "wins"))
-    for op, (a, b) in zip(ops, times):
-        print("%s  %s" % (row(a, b), shlex.join(op)))
-    sums = [[sum(t[side][rep] for t in times) for rep in range(args.reps)]
-            for side in (0, 1)]
-    medians = [sum(statistics.median(t[side]) for t in times) for side in (0, 1)]
-    print("%s  sum of medians: A %s, B %s" % (row(*sums, medians), *roots))
+                    run, start = envelope(roots[side], op, cache)
+                    pair[side].append(run)
+                    setup[side].append(start)
+    print("%9s %7s %9s %7s %6s %5s  %9s %7s %9s %7s" % (
+        "A ms", "IQR", "B ms", "IQR", "B/A", "wins", "A setup", "IQR", "B setup", "IQR"))
+    for op, (a, b), (sa, sb) in zip(ops, times, setups):
+        print("%s  %s  %s" % (row(a, b), spread(sa, sb), shlex.join(op)))
+    print("%s  %s  sum of medians: A %s, B %s" % (
+        sums_row(times, row), sums_row(setups, spread), *roots))
     return 0
 
 
