@@ -18,14 +18,15 @@ operator is built from them.
 
 Spectra are computed on the discovered invariant flags, without applying
 the operator: the flag discovery records the parameter-free matrix of each
-generator, nu and omega/alpha are bound on the word coefficients only, and
-the matrix of the model is the bound combination of products of generator
-matrices.  Both models share one flag, in discovery order; the operator
-is block triangular in each model's grading (GRADINGS) of the weights
-(w1, w2) that the recorded E11 and E22 columns give.  The Calogero grading
-2 w1 + 3 w2 makes its blocks diagonal (exact eigenvalues read off), the
-Sutherland grading w1 + w2 leaves blocks that are resolved per block by
-exact characteristic polynomials.
+generator the words use, nu and omega/alpha are bound on the word
+coefficients only, and the matrix of the model is the bound combination of
+products of generator matrices.  Both models share one flag space, in
+discovery order (flag_basis); the operator is block triangular in each
+model's grading (GRADINGS) of the weights (w1, w2) that the recorded E11
+and E22 columns give.  The Calogero grading 2 w1 + 3 w2 makes its blocks
+diagonal (exact eigenvalues read off), the Sutherland grading w1 + w2
+leaves blocks that are resolved per block by exact characteristic
+polynomials.
 """
 
 from __future__ import annotations
@@ -311,27 +312,38 @@ class NotTriangularError(RuntimeError):
     pass
 
 
+# the generators that lower the highest-weight seed of [k, d-1] to all of it
+LOWERING = ("E12", "T2+")
+
+
 def flag_basis(k: int, d: int, recorded=()) -> SpinorBasis:
     """The invariant flag of both models: the polynomial triangle for d = 1,
-    the orbit closure of the lowest vector for the matrix extensions, in
+    the orbit closure of the seed e_(d-1) for the matrix extensions, in
     discovery order.
 
-    The orbit closure records the action of every gl_3 generator on the
-    flag; on the triangle only E11, E22 (which give the weights) and the
-    generators named in recorded are recorded, from one solve over their
-    images.
+    The flag records the columns of E11, E22 (which give the weights) and
+    of the gl_3 generators named in recorded (ValueError naming any other
+    name).  On the triangle they come from one solve over their images.
+    For d >= 2, T1-, T2- and E21 kill the seed, so it is the highest-weight
+    vector of [k, d-1] and the flag is U(n-) applied to it, n- spanned by
+    E12, T2+ and T1+ = [E12, T2+]: the closure under E12 and T2+ alone is
+    the whole flag.  The seed is closed under E11, E22, those two and the
+    recorded generators, whose columns the flag then holds, and under no
+    other.
     """
     if d > 1 and k < d - 1:
         # the two-row label [k, d-1] needs k >= d-1; below that the orbit
-        # of the lowest vector never closes
+        # of the seed never closes
         raise ValueError("no finite flag for k=%d with d=%d (needs k >= %d)" % (k, d, d - 1))
-    gens = build_gl_np1(RepSpec.gl3(Coeff.rational(k), d))
+    gens = build_gl_np1(RepSpec.gl3(Coeff.rational(k), d)).named()
+    unknown = set(recorded) - {name for name, _ in gens}
+    if unknown:
+        raise ValueError("unknown gl_3 generator %s" % ", ".join(sorted(unknown)))
+    wanted = {"E11", "E22", *recorded, *(LOWERING if d > 1 else ())}
+    ops = [(name, op) for name, op in gens if name in wanted]
     if d == 1:
-        wanted = {"E11", "E22", *recorded}
-        return record_action(
-            [(name, op) for name, op in gens.named() if name in wanted], scalar_basis(k, 1)
-        )
-    return orbit_closure(gens.named(), [PolySpinor.unit(d - 1, d, 2)], degree_cap=k + 2)
+        return record_action(ops, scalar_basis(k, 1))
+    return orbit_closure(ops, [PolySpinor.unit(d - 1, d, 2)], degree_cap=k + 2)
 
 
 def _int_k(c: Coeff) -> int:

@@ -346,9 +346,10 @@ def matrix_of(op, basis: SpinorBasis) -> OperatorMatrix:
     op is a MatrixDiffOp, applied to every basis vector and solved for, or
     words: a sequence of (Coeff c, tuple of generator names), standing for
     sum c * (product of the generators).  Words are composed from the
-    columns recorded in basis.action, which must hold every name they use:
-    the matrix of a product on an invariant space is the product of the
-    matrices.  A word whose coefficient is 0 is skipped.
+    columns recorded in basis.action, which must hold every name they use
+    (ValueError naming the first missing one): the matrix of a product on an
+    invariant space is the product of the matrices.  A word whose
+    coefficient is 0 is skipped.
     """
     n = basis.dim
     if isinstance(op, MatrixDiffOp):
@@ -356,6 +357,9 @@ def matrix_of(op, basis: SpinorBasis) -> OperatorMatrix:
         return OperatorMatrix(
             n, {(i, j): c for j, col in enumerate(cols) for i, c in enumerate(col)}
         )
+    missing = sorted({name for _, word in op for name in word} - basis.action.keys())
+    if missing:
+        raise ValueError("the basis records no column of generator %s" % missing[0])
     acc = {}  # (i, j) -> {exps: pair}
     for c, word in op:
         if c.is_zero():

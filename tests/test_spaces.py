@@ -30,7 +30,7 @@ from matrixweyl.spaces import (
     top_layer_spinors,
 )
 from matrixweyl import spaces
-from matrixweyl.linalg import rank_of
+from matrixweyl.linalg import rank_of, span_contains
 from helpers_mw import C, apply_orbit_closure, spinor
 
 
@@ -351,9 +351,12 @@ def test_flag_basis_records_only_the_named_generators_on_the_triangle():
     assert set(flag_basis(3, 1).action) == {"E11", "E22"}
     basis = flag_basis(3, 1, {"E12", "T1-"})
     assert set(basis.action) == {"E11", "E22", "E12", "T1-"}
-    # the orbit closure records every generator whatever is asked for
-    closed = flag_basis(3, 2)
-    assert set(closed.action) == set(GL3_NAMES)
+    # the orbit closure records what it closes under: the weights, the
+    # lowering pair E12 and T2+, and the names asked for
+    lowered = {"E11", "E22", "E12", "T2+"}
+    assert set(flag_basis(3, 2).action) == lowered
+    for names in ({"T1-"}, {"E21", "E11"}, set(GL3_NAMES)):
+        assert set(flag_basis(3, 2, names).action) == lowered | names
 
 
 def test_closure_records_each_op_under_its_name():
@@ -377,7 +380,7 @@ def test_matrix_of_skips_a_word_whose_coefficient_is_zero(build, nu, cancelled, 
     bind = {"nu": nu, "omega": 1, "alpha": 1}
     bound = tuple((c.substitute(bind), word) for c, word in words)
     assert {word for c, word in bound if c.is_zero()} == cancelled
-    basis = flag_basis(3, 2)
+    basis = flag_basis(3, 2, {name for _, word in words for name in word})
     # oracle: the formal matrix, every word composed, then bound
     want = matrix_of(words, basis).substitute(bind)
     seen = []
@@ -567,7 +570,17 @@ def _closure_args(k, d, cap=None):
 def test_every_flag_equals_the_apply_closure(k, d):
     want = apply_orbit_closure(*_closure_args(k, d))
     _assert_same_basis(orbit_closure(*_closure_args(k, d)), want)
-    _assert_same_basis(flag_basis(k, d), want)
+    # asked for all nine generators, the flag is the nine-generator closure
+    _assert_same_basis(flag_basis(k, d, GL3_NAMES), want)
+    # closed under fewer, it is another basis of the same space, whose
+    # recorded columns are the generators' matrices on it
+    basis = flag_basis(k, d)
+    assert basis.dim == want.dim
+    assert span_contains(basis.coords_list(), want.coords_list())
+    assert span_contains(want.coords_list(), basis.coords_list())
+    for name, op in _closure_args(k, d)[0]:
+        if name in basis.action:
+            assert recorded_matrix(basis, name) == matrix_of(op, basis).rows(), name
 
 
 @pytest.mark.parametrize(

@@ -9,8 +9,11 @@ Each ARGV is one matrixweyl command line in one shell word, such as
 instead every (operation, nu) pair of that workload from ROOT_A's
 perfbench/workloads.py.  Every rep runs each argv once per checkout, A and
 B alternating and the side that goes first alternating too, each as
-ROOT/perfbench/child.py in a new interpreter with PYTHONPATH=ROOT/src and
-no bytecode cache read or written, as the benchmark's children start.  The
+ROOT/perfbench/child.py in a new interpreter, with the environment the
+benchmark gives its children (perfbench/run.py's child_env: this process's
+environment without MATRIXWEYL_* variables, PYTHONPATH=ROOT/src) and
+PYTHONDONTWRITEBYTECODE=1, so no run writes bytecode that a later run
+reads; the standard library's installed bytecode is read, as there.  The
 output is one line per argv: the median run_s of A and of B in ms, each
 with its interquartile range over the reps, B/A, and in how many reps B ran
 faster than A; then the median setup_s (import and parser build, before
@@ -29,7 +32,6 @@ import shlex
 import statistics
 import subprocess
 import sys
-import tempfile
 
 
 def workload_argvs(root, name):
@@ -43,14 +45,10 @@ def workload_argvs(root, name):
     ]
 
 
-def envelope(root, argv, cache):
+def envelope(root, argv):
     """(run_s, setup_s) of one fresh child of root on argv (its last stderr line)."""
     env = {k: v for k, v in os.environ.items() if not k.startswith("MATRIXWEYL_")}
-    env.update(
-        PYTHONPATH=os.path.join(root, "src"),
-        PYTHONDONTWRITEBYTECODE="1",
-        PYTHONPYCACHEPREFIX=cache,  # empty: every module compiles from source
-    )
+    env.update(PYTHONPATH=os.path.join(root, "src"), PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(
         [sys.executable, os.path.join(root, "perfbench", "child.py"), "0", *argv],
         cwd=root,
@@ -108,13 +106,12 @@ def main(argv=None) -> int:
         p.error("give at least one argv or --workload, and --reps >= 1")
     times = [[[], []] for _ in ops]
     setups = [[[], []] for _ in ops]
-    with tempfile.TemporaryDirectory() as cache:
-        for rep in range(args.reps):
-            for op, pair, setup in zip(ops, times, setups):
-                for side in (0, 1) if rep % 2 == 0 else (1, 0):
-                    run, start = envelope(roots[side], op, cache)
-                    pair[side].append(run)
-                    setup[side].append(start)
+    for rep in range(args.reps):
+        for op, pair, setup in zip(ops, times, setups):
+            for side in (0, 1) if rep % 2 == 0 else (1, 0):
+                run, start = envelope(roots[side], op)
+                pair[side].append(run)
+                setup[side].append(start)
     print("%9s %7s %9s %7s %6s %5s  %9s %7s %9s %7s" % (
         "A ms", "IQR", "B ms", "IQR", "B/A", "wins", "A setup", "IQR", "B setup", "IQR"))
     for op, (a, b), (sa, sb) in zip(ops, times, setups):
