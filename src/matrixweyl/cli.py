@@ -227,26 +227,30 @@ def cmd_space(args) -> int:
 
 
 def cmd_model(args) -> int:
-    model = MODELS[args.model](args.form, _k_value(args), args.d)
+    def built():
+        return MODELS[args.model](args.form, _k_value(args), args.d).op
+
     if args.output == "latex":
         names = (
             ("\\tau_2", "\\tau_3") if args.model == "calogero" else ("\\eta_2", "\\eta_3")
         )
-        _emit(args, matrix_op_latex(model.op, list(names)) + "\n")
+        _emit(args, matrix_op_latex(built(), list(names)) + "\n")
         return 0
     if args.output == "text":
-        _emit(args, matrix_op_str(model.op) + "\n")
+        _emit(args, matrix_op_str(built()) + "\n")
         return 0
+    scalar = scalar_form_check(args.model, K)
+    display = consistency_check(args.model, K, args.d)
+    # at a formal k the two checks have built the printed operator already
+    forms = {"differential": scalar.rhs, "liealgebraic": display.rhs, "matrix": display.lhs}
+    op = forms[args.form] if args.k is None else built()
     results = [
         {
             "name": "%s %s d=%d" % (args.model, args.form, args.d),
-            "op": matrix_op_to_json(model.op),
+            "op": matrix_op_to_json(op),
         }
     ]
-    checks = [
-        scalar_form_check(args.model, K).record(),
-        consistency_check(args.model, K, args.d).record(),
-    ]
+    checks = [scalar.record(), display.record()]
     inputs = {"model": args.model, "form": args.form, "d": args.d}
     if args.k is not None:
         # k binds the printed operator only; both checks keep a formal k

@@ -23,7 +23,8 @@ when both b's are 0, and integer halves never pay for Fraction's gcd.
 
 Every sum of pairs in the engine goes through _add_pair or _add_product,
 which add into a raw term map {exps: pair} and drop a pair that cancels at
-once; the caller wraps each finished map once with Coeff._raw.
+once; the caller wraps each finished map once with Coeff._raw.  That holds
+for operator + and - too: a key of both operands gets one new Coeff.
 """
 
 from __future__ import annotations

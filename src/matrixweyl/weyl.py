@@ -34,7 +34,7 @@ from math import comb, factorial, perm, prod
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
-from .coeff import Coeff, _add_product, as_coeff
+from .coeff import Coeff, _add_pair, _add_product, as_coeff, qp_neg
 
 
 class ShapeError(ValueError):
@@ -99,7 +99,8 @@ class _TermMap:
         return self._like(out)
 
     def _merge(self, other, subtract):
-        """self + other, or self - other, in one pass over other's terms."""
+        """self + other, or self - other, in one pass over other's terms; a
+        key of both sums raw pairs (coeff._add_pair) into one new Coeff."""
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -110,11 +111,13 @@ class _TermMap:
             if cur is None:
                 out[key] = -c if subtract else c
                 continue
-            s = cur - c if subtract else cur + c
-            if s.is_zero():
-                del out[key]
+            sums = dict(cur.terms)
+            for exps, pair in c.terms.items():
+                _add_pair(sums, exps, qp_neg(pair) if subtract else pair)
+            if sums:
+                out[key] = Coeff._raw(sums)
             else:
-                out[key] = s
+                del out[key]
         return self._like(out)
 
     def __add__(self, other):

@@ -1,6 +1,9 @@
 """Shared helpers for the test modules."""
 
 from fractions import Fraction
+from functools import reduce
+from itertools import product
+from operator import add, mul
 import random
 
 from matrixweyl import Coeff, MatrixDiffOp, Polynomial, PolySpinor, ScalarDiffOp
@@ -59,6 +62,14 @@ def commutator_oracle(a, b):
     """a o b - b o a as two products and a difference: the commutator's
     definition, built the way weyl.commutator's one accumulation avoids."""
     return a * b - b * a
+
+
+def cycle_trace(e, idx, power):
+    """The sum of e[a1, a2] e[a2, a3] ... e[ap, a1] over a1 .. ap in idx, one
+    product per cycle summed by +: the trace invariant by its definition,
+    the oracle of identities._trace."""
+    cycles = product(idx, repeat=power)
+    return reduce(add, (reduce(mul, (e[ab] for ab in zip(c, c[1:] + c[:1]))) for c in cycles))
 
 
 def random_poly(rng: random.Random, nvars=2, nterms=3, maxdeg=3) -> Polynomial:

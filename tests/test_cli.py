@@ -404,6 +404,34 @@ def test_model_manifest_records_k_only_when_given(model, capsys):
     assert data["results"][1:] == json.loads(out)["results"][1:]
 
 
+@pytest.mark.parametrize("model", ["calogero", "sutherland"])
+@pytest.mark.parametrize("form", ["differential", "liealgebraic", "matrix"])
+@pytest.mark.parametrize("d", [1, 3])
+def test_model_prints_the_operator_its_checks_built(model, form, d, monkeypatch, capsys):
+    import matrixweyl.models as models
+    from matrixweyl import K
+    from matrixweyl.serialize import matrix_op_to_json
+
+    real = models.MODELS[model]
+    fresh = matrix_op_to_json(real(form, K, d).op)
+    builds = []
+
+    def spy(form, k, d=1):
+        builds.append((form, d))
+        return real(form, k, d)
+
+    monkeypatch.setitem(models.MODELS, model, spy)
+    checks = [("liealgebraic", 1), ("differential", 1), ("liealgebraic", d), ("matrix", d)]
+    argv = ["model", "--model", model, "--form", form, "--d", str(d)]
+    _, out = run_cli(argv, capsys)
+    assert builds == checks
+    assert json.loads(out)["results"][0]["op"] == fresh
+    # a bound k builds the printed operator once more, at that k
+    builds.clear()
+    run_cli(argv + ["--k", "2"], capsys)
+    assert builds == checks + [(form, d)]
+
+
 @pytest.mark.parametrize(
     "model, verdict, residual_terms", [("calogero", "pass", 0), ("sutherland", "fail", 1)]
 )

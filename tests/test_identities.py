@@ -6,6 +6,9 @@ import pytest
 from matrixweyl import Coeff, K, MatrixRep, RepSpec, build_gl_np1, gl2_irrep
 from matrixweyl.identities import (
     _casimirs_c1_c2,
+    _sum_of_products,
+    _trace,
+    _units,
     art_dependency,
     art_relations,
     casimir_centrality,
@@ -15,6 +18,7 @@ from matrixweyl.identities import (
     commutation_table,
     grading_audit,
 )
+from helpers_mw import cycle_trace
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "goldens")
 
@@ -86,6 +90,62 @@ def test_corrupted_casimir_not_central():
     broken = C2 - g.Tplus[1] * g.Tminus[1]  # drop one term
     reports = casimir_centrality(broken, g, "C2'")
     assert any(not r.passed for r in reports)
+
+
+# -- the matrix-power traces against the cycle sum ------------------------------
+
+
+def _traces(e, idx, powers=(1, 2, 3)):
+    """Each trace both ways: (identities._trace, helpers_mw.cycle_trace)."""
+    return [(_trace(e, idx, p), cycle_trace(e, idx, p)) for p in powers]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_traces_equal_the_cycle_sum_on_gl3(d):
+    g = gens_for(d)
+    traces = _traces(_units(g), range(3))
+    for got, ref in traces:
+        assert got == ref
+    assert casimirs_gl3(g) == tuple(ref for _, ref in traces)
+    # the block traces c1m and c2m of casimir_closed_form_reports
+    for got, ref in _traces(g.spec.rep.ops, range(1, 3)):
+        assert got == ref
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_traces_equal_the_cycle_sum_for_scalar_gl_np1(n):
+    g = scalar_gens(n)
+    traces = _traces(_units(g), range(n + 1))
+    for got, ref in traces:
+        assert got == ref
+    assert _casimirs_c1_c2(g) == (traces[0][1], traces[1][1])
+
+
+def test_corrupted_block_gives_the_same_failing_c3_residual_both_ways():
+    rep = gl2_irrep(2).replaced(2, 2, 0, 0, 1)
+    g = build_gl_np1(RepSpec(2, K, rep))
+    got = casimir_closed_form_reports(g, casimirs_gl3(g))[2]
+    ref = casimir_closed_form_reports(g, tuple(r for _, r in _traces(_units(g), range(3))))[2]
+    assert not got.passed
+    assert got.residual == ref.residual
+
+
+def _cubic(e, idx, pair):
+    """sum_ac e_ca o F_ac, where F_ac sums x o y over the (x, y) = pair(a, b, c)."""
+    F = {(a, c): _sum_of_products([pair(a, b, c) for b in idx]) for a in idx for c in idx}
+    return _sum_of_products([(e[(c, a)], F[(a, c)]) for a in idx for c in idx])
+
+
+def test_a_trace_composed_in_the_wrong_order_fails():
+    g = gens_for(2)
+    e, idx = _units(g), range(3)
+    C3 = cycle_trace(e, idx, 3)
+    # e_ca F_ac is tr(E F), the same cycle sum relabelled, so not a control
+    assert _cubic(e, idx, lambda a, b, c: (e[(a, b)], e[(b, c)])) == C3
+    # F_ac composed the wrong way round: the cycles summed as e_ca e_bc e_ab
+    wrong = _cubic(e, idx, lambda a, b, c: (e[(b, c)], e[(a, b)]))
+    assert wrong != C3
+    assert not casimir_closed_form_reports(g, (*_casimirs_c1_c2(g), wrong))[2].passed
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

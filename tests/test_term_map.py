@@ -535,3 +535,78 @@ def test_single_term_action_is_the_perm_loop(exps):
     assert image.terms == {(0, mono): e for mono, e in expected.items()}
     for _, mono in image.terms:
         assert type(mono) is tuple
+
+
+# -- operator + and - on raw pairs, against the key-by-key Coeff sum ---------
+
+_HALVES = st.builds(Fraction, st.integers(-4, 4), st.sampled_from((1, 2)))
+# terms in k and nu, each to the power 0 or 1
+_EXPS = st.tuples(st.integers(0, 1), st.just(0), st.integers(0, 1), st.just(0))
+_PAIRS = st.tuples(_HALVES, _HALVES)
+_COEFFS = st.dictionaries(_EXPS, _PAIRS, min_size=1, max_size=3).map(Coeff).filter(bool)
+_MONOS = st.builds(_mono, *[st.tuples(st.integers(0, 1), st.integers(0, 1))] * 2)
+
+
+def _ref_merge(a, b, subtract):
+    """a + b, or a - b, on term maps: one Coeff sum or difference per key."""
+    out = dict(a)
+    for key, c in b.items():
+        if key in out:
+            s = out[key] - c if subtract else out[key] + c
+        else:
+            s = -c if subtract else c
+        if s.is_zero():
+            del out[key]
+        else:
+            out[key] = s
+    return out
+
+
+@st.composite
+def _merge_operands(draw):
+    """(a, b, scalar): two ScalarDiffOp, or two 2 x 2 MatrixDiffOp, and a scalar.
+
+    b takes some of a's keys with a's coefficient, its negative, one of its
+    terms or a new one, so + and - cancel whole keys and single pairs; b's
+    keys come in any order.
+    """
+    matrix = draw(st.booleans())
+    keys = st.tuples(st.integers(0, 1), st.integers(0, 1), _MONOS) if matrix else _MONOS
+    zero = MatrixDiffOp.zero(2, 2) if matrix else ScalarDiffOp.zero(2)
+    a = draw(st.dictionaries(keys, _COEFFS, max_size=5))
+    b = draw(st.dictionaries(keys, _COEFFS, max_size=3))
+    for key, c in a.items():
+        kind = draw(st.sampled_from(("none", "same", "negated", "one term", "new")))
+        if kind == "same":
+            b[key] = c
+        elif kind == "negated":
+            b[key] = -c
+        elif kind == "one term":
+            exps, pair = next(iter(c.terms.items()))
+            b[key] = Coeff({exps: pair}) * draw(st.sampled_from((1, -1)))
+        elif kind == "new":
+            b[key] = draw(_COEFFS)
+    b = {key: b[key] for key in draw(st.permutations(list(b)))}
+    scalar = draw(st.one_of(st.integers(-3, 3), _HALVES, _COEFFS))
+    return zero.with_coords(a), zero.with_coords(b), scalar
+
+
+@settings(max_examples=200, deadline=None)
+@given(_merge_operands())
+def test_add_and_sub_match_the_coeff_sum_key_by_key(operands):
+    a, b, s = operands
+    const = ScalarDiffOp.constant(s, 2)
+    const = const if type(a) is ScalarDiffOp else MatrixDiffOp.from_scalar(const, 2)
+    negated = {key: -c for key, c in a.terms.items()}
+    for got, ref in (
+        (a + b, _ref_merge(a.terms, b.terms, False)),
+        (a - b, _ref_merge(a.terms, b.terms, True)),
+        (b - a, _ref_merge(b.terms, a.terms, True)),
+        (a - a, {}),
+        (a + s, _ref_merge(a.terms, const.terms, False)),
+        (s + a, _ref_merge(a.terms, const.terms, False)),
+        (a - s, _ref_merge(a.terms, const.terms, True)),
+        (s - a, _ref_merge(negated, const.terms, False)),
+    ):
+        assert type(got) is type(a) and got._shape() == a._shape()
+        _same(got.terms, ref)

@@ -20,12 +20,16 @@ faster than A; then the median setup_s (import and parser build, before
 cli.main) of A and of B in ms, each with its IQR.  The last line is the
 same for the sums: the sum of the medians, and the IQR and wins of the
 per-rep sums.  A gain shows as B winning nearly every rep, by more than
-A's IQR.  Nothing under either checkout is changed.
+A's IQR.  Every rep also compares the sha256 of stdout and the exit code
+of A's and B's run of each argv; at the first difference the A/B stops,
+names the argv and exits 1, so it never times two programs that disagree.
+Nothing under either checkout is changed.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import shlex
@@ -46,7 +50,8 @@ def workload_argvs(root, name):
 
 
 def envelope(root, argv):
-    """(run_s, setup_s) of one fresh child of root on argv (its last stderr line)."""
+    """(run_s, setup_s, output) of one fresh child of root on argv: the times
+    from its last stderr line, output the sha256 of its stdout and its exit code."""
     env = {k: v for k, v in os.environ.items() if not k.startswith("MATRIXWEYL_")}
     env.update(PYTHONPATH=os.path.join(root, "src"), PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(
@@ -54,10 +59,9 @@ def envelope(root, argv):
         cwd=root,
         env=env,
         capture_output=True,
-        text=True,
     )
-    env = json.loads(proc.stderr.strip().splitlines()[-1])
-    return env["run_s"], env["setup_s"]
+    env = json.loads(proc.stderr.decode().strip().splitlines()[-1])
+    return env["run_s"], env["setup_s"], (hashlib.sha256(proc.stdout).hexdigest(), proc.returncode)
 
 
 def iqr(xs):
@@ -108,10 +112,15 @@ def main(argv=None) -> int:
     setups = [[[], []] for _ in ops]
     for rep in range(args.reps):
         for op, pair, setup in zip(ops, times, setups):
+            outputs = [None, None]
             for side in (0, 1) if rep % 2 == 0 else (1, 0):
-                run, start = envelope(roots[side], op)
+                run, start, outputs[side] = envelope(roots[side], op)
                 pair[side].append(run)
                 setup[side].append(start)
+            if outputs[0] != outputs[1]:
+                print("A and B differ on %s: (stdout sha256, exit code) %s vs %s"
+                      % (shlex.join(op), *outputs), file=sys.stderr)
+                return 1
     print("%9s %7s %9s %7s %6s %5s  %9s %7s %9s %7s" % (
         "A ms", "IQR", "B ms", "IQR", "B/A", "wins", "A setup", "IQR", "B setup", "IQR"))
     for op, (a, b), (sa, sb) in zip(ops, times, setups):
