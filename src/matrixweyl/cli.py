@@ -35,13 +35,7 @@ from .identities import (
     grading_audit,
 )
 from .matrixreps import gl2_irrep
-from .models import (
-    MODELS,
-    consistency_check,
-    pattern_verdict,
-    scalar_form_check,
-    spectrum,
-)
+from .models import MODELS, model_checks, pattern_verdict, spectrum
 from .render import matrix_op_latex, matrix_op_str
 from .serialize import dumps, manifest, matrix_op_to_json
 from .spaces import (
@@ -49,6 +43,7 @@ from .spaces import (
     SpaceNotClosedError,
     hexagon_audit,
     orbit_closure,
+    scalar_basis,
 )
 from .weyl import PolySpinor
 
@@ -185,8 +180,6 @@ def cmd_relations(args) -> int:
 
 def cmd_space(args) -> int:
     if args.m is not None:
-        from .spaces import scalar_basis
-
         basis = scalar_basis(args.k, args.m)
         results = [
             {
@@ -227,35 +220,34 @@ def cmd_space(args) -> int:
 
 
 def cmd_model(args) -> int:
-    def built():
-        return MODELS[args.model](args.form, _k_value(args), args.d).op
-
+    # every form is built at a formal k, and --k binds the printed operator
+    # only; LaTeX and text build the printed form alone and run no checks
+    if args.output == "json":
+        ops, checks = model_checks(args.model, args.d)
+        op = ops[args.form]
+    else:
+        op = MODELS[args.model](args.form, K, args.d).op
+    if args.k is not None:
+        op = op.substitute({"k": args.k})
     if args.output == "latex":
         names = (
             ("\\tau_2", "\\tau_3") if args.model == "calogero" else ("\\eta_2", "\\eta_3")
         )
-        _emit(args, matrix_op_latex(built(), list(names)) + "\n")
+        _emit(args, matrix_op_latex(op, list(names)) + "\n")
         return 0
     if args.output == "text":
-        _emit(args, matrix_op_str(built()) + "\n")
+        _emit(args, matrix_op_str(op) + "\n")
         return 0
-    scalar = scalar_form_check(args.model, K)
-    display = consistency_check(args.model, K, args.d)
-    # at a formal k the two checks have built the printed operator already
-    forms = {"differential": scalar.rhs, "liealgebraic": display.rhs, "matrix": display.lhs}
-    op = forms[args.form] if args.k is None else built()
     results = [
         {
             "name": "%s %s d=%d" % (args.model, args.form, args.d),
             "op": matrix_op_to_json(op),
         }
     ]
-    checks = [scalar.record(), display.record()]
     inputs = {"model": args.model, "form": args.form, "d": args.d}
     if args.k is not None:
-        # k binds the printed operator only; both checks keep a formal k
         inputs["k"] = str(args.k)
-    _finish(args, "model", inputs, results + checks)
+    _finish(args, "model", inputs, results + [r.record() for r in checks])
     # The display-vs-lie record is `pass: false` at d >= 2, and for
     # Sutherland at d = 1 too (a sign error of its display, see README), and
     # perfbench/reference.json pins exit 0 with these bytes for

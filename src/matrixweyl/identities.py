@@ -371,11 +371,8 @@ REFERENCE_GRADINGS = {
 
 
 class GradingLine:
-    def __init__(
-        self, name: str, factors: tuple, computed: tuple, balanced: bool, matches_reference: bool
-    ):
+    def __init__(self, name: str, computed: tuple, balanced: bool, matches_reference: bool):
         self.name = name
-        self.factors = factors
         self.computed = computed  # ((g,g),(g,g)) for the two products
         self.balanced = balanced
         self.matches_reference = matches_reference
@@ -412,11 +409,10 @@ def grading_audit(gens: GeneratorSet) -> GradingReport:
         total1 = tuple(a + b for a, b in zip(*c1))
         total2 = tuple(a + b for a, b in zip(*c2))
         ref = REFERENCE_GRADINGS[name]
-        matches = {c1, c2} == {ref[0], ref[1]} or (c1, c2) == ref
+        matches = {c1, c2} == {ref[0], ref[1]}
         lines.append(
             GradingLine(
                 name=name,
-                factors=(p1, p2),
                 computed=(c1, c2),
                 balanced=total1 == total2,
                 matches_reference=matches,

@@ -9,12 +9,14 @@ Each model exists in three forms:
   matrix         the reference d x d matrix display with the block entries
                  written out term by term.
 
-The lie-algebraic substitution is the normative object: consistency_check
-diffs the matrix display against it and records the exact residual instead
-of asserting zero, because the display is a cross-check target, not ground
-truth.  It is written once per model as words, (coefficient, generator
-names) pairs standing for sum c * (product of the generators), and its
-operator is built from them.
+The lie-algebraic substitution is the normative object.  It is written once
+per model as words, (coefficient, generator names) pairs standing for
+sum c * (product of the generators), and its operator is built from them.
+model_checks builds the three forms at a formal k, proves the lie-algebraic
+form at [k, 0] equal to the differential one, and diffs the matrix display
+against the lie-algebraic form, recording the exact residual instead of
+asserting zero, because the display is a cross-check target, not ground
+truth.
 
 Spectra are computed on the discovered invariant flags, without applying
 the operator: the flag discovery records the parameter-free matrix of each
@@ -37,9 +39,9 @@ from functools import cached_property, reduce
 from operator import mul
 from typing import Dict, List, Optional, Tuple
 
-from .coeff import ALPHA, NU, OMEGA, PARAMS, ZERO, Coeff, as_coeff, qp_float
+from .coeff import ALPHA, NU, OMEGA, PARAMS, ZERO, Coeff, K, as_coeff, qp_float
 from .generators import RepSpec, build_gl_np1
-from .identities import IdentityReport, _report
+from .identities import _report
 from .linalg import charpoly, numeric_roots, rational_roots
 from .matrixreps import gl2_irrep
 from .spaces import (
@@ -217,20 +219,22 @@ MODELS = {"calogero": calogero, "sutherland": sutherland}
 GRADINGS = {"calogero": (2, 3), "sutherland": (1, 1)}
 
 
-def scalar_form_check(kind: str, k) -> IdentityReport:
-    """The lie-algebraic combination at [k, 0] against the differential form."""
+def model_checks(kind: str, d: int):
+    """({form: operator}, [scalar report, display report]) of one model at
+    a formal k: the lie-algebraic combination at [k, 0] against the
+    differential form, and the matrix display at [k, d-1] against the
+    lie-algebraic combination there, which at d = 1 is the one operator
+    both checks read."""
     build = MODELS[kind]
-    lie = build("liealgebraic", k, 1)
-    diff = build("differential", k, 1)
-    return _report("%s lie[k,0] = differential" % kind, lie.op, diff.op)
-
-
-def consistency_check(kind: str, k, d: int) -> IdentityReport:
-    """Reference matrix display minus the lie-algebraic substitution."""
-    build = MODELS[kind]
-    lie = build("liealgebraic", k, d)
-    mat = build("matrix", k, d)
-    return _report("%s matrix display vs lie [d=%d]" % (kind, d), mat.op, lie.op)
+    lie1 = build("liealgebraic", K, 1).op
+    diff = build("differential", K, 1).op
+    lie = lie1 if d == 1 else build("liealgebraic", K, d).op
+    mat = build("matrix", K, d).op
+    reports = [
+        _report("%s lie[k,0] = differential" % kind, lie1, diff),
+        _report("%s matrix display vs lie [d=%d]" % (kind, d), mat, lie),
+    ]
+    return {"differential": diff, "liealgebraic": lie, "matrix": mat}, reports
 
 
 # -- spectra ---------------------------------------------------------------------
@@ -459,18 +463,16 @@ def pattern_verdict(result: SpectrumResult, omega: Fraction) -> dict:
     scalar = calogero_pattern(result.k, omega)
     computed = sorted(e.pair for e in result.eigenvalues if e.exact)
     multiset_equal = result.all_exact() and computed == scalar
-    subset = True
     step = Fraction(-2) * omega
-    for pair in computed:
-        if pair[1] != 0:
-            subset = False
-            break
-        q = pair[0] / step if step else None
-        if q is None or q.denominator != 1 or q < 0 or q == 1:
-            subset = False
-            break
-    if not result.all_exact():
-        subset = False
+
+    def on_pattern(a, b):
+        # the pattern values are the rationals step * (2 p1 + 3 p2), all 0 at omega = 0
+        if b or not step:
+            return not b and not a
+        q = a / step
+        return q.denominator == 1 and q >= 0 and q != 1
+
+    subset = result.all_exact() and all(on_pattern(a, b) for a, b in computed)
     return {
         "multiset_equal_to_scalar": multiset_equal,
         "subset_of_pattern": subset,

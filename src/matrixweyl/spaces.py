@@ -415,20 +415,11 @@ def _on_hull_boundary(p, hull):
 
 
 class HexagonReport:
-    def __init__(
-        self, k, dim_expected, dim_found, layer_sizes, layer_sizes_expected,
-        boundary_points, interior_points, census_ok, lower_span_full, top_layer_ok, issues
-    ):
-        self.k = k
-        self.dim_expected = dim_expected
+    def __init__(self, dim_found, layer_sizes, boundary_points, interior_points, issues):
         self.dim_found = dim_found
         self.layer_sizes = layer_sizes
-        self.layer_sizes_expected = layer_sizes_expected
         self.boundary_points = boundary_points
         self.interior_points = interior_points
-        self.census_ok = census_ok
-        self.lower_span_full = lower_span_full
-        self.top_layer_ok = top_layer_ok
         self.issues = issues
 
     @property
@@ -461,7 +452,6 @@ def hexagon_audit(basis: SpinorBasis, k: int) -> HexagonReport:
         issues.append("layers %s, expected %s" % (layer_sizes, expected_layers))
 
     weights = basis_weights(basis)
-    census_ok = False
     boundary = interior = 0
     if None in weights:
         issues.append("non-weight basis vector found")
@@ -470,18 +460,14 @@ def hexagon_audit(basis: SpinorBasis, k: int) -> HexagonReport:
         for w in weights:
             mult[w] = mult.get(w, 0) + 1
         hull = _convex_hull(list(mult))
-        census_ok = True
         for w, m in mult.items():
-            on_edge = _on_hull_boundary(w, hull)
-            if on_edge:
+            if _on_hull_boundary(w, hull):
                 boundary += 1
                 if m != 1:
-                    census_ok = False
                     issues.append("boundary point %s has multiplicity %d" % (w, m))
             else:
                 interior += 1
                 if m != 2:
-                    census_ok = False
                     issues.append("interior point %s has multiplicity %d" % (w, m))
 
     # all spinors of component degree <= k-1 live in the space
@@ -501,30 +487,16 @@ def hexagon_audit(basis: SpinorBasis, k: int) -> HexagonReport:
         )
         for comp, mono in low_monos
     ]
-    lower_span_full = basis_contains(basis, low_vectors)
-    if not lower_span_full:
+    if not basis_contains(basis, low_vectors):
         issues.append("degree<=k-1 spinors are not all contained")
 
     top_expected = top_layer_spinors(k)
     top_found = [v for v, dgr in zip(basis.vectors, degs) if dgr == k]
-    top_layer_ok = (
+    if not (
         len(top_found) == k
         and span_contains([v.coords() for v in top_found], [v.coords() for v in top_expected])
         and span_contains([v.coords() for v in top_expected], [v.coords() for v in top_found])
-    )
-    if not top_layer_ok:
+    ):
         issues.append("top layer does not match the expected k-vector pattern")
 
-    return HexagonReport(
-        k=k,
-        dim_expected=dim_expected,
-        dim_found=basis.dim,
-        layer_sizes=layer_sizes,
-        layer_sizes_expected=expected_layers,
-        boundary_points=boundary,
-        interior_points=interior,
-        census_ok=census_ok,
-        lower_span_full=lower_span_full,
-        top_layer_ok=top_layer_ok,
-        issues=tuple(issues),
-    )
+    return HexagonReport(basis.dim, layer_sizes, boundary, interior, tuple(issues))

@@ -34,9 +34,8 @@ from matrixweyl.identities import (
 )
 from matrixweyl.models import (
     calogero,
-    consistency_check,
+    model_checks,
     pattern_verdict,
-    scalar_form_check,
     spectrum,
     sutherland,
 )
@@ -145,7 +144,8 @@ def test_criterion_5_polynomial_algebra_towers():
 
 def test_criterion_6_calogero():
     start = time.monotonic()
-    ok = scalar_form_check("calogero", K).passed
+    _, (scalar, _) = model_checks("calogero", 1)
+    ok = scalar.passed
     for k in (0, 1, 2, 3, 4):
         res = spectrum(
             calogero("liealgebraic", Coeff.rational(k), 1), {"omega": 1, "nu": 0}
@@ -172,7 +172,8 @@ def test_criterion_6_calogero():
 
 
 def test_criterion_7_sutherland():
-    ok = scalar_form_check("sutherland", K).passed
+    _, (scalar, _) = model_checks("sutherland", 1)
+    ok = scalar.passed
     golden = _golden("sutherland_spectra.json")
     for d, ks in ((1, (1, 2, 3)), (2, (1, 2, 3)), (3, (2, 3))):
         for k in ks:
@@ -197,7 +198,7 @@ def test_criterion_7_sutherland():
     residuals = _golden("display_residuals.json")
     for kind in ("calogero", "sutherland"):
         for d in (1, 2, 3):
-            rep = consistency_check(kind, K, d)
+            _, (_, rep) = model_checks(kind, d)
             rec = residuals["%s_d%d" % (kind, d)]
             ok = ok and rep.residual_terms == rec["residual_terms"]
             ok = ok and matrix_op_to_json(rep.residual) == rec["residual"]

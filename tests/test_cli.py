@@ -409,11 +409,13 @@ def test_model_manifest_records_k_only_when_given(model, capsys):
 @pytest.mark.parametrize("d", [1, 3])
 def test_model_prints_the_operator_its_checks_built(model, form, d, monkeypatch, capsys):
     import matrixweyl.models as models
-    from matrixweyl import K
+    from matrixweyl import Coeff, K
+    from matrixweyl.render import matrix_op_latex, matrix_op_str
     from matrixweyl.serialize import matrix_op_to_json
 
     real = models.MODELS[model]
-    fresh = matrix_op_to_json(real(form, K, d).op)
+    fresh = real(form, K, d).op
+    bound = real(form, Coeff.rational(2), d).op
     builds = []
 
     def spy(form, k, d=1):
@@ -421,15 +423,25 @@ def test_model_prints_the_operator_its_checks_built(model, form, d, monkeypatch,
         return real(form, k, d)
 
     monkeypatch.setitem(models.MODELS, model, spy)
-    checks = [("liealgebraic", 1), ("differential", 1), ("liealgebraic", d), ("matrix", d)]
+    # one lie-algebraic operator serves both checks at d = 1
+    checks = [("liealgebraic", 1), ("differential", 1)]
+    checks += [("matrix", 1)] if d == 1 else [("liealgebraic", d), ("matrix", d)]
     argv = ["model", "--model", model, "--form", form, "--d", str(d)]
     _, out = run_cli(argv, capsys)
     assert builds == checks
-    assert json.loads(out)["results"][0]["op"] == fresh
-    # a bound k builds the printed operator once more, at that k
+    assert json.loads(out)["results"][0]["op"] == matrix_op_to_json(fresh)
+    # a bound k substitutes into the operator the checks built: no build more
     builds.clear()
-    run_cli(argv + ["--k", "2"], capsys)
-    assert builds == checks + [(form, d)]
+    _, out = run_cli(argv + ["--k", "2"], capsys)
+    assert builds == checks
+    assert json.loads(out)["results"][0]["op"] == matrix_op_to_json(bound)
+    # LaTeX and text build the printed form alone, and run no checks
+    names = ["\\tau_2", "\\tau_3"] if model == "calogero" else ["\\eta_2", "\\eta_3"]
+    for output, render in (("latex", lambda op: matrix_op_latex(op, names)), ("text", matrix_op_str)):
+        builds.clear()
+        _, out = run_cli(["--output", output] + argv + ["--k", "2"], capsys)
+        assert builds == [(form, d)]
+        assert out == render(bound) + "\n"
 
 
 @pytest.mark.parametrize(

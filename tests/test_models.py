@@ -17,10 +17,9 @@ from matrixweyl.models import (
     _grade_blocks,
     _grades,
     calogero,
-    consistency_check,
     flag_basis,
+    model_checks,
     pattern_verdict,
-    scalar_form_check,
     spectrum,
     sutherland,
 )
@@ -45,11 +44,12 @@ def test_each_spectrum_result_gets_its_own_charpolys():
 
 @pytest.mark.parametrize("kind", ["calogero", "sutherland"])
 def test_liealgebraic_scalar_form_is_the_differential_operator(kind):
-    assert scalar_form_check(kind, K).passed
+    _, (scalar, _) = model_checks(kind, 1)
+    assert scalar.passed
 
 
 def test_calogero_matrix_display_reduces_at_trivial_block():
-    report = consistency_check("calogero", K, 1)
+    _, (_, report) = model_checks("calogero", 1)
     assert report.passed
     assert report.residual.is_zero()
 
@@ -57,12 +57,12 @@ def test_calogero_matrix_display_reduces_at_trivial_block():
 def test_sutherland_matrix_display_residual_at_trivial_block():
     # Not zero, and not by design: the display's 2 alpha^2 (nu + 1/3) x2 d2
     # term has the opposite sign to the differential operator's, which
-    # scalar_form_check proves equal to the lie-algebraic form, so the
-    # residual (display minus lie) is 4 alpha^2 (nu + 1/3) x2 d2.  The golden
-    # keeps it until the display is corrected.
+    # the scalar check of model_checks proves equal to the lie-algebraic
+    # form, so the residual (display minus lie) is 4 alpha^2 (nu + 1/3) x2 d2.
+    # The golden keeps it until the display is corrected.
     from matrixweyl import MatrixDiffOp, ScalarDiffOp
 
-    report = consistency_check("sutherland", K, 1)
+    _, (_, report) = model_checks("sutherland", 1)
     x2d2 = MatrixDiffOp.from_scalar(ScalarDiffOp.x(1, 2) * ScalarDiffOp.d(1, 2), 1)
     assert report.residual == x2d2 * (ALPHA * ALPHA * (NU + Fraction(1, 3)) * 4)
     golden = load("display_residuals.json")["sutherland_d1"]
@@ -73,7 +73,7 @@ def test_sutherland_matrix_display_residual_at_trivial_block():
 @pytest.mark.parametrize("kind", ["calogero", "sutherland"])
 @pytest.mark.parametrize("d", [2, 3])
 def test_matrix_display_residuals_match_golden(kind, d):
-    report = consistency_check(kind, K, d)
+    _, (_, report) = model_checks(kind, d)
     golden = load("display_residuals.json")["%s_d%d" % (kind, d)]
     assert report.residual_terms == golden["residual_terms"]
     assert matrix_op_to_json(report.residual) == golden["residual"]
@@ -82,7 +82,7 @@ def test_matrix_display_residuals_match_golden(kind, d):
 def test_calogero_display_residual_is_lower_order():
     # the recorded discrepancy of the reference d x d display is exactly
     # 8 M22 d_tau2: first order, no potential part
-    report = consistency_check("calogero", K, 2)
+    _, (_, report) = model_checks("calogero", 2)
     res = report.residual
     assert res.entries[0][0].is_zero()
     assert res.entries[0][1].is_zero()
@@ -121,6 +121,21 @@ def test_scalar_calogero_omega_scaling():
     res = spectrum(model, {"omega": Fraction(1, 2), "nu": 7})
     values = sorted(p[0] for p in (e.pair for e in res.eigenvalues))
     assert values == [-3, -2, 0]  # nu never enters the diagonal
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_pattern_verdict_at_omega_zero(d):
+    # every pattern value is 0 at omega = 0: the spectrum lies in the
+    # pattern exactly when every eigenvalue is exactly 0
+    res = spectrum(calogero("liealgebraic", Coeff.rational(2), d), {"omega": 0, "nu": 0})
+    assert [e.pair for e in res.eigenvalues] == [(0, 0)] * res.basis_dim
+    assert pattern_verdict(res, Fraction(0))["subset_of_pattern"]
+    off = EigRecord(True, (Fraction(1), Fraction(0)), 1.0)
+    res.eigenvalues = res.eigenvalues[1:] + [off]
+    assert pattern_verdict(res, Fraction(0)) == {
+        "multiset_equal_to_scalar": False,
+        "subset_of_pattern": False,
+    }
 
 
 @pytest.mark.parametrize(

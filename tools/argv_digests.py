@@ -16,7 +16,8 @@ covers gens, check, casimir and relations for d <= 4 (d = 4 is the first
 block whose gl2_irrep entries split a product rationally), gens with k = 2
 bound and as LaTeX and text at d = 2; every space form, with closures for
 k <= 3 and d <= 3, the hexagon audits at k = 4, 5 and 6 (d = 2) and the
-closure at k = 4, d = 3; every model form; gm for m <= 4, d <= 3, and
+closure at k = 4, d = 3; every model form, and the matrix form at d = 2
+as LaTeX and text and with k = 2 bound; gm for m <= 4, d <= 3, and
 m = 2 at d = 4; spectrum for both models, k <= 6, d <= 3 and four values
 of nu, again for k <= 4 with --omega or --alpha at 3/2 and -2, again
 for k <= 4 at the nu that make a word coefficient vanish (-1/3 for both
@@ -92,7 +93,8 @@ def grid():
             rows += [("model", "--model", model, "--form", form, "--d", str(d)) for d in (1, 2, 3)]
         rows += [("model", "--model", model, "--form", "matrix", "--d", "2", "--k", "2")]
         rows += [
-            ("--output", out, "model", "--model", model, "--form", "matrix", "--d", "2")
+            ("--output", out, "model", "--model", model, "--form", "matrix", "--d", "2") + k
+            for k in ((), ("--k", "2"))
             for out in ("latex", "text")
         ]
     rows += [("gm", "--m", str(m), "--d", str(d)) for m in (1, 2, 3, 4) for d in (1, 2, 3)]

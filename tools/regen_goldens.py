@@ -17,7 +17,7 @@ from matrixweyl import Coeff, K, RepSpec, build_gl_np1, build_gm, gm_commutator_
 from matrixweyl.identities import art_dependency, art_relations, gm_tower_constants
 from matrixweyl.models import (
     calogero,
-    consistency_check,
+    model_checks,
     pattern_verdict,
     spectrum,
     sutherland,
@@ -53,7 +53,7 @@ def main() -> None:
     residuals = {}
     for kind in ("calogero", "sutherland"):
         for d in (1, 2, 3):
-            rep = consistency_check(kind, K, d)
+            _, (_, rep) = model_checks(kind, d)
             residuals["%s_d%d" % (kind, d)] = {
                 "residual_terms": rep.residual_terms,
                 "residual": matrix_op_to_json(rep.residual),
