@@ -220,24 +220,23 @@ def cmd_space(args) -> int:
 
 
 def cmd_model(args) -> int:
-    # every form is built at a formal k, and --k binds the printed operator
-    # only; LaTeX and text build the printed form alone and run no checks
-    if args.output == "json":
-        ops, checks = model_checks(args.model, args.d)
-        op = ops[args.form]
-    else:
+    if args.output != "json":
         op = MODELS[args.model](args.form, K, args.d).op
+        if args.k is not None:
+            op = op.substitute({"k": args.k})
+        if args.output == "latex":
+            names = (
+                ("\\tau_2", "\\tau_3") if args.model == "calogero" else ("\\eta_2", "\\eta_3")
+            )
+            _emit(args, matrix_op_latex(op, list(names)) + "\n")
+        else:
+            _emit(args, matrix_op_str(op) + "\n")
+        return 0
+    # the checks keep k formal; --k binds the printed operator only
+    ops, checks = model_checks(args.model, args.d)
+    op = ops[args.form]
     if args.k is not None:
         op = op.substitute({"k": args.k})
-    if args.output == "latex":
-        names = (
-            ("\\tau_2", "\\tau_3") if args.model == "calogero" else ("\\eta_2", "\\eta_3")
-        )
-        _emit(args, matrix_op_latex(op, list(names)) + "\n")
-        return 0
-    if args.output == "text":
-        _emit(args, matrix_op_str(op) + "\n")
-        return 0
     results = [
         {
             "name": "%s %s d=%d" % (args.model, args.form, args.d),

@@ -409,13 +409,23 @@ def test_model_manifest_records_k_only_when_given(model, capsys):
 @pytest.mark.parametrize("d", [1, 3])
 def test_model_prints_the_operator_its_checks_built(model, form, d, monkeypatch, capsys):
     import matrixweyl.models as models
-    from matrixweyl import Coeff, K
+    from matrixweyl import Coeff, K, MatrixDiffOp
     from matrixweyl.render import matrix_op_latex, matrix_op_str
     from matrixweyl.serialize import matrix_op_to_json
 
-    real = models.MODELS[model]
+    # no model form carries k, so each build adds k times the identity: a
+    # printed operator that skipped the binding of --k would then differ
+    base = models.MODELS[model]
+
+    def real(form, k, d=1):
+        m = base(form, k, d)
+        return models.ModelOperator(
+            m.kind, form, m.k, m.d, explicit=m.op + MatrixDiffOp.identity(m.op.dim, 2) * m.k
+        )
+
     fresh = real(form, K, d).op
     bound = real(form, Coeff.rational(2), d).op
+    assert fresh != bound
     builds = []
 
     def spy(form, k, d=1):

@@ -14,6 +14,7 @@ from matrixweyl.models import (
     ModelOperator,
     NotTriangularError,
     SpectrumResult,
+    _CALOGERO_WORDS,
     _grade_blocks,
     _grades,
     calogero,
@@ -121,6 +122,17 @@ def test_scalar_calogero_omega_scaling():
     res = spectrum(model, {"omega": Fraction(1, 2), "nu": 7})
     values = sorted(p[0] for p in (e.pair for e in res.eigenvalues))
     assert values == [-3, -2, 0]  # nu never enters the diagonal
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_substituting_k_equals_a_build_at_that_k(d):
+    # E0 and T1+ carry k, so this operator does; model --k binds by
+    # substitution and must print the operator a build at that k gives
+    words = _CALOGERO_WORDS + ((Coeff.rational(1), ("E0", "T1+")), (NU, ("T1+",)))
+    formal = ModelOperator("calogero", "liealgebraic", K, d, words).op
+    bound = ModelOperator("calogero", "liealgebraic", Coeff.rational(2), d, words).op
+    assert formal != bound
+    assert matrix_op_to_json(formal.substitute({"k": 2})) == matrix_op_to_json(bound)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
