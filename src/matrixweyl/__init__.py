@@ -14,7 +14,6 @@ from .coeff import ALPHA, K, NU, OMEGA, SQRT2, Coeff, CoeffError
 from .generators import (
     GeneratorSet,
     GmGeneratorSet,
-    RepSpec,
     build_gl_np1,
     build_gm,
     gm_commutator_tower,
@@ -46,7 +45,6 @@ __all__ = [
     "MatrixRep",
     "Polynomial",
     "PolySpinor",
-    "RepSpec",
     "ScalarDiffOp",
     "ShapeError",
     "build_gl_np1",

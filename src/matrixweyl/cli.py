@@ -7,7 +7,8 @@ JSON path ends in _finish, which builds the manifest, emits it and picks
 the exit status: 0 when every record in the manifest passed, 1 on a
 mathematical failure (broken identity, non-invariant space).  Input
 outside the domain is rejected by the argparse types with exit 2 before
-any mathematics runs.  `model` always exits 0 (see cmd_model).
+any mathematics runs, and so, by main, is an --out that cannot be opened.
+`model` always exits 0 (see cmd_model).
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ import re
 import sys
 from fractions import Fraction
 
-from .coeff import Coeff, CoeffError, K
-from .generators import RepSpec, build_gl_np1, build_gm, gm_commutator_tower
+from .coeff import CoeffError, K
+from .generators import build_gl_np1, build_gm, gm_commutator_tower
 from .identities import (
     art_dependency,
     art_relations,
@@ -35,7 +36,7 @@ from .identities import (
     grading_audit,
 )
 from .matrixreps import gl2_irrep
-from .models import MODELS, model_checks, pattern_verdict, spectrum
+from .models import MODELS, WORDS, model_checks, pattern_verdict, spectrum
 from .render import matrix_op_latex, matrix_op_str
 from .serialize import dumps, manifest, matrix_op_to_json
 from .spaces import (
@@ -78,12 +79,6 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError("invalid rational value: %r" % text) from None
 
 
-def _k_value(args) -> Coeff:
-    if getattr(args, "k", None) is None:
-        return K
-    return Coeff.rational(args.k)
-
-
 def _emit(args, text: str):
     if args.out:
         with open(args.out, "w") as fh:
@@ -100,7 +95,7 @@ def _finish(args, command: str, inputs: dict, results: list) -> int:
 
 
 def cmd_gens(args) -> int:
-    gens = build_gl_np1(RepSpec.gl3(_k_value(args), args.d))
+    gens = build_gl_np1(K if args.k is None else args.k, gl2_irrep(args.d))
     if args.output == "latex":
         parts = [
             "%% %s\n%s\n" % (name, matrix_op_latex(op)) for name, op in gens.named()
@@ -126,7 +121,7 @@ def cmd_check(args) -> int:
     ds = [args.d] if args.d is not None else [1, 2, 3]
     results = []
     for d in ds:
-        gens = build_gl_np1(RepSpec.gl3(K, d))
+        gens = build_gl_np1(K, gl2_irrep(d))
         for r in commutation_table(gens):
             rec = r.record()
             rec["d"] = d
@@ -135,7 +130,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_casimir(args) -> int:
-    gens = build_gl_np1(RepSpec.gl3(K, args.d))
+    gens = build_gl_np1(K, gl2_irrep(args.d))
     casimirs = casimirs_gl3(gens)
     results = [r.record() for r in casimir_closed_form_reports(gens, casimirs)]
     C1, C2, _C3 = casimirs
@@ -151,7 +146,7 @@ def cmd_relations(args) -> int:
     # each d is built and checked once; the dependency solve reuses d = 1, 2, 3
     built = {}
     for d in sorted(set(ds) | {1, 2, 3}):
-        gens = build_gl_np1(RepSpec.gl3(K, d))
+        gens = build_gl_np1(K, gl2_irrep(d))
         built[d] = gens, art_relations(gens)
     for d in ds:
         for r in built[d][1]:
@@ -189,7 +184,7 @@ def cmd_space(args) -> int:
             }
         ]
         return _finish(args, "space", {"k": args.k, "m": args.m}, results)
-    gens = build_gl_np1(RepSpec.gl3(Coeff.rational(args.k), args.d))
+    gens = build_gl_np1(args.k, gl2_irrep(args.d))
     seed = PolySpinor.unit(args.d - 1, args.d, 2)
     cap = args.degree_cap if args.degree_cap is not None else args.k + 2
     try:
@@ -221,7 +216,7 @@ def cmd_space(args) -> int:
 
 def cmd_model(args) -> int:
     if args.output != "json":
-        op = MODELS[args.model](args.form, K, args.d).op
+        op = MODELS[args.model](args.form, args.d)
         if args.k is not None:
             op = op.substitute({"k": args.k})
         if args.output == "latex":
@@ -256,7 +251,6 @@ def cmd_model(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    model = MODELS[args.model]("liealgebraic", Coeff.rational(args.k), args.d)
     bindings = {"nu": args.nu}
     if args.model == "calogero":
         bindings["omega"] = args.omega
@@ -266,7 +260,7 @@ def cmd_spectrum(args) -> int:
     inputs = {"model": args.model, "k": args.k, "d": args.d}
     inputs["bindings"] = {name: str(v) for name, v in sorted(bindings.items())}
     try:
-        result = spectrum(model, bindings)
+        result = spectrum(args.model, WORDS[args.model], args.k, args.d, bindings)
     except (NotInvariantError, SpaceNotClosedError, CoeffError, ValueError) as exc:
         return _finish(
             args,
@@ -303,7 +297,7 @@ def cmd_gm(args) -> int:
         }
     )
     if args.m == 1 and args.d == 1:
-        eq, da, db = g1_matches_gl3(gm, build_gl_np1(RepSpec.gl3(K, 1)))
+        eq, da, db = g1_matches_gl3(gm, build_gl_np1(K, gl2_irrep(1)))
         results.append(
             {"name": "g(1) equals gl3 span", "pass": eq, "dims": [da, db]}
         )
@@ -382,7 +376,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.out:
+        # an --out that cannot be opened is a usage error, found before any
+        # mathematics runs; "a" creates the file without truncating it
+        try:
+            open(args.out, "a").close()
+        except OSError as exc:
+            parser.error("argument --out: cannot write %r: %s" % (args.out, exc.strerror))
     # looked up at call time, so a wrapper bound over cmd_NAME is what runs
     return globals()["cmd_" + args.command](args)
 

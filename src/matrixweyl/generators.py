@@ -1,6 +1,7 @@
 """Generator factories: the mixed gl_{n+1} family and the polynomial g^(m).
 
-build_gl_np1 produces, for a matrix block family M_ij on R^n,
+build_gl_np1(k, rep) produces, for the parameter k (a number, or the formal
+K) and a matrix block family rep, M_ij on R^n with n = rep.n,
 
     E_ij   = x_i d_j + M_ij
     T_i^-  = d_i
@@ -17,40 +18,23 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict
 
-from .coeff import Coeff, as_coeff
+from .coeff import as_coeff
 from .matrixreps import MatrixRep, gl2_irrep
 from .weyl import MatrixDiffOp, ScalarDiffOp, commutator
 
 
-class RepSpec:
-    """Recipe (n, k, matrix block family) naming one mixed representation."""
-
-    def __init__(self, n: int, k: Coeff, rep: MatrixRep):
-        if n < 1:
-            raise ValueError("n must be positive")
-        if rep.n != n:
-            raise ValueError("matrix block family is for gl_%d, not gl_%d" % (rep.n, n))
-        self.n = n
-        self.k = k
-        self.rep = rep
-
-    @classmethod
-    def gl3(cls, k, d: int) -> "RepSpec":
-        """The n = 2 spec with the standard d-dimensional gl_2 block."""
-        return cls(2, as_coeff(k), gl2_irrep(d))
-
-
 class GeneratorSet:
-    """The named generators of one mixed gl_{n+1} representation."""
+    """The named generators of the mixed gl_{n+1} representation with
+    parameter k and matrix block family rep on R^n, n = rep.n."""
 
-    def __init__(self, spec: RepSpec):
-        n = spec.n
-        d = spec.rep.dim
-        self.spec = spec
+    def __init__(self, k, rep: MatrixRep):
+        n = rep.n
+        d = rep.dim
+        self.k = k = as_coeff(k)
+        self.rep = rep
         self.n = n
         self.dim = d
         self.nvars = n
-        k = spec.k
 
         xs = [ScalarDiffOp.x(i, n) for i in range(n)]
         ds = [ScalarDiffOp.d(i, n) for i in range(n)]
@@ -58,7 +42,7 @@ class GeneratorSet:
         for x, dd in zip(xs, ds):
             euler = euler + x * dd
         e0_scalar = ScalarDiffOp.constant(k, n) - euler
-        M = spec.rep.ops
+        M = rep.ops
 
         self.E: Dict[tuple, MatrixDiffOp] = {}
         for i in range(1, n + 1):
@@ -98,8 +82,8 @@ class GeneratorSet:
         return dict(zip(labels, self.named()))
 
 
-def build_gl_np1(spec: RepSpec) -> GeneratorSet:
-    return GeneratorSet(spec)
+def build_gl_np1(k, rep: MatrixRep) -> GeneratorSet:
+    return GeneratorSet(k, rep)
 
 
 class GmGeneratorSet:

@@ -143,10 +143,10 @@ def casimir_closed_form_reports(
     C1(M) and C2(M) are the same traces over the blocks M_ij, i, j in 1..n.
     """
     n, d = gens.nvars, gens.dim
-    k = gens.spec.k
+    k = gens.k
     C1, C2, C3 = casimirs
     ident = MatrixDiffOp.identity(d, n)
-    M, idx = gens.spec.rep.ops, range(1, n + 1)
+    M, idx = gens.rep.ops, range(1, n + 1)
     c1m, c2m = _trace(M, idx, 1), _trace(M, idx, 2)
     out = [
         _report("C1 = k + C1(M)", C1, ident * k + c1m),
@@ -186,14 +186,14 @@ def art_relations(gens: GeneratorSet) -> List[IdentityReport]:
     """The nine quadratic relations, left sides from generators, right sides
     from their closed mixed forms in x_i, d_i, M_ij and k."""
     n, dm = gens.nvars, gens.dim
-    k = gens.spec.k
+    k = gens.k
     E, E0, Tm, Tp = gens.E, gens.E0, gens.Tminus, gens.Tplus
 
     x1 = MatrixDiffOp.from_scalar(ScalarDiffOp.x(0, n), dm)
     x2 = MatrixDiffOp.from_scalar(ScalarDiffOp.x(1, n), dm)
     d1 = MatrixDiffOp.from_scalar(ScalarDiffOp.d(0, n), dm)
     d2 = MatrixDiffOp.from_scalar(ScalarDiffOp.d(1, n), dm)
-    M = gens.spec.rep.ops
+    M = gens.rep.ops
     M11, M12, M21, M22 = M[(1, 1)], M[(1, 2)], M[(2, 1)], M[(2, 2)]
     one = MatrixDiffOp.identity(dm, n)
     kI = one * k

@@ -10,37 +10,38 @@ Each model exists in three forms:
                  written out term by term.
 
 The lie-algebraic substitution is the normative object.  It is written once
-per model as words, (coefficient, generator names) pairs standing for
+per model in WORDS, (coefficient, generator names) pairs standing for
 sum c * (product of the generators), and its operator is built from them.
-model_checks builds the three forms at a formal k, proves the lie-algebraic
-form at [k, 0] equal to the differential one, and diffs the matrix display
-against the lie-algebraic form, recording the exact residual instead of
-asserting zero, because the display is a cross-check target, not ground
-truth.
+calogero and sutherland return the operator of one form at a formal k; no
+form carries k, and a bound k is substituted into it.  model_checks builds
+the three forms, proves the lie-algebraic form at [k, 0] equal to the
+differential one, and diffs the matrix display against the lie-algebraic
+form, recording the exact residual instead of asserting zero, because the
+display is a cross-check target, not ground truth.
 
-Spectra are computed on the discovered invariant flags, without applying
-the operator: the flag discovery records the parameter-free matrix of each
-generator the words use, nu and omega/alpha are bound on the word
-coefficients only, and the matrix of the model is the bound combination of
-products of generator matrices.  Both models share one flag space, in
-discovery order (flag_basis); the operator is block triangular in each
-model's grading (GRADINGS) of the weights (w1, w2) that the recorded E11
-and E22 columns give.  The Calogero grading 2 w1 + 3 w2 makes its blocks
-diagonal (exact eigenvalues read off), the Sutherland grading w1 + w2
-leaves blocks that are resolved per block by exact characteristic
-polynomials.
+Spectra are computed from the words and an integer k on the discovered
+invariant flags, without building the operator: the flag discovery
+records the parameter-free matrix of each generator the words use, nu and
+omega/alpha are bound on the word coefficients only, and the matrix of the
+model is the bound combination of products of generator matrices.  Both
+models share one flag space, in discovery order (flag_basis); the operator
+is block triangular in each model's grading (GRADINGS) of the weights
+(w1, w2) that the recorded E11 and E22 columns give.  The Calogero grading
+2 w1 + 3 w2 makes its blocks diagonal (exact eigenvalues read off), the
+Sutherland grading w1 + w2 leaves blocks that are resolved per block by
+exact characteristic polynomials.
 """
 
 from __future__ import annotations
 
 from decimal import ROUND_CEILING, Decimal
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import reduce
 from operator import mul
 from typing import Dict, List, Optional, Tuple
 
-from .coeff import ALPHA, NU, OMEGA, PARAMS, ZERO, Coeff, K, as_coeff, qp_float
-from .generators import RepSpec, build_gl_np1
+from .coeff import ALPHA, NU, OMEGA, PARAMS, ZERO, K, as_coeff, qp_float
+from .generators import GeneratorSet, build_gl_np1
 from .identities import _report
 from .linalg import charpoly, numeric_roots, rational_roots
 from .matrixreps import gl2_irrep
@@ -57,63 +58,43 @@ from .weyl import MatrixDiffOp, PolySpinor, ScalarDiffOp
 _F = Fraction
 
 
-class ModelOperator:
-    """One model in one form.
-
-    The lie-algebraic form is held as words, a tuple of (Coeff coefficient,
-    tuple of generator names) standing for sum c * (product of the
-    generators), and op is built from them on first use; the other forms
-    hold their operator in explicit.
-    """
-
-    def __init__(
-        self, kind: str, form: str, k: Coeff, d: int,
-        words: Optional[tuple] = None, explicit: Optional[MatrixDiffOp] = None
-    ):
-        self.kind = kind  # calogero | sutherland
-        self.form = form  # differential | liealgebraic | matrix
-        self.k = k
-        self.d = d
-        self.words = words
-        self.explicit = explicit
-
-    @cached_property
-    def op(self) -> MatrixDiffOp:
-        if self.words is None:
-            return self.explicit
-        gens = dict(build_gl_np1(RepSpec.gl3(self.k, self.d)).named())
-        out = MatrixDiffOp.zero(self.d, 2)
-        for c, word in self.words:
-            out = out + reduce(mul, (gens[name] for name in word)) * c
-        return out
-
-
 def _word(c, *names):
     return (as_coeff(c), names)
 
 
-_CALOGERO_WORDS = (
-    _word(-2, "E11", "T1-"),
-    _word(-6, "E22", "T1-"),
-    _word(_F(2, 3), "E12", "E12"),
-    _word(OMEGA * -4, "E11"),
-    _word((NU * 3 + 1) * -2, "T1-"),
-    _word(OMEGA * -6, "E22"),
-)
-
 _A2 = ALPHA * ALPHA
-_SUTHERLAND_WORDS = (
-    _word(-2, "E11", "T1-"),
-    _word(-6, "E22", "T1-"),
-    _word(_F(2, 3), "E12", "E12"),
-    _word((NU * 3 + 1) * -2, "T1-"),
-    _word(_A2 * _A2 * _F(1, 24), "E21", "E21"),
-    _word(_A2 * _F(-1, 2), "E11", "E11"),
-    _word(_A2 * _F(-4, 3), "E11", "E22"),
-    _word(_A2 * _F(-1, 2), "E22", "E22"),
-    _word((NU * 12 + 1) * _A2 * _F(-1, 6), "E11"),
-    _word((NU * 12 + 1) * _A2 * _F(-1, 6), "E22"),
-)
+# each model's lie-algebraic form: sum c * (product of the generators)
+WORDS = {
+    "calogero": (
+        _word(-2, "E11", "T1-"),
+        _word(-6, "E22", "T1-"),
+        _word(_F(2, 3), "E12", "E12"),
+        _word(OMEGA * -4, "E11"),
+        _word((NU * 3 + 1) * -2, "T1-"),
+        _word(OMEGA * -6, "E22"),
+    ),
+    "sutherland": (
+        _word(-2, "E11", "T1-"),
+        _word(-6, "E22", "T1-"),
+        _word(_F(2, 3), "E12", "E12"),
+        _word((NU * 3 + 1) * -2, "T1-"),
+        _word(_A2 * _A2 * _F(1, 24), "E21", "E21"),
+        _word(_A2 * _F(-1, 2), "E11", "E11"),
+        _word(_A2 * _F(-4, 3), "E11", "E22"),
+        _word(_A2 * _F(-1, 2), "E22", "E22"),
+        _word((NU * 12 + 1) * _A2 * _F(-1, 6), "E11"),
+        _word((NU * 12 + 1) * _A2 * _F(-1, 6), "E22"),
+    ),
+}
+
+
+def _word_sum(words, gens: GeneratorSet) -> MatrixDiffOp:
+    """sum c * (product of the generators) over the words, in gens."""
+    named = dict(gens.named())
+    out = MatrixDiffOp.zero(gens.dim, gens.nvars)
+    for c, word in words:
+        out = out + reduce(mul, (named[name] for name in word)) * c
+    return out
 
 
 def _x_d_ops(dim: int):
@@ -124,9 +105,9 @@ def _x_d_ops(dim: int):
     return x1, x2, d1, d2
 
 
-def calogero(form: str, k, d: int = 1) -> ModelOperator:
-    """The rational model: differential, lie-algebraic or matrix form."""
-    k = as_coeff(k)
+def calogero(form: str, d: int = 1) -> MatrixDiffOp:
+    """The rational model at a formal k: differential, lie-algebraic or
+    matrix form (the differential form is scalar whatever d)."""
     w = OMEGA
     nu = NU
     if form == "differential":
@@ -138,9 +119,9 @@ def calogero(form: str, k, d: int = 1) -> ModelOperator:
             - (x1 * w * 4 + (nu * 3 + 1) * 2) * d1
             - x2 * d2 * (w * 6)
         )
-        return ModelOperator("calogero", form, k, 1, explicit=op)
+        return op
     if form == "liealgebraic":
-        return ModelOperator("calogero", form, k, d, _CALOGERO_WORDS)
+        return _word_sum(WORDS["calogero"], build_gl_np1(K, gl2_irrep(d)))
     if form == "matrix":
         x1, x2, d1, d2 = _x_d_ops(d)
         M = gl2_irrep(d).ops
@@ -156,13 +137,13 @@ def calogero(form: str, k, d: int = 1) -> ModelOperator:
             - ident * (w * (4 * n))
             - M[(2, 2)] * (w * 2)
         )
-        return ModelOperator("calogero", form, k, d, explicit=op)
+        return op
     raise ValueError("unknown form %r" % form)
 
 
-def sutherland(form: str, k, d: int = 1) -> ModelOperator:
-    """The trigonometric model: differential, lie-algebraic or matrix form."""
-    k = as_coeff(k)
+def sutherland(form: str, d: int = 1) -> MatrixDiffOp:
+    """The trigonometric model at a formal k: differential, lie-algebraic or
+    matrix form (the differential form is scalar whatever d)."""
     nu = NU
     a2 = ALPHA * ALPHA
     a4 = a2 * a2
@@ -175,9 +156,9 @@ def sutherland(form: str, k, d: int = 1) -> ModelOperator:
             - ((nu * 3 + 1) * 2 + x1 * a2 * (nu + _F(1, 3)) * 2) * d1
             - x2 * d2 * (a2 * (nu + _F(1, 3)) * 2)
         )
-        return ModelOperator("sutherland", form, k, 1, explicit=op)
+        return op
     if form == "liealgebraic":
-        return ModelOperator("sutherland", form, k, d, _SUTHERLAND_WORDS)
+        return _word_sum(WORDS["sutherland"], build_gl_np1(K, gl2_irrep(d)))
     if form == "matrix":
         x1, x2, d1, d2 = _x_d_ops(d)
         M = gl2_irrep(d).ops
@@ -210,7 +191,7 @@ def sutherland(form: str, k, d: int = 1) -> ModelOperator:
             * a2
             * _F(1, 6)
         )
-        return ModelOperator("sutherland", form, k, d, explicit=op)
+        return op
     raise ValueError("unknown form %r" % form)
 
 
@@ -226,10 +207,10 @@ def model_checks(kind: str, d: int):
     lie-algebraic combination there, which at d = 1 is the one operator
     both checks read."""
     build = MODELS[kind]
-    lie1 = build("liealgebraic", K, 1).op
-    diff = build("differential", K, 1).op
-    lie = lie1 if d == 1 else build("liealgebraic", K, d).op
-    mat = build("matrix", K, d).op
+    lie1 = build("liealgebraic", 1)
+    diff = build("differential", 1)
+    lie = lie1 if d == 1 else build("liealgebraic", d)
+    mat = build("matrix", d)
     reports = [
         _report("%s lie[k,0] = differential" % kind, lie1, diff),
         _report("%s matrix display vs lie [d=%d]" % (kind, d), mat, lie),
@@ -279,12 +260,11 @@ def _sci_up(x: float) -> str:
 
 class SpectrumResult:
     def __init__(
-        self, kind: str, form: str, k: int, d: int, bindings: Dict[str, Fraction],
+        self, kind: str, k: int, d: int, bindings: Dict[str, Fraction],
         basis_dim: int, block_sizes: List[int], diagonal: bool, eigenvalues: List[EigRecord],
         charpolys: Optional[List[List[str]]] = None
     ):
         self.kind = kind
-        self.form = form
         self.k = k
         self.d = d
         self.bindings = bindings
@@ -300,7 +280,7 @@ class SpectrumResult:
     def to_json(self) -> dict:
         return {
             "kind": self.kind,
-            "form": self.form,
+            "form": "liealgebraic",
             "k": self.k,
             "d": self.d,
             "bindings": {k: str(v) for k, v in sorted(self.bindings.items())},
@@ -335,11 +315,11 @@ def flag_basis(k: int, d: int, recorded=()) -> SpinorBasis:
     recorded generators, whose columns the flag then holds, and under no
     other.
     """
-    if d > 1 and k < d - 1:
-        # the two-row label [k, d-1] needs k >= d-1; below that the orbit
-        # of the seed never closes
+    if k < d - 1:
+        # the label [k, d-1] needs k >= d-1: below that the triangle is
+        # empty (d = 1) or the orbit of the seed never closes
         raise ValueError("no finite flag for k=%d with d=%d (needs k >= %d)" % (k, d, d - 1))
-    gens = build_gl_np1(RepSpec.gl3(Coeff.rational(k), d)).named()
+    gens = build_gl_np1(k, gl2_irrep(d)).named()
     unknown = set(recorded) - {name for name, _ in gens}
     if unknown:
         raise ValueError("unknown gl_3 generator %s" % ", ".join(sorted(unknown)))
@@ -348,16 +328,6 @@ def flag_basis(k: int, d: int, recorded=()) -> SpinorBasis:
     if d == 1:
         return record_action(ops, scalar_basis(k, 1))
     return orbit_closure(ops, [PolySpinor.unit(d - 1, d, 2)], degree_cap=k + 2)
-
-
-def _int_k(c: Coeff) -> int:
-    try:
-        pair = c.constant_pair()
-    except Exception as exc:
-        raise ValueError("spectrum needs a non-negative integer k") from exc
-    if pair[1] or pair[0].denominator != 1 or pair[0] < 0:
-        raise ValueError("spectrum needs a non-negative integer k")
-    return int(pair[0])
 
 
 def _grades(basis: SpinorBasis, form):
@@ -387,8 +357,11 @@ def _grade_blocks(opm, grades):
     return blocks, not any(i != j and grades[i] == grades[j] for i, j in opm.terms)
 
 
-def spectrum(model: ModelOperator, bindings: Dict[str, object]) -> SpectrumResult:
-    """Exact spectrum of the model on its invariant flag.
+def spectrum(
+    kind: str, words: tuple, k: int, d: int, bindings: Dict[str, object]
+) -> SpectrumResult:
+    """Exact spectrum of the model kind written as words (WORDS[kind], or
+    any words in the gl_3 generators) on its invariant flag [k, d-1].
 
     The flag is rediscovered from one generator set, which records the
     parameter-free matrix of every generator the words use.  The parameters
@@ -400,17 +373,14 @@ def spectrum(model: ModelOperator, bindings: Dict[str, object]) -> SpectrumResul
     (_grade_blocks), and eigenvalues come from the diagonal when the blocks
     are diagonal and from per-block characteristic polynomials otherwise.
     """
-    if model.words is None:
-        raise ValueError("spectrum needs the lie-algebraic form, not %s" % model.form)
-    k = _int_k(model.k)
     bind = {name: Fraction(v) for name, v in bindings.items()}
-    words = tuple((c.substitute(bind), word) for c, word in model.words)
+    words = tuple((c.substitute(bind), word) for c, word in words)
     for i, name in enumerate(PARAMS):
         if any(exps[i] for c, _ in words for exps in c.terms):
             raise ValueError("binding for %s is required" % name)
     names = {name for _, word in words for name in word}
-    basis = flag_basis(k, model.d, names)
-    grades = _grades(basis, GRADINGS[model.kind])
+    basis = flag_basis(k, d, names)
+    grades = _grades(basis, GRADINGS[kind])
     opm = matrix_of(words, basis)
 
     blocks, diagonal = _grade_blocks(opm, grades)
@@ -436,10 +406,9 @@ def spectrum(model: ModelOperator, bindings: Dict[str, object]) -> SpectrumResul
                     )
     eigs.sort(key=EigRecord.sort_key)
     return SpectrumResult(
-        kind=model.kind,
-        form=model.form,
+        kind=kind,
         k=k,
-        d=model.d,
+        d=d,
         bindings=bind,
         basis_dim=basis.dim,
         block_sizes=[len(rows) for rows in blocks.values()],

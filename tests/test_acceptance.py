@@ -11,10 +11,8 @@ import time
 from fractions import Fraction
 
 from matrixweyl import (
-    Coeff,
     K,
     PolySpinor,
-    RepSpec,
     build_gl_np1,
     build_gm,
     check_canonical,
@@ -33,11 +31,11 @@ from matrixweyl.identities import (
     gm_tower_reports,
 )
 from matrixweyl.models import (
+    WORDS,
     calogero,
     model_checks,
     pattern_verdict,
     spectrum,
-    sutherland,
 )
 from matrixweyl.serialize import matrix_op_to_json
 from matrixweyl.spaces import hexagon_audit, orbit_closure
@@ -60,7 +58,7 @@ def test_criterion_1_commutation_closure():
     start = time.monotonic()
     ok = True
     for d in (1, 2, 3):
-        gens = build_gl_np1(RepSpec.gl3(K, d))
+        gens = build_gl_np1(K, gl2_irrep(d))
         reports = commutation_table(gens)
         ok = ok and len(reports) == 45 and all(r.passed for r in reports)
     elapsed = time.monotonic() - start
@@ -76,7 +74,7 @@ def test_criterion_2_casimir_values():
     }
     ok = True
     for d, (v1, v2) in values.items():
-        gens = build_gl_np1(RepSpec.gl3(K, d))
+        gens = build_gl_np1(K, gl2_irrep(d))
         casimirs = casimirs_gl3(gens)
         C1, C2, _ = casimirs
         ok = ok and casimir_value_report(gens, "C1", C1, v1).passed
@@ -88,7 +86,7 @@ def test_criterion_2_casimir_values():
 
 def test_criterion_3_art_relations():
     ok = True
-    gens = [build_gl_np1(RepSpec.gl3(K, d)) for d in (1, 2, 3)]
+    gens = [build_gl_np1(K, gl2_irrep(d)) for d in (1, 2, 3)]
     relations = [art_relations(g) for g in gens]
     for reports in relations:
         for r in reports:
@@ -111,7 +109,7 @@ def test_criterion_4_representation_spaces():
         (2, 3, 6),
         (3, 3, 15),
     ):
-        gens = build_gl_np1(RepSpec.gl3(Coeff.rational(k), d))
+        gens = build_gl_np1(k, gl2_irrep(d))
         basis = orbit_closure(
             gens.named(), [PolySpinor.unit(d - 1, d, 2)], degree_cap=k + 2
         )
@@ -137,7 +135,7 @@ def test_criterion_5_polynomial_algebra_towers():
         ok = ok and all(c is not None for c in consts)
         ok = ok and [str(c) for c in consts] == golden["m=%d" % m]
     g1 = build_gm(1, K)
-    equal, dim_a, dim_b = g1_matches_gl3(g1, build_gl_np1(RepSpec.gl3(K, 1)))
+    equal, dim_a, dim_b = g1_matches_gl3(g1, build_gl_np1(K, gl2_irrep(1)))
     ok = ok and equal and dim_a == dim_b == 9
     _announce(5, "polynomial algebra g(m)", ok)
 
@@ -147,9 +145,7 @@ def test_criterion_6_calogero():
     _, (scalar, _) = model_checks("calogero", 1)
     ok = scalar.passed
     for k in (0, 1, 2, 3, 4):
-        res = spectrum(
-            calogero("liealgebraic", Coeff.rational(k), 1), {"omega": 1, "nu": 0}
-        )
+        res = spectrum("calogero", WORDS["calogero"], k, 1, {"omega": 1, "nu": 0})
         expected = sorted(
             Fraction(-2) * (2 * p1 + 3 * p2)
             for p1 in range(k + 1)
@@ -159,9 +155,7 @@ def test_criterion_6_calogero():
         ok = ok and res.all_exact() and got == expected
     golden = _golden("calogero_spectra.json")
     for k, d in ((1, 2), (2, 2), (3, 2), (2, 3), (3, 3)):
-        res = spectrum(
-            calogero("liealgebraic", Coeff.rational(k), d), {"omega": 1, "nu": 0}
-        )
+        res = spectrum("calogero", WORDS["calogero"], k, d, {"omega": 1, "nu": 0})
         rec = res.to_json()
         rec["verdict_vs_scalar_pattern"] = pattern_verdict(res, Fraction(1))
         ok = ok and rec == golden["k%d_d%d" % (k, d)]
@@ -177,16 +171,10 @@ def test_criterion_7_sutherland():
     golden = _golden("sutherland_spectra.json")
     for d, ks in ((1, (1, 2, 3)), (2, (1, 2, 3)), (3, (2, 3))):
         for k in ks:
-            res = spectrum(
-                sutherland("liealgebraic", Coeff.rational(k), d),
-                {"alpha": 1, "nu": 0},
-            )
+            res = spectrum("sutherland", WORDS["sutherland"], k, d, {"alpha": 1, "nu": 0})
             rec = res.to_json()
             if d > 1:
-                scalar = spectrum(
-                    sutherland("liealgebraic", Coeff.rational(k), 1),
-                    {"alpha": 1, "nu": 0},
-                )
+                scalar = spectrum("sutherland", WORDS["sutherland"], k, 1, {"alpha": 1, "nu": 0})
                 rec["multiset_equal_to_scalar"] = sorted(
                     e.to_json().items() for e in res.eigenvalues
                 ) == sorted(e.to_json().items() for e in scalar.eigenvalues)
@@ -211,10 +199,10 @@ def test_criterion_8_negative_controls():
     canonical_broken = not check_canonical(corrupted).passed
     diag_corrupted = gl2_irrep(2).replaced(2, 2, 0, 0, 1)
     relations_broken = any(
-        not r.passed for r in art_relations(build_gl_np1(RepSpec(2, K, diag_corrupted)))
+        not r.passed for r in art_relations(build_gl_np1(K, diag_corrupted))
     )
     # one corrupted model coefficient must break the scalar reduction
-    g = build_gl_np1(RepSpec.gl3(K, 1))
+    g = build_gl_np1(K, gl2_irrep(1))
     from matrixweyl.coeff import NU, OMEGA
 
     broken_model = (
@@ -225,6 +213,6 @@ def test_criterion_8_negative_controls():
         - g.Tminus[1] * ((NU * 3 + 1) * 2)
         - g.E[(2, 2)] * (OMEGA * 6)
     )
-    model_broken = not (broken_model - calogero("differential", K, 1).op).is_zero()
+    model_broken = not (broken_model - calogero("differential")).is_zero()
     ok = canonical_broken and relations_broken and model_broken
     _announce(8, "negative controls", ok)

@@ -291,6 +291,23 @@ def test_out_file_and_determinism(tmp_path, capsys):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_an_out_that_cannot_be_opened_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    import matrixweyl.cli as cli
+
+    ran = []
+    monkeypatch.setattr(cli, "cmd_check", lambda args: ran.append(args) or 0)
+    for out in (tmp_path / "missing" / "x.json", tmp_path):
+        with pytest.raises(SystemExit) as err:
+            main(["--out", str(out), "check", "--d", "1"])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage:" in captured.err and "argument --out" in captured.err
+    # refused before any mathematics runs, and nothing was created
+    assert ran == []
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_console_entry_point_subprocess():
     env = dict(os.environ)
     root = os.path.join(os.path.dirname(__file__), "..", "src")
@@ -409,28 +426,26 @@ def test_model_manifest_records_k_only_when_given(model, capsys):
 @pytest.mark.parametrize("d", [1, 3])
 def test_model_prints_the_operator_its_checks_built(model, form, d, monkeypatch, capsys):
     import matrixweyl.models as models
-    from matrixweyl import Coeff, K, MatrixDiffOp
+    from matrixweyl import K, MatrixDiffOp
     from matrixweyl.render import matrix_op_latex, matrix_op_str
     from matrixweyl.serialize import matrix_op_to_json
 
-    # no model form carries k, so each build adds k times the identity: a
+    # no model form carries k, so each build adds K times the identity: a
     # printed operator that skipped the binding of --k would then differ
     base = models.MODELS[model]
 
-    def real(form, k, d=1):
-        m = base(form, k, d)
-        return models.ModelOperator(
-            m.kind, form, m.k, m.d, explicit=m.op + MatrixDiffOp.identity(m.op.dim, 2) * m.k
-        )
+    def with_k(form, d=1):
+        op = base(form, d)
+        return op + MatrixDiffOp.identity(op.dim, 2) * K
 
-    fresh = real(form, K, d).op
-    bound = real(form, Coeff.rational(2), d).op
+    fresh = with_k(form, d)
+    bound = base(form, d) + MatrixDiffOp.identity(fresh.dim, 2) * 2
     assert fresh != bound
     builds = []
 
-    def spy(form, k, d=1):
+    def spy(form, d=1):
         builds.append((form, d))
-        return real(form, k, d)
+        return with_k(form, d)
 
     monkeypatch.setitem(models.MODELS, model, spy)
     # one lie-algebraic operator serves both checks at d = 1

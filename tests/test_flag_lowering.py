@@ -4,22 +4,19 @@ generators it closes under."""
 
 import pytest
 
-from matrixweyl import K, Coeff, PolySpinor, RepSpec, build_gl_np1
+from matrixweyl import K, Coeff, PolySpinor, build_gl_np1, gl2_irrep
 from matrixweyl.linalg import span_contains
-from matrixweyl.models import LOWERING, calogero, flag_basis, sutherland
+from matrixweyl.models import LOWERING, WORDS, flag_basis
 from matrixweyl.spaces import matrix_of, orbit_closure, record_action, scalar_basis
 from matrixweyl.weyl import commutator
 
 MODEL_NAMES = {
-    build.__name__: frozenset(
-        name for _, word in build("liealgebraic", 3, 2).words for name in word
-    )
-    for build in (calogero, sutherland)
+    kind: frozenset(name for _, word in words for name in word) for kind, words in WORDS.items()
 }
 
 
 def _gens(k, d):
-    return build_gl_np1(RepSpec.gl3(k, d)).named()
+    return build_gl_np1(k, gl2_irrep(d)).named()
 
 
 def _same_span(a, b):
@@ -90,6 +87,6 @@ def test_flag_basis_refuses_an_unknown_generator(d):
 def test_matrix_of_words_names_a_generator_the_basis_did_not_record():
     basis = flag_basis(3, 2)
     assert "T1-" not in basis.action
-    words = calogero("liealgebraic", 3, 2).words
+    words = WORDS["calogero"]
     with pytest.raises(ValueError, match="generator T1-"):
         matrix_of(words, basis)

@@ -10,7 +10,6 @@ from matrixweyl import (
     Coeff,
     K,
     MatrixDiffOp,
-    RepSpec,
     ScalarDiffOp,
     build_gl_np1,
     build_gm,
@@ -189,7 +188,7 @@ def test_closure_fails_for_matrix_blocks():
 
 def test_g1_span_equals_scalar_gl3():
     gm = build_gm(1, K)
-    gl3 = build_gl_np1(RepSpec.gl3(K, 1))
+    gl3 = build_gl_np1(K, gl2_irrep(1))
     equal, dim_gm, dim_gl3 = g1_matches_gl3(gm, gl3)
     assert equal
     assert dim_gm == dim_gl3 == 9

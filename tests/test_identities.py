@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from matrixweyl import Coeff, K, MatrixRep, RepSpec, build_gl_np1, gl2_irrep
+from matrixweyl import Coeff, K, MatrixRep, build_gl_np1, gl2_irrep
 from matrixweyl.identities import (
     _casimirs_c1_c2,
     _sum_of_products,
@@ -24,7 +24,7 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "goldens")
 
 
 def gens_for(d, k=K):
-    return build_gl_np1(RepSpec.gl3(k, d))
+    return build_gl_np1(k, gl2_irrep(d))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -36,7 +36,7 @@ def test_commutation_table_closes(d):
 def scalar_gens(n):
     """Scalar gl(n+1): every block M_ij is the 1 x 1 zero matrix."""
     zero = {(i, j): [[Coeff.zero()]] for i in range(1, n + 1) for j in range(1, n + 1)}
-    return build_gl_np1(RepSpec(n, K, MatrixRep(n, 1, zero)))
+    return build_gl_np1(K, MatrixRep(n, 1, zero))
 
 
 @pytest.mark.parametrize("n", [1, 3, 4])
@@ -108,7 +108,7 @@ def test_traces_equal_the_cycle_sum_on_gl3(d):
         assert got == ref
     assert casimirs_gl3(g) == tuple(ref for _, ref in traces)
     # the block traces c1m and c2m of casimir_closed_form_reports
-    for got, ref in _traces(g.spec.rep.ops, range(1, 3)):
+    for got, ref in _traces(g.rep.ops, range(1, 3)):
         assert got == ref
 
 
@@ -123,7 +123,7 @@ def test_traces_equal_the_cycle_sum_for_scalar_gl_np1(n):
 
 def test_corrupted_block_gives_the_same_failing_c3_residual_both_ways():
     rep = gl2_irrep(2).replaced(2, 2, 0, 0, 1)
-    g = build_gl_np1(RepSpec(2, K, rep))
+    g = build_gl_np1(K, rep)
     got = casimir_closed_form_reports(g, casimirs_gl3(g))[2]
     ref = casimir_closed_form_reports(g, tuple(r for _, r in _traces(_units(g), range(3))))[2]
     assert not got.passed
@@ -165,7 +165,7 @@ def test_corrupted_block_breaks_a_relation():
     # the first relation; a pure scaling of M12 would not (relations 3-9
     # hold for arbitrary blocks, 1-2 only use that linear relation)
     rep = gl2_irrep(2).replaced(2, 2, 0, 0, 1)
-    g = build_gl_np1(RepSpec(2, K, rep))
+    g = build_gl_np1(K, rep)
     results = art_relations(g)
     broken = [r.name for r in results if not r.passed]
     assert "Art.1" in broken
@@ -176,7 +176,7 @@ def test_scaled_offdiagonal_block_breaks_canonical_but_not_relations():
     from matrixweyl import check_canonical
 
     assert not check_canonical(rep).passed
-    g = build_gl_np1(RepSpec(2, K, rep))
+    g = build_gl_np1(K, rep)
     assert all(r.passed for r in art_relations(g))
 
 

@@ -148,7 +148,8 @@ def test_charpoly_equals_faddeev_leverrier_on_the_spectra_blocks(monkeypatch, k,
         return charpoly(block)
 
     monkeypatch.setattr(models, "charpoly", recording_charpoly)
-    models.spectrum(models.sutherland("liealgebraic", C(k), d), {"nu": Fraction(nu), "alpha": 1})
+    bindings = {"nu": Fraction(nu), "alpha": 1}
+    models.spectrum("sutherland", models.WORDS["sutherland"], k, d, bindings)
     assert blocks
     for block in blocks:
         assert _terms(charpoly(block)) == _terms(faddeev_leverrier(block))
@@ -465,8 +466,8 @@ def test_sutherland_blocks_match_sympy(monkeypatch, k, d, nu, alpha):
         return charpoly(block)
 
     monkeypatch.setattr(models, "charpoly", recording_charpoly)
-    model = models.sutherland("liealgebraic", Coeff.rational(k), d)
-    models.spectrum(model, {"nu": Fraction(nu), "alpha": alpha})
+    bindings = {"nu": Fraction(nu), "alpha": alpha}
+    models.spectrum("sutherland", models.WORDS["sutherland"], k, d, bindings)
     assert blocks
     t = sympy.Symbol("t")
     for block in blocks:

@@ -7,16 +7,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from matrixweyl import ALPHA, Coeff, K, NU, OMEGA, RepSpec, build_gl_np1
+from matrixweyl import ALPHA, Coeff, K, NU, OMEGA, build_gl_np1, gl2_irrep
 from matrixweyl.models import (
     GRADINGS,
+    WORDS,
     EigRecord,
-    ModelOperator,
     NotTriangularError,
     SpectrumResult,
-    _CALOGERO_WORDS,
     _grade_blocks,
     _grades,
+    _word_sum,
     calogero,
     flag_basis,
     model_checks,
@@ -38,7 +38,7 @@ def load(name):
 
 
 def test_each_spectrum_result_gets_its_own_charpolys():
-    a, b = (SpectrumResult("calogero", "liealgebraic", 1, 1, {}, 0, [], True, []) for _ in "ab")
+    a, b = (SpectrumResult("calogero", 1, 1, {}, 0, [], True, []) for _ in "ab")
     a.charpolys.append(["1"])
     assert a.charpolys is not b.charpolys and b.charpolys == []
 
@@ -94,20 +94,18 @@ def test_calogero_display_residual_is_lower_order():
 
 
 def test_scalar_calogero_spectrum_examples():
-    model = calogero("liealgebraic", Coeff.rational(2), 1)
-    res = spectrum(model, {"omega": 1, "nu": 0})
+    res = spectrum("calogero", WORDS["calogero"], 2, 1, {"omega": 1, "nu": 0})
     values = sorted(p[0] for p in (e.pair for e in res.eigenvalues))
     assert values == [-12, -10, -8, -6, -4, 0]
     assert res.diagonal
 
-    res0 = spectrum(calogero("liealgebraic", Coeff.rational(0), 1), {"omega": 1, "nu": 0})
+    res0 = spectrum("calogero", WORDS["calogero"], 0, 1, {"omega": 1, "nu": 0})
     assert [e.pair[0] for e in res0.eigenvalues] == [0]
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
 def test_scalar_calogero_matches_pattern(k):
-    model = calogero("liealgebraic", Coeff.rational(k), 1)
-    res = spectrum(model, {"omega": 1, "nu": 0})
+    res = spectrum("calogero", WORDS["calogero"], k, 1, {"omega": 1, "nu": 0})
     verdict = pattern_verdict(res, Fraction(1))
     assert verdict["multiset_equal_to_scalar"]
     assert res.all_exact()
@@ -118,8 +116,7 @@ def test_scalar_calogero_matches_pattern(k):
 
 
 def test_scalar_calogero_omega_scaling():
-    model = calogero("liealgebraic", Coeff.rational(1), 1)
-    res = spectrum(model, {"omega": Fraction(1, 2), "nu": 7})
+    res = spectrum("calogero", WORDS["calogero"], 1, 1, {"omega": Fraction(1, 2), "nu": 7})
     values = sorted(p[0] for p in (e.pair for e in res.eigenvalues))
     assert values == [-3, -2, 0]  # nu never enters the diagonal
 
@@ -128,9 +125,9 @@ def test_scalar_calogero_omega_scaling():
 def test_substituting_k_equals_a_build_at_that_k(d):
     # E0 and T1+ carry k, so this operator does; model --k binds by
     # substitution and must print the operator a build at that k gives
-    words = _CALOGERO_WORDS + ((Coeff.rational(1), ("E0", "T1+")), (NU, ("T1+",)))
-    formal = ModelOperator("calogero", "liealgebraic", K, d, words).op
-    bound = ModelOperator("calogero", "liealgebraic", Coeff.rational(2), d, words).op
+    words = WORDS["calogero"] + ((Coeff.rational(1), ("E0", "T1+")), (NU, ("T1+",)))
+    formal = _word_sum(words, build_gl_np1(K, gl2_irrep(d)))
+    bound = _word_sum(words, build_gl_np1(2, gl2_irrep(d)))
     assert formal != bound
     assert matrix_op_to_json(formal.substitute({"k": 2})) == matrix_op_to_json(bound)
 
@@ -139,7 +136,7 @@ def test_substituting_k_equals_a_build_at_that_k(d):
 def test_pattern_verdict_at_omega_zero(d):
     # every pattern value is 0 at omega = 0: the spectrum lies in the
     # pattern exactly when every eigenvalue is exactly 0
-    res = spectrum(calogero("liealgebraic", Coeff.rational(2), d), {"omega": 0, "nu": 0})
+    res = spectrum("calogero", WORDS["calogero"], 2, d, {"omega": 0, "nu": 0})
     assert [e.pair for e in res.eigenvalues] == [(0, 0)] * res.basis_dim
     assert pattern_verdict(res, Fraction(0))["subset_of_pattern"]
     off = EigRecord(True, (Fraction(1), Fraction(0)), 1.0)
@@ -155,8 +152,7 @@ def test_pattern_verdict_at_omega_zero(d):
 )
 def test_matrix_calogero_spectra_match_golden(k, d):
     golden = load("calogero_spectra.json")["k%d_d%d" % (k, d)]
-    model = calogero("liealgebraic", Coeff.rational(k), d)
-    res = spectrum(model, {"omega": 1, "nu": 0})
+    res = spectrum("calogero", WORDS["calogero"], k, d, {"omega": 1, "nu": 0})
     rec = res.to_json()
     rec["verdict_vs_scalar_pattern"] = pattern_verdict(res, Fraction(1))
     assert rec == golden
@@ -175,13 +171,10 @@ def test_matrix_flag_needs_long_enough_first_row():
 )
 def test_sutherland_spectra_match_golden(k, d):
     golden = load("sutherland_spectra.json")["k%d_d%d" % (k, d)]
-    model = sutherland("liealgebraic", Coeff.rational(k), d)
-    res = spectrum(model, {"alpha": 1, "nu": 0})
+    res = spectrum("sutherland", WORDS["sutherland"], k, d, {"alpha": 1, "nu": 0})
     rec = res.to_json()
     if d > 1:
-        scalar = spectrum(
-            sutherland("liealgebraic", Coeff.rational(k), 1), {"alpha": 1, "nu": 0}
-        )
+        scalar = spectrum("sutherland", WORDS["sutherland"], k, 1, {"alpha": 1, "nu": 0})
         rec["multiset_equal_to_scalar"] = sorted(
             e.to_json().items() for e in res.eigenvalues
         ) == sorted(e.to_json().items() for e in scalar.eigenvalues)
@@ -189,8 +182,7 @@ def test_sutherland_spectra_match_golden(k, d):
 
 
 def test_sutherland_block_charpolys_are_recorded():
-    model = sutherland("liealgebraic", Coeff.rational(2), 1)
-    res = spectrum(model, {"alpha": 1, "nu": 0})
+    res = spectrum("sutherland", WORDS["sutherland"], 2, 1, {"alpha": 1, "nu": 0})
     assert not res.diagonal
     assert res.block_sizes == [1, 2, 3]
     assert len(res.charpolys) == len(res.block_sizes)
@@ -200,13 +192,13 @@ def test_sutherland_block_charpolys_are_recorded():
 def test_sutherland_flag_invariance_k_le_3_d_le_3():
     for d, ks in ((1, (1, 2, 3)), (2, (1, 2, 3)), (3, (2, 3))):
         for k in ks:
-            model = sutherland("liealgebraic", Coeff.rational(k), d)
-            spectrum(model, {"alpha": 1, "nu": 0})  # raises if not invariant
+            # raises if not invariant
+            spectrum("sutherland", WORDS["sutherland"], k, d, {"alpha": 1, "nu": 0})
 
 
 def test_corrupted_model_coefficient_breaks_reduction():
     # replace the -6 E22 T1- coefficient by -5: no longer the same operator
-    g = build_gl_np1(RepSpec.gl3(K, 1))
+    g = build_gl_np1(K, gl2_irrep(1))
     w, nu = OMEGA, NU
     broken = (
         g.E[(1, 1)] * g.Tminus[1] * (-2)
@@ -216,35 +208,31 @@ def test_corrupted_model_coefficient_breaks_reduction():
         - g.Tminus[1] * ((nu * 3 + 1) * 2)
         - g.E[(2, 2)] * (w * 6)
     )
-    good = calogero("differential", K, 1)
-    assert not (broken - good.op).is_zero()
+    assert not (broken - calogero("differential")).is_zero()
 
 
 def test_spectrum_requires_frequency_binding():
-    model = calogero("liealgebraic", Coeff.rational(1), 1)
     with pytest.raises(ValueError):
-        spectrum(model, {"nu": 0})
+        spectrum("calogero", WORDS["calogero"], 1, 1, {"nu": 0})
 
 
 @pytest.mark.parametrize(
-    "build, bindings, missing",
+    "kind, bindings, missing",
     [
-        (calogero, {"nu": 0}, "omega"),
-        (calogero, {"omega": 1}, "nu"),
-        (sutherland, {"nu": 0}, "alpha"),
-        (sutherland, {"alpha": 1}, "nu"),
+        ("calogero", {"nu": 0}, "omega"),
+        ("calogero", {"omega": 1}, "nu"),
+        ("sutherland", {"nu": 0}, "alpha"),
+        ("sutherland", {"alpha": 1}, "nu"),
     ],
 )
-def test_spectrum_requires_every_parameter_the_words_carry(build, bindings, missing):
-    model = build("liealgebraic", Coeff.rational(2), 2)
+def test_spectrum_requires_every_parameter_the_words_carry(kind, bindings, missing):
     with pytest.raises(ValueError, match="binding for %s is required" % missing):
-        spectrum(model, bindings)
+        spectrum(kind, WORDS[kind], 2, 2, bindings)
 
 
-def test_spectrum_requires_integer_k():
-    model = calogero("liealgebraic", K, 1)
-    with pytest.raises(ValueError):
-        spectrum(model, {"omega": 1, "nu": 0})
+def test_spectrum_refuses_a_negative_k():
+    with pytest.raises(ValueError, match="no finite flag for k=-1 with d=1"):
+        spectrum("calogero", WORDS["calogero"], -1, 1, {"omega": 1, "nu": 0})
 
 
 def _printed_err(err):
@@ -277,21 +265,13 @@ def test_printed_err_keeps_four_digits_and_never_falls_below(err):
 # -- the numeric fallback, end to end -------------------------------------------
 
 
-def _perturbed_sutherland(k, extra):
-    """The k, d = 1 Sutherland operator plus gl3-generator products.
-
-    extra holds the added words, (coefficient, generator names) pairs.  The
-    added term keeps every polynomial-triangle block invariant but gives
-    some of them irrational eigenvalues, so models.spectrum has to take the
-    numeric branch.
-    """
-    m = sutherland("liealgebraic", Coeff.rational(k), 1)
-    return ModelOperator(m.kind, m.form, m.k, m.d, m.words + extra, m.explicit)
-
-
 _ONE = Coeff.one()
 
 
+# The Sutherland words plus gl3-generator products at d = 1: each added
+# term keeps every polynomial-triangle block invariant but gives some of
+# them irrational eigenvalues, so models.spectrum has to take the numeric
+# branch.
 @pytest.mark.parametrize(
     "k, extra, inexact",
     [
@@ -317,8 +297,8 @@ def test_numeric_fallback_end_to_end_is_certified(monkeypatch, k, extra, inexact
 
     monkeypatch.setattr(models, "numeric_roots", spy)
     bind = {"nu": Fraction(1, 3), "alpha": 1}
-    op = _perturbed_sutherland(k, extra)
-    result = spectrum(op, bind)
+    words = WORDS["sutherland"] + extra
+    result = spectrum("sutherland", words, k, 1, bind)
 
     approx = [z for roots, _ in calls for z in roots]
     errs = [err for _, err in calls]
@@ -331,7 +311,7 @@ def test_numeric_fallback_end_to_end_is_certified(monkeypatch, k, extra, inexact
 
     # sympy, independently: the eigenvalues of the whole operator matrix
     basis = flag_basis(k, 1)
-    opm = matrix_of(op.op, basis).substitute(bind)
+    opm = matrix_of(_word_sum(words, build_gl_np1(k, gl2_irrep(1))), basis).substitute(bind)
     rows = []
     for row in opm.entries:
         rows.append([])
@@ -359,10 +339,9 @@ def test_a_grade_raising_word_is_not_triangular(d, entry):
     # T1+ raises the grade, so the added word puts a nonzero entry below
     # the block diagonal of the flag's grade order; the entry is named in
     # discovery indices (at d = 2 the grade-sorted position (2,0))
-    m = calogero("liealgebraic", Coeff.rational(2), d)
-    op = ModelOperator(m.kind, m.form, m.k, m.d, m.words + ((_ONE, ("T1+",)),), m.explicit)
+    words = WORDS["calogero"] + ((_ONE, ("T1+",)),)
     with pytest.raises(NotTriangularError, match=re.escape("entry %s " % entry)):
-        spectrum(op, {"nu": 0, "omega": 1})
+        spectrum("calogero", words, 2, d, {"nu": 0, "omega": 1})
 
 
 @st.composite
@@ -403,7 +382,7 @@ def test_sparse_block_checks_match_the_dense_scan(case):
 def test_spectrum_grading_refuses_a_non_weight_vector():
     # e_0 + e_1 has weights (1, 0) and (0, 1) in its two components
     seed = PolySpinor.unit(0, 2, 2) + PolySpinor.unit(1, 2, 2)
-    gens = build_gl_np1(RepSpec.gl3(Coeff.rational(2), 2))
+    gens = build_gl_np1(2, gl2_irrep(2))
     basis = orbit_closure(gens.named(), [seed], degree_cap=4)
     assert basis_weights(basis)[0] is None
     for form in GRADINGS.values():
@@ -418,7 +397,7 @@ def test_the_model_grading_steps_no_word_up(kind, k, d):
     # every generator a word uses moves the model's grade by one fixed step
     # on the flag, and no word's steps sum above 0: so the matrix is block
     # upper triangular in that grade
-    words = (calogero if kind == "calogero" else sutherland)("liealgebraic", k, d).words
+    words = WORDS[kind]
     names = {name for _, word in words for name in word}
     basis = flag_basis(k, d, names)
     grades = _grades(basis, GRADINGS[kind])
@@ -436,7 +415,7 @@ def test_binding_before_the_matrix_equals_binding_after(kind, d):
     # spectrum binds the parameters on the operator and then solves for its
     # matrix; OperatorMatrix.substitute on the formal matrix is the oracle
     k = d
-    op = (calogero if kind == "calogero" else sutherland)("liealgebraic", k, d).op
+    op = (calogero if kind == "calogero" else sutherland)("liealgebraic", d)
     basis = flag_basis(k, d)
     formal = matrix_of(op, basis)
     other = "omega" if kind == "calogero" else "alpha"
@@ -485,8 +464,7 @@ _MODELS = {"calogero": calogero, "sutherland": sutherland}
 @pytest.mark.parametrize("kind", ["calogero", "sutherland"])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_words_build_the_hand_written_operator(kind, d):
-    model = _MODELS[kind]("liealgebraic", K, d)
-    assert model.op == _hand_written(kind, build_gl_np1(RepSpec.gl3(K, d)))
+    assert _MODELS[kind]("liealgebraic", d) == _hand_written(kind, build_gl_np1(K, gl2_irrep(d)))
 
 
 @pytest.mark.parametrize(
@@ -496,9 +474,8 @@ def test_words_build_the_hand_written_operator(kind, d):
 def test_matrix_of_words_equals_matrix_of_the_operator(kind, k, d):
     # formally and at bindings: composing the recorded generator columns
     # gives the matrix that applying the operator and solving gives
-    model = _MODELS[kind]("liealgebraic", k, d)
-    op = _hand_written(kind, build_gl_np1(RepSpec.gl3(Coeff.rational(k), d)))
-    names = {name for _, word in model.words for name in word}
+    op = _hand_written(kind, build_gl_np1(k, gl2_irrep(d)))
+    names = {name for _, word in WORDS[kind] for name in word}
     basis = flag_basis(k, d, names)
     other = "omega" if kind == "calogero" else "alpha"
     bindings = (
@@ -509,7 +486,7 @@ def test_matrix_of_words_equals_matrix_of_the_operator(kind, k, d):
         {"nu": 0},
     )
     for b in bindings:
-        words = tuple((c.substitute(b), word) for c, word in model.words)
+        words = tuple((c.substitute(b), word) for c, word in WORDS[kind])
         composed = matrix_of(words, basis)
         solved = matrix_of(op.substitute(b), basis)
         assert composed == solved and repr(composed) == repr(solved), b

@@ -1,7 +1,7 @@
 import json
 import random
 
-from matrixweyl import Coeff, K, RepSpec, build_gl_np1
+from matrixweyl import Coeff, K, build_gl_np1, gl2_irrep
 from matrixweyl.serialize import (
     coeff_from_json,
     coeff_to_json,
@@ -38,15 +38,15 @@ def test_operator_roundtrips():
 
 
 def test_generator_roundtrip():
-    gens = build_gl_np1(RepSpec.gl3(K, 3))
+    gens = build_gl_np1(K, gl2_irrep(3))
     for name, op in gens.named():
         assert matrix_op_from_json(matrix_op_to_json(op)) == op, name
 
 
 def test_dumps_is_deterministic():
-    gens = build_gl_np1(RepSpec.gl3(K, 2))
+    gens = build_gl_np1(K, gl2_irrep(2))
     a = dumps(matrix_op_to_json(gens.Tplus[1]))
-    b = dumps(matrix_op_to_json(build_gl_np1(RepSpec.gl3(K, 2)).Tplus[1]))
+    b = dumps(matrix_op_to_json(build_gl_np1(K, gl2_irrep(2)).Tplus[1]))
     assert a == b
 
 

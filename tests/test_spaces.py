@@ -9,13 +9,12 @@ from matrixweyl import (
     MatrixDiffOp,
     Polynomial,
     PolySpinor,
-    RepSpec,
     ScalarDiffOp,
     build_gl_np1,
     gl2_irrep,
 )
 from matrixweyl.identities import casimirs_gl3
-from matrixweyl.models import GRADINGS, _grades, calogero, flag_basis, sutherland
+from matrixweyl.models import GRADINGS, WORDS, _grades, calogero, flag_basis, sutherland
 from matrixweyl.spaces import (
     NotInvariantError,
     SpaceNotClosedError,
@@ -38,7 +37,7 @@ S2 = Coeff.sqrt2()
 
 
 def closure(k, d, cap=None):
-    gens = build_gl_np1(RepSpec.gl3(Coeff.rational(k), d))
+    gens = build_gl_np1(k, gl2_irrep(d))
     seed = PolySpinor.unit(d - 1, d, 2)
     return orbit_closure(
         gens.named(), [seed], degree_cap=cap if cap is not None else k + 2
@@ -224,7 +223,7 @@ def test_non_weight_seed_is_reported_by_the_audit():
     # e_0 + e_1 has weights (1, 0) and (0, 1) in its two components; the
     # spectrum's grading refuses such a vector (test_models)
     seed = PolySpinor.unit(0, 2, 2) + PolySpinor.unit(1, 2, 2)
-    gens = build_gl_np1(RepSpec.gl3(Coeff.rational(2), 2))
+    gens = build_gl_np1(2, gl2_irrep(2))
     basis = orbit_closure(gens.named(), [seed], degree_cap=4)
     assert basis_weights(basis)[0] is None
     report = hexagon_audit(basis, 2)
@@ -234,7 +233,7 @@ def test_non_weight_seed_is_reported_by_the_audit():
 
 def test_matrix_of_euler_complement_diagonal():
     basis = scalar_basis(1, 1)
-    gens = build_gl_np1(RepSpec.gl3(Coeff.rational(1), 1))
+    gens = build_gl_np1(1, gl2_irrep(1))
     m = matrix_of(gens.E0, basis)
     rows = m.rows()
     assert rows[0][0] == Coeff.one()
@@ -246,7 +245,7 @@ def test_matrix_of_euler_complement_diagonal():
 
 def test_matrix_of_lowering_single_entry():
     basis = scalar_basis(1, 1)  # ordered 1, x1, x2
-    gens = build_gl_np1(RepSpec.gl3(Coeff.rational(1), 1))
+    gens = build_gl_np1(1, gl2_irrep(1))
     m = matrix_of(gens.Tminus[1], basis)
     rows = m.rows()
     nonzero = {
@@ -257,7 +256,7 @@ def test_matrix_of_lowering_single_entry():
 
 
 def test_casimir_matrix_is_four_identity_on_triplet():
-    gens = build_gl_np1(RepSpec.gl3(Coeff.rational(1), 2))
+    gens = build_gl_np1(1, gl2_irrep(2))
     _, C2, _ = casimirs_gl3(gens)
     basis = closure(1, 2)
     m = matrix_of(C2, basis)
@@ -271,7 +270,7 @@ def test_casimir_matrix_is_four_identity_on_triplet():
 def test_every_generator_preserves_the_space():
     for k, d in ((1, 2), (2, 2), (3, 2), (4, 2), (2, 3), (3, 3)):
         basis = closure(k, d)
-        gens = build_gl_np1(RepSpec.gl3(Coeff.rational(k), d))
+        gens = build_gl_np1(k, gl2_irrep(d))
         for name, op in gens.named():
             matrix_of(op, basis)  # raises on failure
 
@@ -287,7 +286,7 @@ def test_not_invariant_error_carries_residual():
 @pytest.mark.parametrize("build,k,d", [(calogero, 4, 2), (sutherland, 3, 2)])
 def test_matrix_of_reconstructs_every_image(build, k, d):
     # sum_i M[i][j] b_i == op(b_j) exactly, parameters (omega, nu, alpha) kept
-    op = build("liealgebraic", Coeff.rational(k), d).op
+    op = build("liealgebraic", d)
     basis = flag_basis(k, d)
     m = matrix_of(op, basis)
     zero = PolySpinor.zero(d, 2)
@@ -311,7 +310,7 @@ def test_not_invariant_error_names_first_failing_column():
 
 def test_orbit_cap_failure_reports():
     # k bound to a non-integer rational never closes: the cap must trip
-    halfgens = build_gl_np1(RepSpec.gl3(Coeff.rational(Fraction(1, 2)), 1))
+    halfgens = build_gl_np1(Fraction(1, 2), gl2_irrep(1))
     seed = PolySpinor.unit(0, 1, 2)
     with pytest.raises(SpaceNotClosedError):
         orbit_closure(halfgens.named(), [seed], degree_cap=6)
@@ -338,7 +337,7 @@ def test_recorded_generator_columns_equal_matrix_of(k, d):
     # oracle: apply the generator to every basis vector and solve
     basis = flag_basis(k, d, GL3_NAMES)
     assert set(basis.action) == set(GL3_NAMES)
-    gens = build_gl_np1(RepSpec.gl3(Coeff.rational(k), d))
+    gens = build_gl_np1(k, gl2_irrep(d))
     for name, op in gens.named():
         cols = basis.action[name]
         assert len(cols) == basis.dim
@@ -361,22 +360,22 @@ def test_flag_basis_records_only_the_named_generators_on_the_triangle():
 
 def test_closure_records_each_op_under_its_name():
     basis = closure(2, 2)
-    gens = build_gl_np1(RepSpec.gl3(Coeff.rational(2), 2))
+    gens = build_gl_np1(2, gl2_irrep(2))
     assert set(basis.action) == set(GL3_NAMES)
     for name, op in gens.named():
         assert recorded_matrix(basis, name) == matrix_of(op, basis).rows(), name
 
 
 @pytest.mark.parametrize(
-    "build, nu, cancelled",
+    "kind, nu, cancelled",
     [
-        (calogero, Fraction(-1, 3), {("T1-",)}),
-        (sutherland, Fraction(-1, 3), {("T1-",)}),
-        (sutherland, Fraction(-1, 12), {("E11",), ("E22",)}),
+        ("calogero", Fraction(-1, 3), {("T1-",)}),
+        ("sutherland", Fraction(-1, 3), {("T1-",)}),
+        ("sutherland", Fraction(-1, 12), {("E11",), ("E22",)}),
     ],
 )
-def test_matrix_of_skips_a_word_whose_coefficient_is_zero(build, nu, cancelled, monkeypatch):
-    words = build("liealgebraic", Coeff.rational(3), 2).words
+def test_matrix_of_skips_a_word_whose_coefficient_is_zero(kind, nu, cancelled, monkeypatch):
+    words = WORDS[kind]
     bind = {"nu": nu, "omega": 1, "alpha": 1}
     bound = tuple((c.substitute(bind), word) for c, word in words)
     assert {word for c, word in bound if c.is_zero()} == cancelled
@@ -562,7 +561,7 @@ def _assert_same_basis(got, want):
 
 
 def _closure_args(k, d, cap=None):
-    gens = build_gl_np1(RepSpec.gl3(Coeff.rational(k), d))
+    gens = build_gl_np1(k, gl2_irrep(d))
     return gens.named(), [PolySpinor.unit(d - 1, d, 2)], k + 2 if cap is None else cap
 
 

@@ -17,7 +17,6 @@ from fractions import Fraction
 
 import pytest
 
-from matrixweyl import Coeff
 from matrixweyl.linalg import charpoly
 from matrixweyl.models import flag_basis, sutherland
 from matrixweyl.spaces import matrix_of
@@ -77,8 +76,7 @@ def _fraction_height(coeffs):
 def test_height_reads_the_pairs_charpoly_and_matrix_of_return():
     # the tracer reads .numerator/.denominator of both halves of each pair
     # of the values these two entry points return
-    model = sutherland("liealgebraic", Coeff.rational(2), 2)
-    opm = matrix_of(model.op, flag_basis(2, 2))
+    opm = matrix_of(sutherland("liealgebraic", 2), flag_basis(2, 2))
     entries = [c for row in opm.entries for c in row]
     bound = opm.substitute({"nu": Fraction(2, 3), "alpha": 2})
     poly = charpoly(bound.entries)

@@ -11,7 +11,7 @@ from matrixweyl import (
     PolySpinor,
     ScalarDiffOp,
     ShapeError,
-    RepSpec,
+    gl2_irrep,
     build_gl_np1,
     commutator,
 )
@@ -215,21 +215,21 @@ def test_dimension_mismatch_messages():
 
 
 def test_tplus_on_constant_gives_k_x1():
-    gens = build_gl_np1(RepSpec.gl3(K, 1))
+    gens = build_gl_np1(K, gl2_irrep(1))
     one = PolySpinor.unit(0, 1, 2)
     image = gens.Tplus[1].apply(one)
     assert image == spinor(2, [((1, 0), K)])
 
 
 def test_e21_maps_pplus_to_pminus():
-    gens = build_gl_np1(RepSpec.gl3(K, 2))
+    gens = build_gl_np1(K, gl2_irrep(2))
     pplus = PolySpinor.unit(0, 2, 2)
     pminus = PolySpinor.unit(1, 2, 2)
     assert gens.E[(2, 1)].apply(pplus) == pminus
 
 
 def test_substitute_on_operator():
-    gens = build_gl_np1(RepSpec.gl3(K, 1))
+    gens = build_gl_np1(K, gl2_irrep(1))
     e0 = gens.E0.substitute({"k": 2})
     expected = MatrixDiffOp.from_scalar(
         ScalarDiffOp.constant(2, 2) - x(0) * d(0) - x(1) * d(1), 1

@@ -13,15 +13,9 @@ from fractions import Fraction
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from matrixweyl import Coeff, K, RepSpec, build_gl_np1, build_gm, gm_commutator_tower
+from matrixweyl import K, build_gl_np1, build_gm, gl2_irrep, gm_commutator_tower
 from matrixweyl.identities import art_dependency, art_relations, gm_tower_constants
-from matrixweyl.models import (
-    calogero,
-    model_checks,
-    pattern_verdict,
-    spectrum,
-    sutherland,
-)
+from matrixweyl.models import WORDS, model_checks, pattern_verdict, spectrum
 from matrixweyl.serialize import dumps, matrix_op_to_json
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "..", "tests", "goldens")
@@ -35,7 +29,7 @@ def write(name: str, data) -> None:
 
 
 def main() -> None:
-    gens = [build_gl_np1(RepSpec.gl3(K, d)) for d in (1, 2, 3)]
+    gens = [build_gl_np1(K, gl2_irrep(d)) for d in (1, 2, 3)]
     dep = art_dependency(gens, [art_relations(g) for g in gens])
     write(
         "art_dependency.json",
@@ -63,8 +57,7 @@ def main() -> None:
     cal = {}
     for d, ks in ((1, (0, 1, 2, 3, 4)), (2, (1, 2, 3)), (3, (2, 3))):
         for k in ks:
-            model = calogero("liealgebraic", Coeff.rational(k), d)
-            res = spectrum(model, {"omega": 1, "nu": 0})
+            res = spectrum("calogero", WORDS["calogero"], k, d, {"omega": 1, "nu": 0})
             rec = res.to_json()
             rec["verdict_vs_scalar_pattern"] = pattern_verdict(res, Fraction(1))
             cal["k%d_d%d" % (k, d)] = rec
@@ -73,14 +66,10 @@ def main() -> None:
     suth = {}
     for d, ks in ((1, (1, 2, 3)), (2, (1, 2, 3)), (3, (2, 3))):
         for k in ks:
-            model = sutherland("liealgebraic", Coeff.rational(k), d)
-            res = spectrum(model, {"alpha": 1, "nu": 0})
+            res = spectrum("sutherland", WORDS["sutherland"], k, d, {"alpha": 1, "nu": 0})
             rec = res.to_json()
             if d > 1:
-                scalar = spectrum(
-                    sutherland("liealgebraic", Coeff.rational(k), 1),
-                    {"alpha": 1, "nu": 0},
-                )
+                scalar = spectrum("sutherland", WORDS["sutherland"], k, 1, {"alpha": 1, "nu": 0})
                 rec["multiset_equal_to_scalar"] = sorted(
                     e.to_json().items() for e in res.eigenvalues
                 ) == sorted(e.to_json().items() for e in scalar.eigenvalues)
