@@ -21,7 +21,13 @@ another row's pivot column), so reducing a vector subtracts vec[p] * row_p
 for exactly the pivots p it holds, in any order and over one common
 multiplier, and the result is the same as row-by-row elimination: the
 fully reduced echelon of a span under a fixed column order is unique.
-Residuals and combinations leave the echelon as canonical pairs.
+A new row takes its pivot at the residual's highest column, which under
+Indexer numbering is the key seen last, and the echelon keeps `held`, the
+columns any stored row has held: a pivot outside it (a fresh column) needs
+no back-substitution, so no stored row is visited.  Membership, rank and
+combinations do not depend on the pivot rule; only the stored rows and the
+residual of a non-member do.  Residuals and combinations leave the echelon
+as canonical pairs.
 
 Characteristic polynomials come from a Hessenberg reduction and recurrence
 on raw Q(sqrt2) pairs (O(n^3) pair operations).  Rational roots are found
@@ -170,8 +176,11 @@ class QPEchelon:
     in another row's pivot column.  Subtracting vec[p] * row_p for one pivot
     p therefore leaves every other pivot entry of vec unchanged, so reduce()
     subtracts, in any order, exactly the rows whose pivots vec holds, all
-    over one multiplier L = lcm of their D's.  reduce() and insert() take
-    and return canonical pairs (see coeff).  When track=True every stored
+    over one multiplier L = lcm of their D's.  A new row's pivot is its
+    highest column, and `held` is the set of every column a stored row has
+    held: insert() visits the stored rows to clear the new pivot from them
+    only when the pivot is in `held`.  reduce() and insert() take and return
+    canonical pairs (see coeff).  When track=True every stored
     row also carries its expression in terms of the inserted vectors, over
     the same D, which turns reduce() into an exact solver, and an insert()
     that finds its vector dependent leaves the combination it computed in
@@ -181,6 +190,7 @@ class QPEchelon:
 
     def __init__(self, track: bool = False):
         self.rows = {}  # pivot -> (D, row, combo or None)
+        self.held = set()  # every column any stored row has held
         self.track = track
         self.inserted = 0
         self.combination = None
@@ -224,7 +234,7 @@ class QPEchelon:
             if self.track:
                 self.combination = _canonical(proj, N)
             return None
-        pivot = min(res)
+        pivot = max(res)
         # multiply by the conjugate of the pivot entry a + b*sqrt2, signed so
         # that the pivot becomes D = |a^2 - 2b^2| > 0 (D = |a| when b = 0)
         a, b = res[pivot]
@@ -243,21 +253,24 @@ class QPEchelon:
             combo[label] = (N * ca, N * cb)
         D, row, combo = _lowest(abs(n), row, combo)
         # keep stored rows fully reduced: r/Dp - (f/Dp)(row/D), where
-        # f/D = (f/h)/(D/h) with h = gcd(D, f) keeps the scale small
-        for p, (Dp, r, c) in self.rows.items():
-            f = r.get(pivot)
-            if f is None:
-                continue
-            h = gcd(D, *f)
-            s = D // h
-            fa, fb = -f[0] // h, -f[1] // h
-            nr = _times(r, s, 0)
-            _axpy(nr, fa, fb, row)
-            nc = None
-            if self.track:
-                nc = _times(c, s, 0)
-                _axpy(nc, fa, fb, combo)
-            self.rows[p] = _lowest(Dp * s, nr, nc)
+        # f/D = (f/h)/(D/h) with h = gcd(D, f) keeps the scale small; a
+        # pivot outside `held` is in no stored row, so nothing is visited
+        if pivot in self.held:
+            for p, (Dp, r, c) in self.rows.items():
+                f = r.get(pivot)
+                if f is None:
+                    continue
+                h = gcd(D, *f)
+                s = D // h
+                fa, fb = -f[0] // h, -f[1] // h
+                nr = _times(r, s, 0)
+                _axpy(nr, fa, fb, row)
+                nc = None
+                if self.track:
+                    nc = _times(c, s, 0)
+                    _axpy(nc, fa, fb, combo)
+                self.rows[p] = _lowest(Dp * s, nr, nc)
+        self.held.update(row)
         self.rows[pivot] = (D, row, combo)
         return pivot
 

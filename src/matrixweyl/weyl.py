@@ -18,8 +18,9 @@ builds each output Coeff once at the end, so no temporary Coeff is made per
 pair of terms.
 
 One table is memoized, with no setting: _PRODUCTS, the normal-ordered
-expansion of (x^A d^B)(x^C d^D), built once per exponent pair and process
-as an immutable tuple that every product reads.  An action needs no table:
+expansion of (x^A d^B)(x^C d^D), and of the bracket [x^A d^B, x^C d^D]
+that commutators read, built once per exponent pair and process as an
+immutable tuple.  An action needs no table:
 x^A d^B maps x^P to f x^(A + P - B), f = prod P_i!/(P_i - B_i)!, which
 math.perm makes 0 when some B_i > P_i.
 
@@ -225,11 +226,13 @@ class ScalarDiffOp(_TermMap):
         self._compose_into(acc, other, 1)
         return self._like(_coeffs(acc))
 
-    def _compose_into(self, acc, other, sign):
-        """acc[x^E d^F] += sign * (self o other)'s raw sums (_add_at)."""
+    def _compose_into(self, acc, other, sign, same=None):
+        """acc[x^E d^F] += sign * (self o other)'s raw sums (_add_at); every
+        pair of terms is in the one entry, and expands by same when given."""
+        expand = same or _product_expansion
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                for f, mono in _product_expansion(m1, m2):
+                for f, mono in expand(m1, m2):
                     _add_at(acc, mono, c1.terms, c2.terms, sign * f)
 
     def __rmul__(self, other):
@@ -302,8 +305,9 @@ def _coeffs(acc):
     return {key: Coeff._raw(d) for key, d in acc.items()}
 
 
-# The memoized product expansions.  Each value depends on its exponent pair
-# alone, so one table per process serves every operator.
+# The memoized product expansions, and the bracket expansions keyed by the
+# pair and None.  Each value depends on its exponent pair alone, so one
+# table per process serves every operator.
 _PRODUCTS = {}  # (x^A d^B, x^C d^D) -> ((f, x^E d^F), ...)
 
 
@@ -312,7 +316,8 @@ def _product_expansion(m1, m2):
 
     m1 = (A, B) and m2 = (C, D).  d^B x^C = sum_j binom(B,j) binom(C,j) j!
     x^(C-j) d^(B-j), over the contraction vectors j with 0 <= j_i <=
-    min(B_i, C_i), listed in odometer order with j_1 turning fastest.
+    min(B_i, C_i): one table of (x and d exponent, factor) per variable,
+    over j_i, combined in odometer order with j_1 turning fastest.
     Built on the first call for each pair and read from _PRODUCTS after.
     """
     key = (m1, m2)
@@ -320,29 +325,46 @@ def _product_expansion(m1, m2):
         return _PRODUCTS[key]
     except KeyError:
         pass
-    (A, B), (C, D) = m1, m2
-    limits = [min(b, c) for b, c in zip(B, C)]
-    js = [0] * len(B)
-    out = []
-    while True:
-        f = 1
-        for b, c, j in zip(B, C, js):
-            if j:
-                f *= comb(b, j) * comb(c, j) * factorial(j)
-        xp = tuple(a + c - j for a, c, j in zip(A, C, js))
-        dp = tuple(b - j + d for b, d, j in zip(B, D, js))
-        out.append((f, DiffMonomial(xp, dp)))
-        # advance the odometer
-        i = 0
-        while i < len(js):
-            if js[i] < limits[i]:
-                js[i] += 1
-                break
-            js[i] = 0
-            i += 1
-        else:
-            break
-    _PRODUCTS[key] = out = tuple(out)
+    terms = [((), (), 1)]
+    for a, b, c, d in zip(*m1, *m2):
+        table = [
+            (a + c - j, b + d - j, comb(b, j) * comb(c, j) * factorial(j))
+            for j in range(min(b, c) + 1)
+        ]
+        terms = [(xp + (x,), dp + (y,), f * g) for x, y, g in table for xp, dp, f in terms]
+    _PRODUCTS[key] = out = tuple((f, DiffMonomial(xp, dp)) for xp, dp, f in terms)
+    return out
+
+
+def _bracket_expansion(m1, m2):
+    """[x^A d^B, x^C d^D] normal-ordered, as a tuple of (f, DiffMonomial).
+
+    Contraction j of either order lands on x^(A+C-j) d^(B+D-j), so the two
+    expansions merge: each variable's table carries both orders' factors
+    (binom(b,j) binom(c,j) j! is 0 past min(b, c)) and f is the difference
+    of their products, in _product_expansion's order.  The leading terms
+    (j = 0) cancel, as does any j whose two factors agree.  Memoized in
+    _PRODUCTS under (m1, m2, None).
+    """
+    key = (m1, m2, None)
+    try:
+        return _PRODUCTS[key]
+    except KeyError:
+        pass
+    terms = [((), (), 1, 1)]
+    for a, b, c, d in zip(*m1, *m2):
+        table = [
+            (a + c - j, b + d - j, comb(b, j) * comb(c, j) * factorial(j),
+             comb(d, j) * comb(a, j) * factorial(j))
+            for j in range(max(min(b, c), min(d, a)) + 1)
+        ]
+        terms = [
+            (xp + (x,), dp + (y,), f * g, h * k)
+            for x, y, g, k in table
+            for xp, dp, f, h in terms
+        ]
+    out = tuple((f - h, DiffMonomial(xp, dp)) for xp, dp, f, h in terms if f != h)
+    _PRODUCTS[key] = out
     return out
 
 
@@ -466,14 +488,17 @@ class MatrixDiffOp(_TermMap):
         self._compose_into(acc, other, 1)
         return self._like(_coeffs(acc))
 
-    def _compose_into(self, acc, other, sign):
-        """acc[(i, j, x^E d^F)] += sign * (self o other)'s raw sums (_add_at)."""
+    def _compose_into(self, acc, other, sign, same=None):
+        """acc[(i, j, x^E d^F)] += sign * (self o other)'s raw sums (_add_at);
+        a pair of terms in one diagonal entry (i = k = j) expands by same
+        when given."""
         rows = {}
         for (k, j, m2), c2 in other.terms.items():
             rows.setdefault(k, []).append((j, m2, c2.terms))
         for (i, k, m1), c1 in self.terms.items():
             for j, m2, t2 in rows.get(k, ()):
-                for f, mono in _product_expansion(m1, m2):
+                expand = same if same and i == k == j else _product_expansion
+                for f, mono in expand(m1, m2):
                     _add_at(acc, (i, j, mono), c1.terms, t2, sign * f)
 
     def __rmul__(self, other):
@@ -561,20 +586,28 @@ class PolySpinor(_TermMap):
         return spinor_str(self)
 
 
+def _no_terms(m1, m2):
+    return ()
+
+
 def commutator(a: MatrixDiffOp, b: MatrixDiffOp) -> MatrixDiffOp:
     """a o b - b o a, exactly.
 
-    For two operators of one class, b o a is summed with sign -1 into the
-    raw accumulation of a o b by the loop that composition runs, so each
-    output Coeff is built once and no product, negated copy or difference
-    is built on the way.  Mixed operands go through * and -.
+    For two operators of one class, both products are summed into one raw
+    accumulation by the loop that composition runs, so each output Coeff is
+    built once and no product, negated copy or difference is built on the
+    way.  A pair of terms in one diagonal entry (every pair, for scalars)
+    lands in that entry in both orders, so it is expanded once, by its
+    bracket (_bracket_expansion), and to nothing in b o a; every other pair
+    goes through both products.  The terms come out in the order of that
+    accumulation, not of a * b - b * a.  Mixed operands go through * and -.
     """
     if type(b) is not type(a):
         return a * b - b * a
     a._require_like(b)
     acc = {}
-    a._compose_into(acc, b, 1)
-    b._compose_into(acc, a, -1)
+    a._compose_into(acc, b, 1, _bracket_expansion)
+    b._compose_into(acc, a, -1, _no_terms)
     return a._like(_coeffs(acc))
 
 

@@ -3,10 +3,12 @@
 from fractions import Fraction
 from functools import reduce
 from itertools import product
+from math import comb, factorial
 from operator import add, mul
 import random
 
 from matrixweyl import Coeff, MatrixDiffOp, Polynomial, PolySpinor, ScalarDiffOp
+from matrixweyl.weyl import DiffMonomial
 
 
 def C(a, b=0):
@@ -62,6 +64,151 @@ def commutator_oracle(a, b):
     """a o b - b o a as two products and a difference: the commutator's
     definition, built the way weyl.commutator's one accumulation avoids."""
     return a * b - b * a
+
+
+def odometer_product_expansion(m1, m2):
+    """(x^A d^B)(x^C d^D) normal-ordered, as a tuple of (f, DiffMonomial),
+    for m1 = (A, B) and m2 = (C, D): weyl._product_expansion as it was
+    written, one odometer over the contraction vectors j (0 <= j_i <=
+    min(B_i, C_i), j_1 turning fastest) with f = prod binom(B_i, j_i)
+    binom(C_i, j_i) j_i! built per vector.  The oracle of the expansion
+    from per-variable contraction tables, terms and order."""
+    (A, B), (C, D) = m1, m2
+    limits = [min(b, c) for b, c in zip(B, C)]
+    js = [0] * len(B)
+    out = []
+    while True:
+        f = 1
+        for b, c, j in zip(B, C, js):
+            if j:
+                f *= comb(b, j) * comb(c, j) * factorial(j)
+        xp = tuple(a + c - j for a, c, j in zip(A, C, js))
+        dp = tuple(b - j + d for b, d, j in zip(B, D, js))
+        out.append((f, DiffMonomial(xp, dp)))
+        i = 0
+        while i < len(js):
+            if js[i] < limits[i]:
+                js[i] += 1
+                break
+            js[i] = 0
+            i += 1
+        else:
+            return tuple(out)
+
+
+def in_key_order(op):
+    """The terms of an operator as (key, sorted Coeff terms), in key order."""
+    return [(key, c.sorted_terms()) for key, c in sorted(op.terms.items(), key=lambda kv: kv[0])]
+
+
+# -- Q(sqrt2) on Fraction pairs, and the echelon built on them -----------------
+
+
+def fq_add(p, q):
+    return (p[0] + q[0], p[1] + q[1])
+
+
+def fq_mul(p, q):
+    return (p[0] * q[0] + 2 * p[1] * q[1], p[0] * q[1] + p[1] * q[0])
+
+
+def fq_neg(p):
+    return (-p[0], -p[1])
+
+
+def fq_inv(p):
+    a, b = p
+    n = a * a - 2 * b * b
+    return (a / n, -b / n)
+
+
+def fq_is_zero(p):
+    return not (p[0] or p[1])
+
+
+class FracEchelon:
+    """The earlier QPEchelon: rows of Fraction pairs normalized to pivot 1,
+    kept in a list sorted by pivot and reduced row by row.
+
+    pick chooses a new row's pivot among its columns: max, the rule of
+    linalg.QPEchelon, or min, the rule QPEchelon had before, the reference
+    that no membership, rank or combination depends on.  A tracked insert
+    of a dependent vector leaves its combination in `combination`, as
+    QPEchelon's does, so the two can stand in for each other.
+    """
+
+    def __init__(self, track=False, pick=max):
+        self.rows = []  # list of (pivot, row dict, combo dict or None)
+        self.track = track
+        self.pick = pick
+        self.inserted = 0
+        self.combination = None
+
+    @property
+    def rank(self):
+        return len(self.rows)
+
+    def reduce(self, vec):
+        cur = {c: (Fraction(a), Fraction(b)) for c, (a, b) in vec.items()}
+        combo = {} if self.track else None
+        for pivot, row, rcombo in self.rows:
+            f = cur.get(pivot)
+            if f is None or fq_is_zero(f):
+                continue
+            for col, val in row.items():
+                s = fq_add(cur.get(col, (0, 0)), fq_neg(fq_mul(f, val)))
+                if fq_is_zero(s):
+                    cur.pop(col, None)
+                else:
+                    cur[col] = s
+            if self.track:
+                for k, v in rcombo.items():
+                    s = fq_add(combo.get(k, (0, 0)), fq_mul(f, v))
+                    if fq_is_zero(s):
+                        combo.pop(k, None)
+                    else:
+                        combo[k] = s
+        cur = {c: v for c, v in cur.items() if not fq_is_zero(v)}
+        return cur, combo
+
+    def insert(self, vec):
+        label = self.inserted
+        self.inserted += 1
+        res, proj = self.reduce(vec)
+        if not res:
+            self.combination = proj
+            return None
+        pivot = self.pick(res)
+        inv = fq_inv(res[pivot])
+        row = {c: fq_mul(v, inv) for c, v in res.items()}
+        combo = None
+        if self.track:
+            combo = {k: fq_neg(fq_mul(v, inv)) for k, v in proj.items()}
+            combo[label] = inv
+        for i, (p, r, c) in enumerate(self.rows):
+            f = r.get(pivot)
+            if f is None or fq_is_zero(f):
+                continue
+            nr = dict(r)
+            for col, val in row.items():
+                s = fq_add(nr.get(col, (0, 0)), fq_neg(fq_mul(f, val)))
+                if fq_is_zero(s):
+                    nr.pop(col, None)
+                else:
+                    nr[col] = s
+            nc = c
+            if self.track:
+                nc = dict(c)
+                for k, v in combo.items():
+                    s = fq_add(nc.get(k, (0, 0)), fq_neg(fq_mul(f, v)))
+                    if fq_is_zero(s):
+                        nc.pop(k, None)
+                    else:
+                        nc[k] = s
+            self.rows[i] = (p, nr, nc)
+        self.rows.append((pivot, row, combo))
+        self.rows.sort(key=lambda t: t[0])
+        return pivot
 
 
 def cycle_trace(e, idx, power):

@@ -4,11 +4,12 @@ generators it closes under."""
 
 import pytest
 
-from matrixweyl import K, Coeff, PolySpinor, build_gl_np1, gl2_irrep
+from matrixweyl import K, Coeff, PolySpinor, build_gl_np1, gl2_irrep, spaces
 from matrixweyl.linalg import span_contains
 from matrixweyl.models import LOWERING, WORDS, flag_basis
 from matrixweyl.spaces import matrix_of, orbit_closure, record_action, scalar_basis
 from matrixweyl.weyl import commutator
+from helpers_mw import FracEchelon
 
 MODEL_NAMES = {
     kind: frozenset(name for _, word in words for name in word) for kind, words in WORDS.items()
@@ -90,3 +91,15 @@ def test_matrix_of_words_names_a_generator_the_basis_did_not_record():
     words = WORDS["calogero"]
     with pytest.raises(ValueError, match="generator T1-"):
         matrix_of(words, basis)
+
+
+def test_the_calogero_flag_does_not_depend_on_the_pivot_rule(monkeypatch):
+    # QPEchelon pivots at each new row's highest column; the Fraction
+    # echelon pivoting at the lowest one must find the same basis, in the
+    # same order, and record the same columns
+    names = MODEL_NAMES["calogero"]
+    got = flag_basis(8, 3, names)
+    monkeypatch.setattr(spaces, "QPEchelon", lambda track: FracEchelon(track, pick=min))
+    ref = flag_basis(8, 3, names)
+    assert got.vectors == ref.vectors
+    assert got.action == ref.action

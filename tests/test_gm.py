@@ -17,7 +17,7 @@ from matrixweyl import (
     gl2_irrep,
     gm_commutator_tower,
 )
-from matrixweyl import cli, generators
+from matrixweyl import cli, generators, identities
 from matrixweyl.linalg import solve_combination
 from matrixweyl.identities import (
     g1_matches_gl3,
@@ -25,6 +25,7 @@ from matrixweyl.identities import (
     gm_tower_constants,
     gm_tower_reports,
 )
+from helpers_mw import FracEchelon
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "goldens")
 
@@ -167,6 +168,16 @@ def test_closure_memberships_match_per_tier_solves(m, d):
     report = gm_closure_check(gm)
     assert report.degree_cap == m
     assert report.memberships == _reference_memberships(gm)
+
+
+@pytest.mark.parametrize("m,d", [(1, 1), (2, 1), (3, 1), (4, 1), (2, 2), (3, 2)])
+def test_closure_memberships_do_not_depend_on_the_pivot_rule(monkeypatch, m, d):
+    # QPEchelon pivots at each new row's highest column; the Fraction
+    # echelon pivoting at the lowest one must give every membership alike
+    gm = build_gm(m, K, gl2_irrep(d))
+    got = gm_closure_check(gm).memberships
+    monkeypatch.setattr(identities, "QPEchelon", lambda: FracEchelon(pick=min))
+    assert gm_closure_check(gm).memberships == got
 
 
 def test_closure_m4_within_budget():

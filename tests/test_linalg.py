@@ -25,7 +25,15 @@ from matrixweyl.linalg import (
     solve_combination,
     span_contains,
 )
-from helpers_mw import C, faddeev_leverrier, fraction_rational_roots
+from helpers_mw import (
+    C,
+    FracEchelon,
+    faddeev_leverrier,
+    fq_add,
+    fq_is_zero,
+    fq_mul,
+    fraction_rational_roots,
+)
 
 
 def vec(**kw):
@@ -545,103 +553,6 @@ def test_dependent_insert_exposes_its_combination():
 # -- the integer-row echelon against the Fraction-pair one it replaced ---------
 
 
-def _fq_add(p, q):
-    return (p[0] + q[0], p[1] + q[1])
-
-
-def _fq_mul(p, q):
-    return (p[0] * q[0] + 2 * p[1] * q[1], p[0] * q[1] + p[1] * q[0])
-
-
-def _fq_neg(p):
-    return (-p[0], -p[1])
-
-
-def _fq_inv(p):
-    a, b = p
-    n = a * a - 2 * b * b
-    return (a / n, -b / n)
-
-
-def _fq_is_zero(p):
-    return not (p[0] or p[1])
-
-
-class _FracEchelon:
-    """The earlier QPEchelon: rows of Fraction pairs normalized to pivot 1,
-    kept in a list sorted by pivot and reduced row by row."""
-
-    def __init__(self, track=False):
-        self.rows = []  # list of (pivot, row dict, combo dict or None)
-        self.track = track
-        self.inserted = 0
-
-    @property
-    def rank(self):
-        return len(self.rows)
-
-    def reduce(self, vec):
-        cur = {c: (Fraction(a), Fraction(b)) for c, (a, b) in vec.items()}
-        combo = {} if self.track else None
-        for pivot, row, rcombo in self.rows:
-            f = cur.get(pivot)
-            if f is None or _fq_is_zero(f):
-                continue
-            for col, val in row.items():
-                s = _fq_add(cur.get(col, (0, 0)), _fq_neg(_fq_mul(f, val)))
-                if _fq_is_zero(s):
-                    cur.pop(col, None)
-                else:
-                    cur[col] = s
-            if self.track:
-                for k, v in rcombo.items():
-                    s = _fq_add(combo.get(k, (0, 0)), _fq_mul(f, v))
-                    if _fq_is_zero(s):
-                        combo.pop(k, None)
-                    else:
-                        combo[k] = s
-        cur = {c: v for c, v in cur.items() if not _fq_is_zero(v)}
-        return cur, combo
-
-    def insert(self, vec):
-        label = self.inserted
-        self.inserted += 1
-        res, proj = self.reduce(vec)
-        if not res:
-            return None
-        pivot = min(res)
-        inv = _fq_inv(res[pivot])
-        row = {c: _fq_mul(v, inv) for c, v in res.items()}
-        combo = None
-        if self.track:
-            combo = {k: _fq_neg(_fq_mul(v, inv)) for k, v in proj.items()}
-            combo[label] = inv
-        for i, (p, r, c) in enumerate(self.rows):
-            f = r.get(pivot)
-            if f is None or _fq_is_zero(f):
-                continue
-            nr = dict(r)
-            for col, val in row.items():
-                s = _fq_add(nr.get(col, (0, 0)), _fq_neg(_fq_mul(f, val)))
-                if _fq_is_zero(s):
-                    nr.pop(col, None)
-                else:
-                    nr[col] = s
-            nc = c
-            if self.track:
-                nc = dict(c)
-                for k, v in combo.items():
-                    s = _fq_add(nc.get(k, (0, 0)), _fq_neg(_fq_mul(f, v)))
-                    if _fq_is_zero(s):
-                        nc.pop(k, None)
-                    else:
-                        nc[k] = s
-            self.rows[i] = (p, nr, nc)
-        self.rows.append((pivot, row, combo))
-        self.rows.sort(key=lambda t: t[0])
-        return pivot
-
-
 _BIG = 2**200
 _HALVES = st.one_of(
     st.integers(-3, 3),
@@ -686,16 +597,16 @@ def _combination(data, seen):
         v = seen[data.draw(st.integers(0, len(seen) - 1))]
         f = data.draw(_pairs())
         for col, pair in v.items():
-            out[col] = _fq_add(out.get(col, (0, 0)), _fq_mul(f, pair))
-    return {c: _canonical_pair(*p) for c, p in out.items() if not _fq_is_zero(p)}
+            out[col] = fq_add(out.get(col, (0, 0)), fq_mul(f, pair))
+    return {c: _canonical_pair(*p) for c, p in out.items() if not fq_is_zero(p)}
 
 
 def _rebuilt(residual, combo, inserted):
     out = {c: (Fraction(a), Fraction(b)) for c, (a, b) in residual.items()}
     for label, f in combo.items():
         for col, pair in inserted[label].items():
-            out[col] = _fq_add(out.get(col, (0, 0)), _fq_mul(f, pair))
-    return {c: p for c, p in out.items() if not _fq_is_zero(p)}
+            out[col] = fq_add(out.get(col, (0, 0)), fq_mul(f, pair))
+    return {c: p for c, p in out.items() if not fq_is_zero(p)}
 
 
 def _check_reduce(ours, oracle, v, inserted):
@@ -706,14 +617,15 @@ def _check_reduce(ours, oracle, v, inserted):
     _assert_canonical(res)
     if ours.track:
         _assert_canonical(combo)
-        want = {c: p for c, p in v.items() if not _fq_is_zero(p)}
+        want = {c: p for c, p in v.items() if not fq_is_zero(p)}
         assert _rebuilt(res, combo, inserted) == want
 
 
 @settings(max_examples=120, deadline=None)
 @given(st.booleans(), st.data())
 def test_echelon_matches_fraction_oracle(track, data):
-    ours, oracle = QPEchelon(track=track), _FracEchelon(track=track)
+    # the oracle takes each new pivot at the highest column, as QPEchelon does
+    ours, oracle = QPEchelon(track=track), FracEchelon(track=track, pick=max)
     inserted, seen = [], []
     for _ in range(data.draw(st.integers(1, 12))):
         if seen and data.draw(st.booleans()):
@@ -733,16 +645,35 @@ def test_echelon_matches_fraction_oracle(track, data):
 
 def test_echelon_normalizes_a_sqrt2_pivot_by_its_conjugate():
     ech = QPEchelon(track=True)
-    assert ech.insert({0: (1, 1), 1: (3, 0)}) == 0  # (1 + sqrt2) e0 + 3 e1
-    # 1/(1 + sqrt2) = sqrt2 - 1, so the stored row is e0 + 3(sqrt2 - 1) e1
-    res, combo = ech.reduce({0: (1, 0)})
-    assert res == {1: (3, -3)}
+    # 3 e0 + (1 + sqrt2) e1: the pivot is the highest column, 1
+    assert ech.insert({0: (3, 0), 1: (1, 1)}) == 1
+    # 1/(1 + sqrt2) = sqrt2 - 1, so the stored row is e1 + 3(sqrt2 - 1) e0
+    res, combo = ech.reduce({1: (1, 0)})
+    assert res == {0: (3, -3)}
     assert combo == {0: (-1, 1)}
-    assert ech.insert({1: (Fraction(1, 2), 0)}) == 1
-    # e0 = (sqrt2 - 1) v0 - 3(sqrt2 - 1) * 2 v1
-    res, combo = ech.reduce({0: (1, 0)})
+    assert ech.held == {0, 1}
+    # column 0 is held by row 1, so this insert clears it from that row
+    assert ech.insert({0: (Fraction(1, 2), 0)}) == 0
+    # e1 = (sqrt2 - 1) v0 - 3(sqrt2 - 1) * 2 v1
+    res, combo = ech.reduce({1: (1, 0)})
     assert res == {}
     assert combo == {0: (-1, 1), 1: (6, -6)}
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.booleans(), st.data())
+def test_echelon_rows_stay_fully_reduced_and_held(track, data):
+    # after any sequence of inserts no stored row holds another row's pivot,
+    # and held covers every column of every stored row
+    ech = QPEchelon(track=track)
+    seen = []
+    for _ in range(data.draw(st.integers(1, 12))):
+        v = _combination(data, seen) if seen and data.draw(st.booleans()) else data.draw(_VECTORS)
+        seen.append(v)
+        ech.insert(v)
+        for p, (_, row, _) in ech.rows.items():
+            assert set(row) <= ech.held
+            assert not (set(row) - {p}) & set(ech.rows)
 
 
 # -- the square-free split before the numeric fallback ------------------------

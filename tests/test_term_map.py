@@ -11,7 +11,7 @@ Coeff entries it replaced.  Randomized with fixed seeds at d = 1, 2, 3.
 
 import random
 from fractions import Fraction
-from math import comb, factorial, perm
+from math import perm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +20,13 @@ from matrixweyl import Coeff, MatrixDiffOp, Polynomial, PolySpinor, ScalarDiffOp
 from matrixweyl import weyl
 from matrixweyl.spaces import OperatorMatrix
 from matrixweyl.weyl import DiffMonomial
-from helpers_mw import mat_mul, random_coeff, random_poly, random_scalar_op
+from helpers_mw import (
+    mat_mul,
+    odometer_product_expansion,
+    random_coeff,
+    random_poly,
+    random_scalar_op,
+)
 
 DIMS = (1, 2, 3)
 SEEDS = range(6)
@@ -283,30 +289,6 @@ def _ref_add_into(out, key, v):
         out[key] = s
 
 
-def _ref_product_terms(A, B, C, D):
-    """(f, monomial) of (x^A d^B)(x^C d^D), contraction odometer order."""
-    nvars = len(A)
-    limits = [min(b, c) for b, c in zip(B, C)]
-    js = [0] * nvars
-    while True:
-        f = 1
-        for b, c, j in zip(B, C, js):
-            if j:
-                f *= comb(b, j) * comb(c, j) * factorial(j)
-        xp = tuple(a + c - j for a, c, j in zip(A, C, js))
-        dp = tuple(b - j + d for b, d, j in zip(B, D, js))
-        yield f, DiffMonomial(xp, dp)
-        i = 0
-        while i < nvars:
-            if js[i] < limits[i]:
-                js[i] += 1
-                break
-            js[i] = 0
-            i += 1
-        else:
-            return
-
-
 def _ref_action_term(A, B, P):
     """(f, image) of x^A d^B applied to x^P, or None when it vanishes."""
     f = 1
@@ -318,7 +300,7 @@ def _ref_action_term(A, B, P):
 
 
 def _ref_accumulate_product(out, A, B, C, D, base, at=None):
-    for f, mono in _ref_product_terms(A, B, C, D):
+    for f, mono in odometer_product_expansion((A, B), (C, D)):
         _ref_add_into(out, mono if at is None else (*at, mono), base * f)
 
 
@@ -505,7 +487,7 @@ def _exponent_tuples(draw, count):
 def test_product_expansion_is_the_odometer(exps):
     A, B, C, D = exps
     m1, m2 = DiffMonomial(A, B), DiffMonomial(C, D)
-    ref = tuple(_ref_product_terms(A, B, C, D))
+    ref = odometer_product_expansion(m1, m2)
     weyl._PRODUCTS.pop((m1, m2), None)
     built = weyl._product_expansion(m1, m2)  # a miss: built now
     cached = weyl._product_expansion(m1, m2)  # a hit: read back
@@ -513,6 +495,30 @@ def test_product_expansion_is_the_odometer(exps):
     assert type(built) is tuple and built == ref
     for f, mono in built:
         assert type(f) is int and type(mono) is DiffMonomial
+
+
+@settings(max_examples=300, deadline=None)
+@given(_exponent_tuples(4))
+def test_bracket_expansion_is_the_difference_of_two_odometers(exps):
+    # [x^A d^B, x^C d^D]: the odometer expansion of (m1)(m2) minus that of
+    # (m2)(m1), monomial by monomial, zeros dropped, in odometer order of
+    # the contraction vector j = A + C - (x exponent), j_1 turning fastest
+    A, B, C, D = exps
+    m1, m2 = DiffMonomial(A, B), DiffMonomial(C, D)
+    ab = {mono: f for f, mono in odometer_product_expansion(m1, m2)}
+    ba = {mono: f for f, mono in odometer_product_expansion(m2, m1)}
+    diff = {mono: ab.get(mono, 0) - ba.get(mono, 0) for mono in {**ab, **ba}}
+
+    def j_reversed(mono):
+        return tuple(a + c - x for a, c, x in zip(A, C, mono.xpow))[::-1]
+
+    ref = tuple((diff[mono], mono) for mono in sorted(diff, key=j_reversed) if diff[mono])
+    weyl._PRODUCTS.pop((m1, m2, None), None)
+    built = weyl._bracket_expansion(m1, m2)
+    assert weyl._bracket_expansion(m1, m2) is built
+    assert built == ref
+    leading = DiffMonomial(tuple(a + c for a, c in zip(A, C)), tuple(b + d for b, d in zip(B, D)))
+    assert leading not in {mono for _, mono in built}
 
 
 @settings(max_examples=300, deadline=None)

@@ -19,6 +19,7 @@ from matrixweyl.spaces import orbit_closure
 from matrixweyl.weyl import scalar_commutator
 from helpers_mw import (
     commutator_oracle,
+    in_key_order,
     poly,
     random_matrix_op,
     random_scalar_op,
@@ -114,10 +115,14 @@ _CANCEL_B = x(0) + d(0) * Coeff.sqrt2()
 @example((_CANCEL_A, _CANCEL_B))
 @example((_CANCEL_A, _CANCEL_A))
 @example((_sqrt2_op(Coeff.rational(Fraction(1, 2), 3)), x(1) * d(0) + x(0) * Fraction(2, 3)))
+@example((x(0), d(0)))  # [x1, d1] = -1: the leading term x1 d1 cancels
+@example((x(0) * d(1) * K, x(1) * x(1) * d(0) * Coeff.param("nu")))
 def test_scalar_commutator_is_ab_minus_ba(pair):
     a, b = pair
-    got = scalar_commutator(a, b)
-    assert got == commutator_oracle(a, b)
+    got, ref = scalar_commutator(a, b), commutator_oracle(a, b)
+    # key for key, in key order: the bracket's one pass accumulates the
+    # terms in another insertion order than the two products do
+    assert got == ref and in_key_order(got) == in_key_order(ref)
     assert all(not c.is_zero() for c in got.terms.values())
 
 
@@ -129,10 +134,16 @@ def test_scalar_commutator_is_ab_minus_ba(pair):
         MatrixDiffOp([[_CANCEL_B, ScalarDiffOp.zero(2)], [d(1), _CANCEL_A]]),
     )
 )
+@example(
+    (
+        MatrixDiffOp([[x(0), d(1) * K], [ScalarDiffOp.zero(2), x(1) * d(0)]]),
+        MatrixDiffOp([[d(0) * Coeff.param("nu"), ScalarDiffOp.zero(2)], [x(0), x(1) * d(1)]]),
+    )
+)
 def test_commutator_is_ab_minus_ba(pair):
     a, b = pair
-    got = commutator(a, b)
-    assert got == commutator_oracle(a, b)
+    got, ref = commutator(a, b), commutator_oracle(a, b)
+    assert got == ref and in_key_order(got) == in_key_order(ref)
     assert all(not c.is_zero() for c in got.terms.values())
     # one-pass subtraction: the same terms, in the same order, as a + (-b)
     diff, ref = a - b, a + (-b)

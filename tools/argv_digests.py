@@ -62,6 +62,7 @@ BENCH_NUS = ("0", "1/3", "2/3")
 SLOW = (
     ("gm", "--m", "4"),
     ("gm", "--m", "5"),
+    ("gm", "--m", "6"),
     ("gm", "--m", "3", "--d", "2"),
     ("spectrum", "--model", "calogero", "--k", "12", "--d", "3"),
     ("spectrum", "--model", "sutherland", "--k", "10", "--d", "3"),
