@@ -7,7 +7,9 @@ JSON path ends in _finish, which builds the manifest, emits it and picks
 the exit status: 0 when every record in the manifest passed, 1 on a
 mathematical failure (broken identity, non-invariant space).  Input
 outside the domain is rejected by the argparse types with exit 2 before
-any mathematics runs, and so, by main, is an --out that cannot be opened.
+any mathematics runs, and so, by main, is an option that the command
+does not read with the other arguments given (_unused_option) and an
+--out that cannot be opened.
 `model` always exits 0 (see cmd_model).
 """
 
@@ -184,20 +186,22 @@ def cmd_space(args) -> int:
             }
         ]
         return _finish(args, "space", {"k": args.k, "m": args.m}, results)
-    gens = build_gl_np1(args.k, gl2_irrep(args.d))
-    seed = PolySpinor.unit(args.d - 1, args.d, 2)
+    d = 2 if args.d is None else args.d
+    gens = build_gl_np1(args.k, gl2_irrep(d))
+    seed = PolySpinor.unit(d - 1, d, 2)
     cap = args.degree_cap if args.degree_cap is not None else args.k + 2
+    inputs = {"k": args.k, "d": d, "degree_cap": cap}
     try:
         basis = orbit_closure(gens.named(), [seed], degree_cap=cap)
     except SpaceNotClosedError as exc:
         return _finish(
             args,
             "space",
-            {"k": args.k, "d": args.d, "degree_cap": cap},
+            inputs,
             [{"name": "orbit closure", "pass": False, "error": str(exc)}],
         )
     results = [{"name": "orbit closure", "pass": True, "dim": basis.dim}]
-    if args.d == 2:
+    if d == 2:
         rpt = hexagon_audit(basis, args.k)
         results.append(
             {
@@ -209,9 +213,7 @@ def cmd_space(args) -> int:
                 "issues": list(rpt.issues),
             }
         )
-    return _finish(
-        args, "space", {"k": args.k, "d": args.d, "degree_cap": cap}, results
-    )
+    return _finish(args, "space", inputs, results)
 
 
 def cmd_model(args) -> int:
@@ -251,11 +253,10 @@ def cmd_model(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    bindings = {"nu": args.nu}
-    if args.model == "calogero":
-        bindings["omega"] = args.omega
-    else:
-        bindings["alpha"] = args.alpha
+    # the model's own parameter, 1 when not given (main rejects the other's)
+    param = "omega" if args.model == "calogero" else "alpha"
+    value = getattr(args, param)
+    bindings = {"nu": args.nu, param: Fraction(1) if value is None else value}
     # a fail manifest states the same inputs, bindings included
     inputs = {"model": args.model, "k": args.k, "d": args.d}
     inputs["bindings"] = {name: str(v) for name, v in sorted(bindings.items())}
@@ -272,7 +273,7 @@ def cmd_spectrum(args) -> int:
     rec["name"] = "spectrum"
     rec["pass"] = True
     if args.model == "calogero":
-        rec["verdict_vs_scalar_pattern"] = pattern_verdict(result, args.omega)
+        rec["verdict_vs_scalar_pattern"] = pattern_verdict(result, bindings["omega"])
     return _finish(args, "spectrum", inputs, [rec])
 
 
@@ -338,8 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("space", help="discover an invariant space")
     sp.add_argument("--k", type=_NON_NEGATIVE, required=True)
-    sp.add_argument("--d", type=_POSITIVE, default=2)
-    sp.add_argument("--m", type=_POSITIVE, default=None, help="triangle space instead")
+    sp.add_argument("--d", type=_POSITIVE, default=None, help="block size (default 2)")
+    sp.add_argument("--m", type=_POSITIVE, default=None, help="triangle space instead (d = 1)")
     sp.add_argument("--degree-cap", type=_NON_NEGATIVE, default=None)
 
     sp = sub.add_parser("model", help="build a model operator")
@@ -356,8 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--model", choices=tuple(MODELS), required=True)
     sp.add_argument("--k", type=_NON_NEGATIVE, required=True)
     sp.add_argument("--d", type=_POSITIVE, default=1)
-    sp.add_argument("--omega", type=_fraction, default="1")
-    sp.add_argument("--alpha", type=_fraction, default="1")
+    sp.add_argument("--omega", type=_fraction, default=None, help="calogero only (default 1)")
+    sp.add_argument("--alpha", type=_fraction, default=None, help="sutherland only (default 1)")
     sp.add_argument("--nu", type=_fraction, default="0")
     # argparse reads "-1" and "-0.5" as values but "-1/2" or "-1e-3" as an
     # option; let this subcommand read as a value every negative spelling of
@@ -375,9 +376,29 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _unused_option(args):
+    """The usage error of an option that args' command parses but does not
+    read with the other arguments given, or None."""
+    if args.output != "json" and args.command not in ("gens", "model"):
+        return "argument --output: %s writes JSON only, not %s" % (args.command, args.output)
+    if args.command == "spectrum":
+        other = "alpha" if args.model == "calogero" else "omega"
+        if getattr(args, other) is not None:
+            return "argument --%s: spectrum --model %s has no %s" % (other, args.model, other)
+    if args.command == "space" and args.m is not None:
+        if args.degree_cap is not None:
+            return "argument --degree-cap: space --m has no degree cap"
+        if args.d not in (None, 1):
+            return "argument --d: space --m takes d = 1 only, not %d" % args.d
+    return None
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    error = _unused_option(args)
+    if error:
+        parser.error(error)
     if args.out:
         # an --out that cannot be opened is a usage error, found before any
         # mathematics runs; "a" creates the file without truncating it

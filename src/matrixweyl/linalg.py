@@ -49,7 +49,6 @@ from math import gcd, inf, lcm, nextafter
 from typing import Mapping, Sequence
 
 from .coeff import (
-    ZERO,
     Coeff,
     CoeffError,
     _add_pair,
@@ -275,22 +274,23 @@ class QPEchelon:
         return pivot
 
 
-def rank_of(vectors: Sequence[Mapping]) -> int:
-    """Rank over Q(sqrt2) of Coeff-coordinate vectors (scalarized)."""
-    ix = Indexer()
-    ech = QPEchelon()
+def _echelon(vectors: Sequence[Mapping], ix: Indexer, track: bool = False) -> QPEchelon:
+    """One QPEchelon over the scalarized vectors, inserted in order."""
+    ech = QPEchelon(track)
     for v in vectors:
         ech.insert(scalarize(v, ix))
-    return ech.rank
+    return ech
+
+
+def rank_of(vectors: Sequence[Mapping]) -> int:
+    """Rank over Q(sqrt2) of Coeff-coordinate vectors (scalarized)."""
+    return _echelon(vectors, Indexer()).rank
 
 
 def solve_combination(basis: Sequence[Mapping], target: Mapping):
     """Parameter-free coefficients c with target = sum c_i basis_i, or None."""
     ix = Indexer()
-    ech = QPEchelon(track=True)
-    for v in basis:
-        ech.insert(scalarize(v, ix))
-    res, combo = ech.reduce(scalarize(target, ix))
+    res, combo = _echelon(basis, ix, track=True).reduce(scalarize(target, ix))
     if res:
         return None
     out = [(0, 0)] * len(basis)
@@ -301,14 +301,8 @@ def solve_combination(basis: Sequence[Mapping], target: Mapping):
 
 def span_contains(basis: Sequence[Mapping], vectors: Sequence[Mapping]) -> bool:
     ix = Indexer()
-    ech = QPEchelon()
-    for v in basis:
-        ech.insert(scalarize(v, ix))
-    for v in vectors:
-        res, _ = ech.reduce(scalarize(v, ix))
-        if res:
-            return False
-    return True
+    ech = _echelon(basis, ix)
+    return not any(ech.reduce(scalarize(v, ix))[0] for v in vectors)
 
 
 # -- constant matrices -------------------------------------------------------
@@ -320,9 +314,10 @@ def coeff_matrix_solve(columns: Sequence[Mapping], targets: Sequence[Mapping]):
     The columns must be parameter-free; a target may carry parameters, in
     which case the solve is done per parameter monomial and the parts are
     recombined.  The tracked echelon of the columns is built once and every
-    target is reduced against it.  Returns one (coords, residual) per target,
-    where residual is a nonempty sparse map exactly when that target is not
-    in the span.
+    target is reduced against it.  Returns one (coords, residual) per target:
+    coords is the sparse map {j: c_j} of its nonzero coordinates, and
+    residual is a nonempty sparse map exactly when that target is not in the
+    span.
     """
     ix = Indexer()
     ech = QPEchelon(track=True)
@@ -350,9 +345,7 @@ def coeff_matrix_solve(columns: Sequence[Mapping], targets: Sequence[Mapping]):
                 _add_pair(residual.setdefault(ix.keys[col], {}), exps, pair)
             for j, pair in combo.items():
                 _add_pair(sums.setdefault(j, {}), exps, pair)
-        coords = [ZERO] * len(columns)
-        for j, t in sums.items():
-            coords[j] = Coeff._raw(t)
+        coords = {j: Coeff._raw(t) for j, t in sums.items() if t}
         residual = {key: Coeff._raw(t) for key, t in residual.items() if t}
         out.append((coords, residual))
     return out

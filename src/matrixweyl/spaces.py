@@ -282,24 +282,18 @@ class OperatorMatrix(_TermMap):
 
 
 def _solve_images(ops, basis: SpinorBasis):
-    """Coordinate lists of each op's image of each basis vector, by one solve.
-
-    Returns one list of n coordinate lists per op; raises NotInvariantError
-    for the first image outside the span.
+    """The sparse coordinate maps {i: Coeff} of each op's image of each basis
+    vector, by one solve: one list of basis.dim maps per op.  Raises
+    NotInvariantError for the first image outside the span.
     """
     n = basis.dim
     images = [op.apply(v).coords() for op in ops for v in basis.vectors]
     solved = coeff_matrix_solve(basis.coords_list(), images)
-    out = []
-    for g in range(len(ops)):
-        cols = []
-        for j in range(n):
-            coords, residual = solved[g * n + j]
-            if residual:
-                raise NotInvariantError(j, basis.vectors[j].with_coords(residual))
-            cols.append(coords)
-        out.append(cols)
-    return out
+    for t, (_, residual) in enumerate(solved):
+        if residual:
+            j = t % n
+            raise NotInvariantError(j, basis.vectors[j].with_coords(residual))
+    return [[coords for coords, _ in solved[g * n : (g + 1) * n]] for g in range(len(ops))]
 
 
 def record_action(named_ops, basis: SpinorBasis) -> SpinorBasis:
@@ -321,7 +315,7 @@ def record_action(named_ops, basis: SpinorBasis) -> SpinorBasis:
             action[name] = tuple({j: s} if s[0] or s[1] else {} for j, s in enumerate(sigmas))
     for (name, _), cols in zip(solve, _solve_images([op for _, op in solve], basis)):
         action[name] = tuple(
-            {i: c.constant_pair() for i, c in enumerate(coords) if c} for coords in cols
+            {i: c.constant_pair() for i, c in coords.items()} for coords in cols
         )
     return SpinorBasis(basis.vectors, action)
 
@@ -354,8 +348,8 @@ def matrix_of(op, basis: SpinorBasis) -> OperatorMatrix:
     n = basis.dim
     if isinstance(op, MatrixDiffOp):
         (cols,) = _solve_images([op], basis)
-        return OperatorMatrix(
-            n, {(i, j): c for j, col in enumerate(cols) for i, c in enumerate(col)}
+        return OperatorMatrix._raw(
+            {(i, j): c for j, col in enumerate(cols) for i, c in col.items()}, n
         )
     missing = sorted({name for _, word in op for name in word} - basis.action.keys())
     if missing:

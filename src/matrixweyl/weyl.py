@@ -17,10 +17,11 @@ per parameter monomial, with the multiply-accumulate kernel of coeff, and
 builds each output Coeff once at the end, so no temporary Coeff is made per
 pair of terms.
 
-One table is memoized, with no setting: _PRODUCTS, the normal-ordered
+Two tables are memoized, with no setting: _PRODUCTS, the normal-ordered
 expansion of (x^A d^B)(x^C d^D), and of the bracket [x^A d^B, x^C d^D]
 that commutators read, built once per exponent pair and process as an
-immutable tuple.  An action needs no table:
+immutable tuple, and the per-variable contraction factors both are built
+from (_contractions).  An action needs no table:
 x^A d^B maps x^P to f x^(A + P - B), f = prod P_i!/(P_i - B_i)!, which
 math.perm makes 0 when some B_i > P_i.
 
@@ -31,6 +32,7 @@ term maps and no separate simplifier exists or is needed.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import comb, factorial, perm, prod
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
@@ -252,19 +254,10 @@ class ScalarDiffOp(_TermMap):
     # -- action --------------------------------------------------------------
 
     def apply_poly(self, p: "Polynomial") -> "Polynomial":
-        if p.nvars != self.nvars:
-            raise ShapeError(
-                "variable counts differ: %d vs %d" % (self.nvars, p.nvars)
-            )
-        poly = [(P, cp.terms) for P, cp in p.terms.items()]
-        acc = {}
-        for (A, B), c in self.terms.items():
-            for P, tp in poly:
-                f = prod(map(perm, P, B))
-                if f:
-                    image = tuple(a + q - b for a, q, b in zip(A, P, B))
-                    _add_at(acc, image, c.terms, tp, f)
-        return p._like(_coeffs(acc))
+        """self applied to p: MatrixDiffOp.apply on the one-component spinor."""
+        v = PolySpinor._raw({(0, P): c for P, c in p.terms.items()}, 1, p.nvars)
+        image = MatrixDiffOp.from_scalar(self, 1).apply(v)
+        return p._like({P: c for (_, P), c in image.terms.items()})
 
     # -- structure queries -----------------------------------------------------
 
@@ -311,28 +304,46 @@ def _coeffs(acc):
 _PRODUCTS = {}  # (x^A d^B, x^C d^D) -> ((f, x^E d^F), ...)
 
 
+@cache
+def _contractions(b, c, top):
+    """binom(b, j) binom(c, j) j! for j = 0..top: the factor of x^(c-j) d^(b-j)
+    in d^b x^c for one variable, 0 past min(b, c); memoized per process."""
+    return tuple(comb(b, j) * comb(c, j) * factorial(j) for j in range(top + 1))
+
+
+def _expansion_rows(m1, m2, bracket):
+    """(x^E, d^F, f, h) per contraction vector j, in odometer order with j_1
+    turning fastest: E = A + C - j, F = B + D - j, f the factor of j in
+    (x^A d^B)(x^C d^D) and, when bracket, h that of j in (x^C d^D)(x^A d^B),
+    over the j_i at which either product has a term (_contractions)."""
+    rows = [((), (), 1, 1)]
+    for a, b, c, d in zip(*m1, *m2):
+        top = max(min(b, c), min(d, a)) if bracket else min(b, c)
+        fs = _contractions(b, c, top)
+        hs = _contractions(d, a, top) if bracket else fs
+        rows = [
+            (xp + (a + c - j,), dp + (b + d - j,), f * fs[j], h * hs[j])
+            for j in range(top + 1)
+            for xp, dp, f, h in rows
+        ]
+    return rows
+
+
 def _product_expansion(m1, m2):
     """(x^A d^B)(x^C d^D) normal-ordered, as a tuple of (f, DiffMonomial).
 
     m1 = (A, B) and m2 = (C, D).  d^B x^C = sum_j binom(B,j) binom(C,j) j!
     x^(C-j) d^(B-j), over the contraction vectors j with 0 <= j_i <=
-    min(B_i, C_i): one table of (x and d exponent, factor) per variable,
-    over j_i, combined in odometer order with j_1 turning fastest.
-    Built on the first call for each pair and read from _PRODUCTS after.
+    min(B_i, C_i) (_expansion_rows).  Built on the first call for each pair
+    and read from _PRODUCTS after.
     """
     key = (m1, m2)
     try:
         return _PRODUCTS[key]
     except KeyError:
         pass
-    terms = [((), (), 1)]
-    for a, b, c, d in zip(*m1, *m2):
-        table = [
-            (a + c - j, b + d - j, comb(b, j) * comb(c, j) * factorial(j))
-            for j in range(min(b, c) + 1)
-        ]
-        terms = [(xp + (x,), dp + (y,), f * g) for x, y, g in table for xp, dp, f in terms]
-    _PRODUCTS[key] = out = tuple((f, DiffMonomial(xp, dp)) for xp, dp, f in terms)
+    rows = _expansion_rows(m1, m2, False)
+    _PRODUCTS[key] = out = tuple((f, DiffMonomial(xp, dp)) for xp, dp, f, _ in rows)
     return out
 
 
@@ -340,9 +351,8 @@ def _bracket_expansion(m1, m2):
     """[x^A d^B, x^C d^D] normal-ordered, as a tuple of (f, DiffMonomial).
 
     Contraction j of either order lands on x^(A+C-j) d^(B+D-j), so the two
-    expansions merge: each variable's table carries both orders' factors
-    (binom(b,j) binom(c,j) j! is 0 past min(b, c)) and f is the difference
-    of their products, in _product_expansion's order.  The leading terms
+    expansions merge: f is the difference of the two orders' factors
+    (_expansion_rows), in _product_expansion's order.  The leading terms
     (j = 0) cancel, as does any j whose two factors agree.  Memoized in
     _PRODUCTS under (m1, m2, None).
     """
@@ -351,19 +361,8 @@ def _bracket_expansion(m1, m2):
         return _PRODUCTS[key]
     except KeyError:
         pass
-    terms = [((), (), 1, 1)]
-    for a, b, c, d in zip(*m1, *m2):
-        table = [
-            (a + c - j, b + d - j, comb(b, j) * comb(c, j) * factorial(j),
-             comb(d, j) * comb(a, j) * factorial(j))
-            for j in range(max(min(b, c), min(d, a)) + 1)
-        ]
-        terms = [
-            (xp + (x,), dp + (y,), f * g, h * k)
-            for x, y, g, k in table
-            for xp, dp, f, h in terms
-        ]
-    out = tuple((f - h, DiffMonomial(xp, dp)) for xp, dp, f, h in terms if f != h)
+    rows = _expansion_rows(m1, m2, True)
+    out = tuple((f - h, DiffMonomial(xp, dp)) for xp, dp, f, h in rows if f != h)
     _PRODUCTS[key] = out
     return out
 

@@ -211,6 +211,14 @@ def test_usage_error_exit_code():
         ["spectrum", "--model", "sutherland", "--k", "1", "--nu", "x"],
         ["gm", "--m", "0"],
         ["gm", "--m", "1", "--d", "0"],
+        # an option the command does not read with the other arguments
+        ["spectrum", "--model", "sutherland", "--k", "1", "--omega", "5"],
+        ["spectrum", "--model", "sutherland", "--k", "1", "--omega", "1"],
+        ["spectrum", "--model", "calogero", "--k", "1", "--alpha", "5"],
+        ["spectrum", "--model", "calogero", "--k", "1", "--alpha", "1"],
+        ["space", "--k", "2", "--m", "1", "--degree-cap", "9"],
+        ["space", "--k", "2", "--m", "1", "--d", "3"],
+        ["space", "--k", "2", "--m", "1", "--d", "2"],
     ],
 )
 def test_out_of_domain_input_is_a_usage_error(argv, capsys):
@@ -220,6 +228,39 @@ def test_out_of_domain_input_is_a_usage_error(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "usage:" in captured.err
+
+
+@pytest.mark.parametrize("output", ["latex", "text"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--d", "1"],
+        ["casimir", "--d", "1"],
+        ["relations", "--d", "1"],
+        ["space", "--k", "1", "--d", "2"],
+        ["spectrum", "--model", "calogero", "--k", "1"],
+        ["gm", "--m", "1"],
+    ],
+)
+def test_output_other_than_json_is_a_usage_error_naming_the_command(argv, output, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["--output", output] + argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --output: %s writes JSON only, not %s" % (argv[0], output) in captured.err
+
+
+@pytest.mark.parametrize("model, own", [("sutherland", "alpha"), ("calogero", "omega")])
+def test_spectrum_parameter_of_the_model_defaults_to_one(model, own, capsys):
+    argv = ["spectrum", "--model", model, "--k", "1", "--d", "2"]
+    default = run_cli(argv, capsys)
+    assert default == run_cli(argv + ["--" + own, "1"], capsys)
+    assert json.loads(default[1])["inputs"]["bindings"][own] == "1"
+
+
+def test_space_without_d_is_the_closure_at_d_2(capsys):
+    assert run_cli(["space", "--k", "1"], capsys) == run_cli(["space", "--k", "1", "--d", "2"], capsys)
 
 
 def test_two_main_calls_build_one_parser(monkeypatch, capsys):

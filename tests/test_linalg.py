@@ -100,6 +100,50 @@ def test_coeff_matrix_solve_with_parametric_target():
     assert residual
 
 
+_SMALL = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 2))
+_CONSTANT = st.builds(Coeff.rational, _SMALL, st.one_of(st.just(0), _SMALL))
+_COLUMN = st.dictionaries(st.integers(0, 4), _CONSTANT, max_size=4)
+
+
+@st.composite
+def _parametric(draw):
+    """c0 + c1 k + c2 omega over Q(sqrt2), any part possibly 0."""
+    c0, c1, c2 = (draw(_CONSTANT) for _ in range(3))
+    return c0 + c1 * K + c2 * Coeff.param("omega")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_COLUMN, max_size=4), st.data())
+def test_coeff_matrix_solve_returns_sparse_coordinates_that_rebuild_the_target(columns, data):
+    # targets in the span (parametric combinations of the columns, some
+    # coefficients 0) and arbitrary parametric vectors
+    targets = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        if columns and data.draw(st.booleans()):
+            target = {}
+            for col in columns:
+                a = data.draw(st.one_of(st.just(Coeff.zero()), _parametric()))
+                for key, c in col.items():
+                    target[key] = target.get(key, Coeff.zero()) + a * c
+            targets.append((target, True))
+        else:
+            targets.append((data.draw(st.dictionaries(st.integers(0, 5), _parametric())), False))
+    solved = coeff_matrix_solve(columns, [t for t, _ in targets])
+    assert len(solved) == len(targets)
+    for (target, in_span), (coords, residual) in zip(targets, solved):
+        assert type(coords) is dict
+        assert set(coords) <= set(range(len(columns)))
+        assert not any(c.is_zero() for c in coords.values())
+        assert not any(c.is_zero() for c in residual.values())
+        assert not (in_span and residual)
+        rebuilt = dict(residual)
+        for j, c in coords.items():
+            for key, v in columns[j].items():
+                rebuilt[key] = rebuilt.get(key, Coeff.zero()) + c * v
+        nonzero = lambda vec: {key: c for key, c in vec.items() if not c.is_zero()}
+        assert nonzero(rebuilt) == nonzero(target)
+
+
 def _det_cofactor(M):
     n = len(M)
     if n == 1:

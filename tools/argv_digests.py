@@ -23,6 +23,9 @@ of nu, again for k <= 4 with --omega or --alpha at 3/2 and -2, again
 for k <= 4 at the nu that make a word coefficient vanish (-1/3 for both
 models, which cancels the T1- word, and -1/12 for Sutherland, which
 cancels its E11 and E22 words), and the benchmark's Calogero k = 8 rows;
+the usage errors of an option given where its command does not read it
+(--output latex or text outside gens and model, --omega with Sutherland,
+--alpha with Calogero, space --m with --degree-cap or a --d other than 1);
 and the slow rows, the inputs that take the longest.
 
     python3 tools/argv_digests.py > tests/goldens/argv_digests.txt
@@ -71,6 +74,31 @@ SLOW = (
     ("spectrum", "--model", "sutherland", "--k", "5", "--d", "3"),
     ("spectrum", "--model", "sutherland", "--k", "6", "--d", "1",
      "--nu", "3/2", "--alpha", "2"),
+    ("spectrum", "--model", "calogero", "--k", "30", "--d", "1"),
+)
+
+# options a command parses but does not read with the other arguments given:
+# each is a usage error (exit 2, no output)
+UNUSED_OPTIONS = tuple(
+    ("--output", out) + argv
+    for argv in (
+        ("check", "--d", "1"),
+        ("casimir", "--d", "1"),
+        ("relations", "--d", "1"),
+        ("space", "--k", "1", "--d", "2"),
+        ("spectrum", "--model", "calogero", "--k", "1"),
+        ("gm", "--m", "1"),
+    )
+    for out in ("latex", "text")
+) + (
+    ("spectrum", "--model", "sutherland", "--k", "1", "--omega", "5"),
+    ("spectrum", "--model", "sutherland", "--k", "1", "--omega", "1"),
+    ("spectrum", "--model", "calogero", "--k", "1", "--alpha", "5"),
+    ("spectrum", "--model", "calogero", "--k", "1", "--alpha", "1"),
+    ("space", "--k", "2", "--m", "1", "--degree-cap", "9"),
+    ("space", "--k", "2", "--m", "1", "--d", "3"),
+    ("space", "--k", "2", "--m", "1", "--d", "2"),
+    ("space", "--k", "2", "--m", "1", "--d", "3", "--degree-cap", "9"),
 )
 
 
@@ -128,14 +156,15 @@ def grid():
         for d in (1, 2, 3)
         for nu in BENCH_NUS
     ]
-    return rows + list(SLOW)
+    return rows + list(UNUSED_OPTIONS) + list(SLOW)
 
 
 def run(argv):
     """(stdout bytes, exit code or exception name, wall seconds) of one argv."""
     out = io.StringIO()
     t0 = time.perf_counter()
-    with contextlib.redirect_stdout(out):
+    # stderr (a usage error's message) is not part of the digest
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         try:
             rc = cli.main(list(argv))
         except SystemExit as exc:
