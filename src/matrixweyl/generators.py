@@ -11,16 +11,39 @@ K) and a matrix block family rep, M_ij on R^n with n = rep.n,
 whose span closes into gl_{n+1}.  build_gm produces the two-variable family
 with an (m+1)-long lowering tower x^i d_y and raising tower built on y d_x^m;
 for m = 1 it spans the same operator space as the scalar gl_3 family.
+
+A word (_word) is a coefficient and the names of generators, standing for
+the coefficient times their product; _word_sum builds a sum of words in a
+GeneratorSet, and _x_d_ops lifts x_i, d_i to matrix operators.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 from typing import Dict
 
-from .coeff import as_coeff
+from .coeff import ONE, as_coeff
 from .matrixreps import MatrixRep, gl2_irrep
 from .weyl import MatrixDiffOp, ScalarDiffOp, commutator
+
+
+_MINUS_ONE = -ONE
+
+
+def _word(c, *names):
+    return (as_coeff(c), names)
+
+
+def _x_d_ops(dim: int, n: int = 2):
+    """(x_1, .., x_n, d_1, .., d_n) on R^n, each lifted to a dim x dim
+    operator."""
+    return tuple(
+        MatrixDiffOp.from_scalar(f(i, n), dim)
+        for f in (ScalarDiffOp.x, ScalarDiffOp.d)
+        for i in range(n)
+    )
 
 
 class GeneratorSet:
@@ -43,21 +66,21 @@ class GeneratorSet:
             euler = euler + x * dd
         e0_scalar = ScalarDiffOp.constant(k, n) - euler
         M = rep.ops
+        lifted = _x_d_ops(d, n)
 
         self.E: Dict[tuple, MatrixDiffOp] = {}
         for i in range(1, n + 1):
             for j in range(1, n + 1):
                 self.E[(i, j)] = MatrixDiffOp.from_scalar(xs[i - 1] * ds[j - 1], d) + M[(i, j)]
         self.E0 = MatrixDiffOp.from_scalar(e0_scalar, d)
-        self.Tminus = {
-            i: MatrixDiffOp.from_scalar(ds[i - 1], d) for i in range(1, n + 1)
-        }
+        self.Tminus = {i: lifted[n + i - 1] for i in range(1, n + 1)}
         self.Tplus = {}
         for i in range(1, n + 1):
             op = MatrixDiffOp.from_scalar(xs[i - 1] * e0_scalar, d)
             for j in range(1, n + 1):
-                op = op - MatrixDiffOp.from_scalar(xs[j - 1], d) * M[(i, j)]
+                op = op - lifted[j - 1] * M[(i, j)]
             self.Tplus[i] = op
+        self._by_name = dict(self.named())
 
     def named(self):
         """(name, operator) pairs in a fixed order."""
@@ -84,6 +107,23 @@ class GeneratorSet:
 
 def build_gl_np1(k, rep: MatrixRep) -> GeneratorSet:
     return GeneratorSet(k, rep)
+
+
+def _word_sum(words, gens: GeneratorSet) -> MatrixDiffOp:
+    """sum c * (product of the generators) over the (nonempty) words, in
+    gens, from the first word on; a word of coefficient 1 or -1 is added or
+    subtracted unscaled."""
+    out = None
+    for c, word in words:
+        op = reduce(mul, (gens._by_name[name] for name in word))
+        minus = c == _MINUS_ONE
+        if not minus and c != ONE:
+            op = op * c
+        if out is None:
+            out = -op if minus else op
+        else:
+            out = out - op if minus else out + op
+    return out
 
 
 class GmGeneratorSet:

@@ -13,11 +13,9 @@ nine relations and the gradings are the n = 2 (gl_3) statements.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations_with_replacement
 from typing import Dict, List, Sequence, Tuple
 
-from .coeff import Coeff
-from .generators import GeneratorSet, GmGeneratorSet
+from .generators import GeneratorSet, GmGeneratorSet, _word, _word_sum, _x_d_ops
 from .linalg import (
     Indexer,
     QPEchelon,
@@ -25,7 +23,8 @@ from .linalg import (
     scalarize,
     solve_combination,
 )
-from .weyl import MatrixDiffOp, ScalarDiffOp, _coeffs, commutator
+from .matrixreps import structure_constants
+from .weyl import MatrixDiffOp, _coeffs, commutator
 
 
 class IdentityReport:
@@ -67,20 +66,13 @@ def commutation_table(gens: GeneratorSet) -> List[IdentityReport]:
 
     Each generator stands for a unit matrix e_ab of gl_{n+1}
     (GeneratorSet.labelled), so the expected value of [g, h] is read off
-    [e_ab, e_cd] = delta_bc e_ad - delta_da e_cb.
+    [e_ab, e_cd] = delta_bc e_ad - delta_da e_cb (structure_constants).
     """
     e = gens.labelled()
-    out = []
-    zero = MatrixDiffOp.zero(gens.dim, gens.nvars)
-    for (a, b), (c, d) in combinations_with_replacement(sorted(e), 2):
-        (gname, g), (hname, h) = e[(a, b)], e[(c, d)]
-        rhs = zero
-        if b == c:
-            rhs = rhs + e[(a, d)][1]
-        if a == d:
-            rhs = rhs - e[(c, b)][1]
-        out.append(_report("[%s,%s]" % (gname, hname), commutator(g, h), rhs))
-    return out
+    return [
+        _report("[%s,%s]" % (e[p][0], e[q][0]), lhs, rhs)
+        for p, q, lhs, rhs in structure_constants(_units(gens))
+    ]
 
 
 # -- Casimir operators -----------------------------------------------------------
@@ -165,12 +157,6 @@ def casimir_closed_form_reports(
     return out
 
 
-def casimir_value_report(gens: GeneratorSet, name: str, C: MatrixDiffOp, value: Coeff) -> IdentityReport:
-    """C equals value times the identity, as a polynomial identity in k."""
-    ident = MatrixDiffOp.identity(gens.dim, gens.nvars)
-    return _report("%s = %r" % (name, value), C, ident * value)
-
-
 def casimir_centrality(C: MatrixDiffOp, gens: GeneratorSet, cname: str) -> List[IdentityReport]:
     zero = MatrixDiffOp.zero(gens.dim, gens.nvars)
     return [
@@ -182,97 +168,54 @@ def casimir_centrality(C: MatrixDiffOp, gens: GeneratorSet, cname: str) -> List[
 # -- the nine quadratic relations -------------------------------------------------
 
 
-def art_relations(gens: GeneratorSet) -> List[IdentityReport]:
-    """The nine quadratic relations, left sides from generators, right sides
-    from their closed mixed forms in x_i, d_i, M_ij and k."""
-    n, dm = gens.nvars, gens.dim
-    k = gens.k
-    E, E0, Tm, Tp = gens.E, gens.E0, gens.Tminus, gens.Tplus
+# The left side of each relation as words (generators._word), its two
+# quadratic words first: the products the grading audit grades.
+ART_WORDS = {
+    "Art.1": (_word(-1, "T1+", "E22"), _word(1, "T2+", "E12")),
+    "Art.2": (_word(-1, "T2+", "E11"), _word(1, "T1+", "E21")),
+    "Art.3": (_word(-1, "E12", "E0"), _word(1, "T1+", "T2-"), _word(-1, "E12")),
+    "Art.4": (_word(-1, "E21", "E0"), _word(1, "T2+", "T1-"), _word(-1, "E21")),
+    "Art.5": (_word(1, "T1+", "T1-"), _word(-1, "E11", "E0"), _word(-1, "E11")),
+    "Art.6": (_word(1, "T2+", "T2-"), _word(-1, "E22", "E0"), _word(-1, "E22")),
+    "Art.7": (_word(1, "E12", "E21"), _word(-1, "E11", "E22"), _word(-1, "E11")),
+    "Art.8": (_word(1, "E22", "T1-"), _word(-1, "E21", "T2-")),
+    "Art.9": (_word(1, "E12", "T1-"), _word(-1, "E11", "T2-")),
+}
 
-    x1 = MatrixDiffOp.from_scalar(ScalarDiffOp.x(0, n), dm)
-    x2 = MatrixDiffOp.from_scalar(ScalarDiffOp.x(1, n), dm)
-    d1 = MatrixDiffOp.from_scalar(ScalarDiffOp.d(0, n), dm)
-    d2 = MatrixDiffOp.from_scalar(ScalarDiffOp.d(1, n), dm)
+
+def art_relations(gens: GeneratorSet) -> List[IdentityReport]:
+    """The nine quadratic relations, left sides from their words
+    (ART_WORDS), right sides from their closed mixed forms in x_i, d_i,
+    M_ij and k."""
+    x1, x2, d1, d2 = _x_d_ops(gens.dim, gens.nvars)
     M = gens.rep.ops
     M11, M12, M21, M22 = M[(1, 1)], M[(1, 2)], M[(2, 1)], M[(2, 2)]
-    one = MatrixDiffOp.identity(dm, n)
-    kI = one * k
-
-    rel = []
-    rel.append(
-        (
-            "Art.1",
-            -(Tp[1] * E[(2, 2)]) + Tp[2] * E[(1, 2)],
-            x1 * (M22 * x1 * d1 + M11 * x2 * d2 + (M11 - kI) * M22 - M21 * M12)
-            - x2 * (x1 * d1 - kI - one) * M12
-            - M21 * x1 * x1 * d2,
-        )
-    )
-    rel.append(
-        (
-            "Art.2",
-            -(Tp[2] * E[(1, 1)]) + Tp[1] * E[(2, 1)],
-            x2 * (M22 * x1 * d1 + M11 * x2 * d2 + (M22 - kI) * M11 - M12 * M21)
-            - x1 * (x2 * d2 - kI - one) * M21
-            - M12 * x2 * x2 * d1,
-        )
-    )
-    rel.append(
-        (
-            "Art.3",
-            -(E[(1, 2)] * (E0 + one)) + Tp[1] * Tm[2],
-            M12 * (x1 * d1 - kI - one) - M11 * x1 * d2,
-        )
-    )
-    rel.append(
-        (
-            "Art.4",
-            -(E[(2, 1)] * (E0 + one)) + Tp[2] * Tm[1],
-            M21 * (x2 * d2 - kI - one) - M22 * x2 * d1,
-        )
-    )
-    rel.append(
-        (
-            "Art.5",
-            Tp[1] * Tm[1] - E[(1, 1)] * (one + E0),
-            M11 * x2 * d2 - M12 * x2 * d1 - (kI + one) * M11,
-        )
-    )
-    rel.append(
-        (
-            "Art.6",
-            Tp[2] * Tm[2] - E[(2, 2)] * (one + E0),
-            M22 * x1 * d1 - M21 * x1 * d2 - (kI + one) * M22,
-        )
-    )
-    rel.append(
-        (
-            "Art.7",
-            E[(1, 2)] * E[(2, 1)] - E[(1, 1)] * E[(2, 2)] - E[(1, 1)],
-            M12 * x2 * d1
-            + M21 * x1 * d2
-            - M22 * x1 * d1
-            - M11 * x2 * d2
-            + M12 * M21
-            - M11 * M22
-            - M11,
-        )
-    )
-    rel.append(
-        (
-            "Art.8",
-            E[(2, 2)] * Tm[1] - E[(2, 1)] * Tm[2],
-            M22 * d1 - M21 * d2,
-        )
-    )
-    rel.append(
-        (
-            "Art.9",
-            E[(1, 2)] * Tm[1] - E[(1, 1)] * Tm[2],
-            M12 * d1 - M11 * d2,
-        )
-    )
-    return [_report(name, lhs, rhs) for name, lhs, rhs in rel]
+    one = MatrixDiffOp.identity(gens.dim, gens.nvars)
+    kI = one * gens.k
+    rhs = {
+        "Art.1": x1 * (M22 * x1 * d1 + M11 * x2 * d2 + (M11 - kI) * M22 - M21 * M12)
+        - x2 * (x1 * d1 - kI - one) * M12
+        - M21 * x1 * x1 * d2,
+        "Art.2": x2 * (M22 * x1 * d1 + M11 * x2 * d2 + (M22 - kI) * M11 - M12 * M21)
+        - x1 * (x2 * d2 - kI - one) * M21
+        - M12 * x2 * x2 * d1,
+        "Art.3": M12 * (x1 * d1 - kI - one) - M11 * x1 * d2,
+        "Art.4": M21 * (x2 * d2 - kI - one) - M22 * x2 * d1,
+        "Art.5": M11 * x2 * d2 - M12 * x2 * d1 - (kI + one) * M11,
+        "Art.6": M22 * x1 * d1 - M21 * x1 * d2 - (kI + one) * M22,
+        "Art.7": M12 * x2 * d1
+        + M21 * x1 * d2
+        - M22 * x1 * d1
+        - M11 * x2 * d2
+        + M12 * M21
+        - M11 * M22
+        - M11,
+        "Art.8": M22 * d1 - M21 * d2,
+        "Art.9": M12 * d1 - M11 * d2,
+    }
+    return [
+        _report(name, _word_sum(words, gens), rhs[name]) for name, words in ART_WORDS.items()
+    ]
 
 
 class DependencyResult:
@@ -342,20 +285,6 @@ def art_dependency(
 
 # -- gradings ---------------------------------------------------------------------
 
-# Relation r is the statement P1 = P2 with P1, P2 products of two named
-# generators (scalar representation); the audit checks each product grading.
-_ART_FACTORS = {
-    "Art.1": (("T1+", "E22"), ("T2+", "E12")),
-    "Art.2": (("T2+", "E11"), ("T1+", "E21")),
-    "Art.3": (("E12", "E0"), ("T1+", "T2-")),
-    "Art.4": (("E21", "E0"), ("T2+", "T1-")),
-    "Art.5": (("T1+", "T1-"), ("E11", "E0")),
-    "Art.6": (("T2+", "T2-"), ("E22", "E0")),
-    "Art.7": (("E12", "E21"), ("E11", "E22")),
-    "Art.8": (("E22", "T1-"), ("E21", "T2-")),
-    "Art.9": (("E12", "T1-"), ("E11", "T2-")),
-}
-
 # Reference grading decompositions for the nine relations.
 REFERENCE_GRADINGS = {
     "Art.1": (((1, 0), (0, 0)), ((0, 1), (1, -1))),
@@ -393,7 +322,7 @@ class GradingReport:
 
 def grading_audit(gens: GeneratorSet) -> GradingReport:
     """Vector grading of the scalar-representation generators and of the
-    two products in each quadratic relation."""
+    two products in each quadratic relation, its quadratic words."""
     if gens.dim != 1:
         raise ValueError("the grading audit runs on the scalar representation")
     grades = {}
@@ -403,9 +332,8 @@ def grading_audit(gens: GeneratorSet) -> GradingReport:
             raise ValueError("generator %s is not grading-homogeneous" % name)
         grades[name] = g
     lines = []
-    for name, (p1, p2) in _ART_FACTORS.items():
-        c1 = (grades[p1[0]], grades[p1[1]])
-        c2 = (grades[p2[0]], grades[p2[1]])
+    for name, words in ART_WORDS.items():
+        c1, c2 = (tuple(map(grades.get, word)) for _, word in words if len(word) == 2)
         total1 = tuple(a + b for a, b in zip(*c1))
         total2 = tuple(a + b for a, b in zip(*c2))
         ref = REFERENCE_GRADINGS[name]

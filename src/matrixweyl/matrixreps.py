@@ -11,13 +11,17 @@ gl2_irrep builds the d-dimensional irreducible family in the basis where
 M11 = diag(d-1, ..., 0) and M22 = diag(0, ..., d-1); the off-diagonal
 entries are solved from [M12, M21] = M11 - M22, staying inside Q(sqrt2)
 whenever the required square root exists there and splitting the product
-asymmetrically otherwise.  check_canonical verifies all n^4 commutators of
-the operator blocks and reports each offending pair instead of raising.
+asymmetrically otherwise.  structure_constants states the relations of
+gl_n once, one unordered pair of labels at a time; check_canonical checks
+the operator blocks against it and reports each offending pair instead of
+raising, and identities.commutation_table checks the generators of
+gl_{n+1}.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import combinations_with_replacement
 from math import isqrt
 from typing import Dict, Sequence, Tuple
 
@@ -86,19 +90,29 @@ class MatrixRep:
         return (self.n, self.dim, self.blocks) == (other.n, other.dim, other.blocks)
 
 
+def structure_constants(e: Dict[Tuple[int, int], MatrixDiffOp]):
+    """Yield (p, q, [e_p, e_q], delta_bc e_ad - delta_da e_cb) for each
+    pair p = (a, b) <= q = (c, d) of the labels of e, the operators that
+    stand for the unit matrices e_ab.  Both sides are antisymmetric in p
+    and q, so each unordered pair is checked once."""
+    some = next(iter(e.values()))
+    zero = MatrixDiffOp.zero(some.dim, some.nvars)
+    for p, q in combinations_with_replacement(sorted(e), 2):
+        (a, b), (c, d) = p, q
+        rhs = e[(a, d)] if b == c else zero
+        if a == d:
+            rhs = rhs - e[(c, b)]
+        yield p, q, commutator(e[p], e[q]), rhs
+
+
 def check_canonical(rep: MatrixRep) -> CanonicalReport:
-    """Verify [M_ij, M_kl] = delta_jk M_il - delta_il M_kj for all pairs."""
-    M = rep.ops
+    """Verify [M_ij, M_kl] = delta_jk M_il - delta_il M_kj, each unordered
+    pair once (structure_constants)."""
     failures = []
-    for (i, j), A in M.items():
-        for (k, l), B in M.items():
-            res = commutator(A, B)
-            if j == k:
-                res = res - M[(i, l)]
-            if i == l:
-                res = res + M[(k, j)]
-            if not res.is_zero():
-                failures.append(((i, j), (k, l), res))
+    for p, q, lhs, rhs in structure_constants(rep.ops):
+        res = lhs - rhs
+        if not res.is_zero():
+            failures.append((p, q, res))
     return CanonicalReport(passed=not failures, failures=tuple(failures))
 
 

@@ -36,12 +36,11 @@ from __future__ import annotations
 
 from decimal import ROUND_CEILING, Decimal
 from fractions import Fraction
-from functools import reduce
-from operator import mul
+from functools import cmp_to_key
 from typing import Dict, List, Optional, Tuple
 
-from .coeff import ALPHA, NU, OMEGA, PARAMS, ZERO, K, as_coeff, qp_float
-from .generators import GeneratorSet, build_gl_np1
+from .coeff import ALPHA, NU, OMEGA, PARAMS, ZERO, K, qp_float
+from .generators import _word, _word_sum, _x_d_ops, build_gl_np1
 from .identities import _report
 from .linalg import charpoly, numeric_roots, rational_roots
 from .matrixreps import gl2_irrep
@@ -53,13 +52,9 @@ from .spaces import (
     record_action,
     scalar_basis,
 )
-from .weyl import MatrixDiffOp, PolySpinor, ScalarDiffOp
+from .weyl import MatrixDiffOp, PolySpinor
 
 _F = Fraction
-
-
-def _word(c, *names):
-    return (as_coeff(c), names)
 
 
 _A2 = ALPHA * ALPHA
@@ -86,23 +81,6 @@ WORDS = {
         _word((NU * 12 + 1) * _A2 * _F(-1, 6), "E22"),
     ),
 }
-
-
-def _word_sum(words, gens: GeneratorSet) -> MatrixDiffOp:
-    """sum c * (product of the generators) over the words, in gens."""
-    named = dict(gens.named())
-    out = MatrixDiffOp.zero(gens.dim, gens.nvars)
-    for c, word in words:
-        out = out + reduce(mul, (named[name] for name in word)) * c
-    return out
-
-
-def _x_d_ops(dim: int):
-    x1 = MatrixDiffOp.from_scalar(ScalarDiffOp.x(0, 2), dim)
-    x2 = MatrixDiffOp.from_scalar(ScalarDiffOp.x(1, 2), dim)
-    d1 = MatrixDiffOp.from_scalar(ScalarDiffOp.d(0, 2), dim)
-    d2 = MatrixDiffOp.from_scalar(ScalarDiffOp.d(1, 2), dim)
-    return x1, x2, d1, d2
 
 
 def calogero(form: str, d: int = 1) -> MatrixDiffOp:
@@ -233,7 +211,8 @@ class EigRecord:
         self.err = err
 
     def sort_key(self):
-        return (self.approx_re, self.approx_im)
+        """Float order, a tie broken exactly (_exact_order)."""
+        return (self.approx_re, self.approx_im, cmp_to_key(_exact_order)(self))
 
     def to_json(self) -> dict:
         if self.exact:
@@ -245,6 +224,18 @@ class EigRecord:
             "im": "%.12e" % self.approx_im,
             "err": _sci_up(self.err if self.err is not None else 0.0),
         }
+
+
+def _exact_order(e: EigRecord, f: EigRecord) -> int:
+    """-1, 0 or 1 as e sorts before, with or after f at equal floats: two
+    exact values by the sign of their difference a + b sqrt2, and an exact
+    value before an inexact one."""
+    if not (e.exact and f.exact):
+        return f.exact - e.exact
+    a, b = e.pair[0] - f.pair[0], e.pair[1] - f.pair[1]
+    if a * b >= 0:
+        return (a > 0 or b > 0) - (a < 0 or b < 0)
+    return (a > 0) - (a < 0) if a * a > 2 * b * b else (b > 0) - (b < 0)
 
 
 def _sci_up(x: float) -> str:

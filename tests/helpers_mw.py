@@ -8,7 +8,7 @@ from operator import add, mul
 import random
 
 from matrixweyl import Coeff, MatrixDiffOp, Polynomial, PolySpinor, ScalarDiffOp
-from matrixweyl.weyl import DiffMonomial
+from matrixweyl.weyl import DiffMonomial, commutator
 
 
 def C(a, b=0):
@@ -404,3 +404,40 @@ def dense_block_scan(entries, grades):
                 if i != j and not entries[i][j].is_zero():
                     diagonal = False
     return blocks, diagonal, None
+
+
+def ordered_canonical_failures(rep):
+    """[M_ij, M_kl] = delta_jk M_il - delta_il M_kj over all n^4 ordered
+    pairs, each residual built from the commutator by subtraction: the
+    oracle of matrixreps.check_canonical, which visits each unordered pair
+    once.  Returns the ((i, j), (k, l), residual) of every pair that fails."""
+    M = rep.ops
+    failures = []
+    for (i, j), A in M.items():
+        for (k, l), B in M.items():
+            res = commutator(A, B)
+            if j == k:
+                res = res - M[(i, l)]
+            if i == l:
+                res = res + M[(k, j)]
+            if not res.is_zero():
+                failures.append(((i, j), (k, l), res))
+    return failures
+
+
+def art_left_sides(gens):
+    """{name: left side} of the nine quadratic relations, each written out
+    by hand in the generators: the oracle of identities.ART_WORDS."""
+    E, E0, Tm, Tp = gens.E, gens.E0, gens.Tminus, gens.Tplus
+    one = MatrixDiffOp.identity(gens.dim, gens.nvars)
+    return {
+        "Art.1": -(Tp[1] * E[(2, 2)]) + Tp[2] * E[(1, 2)],
+        "Art.2": -(Tp[2] * E[(1, 1)]) + Tp[1] * E[(2, 1)],
+        "Art.3": -(E[(1, 2)] * (E0 + one)) + Tp[1] * Tm[2],
+        "Art.4": -(E[(2, 1)] * (E0 + one)) + Tp[2] * Tm[1],
+        "Art.5": Tp[1] * Tm[1] - E[(1, 1)] * (one + E0),
+        "Art.6": Tp[2] * Tm[2] - E[(2, 2)] * (one + E0),
+        "Art.7": E[(1, 2)] * E[(2, 1)] - E[(1, 1)] * E[(2, 2)] - E[(1, 1)],
+        "Art.8": E[(2, 2)] * Tm[1] - E[(2, 1)] * Tm[2],
+        "Art.9": E[(1, 2)] * Tm[1] - E[(1, 1)] * Tm[2],
+    }

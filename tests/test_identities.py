@@ -3,8 +3,10 @@ import os
 
 import pytest
 
-from matrixweyl import Coeff, K, MatrixRep, build_gl_np1, gl2_irrep
+from matrixweyl import Coeff, K, MatrixDiffOp, MatrixRep, build_gl_np1, gl2_irrep
+from matrixweyl.generators import _word_sum
 from matrixweyl.identities import (
+    ART_WORDS,
     _casimirs_c1_c2,
     _sum_of_products,
     _trace,
@@ -13,12 +15,11 @@ from matrixweyl.identities import (
     art_relations,
     casimir_centrality,
     casimir_closed_form_reports,
-    casimir_value_report,
     casimirs_gl3,
     commutation_table,
     grading_audit,
 )
-from helpers_mw import cycle_trace
+from helpers_mw import art_left_sides, cycle_trace
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "goldens")
 
@@ -49,8 +50,9 @@ def test_scalar_gl_np1_table_and_casimirs_for_any_n(n):
     C1, C2 = _casimirs_c1_c2(g)
     for name, C in (("C1", C1), ("C2", C2)):
         assert [r.name for r in casimir_centrality(C, g, name) if not r.passed] == []
-    assert casimir_value_report(g, "C1", C1, K).passed
-    assert casimir_value_report(g, "C2", C2, K * (K + n)).passed
+    ident = MatrixDiffOp.identity(g.dim, g.nvars)
+    assert C1 == ident * K
+    assert C2 == ident * (K * (K + n))
 
 
 @pytest.mark.parametrize(
@@ -64,8 +66,9 @@ def test_scalar_gl_np1_table_and_casimirs_for_any_n(n):
 def test_casimir_values(d, c1, c2):
     g = gens_for(d)
     C1, C2, _ = casimirs_gl3(g)
-    assert casimir_value_report(g, "C1", C1, c1).passed
-    assert casimir_value_report(g, "C2", C2, c2).passed
+    ident = MatrixDiffOp.identity(g.dim, g.nvars)
+    assert C1 == ident * c1
+    assert C2 == ident * c2
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -154,6 +157,16 @@ def test_art_relations_pass_symbolically(d):
         assert r.passed, "%s residual has %d terms" % (r.name, r.residual_terms)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_art_words_build_the_hand_written_left_sides(d):
+    g = gens_for(d)
+    want = art_left_sides(g)
+    assert list(ART_WORDS) == list(want)
+    for name, words in ART_WORDS.items():
+        assert _word_sum(words, g) == want[name], name
+    assert [r.lhs for r in art_relations(g)] == list(want.values())
+
+
 def test_art_relations_scalar_case_rhs_vanishes():
     # with all matrix blocks zero the right sides collapse to zero
     for r in art_relations(gens_for(1)):
@@ -209,6 +222,24 @@ def test_grading_audit_balance_and_printed_list():
     assert audit.mismatched_lines() == ["Art.2"]
     line = {l.name: l for l in audit.lines}["Art.2"]
     assert line.computed == (((0, 1), (0, 0)), ((1, 0), (-1, 1)))
+
+
+def test_grading_audit_grades_the_quadratic_words_in_order():
+    # the grades of the two products of each relation, in the order the
+    # relation's quadratic words list them
+    audit = grading_audit(gens_for(1))
+    assert {l.name: l.computed for l in audit.lines} == {
+        "Art.1": (((1, 0), (0, 0)), ((0, 1), (1, -1))),
+        "Art.2": (((0, 1), (0, 0)), ((1, 0), (-1, 1))),
+        "Art.3": (((1, -1), (0, 0)), ((1, 0), (0, -1))),
+        "Art.4": (((-1, 1), (0, 0)), ((0, 1), (-1, 0))),
+        "Art.5": (((1, 0), (-1, 0)), ((0, 0), (0, 0))),
+        "Art.6": (((0, 1), (0, -1)), ((0, 0), (0, 0))),
+        "Art.7": (((1, -1), (-1, 1)), ((0, 0), (0, 0))),
+        "Art.8": (((0, 0), (-1, 0)), ((-1, 1), (0, -1))),
+        "Art.9": (((1, -1), (-1, 0)), ((0, 0), (0, -1))),
+    }
+    assert [l.name for l in audit.lines] == ["Art.%d" % i for i in range(1, 10)]
 
 
 def test_grading_audit_requires_scalar_rep():

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from matrixweyl import Coeff, MatrixDiffOp, check_canonical, gl2_irrep
-from helpers_mw import C, mat_mul, random_coeff
+from helpers_mw import C, mat_mul, ordered_canonical_failures, random_coeff
 
 
 def test_dim_one_is_trivial():
@@ -49,6 +49,29 @@ def test_corrupted_entry_fails_with_offending_pair():
     assert not report.passed
     pairs = {(p, q) for p, q, _ in report.failures}
     assert ((1, 2), (2, 1)) in pairs
+
+
+def _corruptions(rep):
+    """Every copy of rep with one entry shifted by 1 or doubled (a doubled
+    zero entry leaves rep as it was)."""
+    for (i, j), rows in rep.blocks.items():
+        for r, row in enumerate(rows):
+            for c, entry in enumerate(row):
+                for value in (entry + 1, entry * 2):
+                    yield rep.replaced(i, j, r, c, value)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_unordered_check_fails_exactly_where_the_ordered_oracle_fails(d):
+    verdicts = set()
+    for rep in _corruptions(gl2_irrep(d)):
+        report = check_canonical(rep)
+        ordered = ordered_canonical_failures(rep)
+        assert report.passed == (not ordered)
+        # the oracle's failures over the pairs p <= q, in its order
+        assert list(report.failures) == [(p, q, res) for p, q, res in ordered if p <= q]
+        verdicts.add(report.passed)
+    assert verdicts == {True, False}
 
 
 def test_zero_dim_rejected():

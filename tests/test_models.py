@@ -147,6 +147,24 @@ def test_pattern_verdict_at_omega_zero(d):
     }
 
 
+def test_exact_eigenvalues_whose_floats_tie_sort_by_their_exact_values():
+    # 1 + 10^-20 and 1 are one float; the flag finds x1 (E11) before x2 (E22)
+    tiny = Fraction(1, 10**20)
+    words = ((Coeff.rational(1 + tiny), ("E11",)), (Coeff.rational(1), ("E22",)))
+    res = spectrum("sutherland", words, 1, 1, {})
+    assert [e.pair for e in res.eigenvalues] == [(0, 0), (1, 0), (1 + tiny, 0)]
+
+
+def test_a_float_tie_is_broken_by_a_plus_b_sqrt2_and_exact_first():
+    # the float of sqrt2, as a rational, lies just above sqrt2
+    above = Fraction(2**0.5)
+    root2 = EigRecord(True, (Fraction(0), Fraction(1)), 2**0.5)
+    rational = EigRecord(True, (above, Fraction(0)), float(above))
+    numeric = EigRecord(False, None, 2**0.5, 0.0, 1e-12)
+    for given in ([rational, numeric, root2], [numeric, root2, rational]):
+        assert sorted(given, key=EigRecord.sort_key) == [root2, rational, numeric]
+
+
 @pytest.mark.parametrize(
     "k,d", [(1, 2), (2, 2), (3, 2), (2, 3), (3, 3)]
 )

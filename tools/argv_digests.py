@@ -13,7 +13,8 @@ tests/test_cli.py compares against: regenerate that file (first command below)
 whenever a change alters output bytes or exit codes on purpose, and review
 which rows moved with --compare before overwriting it.  The grid
 covers gens, check, casimir and relations for d <= 4 (d = 4 is the first
-block whose gl2_irrep entries split a product rationally), gens with k = 2
+block whose gl2_irrep entries split a product rationally) and for d = 6
+(the second block size with sqrt2 entries, after d = 3), gens with k = 2
 bound and as LaTeX and text at d = 2; every space form, with closures for
 k <= 3 and d <= 3, the hexagon audits at k = 4, 5 and 6 (d = 2) and the
 closure at k = 4, d = 3; every model form, and the matrix form at d = 2
@@ -111,6 +112,8 @@ def grid():
     rows += [("casimir", "--d", str(d)) for d in (1, 2, 3, 4)]
     rows += [("relations",)]
     rows += [("relations", "--d", str(d)) for d in (1, 2, 3, 4)]
+    # d = 6, the second block size with sqrt2 entries
+    rows += [(cmd, "--d", "6") for cmd in ("gens", "check", "casimir", "relations")]
     rows += [("space", "--k", str(k), "--d", str(d)) for k in (0, 1, 2, 3) for d in (1, 2, 3)]
     # the hexagon audits (d = 2) and a closure (d = 3) past k = 3
     rows += [("space", "--k", str(k), "--d", "2") for k in (4, 5, 6)]
