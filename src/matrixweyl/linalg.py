@@ -49,6 +49,7 @@ from math import gcd, inf, lcm, nextafter
 from typing import Mapping, Sequence
 
 from .coeff import (
+    _ZEXP,
     Coeff,
     CoeffError,
     _add_pair,
@@ -311,38 +312,33 @@ def span_contains(basis: Sequence[Mapping], vectors: Sequence[Mapping]) -> bool:
 def coeff_matrix_solve(columns: Sequence[Mapping], targets: Sequence[Mapping]):
     """Solve sum_j c_j * columns[j] = target with Coeff coefficients, per target.
 
-    The columns must be parameter-free; a target may carry parameters, in
-    which case the solve is done per parameter monomial and the parts are
-    recombined.  The tracked echelon of the columns is built once and every
-    target is reduced against it.  Returns one (coords, residual) per target:
-    coords is the sparse map {j: c_j} of its nonzero coordinates, and
-    residual is a nonempty sparse map exactly when that target is not in the
-    span.
+    The columns must be parameter-free (CoeffError otherwise); a target may
+    carry parameters, in which case the solve is done per parameter
+    monomial, on the columns' (key, _ZEXP) axes, and the parts are
+    recombined.  The tracked echelon of the columns is built once (_echelon)
+    and every target is reduced against it.  Returns one (coords, residual)
+    per target: coords is the sparse map {j: c_j} of its nonzero
+    coordinates, and residual is a nonempty sparse map exactly when that
+    target is not in the span.
     """
+    if not all(c.is_constant() for col in columns for c in col.values()):
+        raise CoeffError("the columns of a Coeff solve must be parameter-free")
     ix = Indexer()
-    ech = QPEchelon(track=True)
-    for col in columns:
-        flat = {}
-        for key, c in col.items():
-            pair = c.constant_pair()
-            if not qp_is_zero(pair):
-                flat[ix(key)] = pair
-        ech.insert(flat)
+    ech = _echelon(columns, ix, track=True)
 
     out = []
     for target in targets:
         groups = {}
         for key, c in target.items():
             for exps, pair in c.terms.items():
-                groups.setdefault(exps, {})[key] = pair
+                groups.setdefault(exps, {})[ix((key, _ZEXP))] = pair
 
         sums = {}  # column -> {exps: pair}
         residual = {}
-        for exps, vec in sorted(groups.items()):
-            flat = {ix(key): pair for key, pair in vec.items()}
+        for exps, flat in sorted(groups.items()):
             res, combo = ech.reduce(flat)
             for col, pair in res.items():
-                _add_pair(residual.setdefault(ix.keys[col], {}), exps, pair)
+                _add_pair(residual.setdefault(ix.keys[col][0], {}), exps, pair)
             for j, pair in combo.items():
                 _add_pair(sums.setdefault(j, {}), exps, pair)
         coords = {j: Coeff._raw(t) for j, t in sums.items() if t}

@@ -318,7 +318,7 @@ def flag_basis(k: int, d: int, recorded=()) -> SpinorBasis:
     ops = [(name, op) for name, op in gens if name in wanted]
     if d == 1:
         return record_action(ops, scalar_basis(k, 1))
-    return orbit_closure(ops, [PolySpinor.unit(d - 1, d, 2)], degree_cap=k + 2)
+    return orbit_closure(ops, PolySpinor.unit(d - 1, d, 2), degree_cap=k + 2)
 
 
 def _grades(basis: SpinorBasis, form):

@@ -1,7 +1,7 @@
 """Finite-dimensional invariant spinor spaces and operator matrices.
 
 Spaces are discovered, not transcribed: orbit_closure grows the smallest
-space containing the seeds and closed under every given generator, adding
+space containing a seed and closed under every given generator, adding
 raw generated vectors so each basis vector stays a weight vector.  Known
 closed-form basis lists for these families then become assertions on the
 discovered spaces (tests), which guards against transcription slips on both
@@ -160,31 +160,31 @@ def _image(rules, raw):
 
 def orbit_closure(
     named_ops: Sequence[Tuple[str, MatrixDiffOp]],
-    seeds: Sequence[PolySpinor],
+    seed: PolySpinor,
     degree_cap: int,
 ) -> SpinorBasis:
-    """Smallest space containing the seeds and closed under every operator,
-    with the action of every operator on it recorded.
+    """Smallest space containing seed and closed under every operator, with
+    the action of every operator on it recorded.
 
     named_ops is a sequence of (name, MatrixDiffOp) pairs, such as a
     generator set's named(); each op's action is recorded under its name,
-    as in record_action.  Ops and seeds must be parameter-free (else
-    ValueError: each power of a parameter would be a new direction).
+    as in record_action.  The ops and the seed must be parameter-free (else
+    ValueError: each power of a parameter would be a new direction), and
+    the seed nonzero.
     Every image, a pair map (_image), is inserted into a tracked echelon
     whose columns are its keys: an independent image joins the basis as a
     PolySpinor and its column is a unit column; a dependent one is recorded
     with the combination that eliminated it, and is never built.  A
     diagonal op (_diagonal_table) is not applied to a vector it maps to
     sigma times itself: its column there is sigma times the unit column.
-    The basis comes out in discovery order.
+    The basis comes out in discovery order, seed first.
     """
-    if not seeds or all(s.is_zero() for s in seeds):
-        raise ValueError("need at least one nonzero seed")
-    shape = seeds[0]  # the ops are applied to raw terms: check shapes here
-    for x in [op for _, op in named_ops] + list(seeds):
-        x._require_like(shape)
-    if not all(c.is_constant() for s in seeds for c in s.terms.values()):
-        raise ValueError("seeds must be parameter-free")
+    if seed.is_zero():
+        raise ValueError("need a nonzero seed")
+    for _, op in named_ops:  # the ops are applied to raw terms: check shapes here
+        op._require_like(seed)
+    if not all(c.is_constant() for c in seed.terms.values()):
+        raise ValueError("the seed must be parameter-free")
     compiled = [_rules(name, op) for name, op in named_ops]
     ech = QPEchelon(track=True)
     basis: List[PolySpinor] = []
@@ -192,7 +192,7 @@ def orbit_closure(
     position = {}  # echelon label -> basis position
 
     def spinor(raw):
-        return shape._like({key: Coeff._raw({_ZEXP: p}) for key, p in raw.items()})
+        return seed._like({key: Coeff._raw({_ZEXP: p}) for key, p in raw.items()})
 
     def keep(raw):
         """The basis position of raw after inserting it, or None if dependent."""
@@ -204,9 +204,7 @@ def orbit_closure(
         raws.append(raw)
         return position[tag]
 
-    for s in seeds:
-        if not s.is_zero():
-            keep({key: c.constant_pair() for key, c in s.terms.items()})
+    keep({key: c.constant_pair() for key, c in seed.terms.items()})
     tables = [_diagonal_table(rules) for rules in compiled]
     # per op, one column per basis vector
     columns = [[] for _ in named_ops]

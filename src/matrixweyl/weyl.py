@@ -62,7 +62,7 @@ class _TermMap:
 
     The shape is the attributes named in _SHAPE, which two operands must
     share.  Subclasses fix the key and say, in _coerce, which other operands
-    they admit into + and -.
+    they admit into + and - (and, for the operators, into *).
     """
 
     __slots__ = ("nvars", "terms")
@@ -165,6 +165,34 @@ class _TermMap:
         return self._like({k: c for k, c in coords.items() if not c.is_zero()})
 
 
+def _compose(self, other):
+    """self o other, other acting first: the __mul__ of ScalarDiffOp and
+    MatrixDiffOp, bound in each class body (perfbench/tracer.py reads it
+    from the class dict).  A scalar other scales self; any other operand
+    _coerce admits (a ScalarDiffOp under a MatrixDiffOp is lifted) is
+    composed by the class's _compose_into, in one raw accumulation."""
+    c = _as_scalar_coeff(other)
+    if c is not None:
+        return self.scale(c)
+    other = self._coerce(other)
+    if other is None:
+        return NotImplemented
+    self._require_like(other)
+    acc = {}
+    self._compose_into(acc, other, 1)
+    return self._like(_coeffs(acc))
+
+
+def _rcompose(self, other):
+    """other o self, for an other whose own * declined: a scalar scales self,
+    and a ScalarDiffOp under a MatrixDiffOp is lifted (_coerce)."""
+    c = _as_scalar_coeff(other)
+    if c is not None:
+        return self.scale(c)
+    other = self._coerce(other)
+    return NotImplemented if other is None else other * self
+
+
 class ScalarDiffOp(_TermMap):
     """Finite sum of normal-ordered terms over n commuting variables.
 
@@ -216,17 +244,8 @@ class ScalarDiffOp(_TermMap):
             return ScalarDiffOp.constant(c, self.nvars)
         return other if isinstance(other, ScalarDiffOp) else None
 
-    def __mul__(self, other):
-        """Composition self o other: other acts first."""
-        c = _as_scalar_coeff(other)
-        if c is not None:
-            return self.scale(c)
-        if not isinstance(other, ScalarDiffOp):
-            return NotImplemented
-        self._require_like(other)
-        acc = {}
-        self._compose_into(acc, other, 1)
-        return self._like(_coeffs(acc))
+    __mul__ = _compose
+    __rmul__ = _rcompose
 
     def _compose_into(self, acc, other, sign, same=None):
         """acc[x^E d^F] += sign * (self o other)'s raw sums (_add_at); every
@@ -236,12 +255,6 @@ class ScalarDiffOp(_TermMap):
             for m2, c2 in other.terms.items():
                 for f, mono in expand(m1, m2):
                     _add_at(acc, mono, c1.terms, c2.terms, sign * f)
-
-    def __rmul__(self, other):
-        c = _as_scalar_coeff(other)
-        if c is None:
-            return NotImplemented
-        return self.scale(c)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -474,18 +487,8 @@ class MatrixDiffOp(_TermMap):
             return MatrixDiffOp.from_scalar(other, self.dim)
         return other if isinstance(other, MatrixDiffOp) else None
 
-    def __mul__(self, other):
-        """Matrix product; operator factors of self act after those of other."""
-        c = _as_scalar_coeff(other)
-        if c is not None:
-            return self.scale(c)
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        self._require_like(other)
-        acc = {}
-        self._compose_into(acc, other, 1)
-        return self._like(_coeffs(acc))
+    __mul__ = _compose
+    __rmul__ = _rcompose
 
     def _compose_into(self, acc, other, sign, same=None):
         """acc[(i, j, x^E d^F)] += sign * (self o other)'s raw sums (_add_at);
@@ -499,14 +502,6 @@ class MatrixDiffOp(_TermMap):
                 expand = same if same and i == k == j else _product_expansion
                 for f, mono in expand(m1, m2):
                     _add_at(acc, (i, j, mono), c1.terms, t2, sign * f)
-
-    def __rmul__(self, other):
-        c = _as_scalar_coeff(other)
-        if c is not None:
-            return self.scale(c)
-        if isinstance(other, ScalarDiffOp):
-            return MatrixDiffOp.from_scalar(other, self.dim) * self
-        return NotImplemented
 
     def term_count(self) -> int:
         return len(self.terms)

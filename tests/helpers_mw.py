@@ -319,7 +319,7 @@ def fraction_rational_roots(coeffs):
     return roots, [Coeff.rational(x, y) for x, y in zip(a, b)]
 
 
-def apply_orbit_closure(named_ops, seeds, degree_cap):
+def apply_orbit_closure(named_ops, seed, degree_cap):
     """spaces.orbit_closure as it was written on PolySpinor values: every
     image is built by MatrixDiffOp.apply and scalarized from its Coeff
     coordinates, rejected images included.  The oracle of the raw closure.
@@ -346,9 +346,7 @@ def apply_orbit_closure(named_ops, seeds, degree_cap):
         basis.append(w)
         return position[tag]
 
-    for s in seeds:
-        if not s.is_zero():
-            add(s)
+    add(seed)
     tables = [_diagonal_table(_rules(name, op)) for name, op in named_ops]
     columns = [[] for _ in named_ops]
     i = 0

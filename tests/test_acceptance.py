@@ -112,7 +112,7 @@ def test_criterion_4_representation_spaces():
     ):
         gens = build_gl_np1(k, gl2_irrep(d))
         basis = orbit_closure(
-            gens.named(), [PolySpinor.unit(d - 1, d, 2)], degree_cap=k + 2
+            gens.named(), PolySpinor.unit(d - 1, d, 2), degree_cap=k + 2
         )
         ok = ok and basis.dim == expected
         if d == 2:

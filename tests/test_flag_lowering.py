@@ -42,7 +42,7 @@ def test_the_seed_is_the_highest_weight_vector(d):
 def test_the_lowered_flag_is_the_nine_generator_flag(model, k, d):
     names = MODEL_NAMES[model]
     gens = _gens(k, d)
-    full = orbit_closure(gens, [PolySpinor.unit(d - 1, d, 2)], degree_cap=k + 2)
+    full = orbit_closure(gens, PolySpinor.unit(d - 1, d, 2), degree_cap=k + 2)
     basis = flag_basis(k, d, names)
     assert set(basis.action) == {"E11", "E22", *LOWERING} | names
     assert basis.dim == full.dim
@@ -59,7 +59,7 @@ def test_the_lowered_flag_is_the_nine_generator_flag(model, k, d):
 def test_the_lowering_pair_also_closes_the_triangle(k):
     basis = orbit_closure(
         [(name, op) for name, op in _gens(k, 1) if name in LOWERING],
-        [PolySpinor.unit(0, 1, 2)],
+        PolySpinor.unit(0, 1, 2),
         degree_cap=k + 2,
     )
     triangle = scalar_basis(k, 1)
@@ -73,7 +73,7 @@ def test_half_the_lowering_pair_closes_a_smaller_space(name, k, d):
     # negative control: each generator of the pair is needed
     half = orbit_closure(
         [(n, op) for n, op in _gens(k, d) if n == name],
-        [PolySpinor.unit(d - 1, d, 2)],
+        PolySpinor.unit(d - 1, d, 2),
         degree_cap=k + 2,
     )
     assert half.dim < flag_basis(k, d).dim

@@ -100,6 +100,14 @@ def test_coeff_matrix_solve_with_parametric_target():
     assert residual
 
 
+def test_coeff_matrix_solve_refuses_a_parametric_column():
+    # scalarized, the k part would be one more axis and the solve would go on
+    cols = [vec(p=C(1)), vec(p=K, q=C(1))]
+    for targets in ([vec(q=C(1))], []):
+        with pytest.raises(CoeffError, match="columns of a Coeff solve must be parameter-free"):
+            coeff_matrix_solve(cols, targets)
+
+
 _SMALL = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 2))
 _CONSTANT = st.builds(Coeff.rational, _SMALL, st.one_of(st.just(0), _SMALL))
 _COLUMN = st.dictionaries(st.integers(0, 4), _CONSTANT, max_size=4)

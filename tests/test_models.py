@@ -1,6 +1,7 @@
 import json
 import os
 import re
+from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from matrixweyl import ALPHA, Coeff, K, NU, OMEGA, build_gl_np1, gl2_irrep
+from matrixweyl.linalg import span_contains
 from matrixweyl.models import (
     GRADINGS,
     WORDS,
@@ -197,6 +199,26 @@ def test_sutherland_spectra_match_golden(k, d):
             e.to_json().items() for e in res.eigenvalues
         ) == sorted(e.to_json().items() for e in scalar.eigenvalues)
     assert rec == golden
+
+
+@pytest.mark.parametrize("nu", [Fraction(0), Fraction(1, 3)])
+@pytest.mark.parametrize("kind", sorted(WORDS))
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_spectra_nest_in_k(kind, d, nu):
+    # the flag [k - 1, d - 1] lies in [k, d - 1], so the exact spectrum on it
+    # is part of the exact spectrum at k
+    bindings = {"omega" if kind == "calogero" else "alpha": 1, "nu": nu}
+
+    def exact(k):
+        res = spectrum(kind, WORDS[kind], k, d, bindings)
+        return Counter(e.pair for e in res.eigenvalues if e.exact)
+
+    below = exact(d - 1)
+    for k in range(d, 7):
+        here = exact(k)
+        assert not below - here, (k, below - here)
+        assert span_contains(flag_basis(k, d).coords_list(), flag_basis(k - 1, d).coords_list()), k
+        below = here
 
 
 def test_sutherland_block_charpolys_are_recorded():
@@ -401,7 +423,7 @@ def test_spectrum_grading_refuses_a_non_weight_vector():
     # e_0 + e_1 has weights (1, 0) and (0, 1) in its two components
     seed = PolySpinor.unit(0, 2, 2) + PolySpinor.unit(1, 2, 2)
     gens = build_gl_np1(2, gl2_irrep(2))
-    basis = orbit_closure(gens.named(), [seed], degree_cap=4)
+    basis = orbit_closure(gens.named(), seed, degree_cap=4)
     assert basis_weights(basis)[0] is None
     for form in GRADINGS.values():
         with pytest.raises(ValueError, match="basis vector 0 is not a weight vector"):

@@ -40,7 +40,7 @@ def closure(k, d, cap=None):
     gens = build_gl_np1(k, gl2_irrep(d))
     seed = PolySpinor.unit(d - 1, d, 2)
     return orbit_closure(
-        gens.named(), [seed], degree_cap=cap if cap is not None else k + 2
+        gens.named(), seed, degree_cap=cap if cap is not None else k + 2
     )
 
 
@@ -224,7 +224,7 @@ def test_non_weight_seed_is_reported_by_the_audit():
     # spectrum's grading refuses such a vector (test_models)
     seed = PolySpinor.unit(0, 2, 2) + PolySpinor.unit(1, 2, 2)
     gens = build_gl_np1(2, gl2_irrep(2))
-    basis = orbit_closure(gens.named(), [seed], degree_cap=4)
+    basis = orbit_closure(gens.named(), seed, degree_cap=4)
     assert basis_weights(basis)[0] is None
     report = hexagon_audit(basis, 2)
     assert "non-weight basis vector found" in report.issues
@@ -313,7 +313,7 @@ def test_orbit_cap_failure_reports():
     halfgens = build_gl_np1(Fraction(1, 2), gl2_irrep(1))
     seed = PolySpinor.unit(0, 1, 2)
     with pytest.raises(SpaceNotClosedError):
-        orbit_closure(halfgens.named(), [seed], degree_cap=6)
+        orbit_closure(halfgens.named(), seed, degree_cap=6)
 
 
 # -- the generator action the orbit closure records ------------------------------
@@ -451,7 +451,7 @@ def test_diagonal_shortcut_records_sigma_v_and_applies_only_when_mixed(case):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spaces, "_image", spy)
         # the basis comes in discovery order, seed first
-        basis = orbit_closure([("op", op)], [v], degree_cap=6)
+        basis = orbit_closure([("op", op)], v, degree_cap=6)
     assert basis.vectors[0] == v
     col = basis.action["op"][0]
     if len(sigmas) == 1:
@@ -538,11 +538,16 @@ def test_a_parametric_op_is_refused_by_name():
     seed = PolySpinor.unit(0, 1, 2)
     kI = MatrixDiffOp.identity(1, 2) * K
     with pytest.raises(ValueError, match="'kI'"):
-        orbit_closure([("kI", kI)], [seed], degree_cap=3)
+        orbit_closure([("kI", kI)], seed, degree_cap=3)
     with pytest.raises(ValueError, match="'kI'"):
         record_action([("kI", kI)], scalar_basis(1, 1))
-    with pytest.raises(ValueError, match="seeds must be parameter-free"):
-        orbit_closure([("I", MatrixDiffOp.identity(1, 2))], [seed.scale(K)], degree_cap=3)
+    with pytest.raises(ValueError, match="the seed must be parameter-free"):
+        orbit_closure([("I", MatrixDiffOp.identity(1, 2))], seed.scale(K), degree_cap=3)
+
+
+def test_a_zero_seed_is_refused():
+    with pytest.raises(ValueError, match="need a nonzero seed"):
+        orbit_closure([("I", MatrixDiffOp.identity(2, 2))], PolySpinor.zero(2, 2), degree_cap=3)
 
 
 # -- the raw closure against the apply-based closure it replaced ---------------
@@ -562,7 +567,7 @@ def _assert_same_basis(got, want):
 
 def _closure_args(k, d, cap=None):
     gens = build_gl_np1(k, gl2_irrep(d))
-    return gens.named(), [PolySpinor.unit(d - 1, d, 2)], k + 2 if cap is None else cap
+    return gens.named(), PolySpinor.unit(d - 1, d, 2), k + 2 if cap is None else cap
 
 
 @pytest.mark.parametrize("k, d", [(k, d) for d in (2, 3) for k in range(d - 1, 9)])

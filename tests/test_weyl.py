@@ -86,6 +86,8 @@ _COEFF = st.builds(
     Coeff,
     st.dictionaries(st.tuples(*[st.integers(0, 1)] * 4), st.tuples(_HALF, _HALF), max_size=2),
 )
+# a number an operator is multiplied by: rational, or a Coeff with sqrt2 parts
+_NUMBER = st.one_of(st.integers(-3, 3), _HALF, _COEFF)
 _EXPS = st.tuples(st.integers(0, 2), st.integers(0, 2))
 _SCALAR = st.builds(
     ScalarDiffOp,
@@ -110,37 +112,53 @@ _CANCEL_A = d(0) + x(0) * Coeff.sqrt2()
 _CANCEL_B = x(0) + d(0) * Coeff.sqrt2()
 
 
+def _assert_number_products(A, c):
+    """A number scales A from either side, and an operand that is neither a
+    number nor an operator is refused from either side."""
+    assert c * A == A * c == A.scale(c)
+    with pytest.raises(TypeError):
+        A * object()
+    with pytest.raises(TypeError):
+        object() * A
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.tuples(_SCALAR, _SCALAR))
-@example((_CANCEL_A, _CANCEL_B))
-@example((_CANCEL_A, _CANCEL_A))
-@example((_sqrt2_op(Coeff.rational(Fraction(1, 2), 3)), x(1) * d(0) + x(0) * Fraction(2, 3)))
-@example((x(0), d(0)))  # [x1, d1] = -1: the leading term x1 d1 cancels
-@example((x(0) * d(1) * K, x(1) * x(1) * d(0) * Coeff.param("nu")))
-def test_scalar_commutator_is_ab_minus_ba(pair):
+@given(st.tuples(_SCALAR, _SCALAR), _NUMBER)
+@example((_CANCEL_A, _CANCEL_B), Coeff.sqrt2())
+@example((_CANCEL_A, _CANCEL_A), 0)
+@example((_sqrt2_op(Coeff.rational(Fraction(1, 2), 3)), x(1) * d(0) + x(0) * Fraction(2, 3)), Fraction(-2, 3))
+@example((x(0), d(0)), 3)  # [x1, d1] = -1: the leading term x1 d1 cancels
+@example((x(0) * d(1) * K, x(1) * x(1) * d(0) * Coeff.param("nu")), Coeff.rational(Fraction(1, 2), -1))
+def test_scalar_commutator_is_ab_minus_ba(pair, num):
     a, b = pair
     got, ref = scalar_commutator(a, b), commutator_oracle(a, b)
     # key for key, in key order: the bracket's one pass accumulates the
     # terms in another insertion order than the two products do
     assert got == ref and in_key_order(got) == in_key_order(ref)
     assert all(not c.is_zero() for c in got.terms.values())
+    # the mixed products, which the commutator of two operators never makes
+    _assert_number_products(a, num)
 
 
 @settings(max_examples=40, deadline=None)
-@given(_matrix_pair())
+@given(_matrix_pair(), _SCALAR, _NUMBER)
 @example(
     (
         MatrixDiffOp([[_CANCEL_A, x(1)], [ScalarDiffOp.zero(2), _CANCEL_B]]),
         MatrixDiffOp([[_CANCEL_B, ScalarDiffOp.zero(2)], [d(1), _CANCEL_A]]),
-    )
+    ),
+    _CANCEL_B,
+    Coeff.sqrt2(),
 )
 @example(
     (
         MatrixDiffOp([[x(0), d(1) * K], [ScalarDiffOp.zero(2), x(1) * d(0)]]),
         MatrixDiffOp([[d(0) * Coeff.param("nu"), ScalarDiffOp.zero(2)], [x(0), x(1) * d(1)]]),
-    )
+    ),
+    x(0) * d(0) * Fraction(1, 3),
+    Fraction(3, 2),
 )
-def test_commutator_is_ab_minus_ba(pair):
+def test_commutator_is_ab_minus_ba(pair, s, num):
     a, b = pair
     got, ref = commutator(a, b), commutator_oracle(a, b)
     assert got == ref and in_key_order(got) == in_key_order(ref)
@@ -148,6 +166,11 @@ def test_commutator_is_ab_minus_ba(pair):
     # one-pass subtraction: the same terms, in the same order, as a + (-b)
     diff, ref = a - b, a + (-b)
     assert diff == ref and list(diff.terms) == list(ref.terms)
+    # the mixed products: a scalar operator stands for itself times the
+    # identity on either side, and a number scales
+    sI = MatrixDiffOp.from_scalar(s, a.dim)
+    assert s * a == sI * a and a * s == a * sI
+    _assert_number_products(a, num)
 
 
 def test_mul_associative_randomized():
@@ -220,9 +243,7 @@ def test_dimension_mismatch_messages():
         A.apply(v)
     # the orbit closure applies its ops to raw terms, so it checks up front
     with pytest.raises(ShapeError, match="2 vs 3"):
-        orbit_closure([("A", A)], [PolySpinor.unit(0, 3, 2)], degree_cap=2)
-    with pytest.raises(ShapeError, match="dim differs: 3 vs 2"):
-        orbit_closure([("A", A)], [PolySpinor.unit(0, 2, 2), PolySpinor.unit(0, 3, 2)], degree_cap=2)
+        orbit_closure([("A", A)], PolySpinor.unit(0, 3, 2), degree_cap=2)
 
 
 def test_tplus_on_constant_gives_k_x1():
