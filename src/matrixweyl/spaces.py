@@ -257,11 +257,11 @@ class OperatorMatrix(_TermMap):
     `entries` is the dim x dim grid view.
     """
 
-    __slots__ = ("dim",)
-    _SHAPE = ("dim",)
+    __slots__ = ()
 
     def __init__(self, dim: int, terms=None):
         self.dim = dim
+        self.nvars = 0
         self.terms = {key: c for key, c in (terms or {}).items() if not c.is_zero()}
 
     @property
@@ -347,7 +347,7 @@ def matrix_of(op, basis: SpinorBasis) -> OperatorMatrix:
     if isinstance(op, MatrixDiffOp):
         (cols,) = _solve_images([op], basis)
         return OperatorMatrix._raw(
-            {(i, j): c for j, col in enumerate(cols) for i, c in col.items()}, n
+            {(i, j): c for j, col in enumerate(cols) for i, c in col.items()}, n, 0
         )
     missing = sorted({name for _, word in op for name in word} - basis.action.keys())
     if missing:
@@ -359,7 +359,7 @@ def matrix_of(op, basis: SpinorBasis) -> OperatorMatrix:
         for j in range(n):
             for i, p in _word_column(word, j, basis.action).items():
                 _add_at(acc, (i, j), c.terms, {_ZEXP: p}, 1)
-    return OperatorMatrix._raw(_coeffs(acc), n)
+    return OperatorMatrix._raw(_coeffs(acc), n, 0)
 
 
 def basis_contains(basis: SpinorBasis, vectors: Sequence[PolySpinor]) -> bool:

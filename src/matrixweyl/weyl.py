@@ -17,11 +17,15 @@ per parameter monomial, with the multiply-accumulate kernel of coeff, and
 builds each output Coeff once at the end, so no temporary Coeff is made per
 pair of terms.
 
-Two tables are memoized, with no setting: _PRODUCTS, the normal-ordered
-expansion of (x^A d^B)(x^C d^D), and of the bracket [x^A d^B, x^C d^D]
-that commutators read, built once per exponent pair and process as an
-immutable tuple, and the per-variable contraction factors both are built
-from (_contractions).  An action needs no table:
+Every value has the shape (dim, nvars) that operands must share: dim 1 for
+a Polynomial or ScalarDiffOp, nvars 0 for a flag matrix (spaces).
+
+Three functools.cache functions are the memoized tables, with no setting:
+the normal-ordered expansion of (x^A d^B)(x^C d^D) (_product_expansion)
+and of the bracket [x^A d^B, x^C d^D] that commutators read
+(_bracket_expansion), each an immutable tuple per exponent pair, and the
+per-variable contraction factors both are built from (_contractions).
+An action needs no table:
 x^A d^B maps x^P to f x^(A + P - B), f = prod P_i!/(P_i - B_i)!, which
 math.perm makes 0 when some B_i > P_i.
 
@@ -58,39 +62,37 @@ def _as_scalar_coeff(x):
 
 
 class _TermMap:
-    """A sparse map `terms` from key to nonzero Coeff, of a fixed shape.
+    """A sparse map `terms` from key to nonzero Coeff, of the shape (dim, nvars).
 
-    The shape is the attributes named in _SHAPE, which two operands must
-    share.  Subclasses fix the key and say, in _coerce, which other operands
-    they admit into + and - (and, for the operators, into *).
+    Two operands must share the shape: dim is 1 for a Polynomial or a
+    ScalarDiffOp, and nvars is 0 for a flag matrix (spaces.OperatorMatrix).
+    Subclasses fix the key and say, in _coerce, which other operands they
+    admit into + and - (and, for the operators, into *).
     """
 
-    __slots__ = ("nvars", "terms")
-    _SHAPE = ("nvars",)
+    __slots__ = ("dim", "nvars", "terms")
 
     @classmethod
-    def _raw(cls, terms, *shape):
+    def _raw(cls, terms, dim, nvars):
         """A value holding terms as given: every coefficient already nonzero."""
         r = object.__new__(cls)
-        for name, v in zip(cls._SHAPE, shape):
-            setattr(r, name, v)
+        r.dim = dim
+        r.nvars = nvars
         r.terms = terms
         return r
 
-    def _shape(self):
-        return tuple(getattr(self, name) for name in self._SHAPE)
-
     def _like(self, terms):
-        return self._raw(terms, *self._shape())
+        return self._raw(terms, self.dim, self.nvars)
 
     def _coerce(self, other):
         """other as a value of this class, or None if it is not admitted."""
         return other if type(other) is type(self) else None
 
     def _require_like(self, other):
-        for name, a, b in zip(self._SHAPE, self._shape(), other._shape()):
-            if a != b:
-                raise ShapeError("%s differs: %d vs %d" % (name, a, b))
+        if self.dim != other.dim:
+            raise ShapeError("dim differs: %d vs %d" % (self.dim, other.dim))
+        if self.nvars != other.nvars:
+            raise ShapeError("nvars differs: %d vs %d" % (self.nvars, other.nvars))
 
     def _map(self, f):
         """Apply f to every coefficient, dropping those that become zero."""
@@ -148,10 +150,10 @@ class _TermMap:
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self._shape() == other._shape() and self.terms == other.terms
+        return self.dim == other.dim and self.nvars == other.nvars and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self._shape(), frozenset(self.terms.items())))
+        return hash((self.dim, self.nvars, frozenset(self.terms.items())))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -204,6 +206,7 @@ class ScalarDiffOp(_TermMap):
     def __init__(self, nvars: int, terms: Mapping[DiffMonomial, Coeff] | None = None):
         if nvars < 1:
             raise ShapeError("nvars must be positive")
+        self.dim = 1
         self.nvars = nvars
         clean = {}
         if terms:
@@ -311,12 +314,6 @@ def _coeffs(acc):
     return {key: Coeff._raw(d) for key, d in acc.items()}
 
 
-# The memoized product expansions, and the bracket expansions keyed by the
-# pair and None.  Each value depends on its exponent pair alone, so one
-# table per process serves every operator.
-_PRODUCTS = {}  # (x^A d^B, x^C d^D) -> ((f, x^E d^F), ...)
-
-
 @cache
 def _contractions(b, c, top):
     """binom(b, j) binom(c, j) j! for j = 0..top: the factor of x^(c-j) d^(b-j)
@@ -342,42 +339,30 @@ def _expansion_rows(m1, m2, bracket):
     return rows
 
 
+@cache
 def _product_expansion(m1, m2):
     """(x^A d^B)(x^C d^D) normal-ordered, as a tuple of (f, DiffMonomial).
 
     m1 = (A, B) and m2 = (C, D).  d^B x^C = sum_j binom(B,j) binom(C,j) j!
     x^(C-j) d^(B-j), over the contraction vectors j with 0 <= j_i <=
-    min(B_i, C_i) (_expansion_rows).  Built on the first call for each pair
-    and read from _PRODUCTS after.
+    min(B_i, C_i) (_expansion_rows).  Memoized per process.
     """
-    key = (m1, m2)
-    try:
-        return _PRODUCTS[key]
-    except KeyError:
-        pass
     rows = _expansion_rows(m1, m2, False)
-    _PRODUCTS[key] = out = tuple((f, DiffMonomial(xp, dp)) for xp, dp, f, _ in rows)
-    return out
+    return tuple((f, DiffMonomial(xp, dp)) for xp, dp, f, _ in rows)
 
 
+@cache
 def _bracket_expansion(m1, m2):
     """[x^A d^B, x^C d^D] normal-ordered, as a tuple of (f, DiffMonomial).
 
     Contraction j of either order lands on x^(A+C-j) d^(B+D-j), so the two
     expansions merge: f is the difference of the two orders' factors
     (_expansion_rows), in _product_expansion's order.  The leading terms
-    (j = 0) cancel, as does any j whose two factors agree.  Memoized in
-    _PRODUCTS under (m1, m2, None).
+    (j = 0) cancel, as does any j whose two factors agree.  Memoized per
+    process.
     """
-    key = (m1, m2, None)
-    try:
-        return _PRODUCTS[key]
-    except KeyError:
-        pass
     rows = _expansion_rows(m1, m2, True)
-    out = tuple((f - h, DiffMonomial(xp, dp)) for xp, dp, f, h in rows if f != h)
-    _PRODUCTS[key] = out
-    return out
+    return tuple((f - h, DiffMonomial(xp, dp)) for xp, dp, f, h in rows if f != h)
 
 
 class Polynomial(_TermMap):
@@ -386,6 +371,7 @@ class Polynomial(_TermMap):
     __slots__ = ()
 
     def __init__(self, nvars: int, terms=None):
+        self.dim = 1
         self.nvars = nvars
         clean = {}
         if terms:
@@ -423,8 +409,7 @@ class MatrixDiffOp(_TermMap):
     Keyed by (row, column, DiffMonomial); `entries` is the grid view.
     """
 
-    __slots__ = ("dim",)
-    _SHAPE = ("dim", "nvars")
+    __slots__ = ()
 
     def __init__(self, entries: Sequence[Sequence[ScalarDiffOp]]):
         dim = len(entries)
@@ -449,7 +434,7 @@ class MatrixDiffOp(_TermMap):
         for (i, j, mono), c in self.terms.items():
             grid[i][j][mono] = c
         return tuple(
-            tuple(ScalarDiffOp._raw(t, self.nvars) for t in row) for row in grid
+            tuple(ScalarDiffOp._raw(t, 1, self.nvars) for t in row) for row in grid
         )
 
     # -- constructors --------------------------------------------------------
@@ -534,8 +519,7 @@ class PolySpinor(_TermMap):
     Keyed by (component, power tuple); `components` is the column view.
     """
 
-    __slots__ = ("dim",)
-    _SHAPE = ("dim", "nvars")
+    __slots__ = ()
 
     def __init__(self, components: Sequence[Polynomial], nvars: int | None = None):
         comps = tuple(components)
@@ -559,7 +543,7 @@ class PolySpinor(_TermMap):
         parts = [{} for _ in range(self.dim)]
         for (i, mono), c in self.terms.items():
             parts[i][mono] = c
-        return tuple(Polynomial._raw(t, self.nvars) for t in parts)
+        return tuple(Polynomial._raw(t, 1, self.nvars) for t in parts)
 
     @classmethod
     def zero(cls, dim: int, nvars: int) -> "PolySpinor":

@@ -1,12 +1,13 @@
 import json
 import os
 import re
+import sys
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from matrixweyl import ALPHA, Coeff, K, NU, OMEGA, build_gl_np1, gl2_irrep
 from matrixweyl.linalg import span_contains
@@ -18,6 +19,7 @@ from matrixweyl.models import (
     SpectrumResult,
     _grade_blocks,
     _grades,
+    _sci_up,
     _word_sum,
     calogero,
     flag_basis,
@@ -300,6 +302,28 @@ def test_printed_err_keeps_four_digits_and_never_falls_below(err):
     # one unit of the fourth significant digit of err
     unit = Decimal(1).scaleb(Decimal(err).adjusted() - 3) if err else 0
     assert Decimal(err) <= Decimal(printed) <= Decimal(err) + unit
+
+
+_SCI_UP_KNOWN = {0.0: "0.000e+00", 9.99951e-5: "1.000e-04"}  # the second carries a decade
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats(min_value=0, allow_nan=False, allow_infinity=False))
+@example(0.0)
+@example(5e-324)
+@example(9.99951e-5)
+@example(sys.float_info.max)
+def test_sci_up_is_the_least_four_digit_bound_not_below_x(x):
+    printed = _sci_up(x)
+    assert printed == _SCI_UP_KNOWN.get(x, printed)
+    mantissa, exponent = printed.split("e")
+    assert re.fullmatch(r"\d\.\d{3}", mantissa) and re.fullmatch(r"[+-]\d{2,3}", exponent)
+    bound = Decimal(printed)
+    assert bound >= Decimal(x)
+    if x:
+        # four significant digits, and one unit lower in the fourth is below x
+        assert mantissa[0] != "0"
+        assert bound - Decimal(1).scaleb(int(exponent) - 3) < Decimal(x)
 
 
 # -- the numeric fallback, end to end -------------------------------------------

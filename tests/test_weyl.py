@@ -8,6 +8,7 @@ from matrixweyl import (
     Coeff,
     K,
     MatrixDiffOp,
+    Polynomial,
     PolySpinor,
     ScalarDiffOp,
     ShapeError,
@@ -15,7 +16,7 @@ from matrixweyl import (
     build_gl_np1,
     commutator,
 )
-from matrixweyl.spaces import orbit_closure
+from matrixweyl.spaces import OperatorMatrix, orbit_closure
 from matrixweyl.weyl import scalar_commutator
 from helpers_mw import (
     commutator_oracle,
@@ -234,16 +235,35 @@ def test_zero_operator_acts_as_zero():
 def test_dimension_mismatch_messages():
     A = MatrixDiffOp.zero(2, 2)
     B = MatrixDiffOp.zero(3, 2)
-    with pytest.raises(ShapeError, match="2 vs 3"):
+    dim = "^dim differs: 2 vs 3$"
+    with pytest.raises(ShapeError, match=dim):
         A * B
-    with pytest.raises(ShapeError, match="2 vs 3"):
+    with pytest.raises(ShapeError, match=dim):
         A + B
     v = PolySpinor.zero(3, 2)
-    with pytest.raises(ShapeError, match="2 vs 3"):
+    with pytest.raises(ShapeError, match=dim):
         A.apply(v)
     # the orbit closure applies its ops to raw terms, so it checks up front
-    with pytest.raises(ShapeError, match="2 vs 3"):
+    with pytest.raises(ShapeError, match=dim):
         orbit_closure([("A", A)], PolySpinor.unit(0, 3, 2), degree_cap=2)
+
+
+def test_shape_is_dim_then_nvars():
+    # every term map has the shape (dim, nvars): dim 1 for a polynomial or
+    # a scalar operator, nvars 0 for a flag matrix; dim is checked first
+    nvars = "^nvars differs: 2 vs 3$"
+    with pytest.raises(ShapeError, match=nvars):
+        ScalarDiffOp.zero(2) + ScalarDiffOp.zero(3)
+    with pytest.raises(ShapeError, match=nvars):
+        ScalarDiffOp.zero(2) * ScalarDiffOp.zero(3)
+    with pytest.raises(ShapeError, match=nvars):
+        Polynomial.zero(2) + Polynomial.zero(3)
+    with pytest.raises(ShapeError, match="^dim differs: 2 vs 3$"):
+        MatrixDiffOp.zero(2, 2) + MatrixDiffOp.zero(3, 3)
+    assert ScalarDiffOp.zero(2) != ScalarDiffOp.zero(3)
+    assert OperatorMatrix(2) != OperatorMatrix(3)
+    assert OperatorMatrix(2) == OperatorMatrix(2)
+    assert hash(OperatorMatrix(2)) == hash(OperatorMatrix(2))
 
 
 def test_tplus_on_constant_gives_k_x1():

@@ -23,7 +23,10 @@ per-rep sums.  A gain shows as B winning nearly every rep, by more than
 A's IQR.  Every rep also compares the sha256 of stdout and the exit code
 of A's and B's run of each argv; at the first difference the A/B stops,
 names the argv and exits 1, so it never times two programs that disagree.
-Nothing under either checkout is changed.
+A checkout with a __pycache__ directory under src/ is refused (exit 2,
+naming the directory): PYTHONDONTWRITEBYTECODE stops writes, not reads, so
+its children would start from that bytecode and the A/B would compare two
+different start-up paths.  Nothing under either checkout is changed.
 """
 
 from __future__ import annotations
@@ -103,6 +106,10 @@ def main(argv=None) -> int:
     cut = argv.index("--") if "--" in argv else len(argv)
     args = p.parse_args(argv[:cut])
     roots = [os.path.abspath(args.root_a), os.path.abspath(args.root_b)]
+    for root in roots:
+        for top, dirs, _ in os.walk(os.path.join(root, "src")):
+            if "__pycache__" in dirs:
+                p.error("stale bytecode: remove %s" % os.path.join(top, "__pycache__"))
     ops = [shlex.split(a) for a in argv[cut + 1 :]]
     if args.workload:
         ops += workload_argvs(roots[0], args.workload)
