@@ -83,26 +83,27 @@ class GeneratorSet:
         self._by_name = dict(self.named())
 
     def named(self):
-        """(name, operator) pairs in a fixed order."""
-        out = []
-        for i in range(1, self.n + 1):
-            for j in range(1, self.n + 1):
-                out.append(("E%d%d" % (i, j), self.E[(i, j)]))
-        out.append(("E0", self.E0))
-        for i in range(1, self.n + 1):
-            out.append(("T%d-" % i, self.Tminus[i]))
-        for i in range(1, self.n + 1):
-            out.append(("T%d+" % i, self.Tplus[i]))
-        return out
+        """(name, operator) pairs in the fixed order of gl_labels(n)."""
+        by_label = {(0, 0): self.E0, **self.E}
+        by_label.update(((0, i), op) for i, op in self.Tminus.items())
+        by_label.update(((i, 0), op) for i, op in self.Tplus.items())
+        return [(name, by_label[label]) for name, label in gl_labels(self.n).items()]
 
     def labelled(self) -> Dict[tuple, tuple]:
-        """{(a, b): (name, operator)} with e_ab the unit matrix of gl_{n+1}
-        (index 0 extra) each generator stands for:
-        E_ij = e_ij, E0 = e_00, T_i^- = e_0i, T_i^+ = e_i0."""
-        idx = range(1, self.n + 1)
-        labels = [(i, j) for i in idx for j in idx] + [(0, 0)]
-        labels += [(0, i) for i in idx] + [(i, 0) for i in idx]
-        return dict(zip(labels, self.named()))
+        """{(a, b): (name, operator)}, the labels of gl_labels(n)."""
+        return {label: (name, self._by_name[name]) for name, label in gl_labels(self.n).items()}
+
+
+def gl_labels(n: int) -> Dict[str, tuple]:
+    """{name: (a, b)} in the order of GeneratorSet.named(), with e_ab the
+    unit matrix of gl_{n+1} (index 0 extra) each generator stands for:
+    E_ij = e_ij, E0 = e_00, T_i^- = e_0i, T_i^+ = e_i0."""
+    idx = range(1, n + 1)
+    labels = {"E%d%d" % (i, j): (i, j) for i in idx for j in idx}
+    labels["E0"] = (0, 0)
+    labels.update(("T%d-" % i, (0, i)) for i in idx)
+    labels.update(("T%d+" % i, (i, 0)) for i in idx)
+    return labels
 
 
 def build_gl_np1(k, rep: MatrixRep) -> GeneratorSet:

@@ -26,10 +26,13 @@ omega/alpha are bound on the word coefficients only, and the matrix of the
 model is the bound combination of products of generator matrices.  Both
 models share one flag space, in discovery order (flag_basis); the operator
 is block triangular in each model's grading (GRADINGS) of the weights
-(w1, w2) that the recorded E11 and E22 columns give.  The Calogero grading
-2 w1 + 3 w2 makes its blocks diagonal (exact eigenvalues read off), the
-Sutherland grading w1 + w2 leaves blocks that are resolved per block by
-exact characteristic polynomials.
+(w1, w2) that the recorded E11 and E22 columns give.  Each generator moves
+the weight by a fixed root (SHIFTS), so a word that lowers the grade writes
+only entries above the block diagonal; such words are neither recorded nor
+composed (Calogero's T1- and E12 E12, Sutherland's T1- words).  The
+Calogero grading 2 w1 + 3 w2 makes its blocks diagonal (exact eigenvalues
+read off), the Sutherland grading w1 + w2 leaves blocks that are resolved
+per block by exact characteristic polynomials.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from functools import cmp_to_key
 from typing import Dict, List, Optional, Tuple
 
 from .coeff import ALPHA, NU, OMEGA, PARAMS, ZERO, K, qp_float
-from .generators import _word, _word_sum, _x_d_ops, build_gl_np1
+from .generators import _word, _word_sum, _x_d_ops, build_gl_np1, gl_labels
 from .identities import _report
 from .linalg import charpoly, numeric_roots, rational_roots
 from .matrixreps import gl2_irrep
@@ -176,6 +179,10 @@ def sutherland(form: str, d: int = 1) -> MatrixDiffOp:
 MODELS = {"calogero": calogero, "sutherland": sutherland}
 # the linear form in the weights (w1, w2) that grades each model's flag
 GRADINGS = {"calogero": (2, 3), "sutherland": (1, 1)}
+# the weight shift eps_a - eps_b (eps_0 = 0) of the gl_3 generator for e_ab
+SHIFTS = {
+    name: tuple((i == a) - (i == b) for i in (1, 2)) for name, (a, b) in gl_labels(2).items()
+}
 
 
 def model_checks(kind: str, d: int):
@@ -348,33 +355,54 @@ def _grade_blocks(opm, grades):
     return blocks, not any(i != j and grades[i] == grades[j] for i, j in opm.terms)
 
 
+def _lowers(word, form) -> bool:
+    """Whether word lowers the grade form . w of every weight vector: each
+    name a gl_3 generator and form . delta < 0 for the weight shift delta,
+    the sum of their SHIFTS."""
+    return all(name in SHIFTS for name in word) and sum(
+        f * s for name in word for f, s in zip(form, SHIFTS[name])
+    ) < 0
+
+
 def spectrum(
     kind: str, words: tuple, k: int, d: int, bindings: Dict[str, object]
 ) -> SpectrumResult:
     """Exact spectrum of the model kind written as words (WORDS[kind], or
     any words in the gl_3 generators) on its invariant flag [k, d-1].
 
-    The flag is rediscovered from one generator set, which records the
-    parameter-free matrix of every generator the words use.  The parameters
-    are bound on the word coefficients only, each one they carry is
-    required, and the matrix of the model is the bound combination of
-    products of those generator matrices (the flag is invariant, so the
-    matrix of a product is the product of the matrices).  The model's
-    grading of the weights must make the matrix block upper triangular
-    (_grade_blocks), and eigenvalues come from the diagonal when the blocks
-    are diagonal and from per-block characteristic polynomials otherwise.
+    The parameters are bound on the word coefficients only, and each one
+    the words carry is required.  Then the words that lower the model's
+    grade (_lowers) are dropped: a word of weight shift delta has entry
+    (i, j) 0 unless w_i = w_j + delta, so with form . delta < 0 it writes
+    only entries strictly above the block diagonal, which change no block,
+    eigenvalue or verdict.  The flag is rediscovered from one generator set,
+    which records the parameter-free matrix of every generator the other
+    words use, and the matrix is their bound combination of products of
+    those generator matrices (the flag is invariant, so the matrix of a
+    product is the product of the matrices).  The model's grading must make
+    it block upper triangular (_grade_blocks); _eigenvalues reads it.
     """
     bind = {name: Fraction(v) for name, v in bindings.items()}
     words = tuple((c.substitute(bind), word) for c, word in words)
     for i, name in enumerate(PARAMS):
         if any(exps[i] for c, _ in words for exps in c.terms):
             raise ValueError("binding for %s is required" % name)
-    names = {name for _, word in words for name in word}
-    basis = flag_basis(k, d, names)
-    grades = _grades(basis, GRADINGS[kind])
+    form = GRADINGS[kind]
+    words = tuple((c, word) for c, word in words if not _lowers(word, form))
+    basis = flag_basis(k, d, {name for _, word in words for name in word})
+    grades = _grades(basis, form)
     opm = matrix_of(words, basis)
-
     blocks, diagonal = _grade_blocks(opm, grades)
+    eigs, charpolys = _eigenvalues(opm, blocks, diagonal)
+    sizes = [len(rows) for rows in blocks.values()]
+    return SpectrumResult(kind, k, d, bind, basis.dim, sizes, diagonal, eigs, charpolys)
+
+
+def _eigenvalues(opm, blocks, diagonal):
+    """(eigenvalues in sort order, charpolys) of an OperatorMatrix with the
+    blocks of _grade_blocks: read off the diagonal when the blocks are
+    diagonal, else the roots of each block's characteristic polynomial,
+    rational ones exact and the rest numeric."""
     eigs: List[EigRecord] = []
     charpolys: List[List[str]] = []
     if diagonal:
@@ -396,17 +424,7 @@ def spectrum(
                         EigRecord(False, None, z.real, z.imag, err)
                     )
     eigs.sort(key=EigRecord.sort_key)
-    return SpectrumResult(
-        kind=kind,
-        k=k,
-        d=d,
-        bindings=bind,
-        basis_dim=basis.dim,
-        block_sizes=[len(rows) for rows in blocks.values()],
-        diagonal=diagonal,
-        eigenvalues=eigs,
-        charpolys=charpolys,
-    )
+    return eigs, charpolys
 
 
 def calogero_pattern(k: int, omega: Fraction) -> List[Tuple[Fraction, Fraction]]:

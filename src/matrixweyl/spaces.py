@@ -299,8 +299,8 @@ def record_action(named_ops, basis: SpinorBasis) -> SpinorBasis:
 
     A diagonal op (_diagonal_table) that maps every basis vector to a
     multiple of itself is read off, as in orbit_closure.  The images of the
-    other ops are solved for together, against one echelon of the basis.
-    Every op must be parameter-free (ValueError naming it otherwise).
+    other ops, if any, are solved for together, against one echelon of the
+    basis.  Every op must be parameter-free (ValueError naming it otherwise).
     """
     action = dict(basis.action)
     solve = []
@@ -311,10 +311,11 @@ def record_action(named_ops, basis: SpinorBasis) -> SpinorBasis:
             solve.append((name, op))
         else:
             action[name] = tuple({j: s} if s[0] or s[1] else {} for j, s in enumerate(sigmas))
-    for (name, _), cols in zip(solve, _solve_images([op for _, op in solve], basis)):
-        action[name] = tuple(
-            {i: c.constant_pair() for i, c in coords.items()} for coords in cols
-        )
+    if solve:
+        for (name, _), cols in zip(solve, _solve_images([op for _, op in solve], basis)):
+            action[name] = tuple(
+                {i: c.constant_pair() for i, c in coords.items()} for coords in cols
+            )
     return SpinorBasis(basis.vectors, action)
 
 

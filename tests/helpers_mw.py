@@ -404,6 +404,27 @@ def dense_block_scan(entries, grades):
     return blocks, diagonal, None
 
 
+def unfiltered_spectrum(kind, words, k, d, bindings):
+    """models.spectrum with every word composed: the flag records every
+    generator the words use, the matrix is the bound sum of all the words,
+    and the same _grade_blocks and _eigenvalues read it.  The oracle of
+    spectrum, which composes only the words that do not lower the grade;
+    returns the SpectrumResult or raises what those steps raise."""
+    from matrixweyl.models import (
+        GRADINGS, SpectrumResult, _eigenvalues, _grade_blocks, _grades, flag_basis,
+    )
+    from matrixweyl.spaces import matrix_of
+
+    bind = {name: Fraction(v) for name, v in bindings.items()}
+    words = tuple((c.substitute(bind), word) for c, word in words)
+    basis = flag_basis(k, d, {name for _, word in words for name in word})
+    opm = matrix_of(words, basis)
+    blocks, diagonal = _grade_blocks(opm, _grades(basis, GRADINGS[kind]))
+    eigs, charpolys = _eigenvalues(opm, blocks, diagonal)
+    sizes = [len(rows) for rows in blocks.values()]
+    return SpectrumResult(kind, k, d, bind, basis.dim, sizes, diagonal, eigs, charpolys)
+
+
 def ordered_canonical_failures(rep):
     """[M_ij, M_kl] = delta_jk M_il - delta_il M_kj over all n^4 ordered
     pairs, each residual built from the commutator by subtraction: the

@@ -76,6 +76,7 @@ SLOW = (
     ("spectrum", "--model", "sutherland", "--k", "6", "--d", "1",
      "--nu", "3/2", "--alpha", "2"),
     ("spectrum", "--model", "calogero", "--k", "30", "--d", "1"),
+    ("spectrum", "--model", "calogero", "--k", "30", "--d", "3"),
 )
 
 # options a command parses but does not read with the other arguments given:
