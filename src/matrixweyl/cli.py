@@ -192,7 +192,8 @@ def cmd_space(args) -> int:
     cap = args.degree_cap if args.degree_cap is not None else args.k + 2
     inputs = {"k": args.k, "d": d, "degree_cap": cap}
     try:
-        basis = orbit_closure(gens.named(), seed, degree_cap=cap)
+        # only the weights (hexagon_audit) are read off the closure
+        basis = orbit_closure(gens.named(), seed, cap, ("E11", "E22"))
     except SpaceNotClosedError as exc:
         return _finish(
             args,

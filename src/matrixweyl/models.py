@@ -305,13 +305,12 @@ def flag_basis(k: int, d: int, recorded=()) -> SpinorBasis:
 
     The flag records the columns of E11, E22 (which give the weights) and
     of the gl_3 generators named in recorded (ValueError naming any other
-    name).  On the triangle they come from one solve over their images.
-    For d >= 2, T1-, T2- and E21 kill the seed, so it is the highest-weight
-    vector of [k, d-1] and the flag is U(n-) applied to it, n- spanned by
-    E12, T2+ and T1+ = [E12, T2+]: the closure under E12 and T2+ alone is
-    the whole flag.  The seed is closed under E11, E22, those two and the
-    recorded generators, whose columns the flag then holds, and under no
-    other.
+    name), and no other.  On the triangle they come from one solve over
+    their images.  For d >= 2, T1-, T2- and E21 kill the seed, so it is the
+    highest-weight vector of [k, d-1] and the flag is U(n-) applied to it,
+    n- spanned by E12, T2+ and T1+ = [E12, T2+]: the closure under E12 and
+    T2+ alone is the whole flag.  The seed is closed under E11, E22, those
+    two and the recorded generators, and under no other.
     """
     if k < d - 1:
         # the label [k, d-1] needs k >= d-1: below that the triangle is
@@ -321,11 +320,12 @@ def flag_basis(k: int, d: int, recorded=()) -> SpinorBasis:
     unknown = set(recorded) - {name for name, _ in gens}
     if unknown:
         raise ValueError("unknown gl_3 generator %s" % ", ".join(sorted(unknown)))
-    wanted = {"E11", "E22", *recorded, *(LOWERING if d > 1 else ())}
+    recorded = {"E11", "E22", *recorded}
+    wanted = recorded | set(LOWERING if d > 1 else ())
     ops = [(name, op) for name, op in gens if name in wanted]
     if d == 1:
         return record_action(ops, scalar_basis(k, 1))
-    return orbit_closure(ops, PolySpinor.unit(d - 1, d, 2), degree_cap=k + 2)
+    return orbit_closure(ops, PolySpinor.unit(d - 1, d, 2), k + 2, recorded)
 
 
 def _grades(basis: SpinorBasis, form):
@@ -371,24 +371,29 @@ def spectrum(
     any words in the gl_3 generators) on its invariant flag [k, d-1].
 
     The parameters are bound on the word coefficients only, and each one
-    the words carry is required.  Then the words that lower the model's
-    grade (_lowers) are dropped: a word of weight shift delta has entry
-    (i, j) 0 unless w_i = w_j + delta, so with form . delta < 0 it writes
-    only entries strictly above the block diagonal, which change no block,
-    eigenvalue or verdict.  The flag is rediscovered from one generator set,
-    which records the parameter-free matrix of every generator the other
-    words use, and the matrix is their bound combination of products of
-    those generator matrices (the flag is invariant, so the matrix of a
-    product is the product of the matrices).  The model's grading must make
-    it block upper triangular (_grade_blocks); _eigenvalues reads it.
+    the words carry is required; every name must be a gl_3 generator
+    (ValueError naming the others).  Then the words whose bound coefficient
+    is 0 are dropped, and so are the words that lower the model's grade
+    (_lowers): a word of weight shift delta has entry (i, j) 0 unless w_i =
+    w_j + delta, so with form . delta < 0 it writes only entries strictly
+    above the block diagonal, which change no block, eigenvalue or verdict.
+    The flag is rediscovered from one generator set, which records the
+    parameter-free matrix of every generator the other words use, and the
+    matrix is their bound combination of products of those generator
+    matrices (the flag is invariant, so the matrix of a product is the
+    product of the matrices).  The model's grading must make it block upper
+    triangular (_grade_blocks); _eigenvalues reads it.
     """
     bind = {name: Fraction(v) for name, v in bindings.items()}
     words = tuple((c.substitute(bind), word) for c, word in words)
     for i, name in enumerate(PARAMS):
         if any(exps[i] for c, _ in words for exps in c.terms):
             raise ValueError("binding for %s is required" % name)
+    unknown = {name for _, word in words for name in word} - SHIFTS.keys()
+    if unknown:
+        raise ValueError("unknown gl_3 generator %s" % ", ".join(sorted(unknown)))
     form = GRADINGS[kind]
-    words = tuple((c, word) for c, word in words if not _lowers(word, form))
+    words = tuple((c, word) for c, word in words if not c.is_zero() and not _lowers(word, form))
     basis = flag_basis(k, d, {name for _, word in words for name in word})
     grades = _grades(basis, form)
     opm = matrix_of(words, basis)
@@ -427,31 +432,31 @@ def _eigenvalues(opm, blocks, diagonal):
     return eigs, charpolys
 
 
-def calogero_pattern(k: int, omega: Fraction) -> List[Tuple[Fraction, Fraction]]:
-    """The scalar eigenvalue multiset -2 omega (2 p1 + 3 p2), p1 + p2 <= k."""
-    out = []
-    for p1 in range(k + 1):
-        for p2 in range(k + 1 - p1):
-            out.append((Fraction(-2) * omega * (2 * p1 + 3 * p2), _F(0)))
-    return sorted(out)
+def _pattern_index(pair, step):
+    """The integer n with pair = step * n, or None: each value of the
+    scalar pattern is step * (2 p1 + 3 p2), and every one is 0 at step 0."""
+    a, b = pair
+    if b:
+        return None
+    if not step:
+        return None if a else 0
+    n, r = divmod(a.numerator * step.denominator, a.denominator * step.numerator)
+    return None if r else n
 
 
 def pattern_verdict(result: SpectrumResult, omega: Fraction) -> dict:
-    """How the computed multiset relates to the scalar eigenvalue pattern."""
-    scalar = calogero_pattern(result.k, omega)
-    computed = sorted(e.pair for e in result.eigenvalues if e.exact)
-    multiset_equal = result.all_exact() and computed == scalar
+    """How the computed multiset relates to the scalar eigenvalue pattern
+    -2 omega (2 p1 + 3 p2), p1 + p2 <= k: compared as the integers n of
+    step * n, step = -2 omega (n = 0 for every value at omega = 0)."""
     step = Fraction(-2) * omega
-
-    def on_pattern(a, b):
-        # the pattern values are the rationals step * (2 p1 + 3 p2), all 0 at omega = 0
-        if b or not step:
-            return not b and not a
-        q = a / step
-        return q.denominator == 1 and q >= 0 and q != 1
-
-    subset = result.all_exact() and all(on_pattern(a, b) for a, b in computed)
+    ns = [_pattern_index(e.pair, step) if e.exact else None for e in result.eigenvalues]
+    if None in ns:
+        return {"multiset_equal_to_scalar": False, "subset_of_pattern": False}
+    k = result.k
+    pattern = [
+        2 * p1 + 3 * p2 if step else 0 for p1 in range(k + 1) for p2 in range(k + 1 - p1)
+    ]
     return {
-        "multiset_equal_to_scalar": multiset_equal,
-        "subset_of_pattern": subset,
+        "multiset_equal_to_scalar": sorted(ns) == sorted(pattern),
+        "subset_of_pattern": all(n >= 0 and n != 1 for n in ns),
     }

@@ -8,13 +8,16 @@ discovered spaces (tests), which guards against transcription slips on both
 sides.
 
 The closure runs on pair maps {(component, x^P): (a, b)} with each
-generator compiled once (_rules), and records the action it computes: for
-every generator, the coordinates of its image of each basis vector, from
-the tracked elimination that accepted or rejected the image (a diagonal
-generator that acts on a vector as one scalar is not applied at all).
-record_action does the same for named operators on any basis, by one
-solve.  Bases come in discovery order (scalar_basis: by degree) and are
-never permuted.
+generator compiled once (_rules) into groups of terms that share a row, a
+column and a shift, and records the action it computes for the generators
+its caller names: for each, the coordinates of its image of each basis
+vector, from the elimination that accepted or rejected the image (a
+diagonal generator that acts on a vector as one scalar is not applied at
+all).  The elimination tracks combinations only when a recorded generator
+is off-diagonal.  record_action does the same for named operators on any
+basis, by one solve.  A basis holds the pair maps of its vectors and
+builds them as PolySpinors only when they are read.  Bases come in
+discovery order (scalar_basis: by degree) and are never permuted.
 
 The weights are not computed a second time: the weight of b_j is the tuple
 of eigenvalues of the Cartan generators E11, ..., Enn on it, which their
@@ -33,10 +36,10 @@ on its boundary) and the specific top-layer span.
 from __future__ import annotations
 
 from math import perm, prod
-from operator import add
+from operator import add, itemgetter
 from typing import List, Sequence, Tuple
 
-from .coeff import ZERO, _ZEXP, Coeff, _add_pair, qp_add, qp_mul
+from .coeff import ZERO, _ZEXP, Coeff, _add_pair, _half, qp_mul
 from .linalg import QPEchelon, coeff_matrix_solve, span_contains
 from .weyl import MatrixDiffOp, Polynomial, PolySpinor, _add_at, _coeffs, _TermMap
 
@@ -65,24 +68,39 @@ class NotInvariantError(RuntimeError):
 
 
 class SpinorBasis:
-    """Ordered, linearly independent spinors.
+    """Ordered, linearly independent spinors, held as their pair maps.
 
-    action maps a generator name to its recorded coordinate columns on this
-    basis: column j is the sparse map {i: (a, b)} with op(b_j) = sum of
-    (a + b sqrt2) b_i.  orbit_closure records every op it closes under;
-    record_action adds named ops to any basis.
+    raws[j] is the pair map {(component, x^P): (a, b)} of b_j, a spinor of
+    shape (components, variables); the PolySpinors are built once, on first
+    access to vectors.  action maps a generator name to its recorded
+    coordinate columns on this basis: column j is the sparse map {i: (a, b)}
+    with op(b_j) = sum of (a + b sqrt2) b_i.  orbit_closure records the ops
+    its caller names; record_action adds named ops to any basis.
     """
 
-    def __init__(self, vectors: tuple, action: dict | None = None):
-        self.vectors = vectors
+    def __init__(self, raws, shape: Tuple[int, int], action: dict | None = None):
+        self.raws = tuple(raws)
+        self.shape = shape
         self.action = {} if action is None else action
+        self._vectors = None
+
+    @property
+    def vectors(self) -> tuple:
+        if self._vectors is None:
+            self._vectors = tuple(_spinor(raw, self.shape) for raw in self.raws)
+        return self._vectors
 
     @property
     def dim(self) -> int:
-        return len(self.vectors)
+        return len(self.raws)
 
     def coords_list(self):
         return [v.coords() for v in self.vectors]
+
+
+def _spinor(raw, shape):
+    """The PolySpinor of shape (components, variables) with pair map raw."""
+    return PolySpinor._raw({key: Coeff._raw({_ZEXP: p}) for key, p in raw.items()}, *shape)
 
 
 def scalar_basis(k: int, m: int) -> SpinorBasis:
@@ -95,34 +113,51 @@ def scalar_basis(k: int, m: int) -> SpinorBasis:
     items = sorted(
         (p1 + p2, p2, p1) for p2 in range(k // m + 1) for p1 in range(k - m * p2 + 1)
     )
-    vecs = tuple(PolySpinor([Polynomial.monomial((p1, p2), 1, 2)], 2) for _, p2, p1 in items)
-    return SpinorBasis(vecs)
+    return SpinorBasis(({(0, (p1, p2)): (1, 0)} for _, p2, p1 in items), (1, 2))
 
 
 def _rules(name, op: MatrixDiffOp):
-    """op compiled for _image: one rule (i, j, A - B, B, pair) per term x^A d^B
-    at (i, j), in term order; ValueError naming op if it carries a parameter."""
-    rules = []
+    """op compiled for _image: one group (i, j, shift, terms, factors) per
+    (row, column, shift A - B) of its terms x^A d^B, in the order of each
+    group's first term, with terms the (B, pair) of each of them and
+    factors the memo of _factor; ValueError naming op if it carries a
+    parameter."""
+    groups = {}
     for (i, j, (A, B)), c in op.terms.items():
         if not c.is_constant():
             raise ValueError("op %r carries a parameter; it must be parameter-free" % name)
-        rules.append((i, j, tuple(a - b for a, b in zip(A, B)), B, c.constant_pair()))
-    return rules
+        shift = tuple(a - b for a, b in zip(A, B))
+        groups.setdefault((i, j, shift), []).append((B, c.constant_pair()))
+    return [(i, j, shift, tuple(terms), {}) for (i, j, shift), terms in groups.items()]
 
 
-def _diagonal_table(rules):
-    """{j: [(B, pair), ...]} when every rule is a diagonal term (j, j, 0, B,
-    pair), else None.
+def _factor(group, P):
+    """(x^(P + shift) e_i, pair) when group maps x^P e_j to pair times that
+    key, pair the sum of c * prod_i P_i! / (P_i - B_i)! over its terms
+    (B, c); () when the sum is 0.  Computed once per P and kept in the
+    group's memo."""
+    i, _, shift, terms, factors = group
+    hit = factors.get(P)
+    if hit is None:
+        a = b = 0
+        for B, (ca, cb) in terms:
+            f = prod(map(perm, P, B))
+            a += ca * f
+            b += cb * f
+        hit = ((i, tuple(map(add, P, shift))), (_half(a), _half(b))) if a or b else ()
+        factors[P] = hit
+    return hit
 
-    Such an op maps x^P e_j to sigma(j, P) x^P e_j with sigma(j, P) the sum
-    of pair * prod_i P_i! / (P_i - B_i)! over the rules of column j.
+
+def _diagonal_table(groups):
+    """{j: group} when every group is diagonal (j, j, 0), else None.
+
+    Such an op maps x^P e_j to sigma(j, P) x^P e_j, with sigma(j, P) the
+    pair of group j's _factor at P (0 for a column with no group).
     """
-    table = {}
-    for i, j, shift, B, pair in rules:
-        if i != j or any(shift):
-            return None
-        table.setdefault(j, []).append((B, pair))
-    return table
+    if any(i != j or any(shift) for i, j, shift, _, _ in groups):
+        return None
+    return {group[1]: group for group in groups}
 
 
 def _eigenvalue(table, keys):
@@ -130,11 +165,9 @@ def _eigenvalue(table, keys):
     keys (j, x^P) to sigma times itself, sigma(j, P) equal on all; else None."""
     sigma = None
     for j, P in keys:
-        s = (0, 0)
-        for B, pair in table.get(j, ()):
-            f = prod(map(perm, P, B))
-            if f:
-                s = qp_add(s, qp_mul(pair, (f, 0)))
+        group = table.get(j)
+        hit = () if group is None else _factor(group, P)
+        s = hit[1] if hit else (0, 0)
         if sigma is None:
             sigma = s
         elif s != sigma:
@@ -142,19 +175,22 @@ def _eigenvalue(table, keys):
     return sigma
 
 
-def _image(rules, raw):
-    """The op of rules applied to the pair map raw {(j, x^P): pair}: the
-    pair map of MatrixDiffOp.apply, same canonical pairs and key order."""
+def _image(groups, raw):
+    """The op of groups applied to the pair map raw {(j, x^P): pair}: the
+    pair map of MatrixDiffOp.apply, with the same canonical pairs, by one
+    multiply-add per group and key."""
     components = {}
     for (j, P), v in raw.items():
         components.setdefault(j, []).append((P, v))
     out = {}
-    for i, j, shift, B, c in rules:
-        for P, v in components.get(j, ()):
-            f = prod(map(perm, P, B))
-            if f:
-                p = qp_mul(c if f == 1 else qp_mul(c, (f, 0)), v)
-                _add_pair(out, (i, tuple(map(add, P, shift))), p)
+    for group in groups:
+        factors = group[4]
+        for P, v in components.get(group[1], ()):
+            hit = factors.get(P)
+            if hit is None:
+                hit = _factor(group, P)
+            if hit:
+                _add_pair(out, hit[0], qp_mul(hit[1], v))
     return out
 
 
@@ -162,22 +198,27 @@ def orbit_closure(
     named_ops: Sequence[Tuple[str, MatrixDiffOp]],
     seed: PolySpinor,
     degree_cap: int,
+    recorded=None,
 ) -> SpinorBasis:
     """Smallest space containing seed and closed under every operator, with
-    the action of every operator on it recorded.
+    the action of each operator named in recorded on it.
 
     named_ops is a sequence of (name, MatrixDiffOp) pairs, such as a
-    generator set's named(); each op's action is recorded under its name,
-    as in record_action.  The ops and the seed must be parameter-free (else
-    ValueError: each power of a parameter would be a new direction), and
-    the seed nonzero.
-    Every image, a pair map (_image), is inserted into a tracked echelon
-    whose columns are its keys: an independent image joins the basis as a
-    PolySpinor and its column is a unit column; a dependent one is recorded
-    with the combination that eliminated it, and is never built.  A
-    diagonal op (_diagonal_table) is not applied to a vector it maps to
-    sigma times itself: its column there is sigma times the unit column.
-    The basis comes out in discovery order, seed first.
+    generator set's named(); recorded names the ops whose columns the
+    caller reads (every op when None, ValueError for a name that is no
+    op's), each recorded under its name as in record_action.  The ops and
+    the seed must be parameter-free (else ValueError: each power of a
+    parameter would be a new direction), and the seed nonzero.
+    Every image, a pair map (_image), is inserted into an echelon whose
+    columns are its keys: an independent image joins the basis and its
+    column is a unit column; a dependent one is never kept, and its column
+    is the combination that eliminated it.  The echelon tracks those
+    combinations only when a recorded op is off-diagonal: a diagonal op
+    (_diagonal_table) is not applied to a vector it maps to sigma times
+    itself, and its column there is sigma times the unit column.  An
+    untracked closure that meets a dependent image of a recorded op (a
+    diagonal op on a vector it does not scale) starts again, tracked.  The
+    basis comes out in discovery order, seed first.
     """
     if seed.is_zero():
         raise ValueError("need a nonzero seed")
@@ -185,51 +226,72 @@ def orbit_closure(
         op._require_like(seed)
     if not all(c.is_constant() for c in seed.terms.values()):
         raise ValueError("the seed must be parameter-free")
+    names = [name for name, _ in named_ops]
+    recorded = set(names) if recorded is None else set(recorded)
+    unknown = recorded.difference(names)
+    if unknown:
+        raise ValueError("no op named %s to record" % ", ".join(sorted(unknown)))
     compiled = [_rules(name, op) for name, op in named_ops]
-    ech = QPEchelon(track=True)
-    basis: List[PolySpinor] = []
+    ops = [(g, _diagonal_table(g), name in recorded) for name, g in zip(names, compiled)]
+    shape = (seed.dim, seed.nvars)
+    raw = {key: c.constant_pair() for key, c in seed.terms.items()}
+    track = any(rec and table is None for _, table, rec in ops)
+    closed = _close(ops, raw, shape, degree_cap, track)
+    if closed is None:
+        closed = _close(ops, raw, shape, degree_cap, True)
+    raws, columns = closed
+    action = {name: tuple(cols) for name, cols in zip(names, columns) if cols is not None}
+    return SpinorBasis(raws, shape, action)
+
+
+def _close(ops, seed, shape, degree_cap, track):
+    """(basis pair maps, per op its columns or None if not recorded) of
+    orbit_closure's closure of the pair map seed under ops, a list of
+    (groups, diagonal table, recorded); None when the echelon does not
+    track and a recorded op's image is dependent."""
+    ech = QPEchelon(track=track)
     raws = []  # the pair map of each basis vector
     position = {}  # echelon label -> basis position
-
-    def spinor(raw):
-        return seed._like({key: Coeff._raw({_ZEXP: p}) for key, p in raw.items()})
 
     def keep(raw):
         """The basis position of raw after inserting it, or None if dependent."""
         tag = ech.inserted
         if ech.insert(raw) is None:
             return None
-        position[tag] = len(basis)
-        basis.append(spinor(raw))
+        position[tag] = len(raws)
         raws.append(raw)
         return position[tag]
 
-    keep({key: c.constant_pair() for key, c in seed.terms.items()})
-    tables = [_diagonal_table(rules) for rules in compiled]
-    # per op, one column per basis vector
-    columns = [[] for _ in named_ops]
+    keep(seed)
+    # per recorded op, one column per basis vector
+    columns = [[] if rec else None for _, _, rec in ops]
     i = 0
-    while i < len(basis):
+    while i < len(raws):
         raw = raws[i]
-        for rules, table, cols in zip(compiled, tables, columns):
+        for (groups, table, rec), cols in zip(ops, columns):
             sigma = None if table is None else _eigenvalue(table, raw)
             if sigma is not None:
-                cols.append({i: sigma} if sigma[0] or sigma[1] else {})
+                if rec:
+                    cols.append({i: sigma} if sigma[0] or sigma[1] else {})
                 continue
-            w = _image(rules, raw)
+            w = _image(groups, raw)
             if not w:
-                cols.append({})
+                if rec:
+                    cols.append({})
                 continue
-            if max(sum(P) for _, P in w) > degree_cap:
-                raise SpaceNotClosedError(degree_cap, spinor(w))
+            if max(map(sum, map(itemgetter(1), w))) > degree_cap:
+                raise SpaceNotClosedError(degree_cap, _spinor(w, shape))
             at = keep(w)
-            if at is None:
+            if not rec:
+                continue
+            if at is not None:
+                cols.append({at: (1, 0)})
+            elif track:
                 cols.append({position[t]: p for t, p in ech.combination.items()})
             else:
-                cols.append({at: (1, 0)})
+                return None
         i += 1
-    action = {name: tuple(cols) for (name, _), cols in zip(named_ops, columns)}
-    return SpinorBasis(tuple(basis), action)
+    return raws, columns
 
 
 def basis_weights(basis: SpinorBasis):
@@ -239,7 +301,7 @@ def basis_weights(basis: SpinorBasis):
     j, E_ii b_j = w_i b_j.  None for a vector with a column that is not
     diagonal or a weight that is not rational.
     """
-    n = basis.vectors[0].nvars
+    n = basis.shape[1]
     cartan = [basis.action["E%d%d" % (i, i)] for i in range(1, n + 1)]
     out = []
     for j, cols in enumerate(zip(*cartan)):
@@ -306,7 +368,7 @@ def record_action(named_ops, basis: SpinorBasis) -> SpinorBasis:
     solve = []
     for name, op in named_ops:
         table = _diagonal_table(_rules(name, op))
-        sigmas = [None] if table is None else [_eigenvalue(table, v.terms) for v in basis.vectors]
+        sigmas = [None] if table is None else [_eigenvalue(table, raw) for raw in basis.raws]
         if None in sigmas:
             solve.append((name, op))
         else:
@@ -316,7 +378,7 @@ def record_action(named_ops, basis: SpinorBasis) -> SpinorBasis:
             action[name] = tuple(
                 {i: c.constant_pair() for i, c in coords.items()} for coords in cols
             )
-    return SpinorBasis(basis.vectors, action)
+    return SpinorBasis(basis.raws, basis.shape, action)
 
 
 def _word_column(word, j, action):

@@ -370,7 +370,8 @@ def apply_orbit_closure(named_ops, seed, degree_cap):
                 cols.append({at: (1, 0)})
         i += 1
     action = {name: tuple(cols) for (name, _), cols in zip(named_ops, columns)}
-    return SpinorBasis(tuple(basis), action)
+    raws = [{key: c.constant_pair() for key, c in v.terms.items()} for v in basis]
+    return SpinorBasis(raws, (seed.dim, seed.nvars), action)
 
 
 def dense_block_scan(entries, grades):
@@ -459,4 +460,33 @@ def art_left_sides(gens):
         "Art.7": E[(1, 2)] * E[(2, 1)] - E[(1, 1)] * E[(2, 2)] - E[(1, 1)],
         "Art.8": E[(2, 2)] * Tm[1] - E[(2, 1)] * Tm[2],
         "Art.9": E[(1, 2)] * Tm[1] - E[(1, 1)] * Tm[2],
+    }
+
+
+def fraction_pattern_verdict(result, omega):
+    """models.pattern_verdict as it was written on sorted Fraction pairs:
+    the scalar pattern -2 omega (2 p1 + 3 p2), p1 + p2 <= k, built as pairs
+    and compared with the sorted exact eigenvalues, and each eigenvalue
+    tested by q = a / (-2 omega).  The oracle of the comparison of the
+    integers n = 2 p1 + 3 p2."""
+    scalar = sorted(
+        (Fraction(-2) * omega * (2 * p1 + 3 * p2), Fraction(0))
+        for p1 in range(result.k + 1)
+        for p2 in range(result.k + 1 - p1)
+    )
+    computed = sorted(e.pair for e in result.eigenvalues if e.exact)
+    multiset_equal = result.all_exact() and computed == scalar
+    step = Fraction(-2) * omega
+
+    def on_pattern(a, b):
+        # the pattern values are the rationals step * (2 p1 + 3 p2), all 0 at omega = 0
+        if b or not step:
+            return not b and not a
+        q = a / step
+        return q.denominator == 1 and q >= 0 and q != 1
+
+    subset = result.all_exact() and all(on_pattern(a, b) for a, b in computed)
+    return {
+        "multiset_equal_to_scalar": multiset_equal,
+        "subset_of_pattern": subset,
     }

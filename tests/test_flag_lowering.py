@@ -1,6 +1,6 @@
 """The flag of [k, d-1] is the closure of its highest-weight seed under the
 lowering pair E12 and T2+ (models.flag_basis), and records only the
-generators it closes under."""
+weights' E11 and E22 and the generators it is asked for."""
 
 import pytest
 
@@ -44,7 +44,7 @@ def test_the_lowered_flag_is_the_nine_generator_flag(model, k, d):
     gens = _gens(k, d)
     full = orbit_closure(gens, PolySpinor.unit(d - 1, d, 2), degree_cap=k + 2)
     basis = flag_basis(k, d, names)
-    assert set(basis.action) == {"E11", "E22", *LOWERING} | names
+    assert set(basis.action) == {"E11", "E22"} | names
     assert basis.dim == full.dim
     assert _same_span(basis, full)
     # invariant under every generator, not only those it was closed under
@@ -86,11 +86,15 @@ def test_flag_basis_refuses_an_unknown_generator(d):
 
 
 def test_matrix_of_words_names_a_generator_the_basis_did_not_record():
+    # the lowering pair is closed under but not recorded: E12 is the first
+    # name of the Calogero words the basis has no column of
     basis = flag_basis(3, 2)
-    assert "T1-" not in basis.action
+    assert "T1-" not in basis.action and "E12" not in basis.action
     words = WORDS["calogero"]
-    with pytest.raises(ValueError, match="generator T1-"):
+    with pytest.raises(ValueError, match="generator E12"):
         matrix_of(words, basis)
+    with pytest.raises(ValueError, match="generator T1-"):
+        matrix_of([word for word in words if "E12" not in word[1]], basis)
 
 
 def test_the_calogero_flag_does_not_depend_on_the_pivot_rule(monkeypatch):

@@ -17,7 +17,6 @@ from matrixweyl import models, spaces
 from matrixweyl.coeff import PARAMS
 from matrixweyl.generators import gl_labels
 from matrixweyl.models import (
-    LOWERING,
     SHIFTS,
     WORDS,
     NotTriangularError,
@@ -75,7 +74,8 @@ def test_only_the_words_that_keep_or_raise_the_grade_are_recorded_and_composed(
     monkeypatch.setattr(models, "matrix_of", spy_matrix)
     spectrum(kind, WORDS[kind], 2, d, {"nu": Fraction(1, 3), _FREQ[kind]: 1})
     assert seen["recorded"] == composed
-    assert seen["action"] == composed | ({"E11", "E22", *LOWERING} if d > 1 else set())
+    # the lowering pair is closed under at d >= 2, but its columns are not read
+    assert seen["action"] == composed | {"E11", "E22"}
     kept = [word for _, word in WORDS[kind] if set(word) <= composed]
     assert seen["words"] == kept
     assert len(kept) == len(WORDS[kind]) - (4 if kind == "calogero" else 3)
@@ -183,3 +183,55 @@ def test_a_diagonal_only_triangle_builds_no_solve(k, monkeypatch):
         # a non-diagonal generator still needs the solve
         with pytest.raises(AssertionError, match="coeff_matrix_solve called"):
             flag_basis(k, 1, ("E12",))
+
+
+@pytest.mark.parametrize(
+    "kind, k, d",
+    [(kind, k, d) for kind in WORDS for d in (1, 2, 3) for k in range(d - 1, 6)],
+)
+def test_a_zero_frequency_spectrum_is_the_unfiltered_one(kind, k, d):
+    for nu in (0, Fraction(1, 3), Fraction(-1, 3)):
+        bind = {"nu": nu, _FREQ[kind]: 0}
+        got = spectrum(kind, WORDS[kind], k, d, bind)
+        assert _dumps(got) == _dumps(unfiltered_spectrum(kind, WORDS[kind], k, d, bind))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize(
+    "kind, recorded, composed",
+    [
+        # omega carries every Calogero word that is not dropped for its grade
+        ("calogero", set(), []),
+        # alpha^2 carries every Sutherland word but T1- ones and E12 E12
+        ("sutherland", {"E12"}, [("E12", "E12")]),
+    ],
+)
+def test_words_whose_coefficient_is_zero_are_neither_recorded_nor_composed(
+    kind, recorded, composed, d, monkeypatch
+):
+    seen = {}
+
+    def spy_flag(k, d, names=()):
+        seen["recorded"] = set(names)
+        basis = flag_basis(k, d, names)
+        seen["action"] = set(basis.action)
+        return basis
+
+    def spy_matrix(words, basis):
+        seen["words"] = [word for _, word in words]
+        return spaces.matrix_of(words, basis)
+
+    monkeypatch.setattr(models, "flag_basis", spy_flag)
+    monkeypatch.setattr(models, "matrix_of", spy_matrix)
+    spectrum(kind, WORDS[kind], 3, d, {"nu": Fraction(1, 3), _FREQ[kind]: 0})
+    assert seen["recorded"] == recorded
+    assert seen["action"] == recorded | {"E11", "E22"}
+    assert "E21" not in seen["action"]
+    assert seen["words"] == composed
+
+
+@pytest.mark.parametrize("c", [0, 1])
+def test_a_name_that_is_no_generator_is_refused_whatever_its_coefficient(c):
+    words = WORDS["calogero"] + ((Coeff.rational(c), ("E22", "E13")),)
+    with pytest.raises(ValueError, match="^unknown gl_3 generator E13$"):
+        spectrum("calogero", words, 2, 2, {"nu": 0, "omega": 1})

@@ -31,7 +31,7 @@ from matrixweyl.models import (
 from matrixweyl.serialize import matrix_op_to_json
 from matrixweyl.spaces import OperatorMatrix, basis_weights, matrix_of, orbit_closure
 from matrixweyl.weyl import PolySpinor
-from helpers_mw import dense_block_scan
+from helpers_mw import dense_block_scan, fraction_pattern_verdict
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "goldens")
 
@@ -149,6 +149,49 @@ def test_pattern_verdict_at_omega_zero(d):
         "multiset_equal_to_scalar": False,
         "subset_of_pattern": False,
     }
+
+
+def _with_eigenvalues(k, pairs, inexact=0):
+    """A Calogero SpectrumResult at k whose eigenvalues are the exact pairs
+    and inexact numeric values."""
+    eigs = [EigRecord(True, p, float(p[0]) + 2**0.5 * float(p[1])) for p in pairs]
+    eigs += [EigRecord(False, None, 1.5, 0.0, 1e-12)] * inexact
+    return SpectrumResult("calogero", k, 1, {}, len(eigs), [len(eigs)], True, eigs)
+
+
+@pytest.mark.parametrize("omega", [Fraction(1), Fraction(-1, 2), Fraction(3), Fraction(0)])
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_the_integer_pattern_verdict_is_the_fraction_verdict(k, omega):
+    step = -2 * omega
+    ns = [2 * p1 + 3 * p2 for p1 in range(k + 1) for p2 in range(k + 1 - p1)]
+    pattern = [(step * n, Fraction(0)) for n in ns]
+    cases = [
+        pattern,
+        pattern[::-1],
+        pattern[1:],
+        pattern + [pattern[-1]],
+        pattern[:-1] + [(step, Fraction(0))],  # q = 1, the one gap of 2 p1 + 3 p2
+        pattern[:-1] + [(step * Fraction(1, 2), Fraction(0))],  # q not integral
+        pattern[:-1] + [(step * -2, Fraction(0))],  # q < 0
+        pattern[:-1] + [(step * ns[-1], Fraction(1))],  # a sqrt2 part
+        pattern[:-1] + [(Fraction(1), Fraction(0))],  # off the pattern at omega = 0
+        [(step * n, Fraction(0)) for n in (0, 2, 3, 3 * k + 1)],  # past the top of k
+    ]
+    results = [_with_eigenvalues(k, pairs) for pairs in cases]
+    results.append(_with_eigenvalues(k, pattern[:-1], inexact=1))
+    for res in results:
+        assert pattern_verdict(res, omega) == fraction_pattern_verdict(res, omega)
+    verdicts = [pattern_verdict(res, omega) for res in results]
+    assert verdicts[0] == {"multiset_equal_to_scalar": True, "subset_of_pattern": True}
+    assert verdicts[-1] == {"multiset_equal_to_scalar": False, "subset_of_pattern": False}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("omega", [Fraction(1), Fraction(-1, 2), Fraction(0)])
+def test_the_pattern_verdict_of_a_spectrum_is_the_fraction_verdict(d, omega):
+    for k in range(d - 1, 5):
+        res = spectrum("calogero", WORDS["calogero"], k, d, {"omega": omega, "nu": 0})
+        assert pattern_verdict(res, omega) == fraction_pattern_verdict(res, omega)
 
 
 def test_exact_eigenvalues_whose_floats_tie_sort_by_their_exact_values():

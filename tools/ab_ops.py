@@ -17,12 +17,16 @@ reads; the standard library's installed bytecode is read, as there.  The
 output is one line per argv: the median run_s of A and of B in ms, each
 with its interquartile range over the reps, B/A, and in how many reps B ran
 faster than A; then the median setup_s (import and parser build, before
-cli.main) of A and of B in ms, each with its IQR.  The last line is the
+cli.main) of A and of B in ms, each with its IQR.  The next line is the
 same for the sums: the sum of the medians, and the IQR and wins of the
-per-rep sums.  A gain shows as B winning nearly every rep, by more than
-A's IQR.  Every rep also compares the sha256 of stdout and the exit code
-of A's and B's run of each argv; at the first difference the A/B stops,
-names the argv and exits 1, so it never times two programs that disagree.
+per-rep sums.  The last line takes each rep's slowest run, its largest
+run_s over every argv, for A and for B, with its median, IQR and wins:
+what the benchmark's slowest_op_s takes of each unit, so a --workload A/B
+shows that metric before the benchmark runs.  A gain shows as B winning
+nearly every rep, by more than A's IQR.  Every rep also compares the
+sha256 of stdout and the exit code of A's and B's run of each argv; at
+the first difference the A/B stops, names the argv and exits 1, so it
+never times two programs that disagree.
 A checkout with a __pycache__ directory under src/ is refused (exit 2,
 naming the directory): PYTHONDONTWRITEBYTECODE stops writes, not reads, so
 its children would start from that bytecode and the A/B would compare two
@@ -96,6 +100,12 @@ def sums_row(times, fmt):
     return fmt(*sums, medians)
 
 
+def slowest_row(times):
+    """row of each rep's largest run_s over every argv, for A and for B."""
+    reps = len(times[0][0])
+    return row(*([max(t[side][rep] for t in times) for rep in range(reps)] for side in (0, 1)))
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("root_a")
@@ -134,6 +144,7 @@ def main(argv=None) -> int:
         print("%s  %s  %s" % (row(a, b), spread(sa, sb), shlex.join(op)))
     print("%s  %s  sum of medians: A %s, B %s" % (
         sums_row(times, row), sums_row(setups, spread), *roots))
+    print("%s  %s  slowest argv of each rep" % (slowest_row(times), " " * 35))
     return 0
 
 

@@ -17,10 +17,10 @@ block whose gl2_irrep entries split a product rationally) and for d = 6
 (the second block size with sqrt2 entries, after d = 3), gens with k = 2
 bound and as LaTeX and text at d = 2; every space form, with closures for
 k <= 3 and d <= 3, the hexagon audits at k = 4, 5 and 6 (d = 2) and the
-closure at k = 4, d = 3; every model form, and the matrix form at d = 2
-as LaTeX and text and with k = 2 bound; gm for m <= 4, d <= 3, and
-m = 2 at d = 4; spectrum for both models, k <= 6, d <= 3 and four values
-of nu, again for k <= 4 with --omega or --alpha at 3/2 and -2, again
+closures at k = 4 and 8 (d = 3) and k = 5 (d = 4); every model form, and
+the matrix form at d = 2 as LaTeX and text and with k = 2 bound; gm for
+m <= 4, d <= 3, and m = 2 at d = 4; spectrum for both models, k <= 6,
+d <= 3 and four values of nu, again for k <= 4 with --omega or --alpha at 3/2, -2 and 0, again
 for k <= 4 at the nu that make a word coefficient vanish (-1/3 for both
 models, which cancels the T1- word, and -1/12 for Sutherland, which
 cancels its E11 and E22 words), and the benchmark's Calogero k = 8 rows;
@@ -57,7 +57,8 @@ from matrixweyl import cli  # noqa: E402
 # spelled --nu=VALUE, the form every version of the CLI has parsed
 NUS = ("0", "1/3", "2", "-1/2")
 # --omega (Calogero) and --alpha (Sutherland) values besides the default 1
-FREQS = ("3/2", "-2")
+# (0 cancels every word that carries the frequency)
+FREQS = ("3/2", "-2", "0")
 # per model, the nu values at which a word coefficient is 0
 CANCELLING_NUS = {"calogero": ("-1/3",), "sutherland": ("-1/3", "-1/12")}
 # the nu values of the benchmark's spectrum operations (perfbench/workloads.py)
@@ -119,6 +120,8 @@ def grid():
     # the hexagon audits (d = 2) and a closure (d = 3) past k = 3
     rows += [("space", "--k", str(k), "--d", "2") for k in (4, 5, 6)]
     rows += [("space", "--k", "4", "--d", "3")]
+    # the nine-generator closure past k = 4
+    rows += [("space", "--k", "8", "--d", "3"), ("space", "--k", "5", "--d", "4")]
     rows += [("space", "--k", "2", "--m", str(m)) for m in (1, 2)]
     rows += [("space", "--k", "3", "--d", "2", "--degree-cap", "1")]
     for model in ("calogero", "sutherland"):
