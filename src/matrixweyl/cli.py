@@ -38,7 +38,7 @@ from .identities import (
     grading_audit,
 )
 from .matrixreps import gl2_irrep
-from .models import MODELS, WORDS, model_checks, pattern_verdict, spectrum
+from .models import MODELS, WORDS, WeightCertificateError, model_checks, pattern_verdict, spectrum
 from .render import matrix_op_latex, matrix_op_str
 from .serialize import dumps, manifest, matrix_op_to_json
 from .spaces import (
@@ -263,7 +263,9 @@ def cmd_spectrum(args) -> int:
     inputs["bindings"] = {name: str(v) for name, v in sorted(bindings.items())}
     try:
         result = spectrum(args.model, WORDS[args.model], args.k, args.d, bindings)
-    except (NotInvariantError, SpaceNotClosedError, CoeffError, ValueError) as exc:
+    except (
+        NotInvariantError, SpaceNotClosedError, WeightCertificateError, CoeffError, ValueError
+    ) as exc:
         return _finish(
             args,
             "spectrum",

@@ -19,30 +19,36 @@ differential one, and diffs the matrix display against the lie-algebraic
 form, recording the exact residual instead of asserting zero, because the
 display is a cross-check target, not ground truth.
 
-Spectra are computed from the words and an integer k on the discovered
-invariant flags, without building the operator: the flag discovery
-records the parameter-free matrix of each generator the words use, nu and
-omega/alpha are bound on the word coefficients only, and the matrix of the
-model is the bound combination of products of generator matrices.  Both
-models share one flag space, in discovery order (flag_basis); the operator
-is block triangular in each model's grading (GRADINGS) of the weights
-(w1, w2) that the recorded E11 and E22 columns give.  Each generator moves
-the weight by a fixed root (SHIFTS), so a word that lowers the grade writes
-only entries above the block diagonal; such words are neither recorded nor
-composed (Calogero's T1- and E12 E12, Sutherland's T1- words).  The
-Calogero grading 2 w1 + 3 w2 makes its blocks diagonal (exact eigenvalues
-read off), the Sutherland grading w1 + w2 leaves blocks that are resolved
-per block by exact characteristic polynomials.
+Spectra are computed from the words and an integer k on the invariant flag
+[k, d-1], without building the operator.  Both models share one flag, the
+gl_3 irrep V(k, d-1, 0), and each grades its weights (w1, w2) by a linear
+form (GRADINGS).  Each generator moves the weight by a fixed root (SHIFTS),
+so a word that lowers the grade writes only entries above the block
+diagonal; such words are neither recorded nor composed (Calogero's T1- and
+E12 E12, Sutherland's T1- words).  What is left of Calogero is a
+polynomial in the Cartan generators E11, E22 and E0 (CARTAN): its spectrum
+is that polynomial at each weight of the flag, and flag_weights lists
+those weights off the Gelfand-Tsetlin patterns of [k, d-1], with no
+generator, closure or matrix.  Any other word (every Sutherland input) is
+read on the discovered flag (flag_basis), in discovery order: the flag
+discovery records the parameter-free matrix of each generator the words
+use, nu and omega/alpha are bound on the word coefficients only, and the
+matrix of the model is the bound combination of products of generator
+matrices, block triangular in the grading; the Sutherland grading w1 + w2
+leaves blocks that are resolved per block by exact characteristic
+polynomials.  The discovered flag is certified against flag_weights.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from decimal import ROUND_CEILING, Decimal
 from fractions import Fraction
 from functools import cmp_to_key
+from math import prod
 from typing import Dict, List, Optional, Tuple
 
-from .coeff import ALPHA, NU, OMEGA, PARAMS, ZERO, K, qp_float
+from .coeff import ALPHA, NU, OMEGA, PARAMS, ZERO, K, _half, qp_float
 from .generators import _word, _word_sum, _x_d_ops, build_gl_np1, gl_labels
 from .identities import _report
 from .linalg import charpoly, numeric_roots, rational_roots
@@ -183,6 +189,8 @@ GRADINGS = {"calogero": (2, 3), "sutherland": (1, 1)}
 SHIFTS = {
     name: tuple((i == a) - (i == b) for i in (1, 2)) for name, (a, b) in gl_labels(2).items()
 }
+# the Cartan generators, e_aa: E11, E22 and E0
+CARTAN = frozenset(name for name, (a, b) in gl_labels(2).items() if a == b)
 
 
 def model_checks(kind: str, d: int):
@@ -294,8 +302,40 @@ class NotTriangularError(RuntimeError):
     pass
 
 
+class WeightCertificateError(RuntimeError):
+    """A discovered flag whose weight multiset is not that of flag_weights."""
+
+
 # the generators that lower the highest-weight seed of [k, d-1] to all of it
 LOWERING = ("E12", "T2+")
+
+
+def _check_label(k: int, d: int):
+    """ValueError unless [k, d-1] labels a flag: k >= d-1, then d >= 1."""
+    if k < d - 1:
+        # the label [k, d-1] needs k >= d-1: below that the triangle is
+        # empty (d = 1) or the orbit of the seed never closes
+        raise ValueError("no finite flag for k=%d with d=%d (needs k >= %d)" % (k, d, d - 1))
+    if d < 1:
+        raise ValueError("dimension must be at least 1")
+
+
+def flag_weights(k: int, d: int) -> List[Tuple[int, int]]:
+    """The weight (w1, w2) of each vector of a Gelfand-Tsetlin basis of the
+    flag [k, d-1], the gl_3 irrep V(k, d-1, 0) (flag_basis): one per
+    pattern (l12, l22, l11) with k >= l12 >= d-1 >= l22 >= 0 and l12 >= l11
+    >= l22.  With the gl_3 indices ordered (0, 2, 1), E0, E22 and E11 take
+    the values l11, l12 + l22 - l11 and k + d-1 - l12 - l22 on it.
+    ValueError as flag_basis for a label with no flag.
+    """
+    _check_label(k, d)
+    top = k + d - 1
+    return [
+        (top - l12 - l22, l12 + l22 - l11)
+        for l12 in range(d - 1, k + 1)
+        for l22 in range(d)
+        for l11 in range(l22, l12 + 1)
+    ]
 
 
 def flag_basis(k: int, d: int, recorded=()) -> SpinorBasis:
@@ -310,12 +350,12 @@ def flag_basis(k: int, d: int, recorded=()) -> SpinorBasis:
     highest-weight vector of [k, d-1] and the flag is U(n-) applied to it,
     n- spanned by E12, T2+ and T1+ = [E12, T2+]: the closure under E12 and
     T2+ alone is the whole flag.  The seed is closed under E11, E22, those
-    two and the recorded generators, and under no other.
+    two and the recorded generators, and under no other.  The weights of
+    the flag must be those of flag_weights, with multiplicity, else
+    WeightCertificateError names the first weight whose multiplicity
+    differs.
     """
-    if k < d - 1:
-        # the label [k, d-1] needs k >= d-1: below that the triangle is
-        # empty (d = 1) or the orbit of the seed never closes
-        raise ValueError("no finite flag for k=%d with d=%d (needs k >= %d)" % (k, d, d - 1))
+    _check_label(k, d)
     gens = build_gl_np1(k, gl2_irrep(d)).named()
     unknown = set(recorded) - {name for name, _ in gens}
     if unknown:
@@ -324,8 +364,18 @@ def flag_basis(k: int, d: int, recorded=()) -> SpinorBasis:
     wanted = recorded | set(LOWERING if d > 1 else ())
     ops = [(name, op) for name, op in gens if name in wanted]
     if d == 1:
-        return record_action(ops, scalar_basis(k, 1))
-    return orbit_closure(ops, PolySpinor.unit(d - 1, d, 2), k + 2, recorded)
+        basis = record_action(ops, scalar_basis(k, 1))
+    else:
+        basis = orbit_closure(ops, PolySpinor.unit(d - 1, d, 2), k + 2, recorded)
+    got = Counter(basis_weights(basis))
+    want = Counter(flag_weights(k, d))
+    for w in [*want, *got]:
+        if got[w] != want[w]:
+            raise WeightCertificateError(
+                "flag [%d, %d] has weight %s %d times, its Gelfand-Tsetlin patterns %d times"
+                % (k, d - 1, w, got[w], want[w])
+            )
+    return basis
 
 
 def _grades(basis: SpinorBasis, form):
@@ -377,12 +427,14 @@ def spectrum(
     (_lowers): a word of weight shift delta has entry (i, j) 0 unless w_i =
     w_j + delta, so with form . delta < 0 it writes only entries strictly
     above the block diagonal, which change no block, eigenvalue or verdict.
-    The flag is rediscovered from one generator set, which records the
-    parameter-free matrix of every generator the other words use, and the
-    matrix is their bound combination of products of those generator
-    matrices (the flag is invariant, so the matrix of a product is the
-    product of the matrices).  The model's grading must make it block upper
-    triangular (_grade_blocks); _eigenvalues reads it.
+    When every name left is a Cartan generator (CARTAN; so every Calogero
+    input), the spectrum is read off the flag's weights (_weight_spectrum).
+    Otherwise the flag is rediscovered from one generator set, which
+    records the parameter-free matrix of every generator the other words
+    use, and the matrix is their bound combination of products of those
+    generator matrices (the flag is invariant, so the matrix of a product
+    is the product of the matrices).  The model's grading must make it
+    block upper triangular (_grade_blocks); _eigenvalues reads it.
     """
     bind = {name: Fraction(v) for name, v in bindings.items()}
     words = tuple((c.substitute(bind), word) for c, word in words)
@@ -394,13 +446,45 @@ def spectrum(
         raise ValueError("unknown gl_3 generator %s" % ", ".join(sorted(unknown)))
     form = GRADINGS[kind]
     words = tuple((c, word) for c, word in words if not c.is_zero() and not _lowers(word, form))
-    basis = flag_basis(k, d, {name for _, word in words for name in word})
+    names = {name for _, word in words for name in word}
+    if names <= CARTAN:
+        return _weight_spectrum(kind, words, k, d, bind)
+    basis = flag_basis(k, d, names)
     grades = _grades(basis, form)
     opm = matrix_of(words, basis)
     blocks, diagonal = _grade_blocks(opm, grades)
     eigs, charpolys = _eigenvalues(opm, blocks, diagonal)
     sizes = [len(rows) for rows in blocks.values()]
     return SpectrumResult(kind, k, d, bind, basis.dim, sizes, diagonal, eigs, charpolys)
+
+
+def _weight_spectrum(kind, words, k, d, bind) -> SpectrumResult:
+    """The spectrum of bound words in the Cartan generators alone.  Their
+    matrix on a weight basis of the flag is diagonal, and its entry at the
+    weight (w1, w2) is the words at E11 = w1, E22 = w2 and E0 = k + d-1 - w1
+    - w2 (E0 + E11 + E22 acts as k + d-1 on V(k, d-1, 0)).  Each weight of
+    flag_weights is one eigenvalue, evaluated once per distinct weight, and
+    the grade blocks count the weights of each grade."""
+    form = GRADINGS[kind]
+    counts = Counter(flag_weights(k, d))
+    top = k + d - 1
+    pairs = [(c.constant_pair(), word) for c, word in words]
+    records = {}
+    sizes = Counter()
+    for w, n in counts.items():
+        at = {"E11": w[0], "E22": w[1], "E0": top - w[0] - w[1]}
+        a = b = 0
+        for (ca, cb), word in pairs:
+            m = prod(at[name] for name in word)
+            a += ca * m
+            b += cb * m
+        pair = (_half(a), _half(b))
+        records[w] = EigRecord(True, pair, qp_float(pair))
+        sizes[form[0] * w[0] + form[1] * w[1]] += n
+    order = sorted(counts, key=lambda w: records[w].sort_key())
+    eigs = [records[w] for w in order for _ in range(counts[w])]
+    blocks = [sizes[g] for g in sorted(sizes)]
+    return SpectrumResult(kind, k, d, bind, sum(counts.values()), blocks, True, eigs)
 
 
 def _eigenvalues(opm, blocks, diagonal):

@@ -2,8 +2,9 @@
 
 A word whose weight shift delta has form . delta < 0 writes only entries
 strictly above the block diagonal, so spectrum drops it before the flag is
-built.  The oracle is helpers_mw.unfiltered_spectrum, which records and
-composes every word.
+built.  What is left of Calogero is Cartan-only and is read off the flag's
+weights with no flag discovered.  The oracle is
+helpers_mw.unfiltered_spectrum, which records and composes every word.
 """
 
 import json
@@ -72,13 +73,19 @@ def test_only_the_words_that_keep_or_raise_the_grade_are_recorded_and_composed(
 
     monkeypatch.setattr(models, "flag_basis", spy_flag)
     monkeypatch.setattr(models, "matrix_of", spy_matrix)
-    spectrum(kind, WORDS[kind], 2, d, {"nu": Fraction(1, 3), _FREQ[kind]: 1})
+    bind = {"nu": Fraction(1, 3), _FREQ[kind]: 1}
+    got = spectrum(kind, WORDS[kind], 2, d, bind)
+    kept = [word for _, word in WORDS[kind] if set(word) <= composed]
+    assert len(kept) == len(WORDS[kind]) - (4 if kind == "calogero" else 3)
+    if kind == "calogero":
+        # E11 and E22 are Cartan: read off the weights, with no flag or matrix
+        assert seen == {}
+        assert _dumps(got) == _dumps(unfiltered_spectrum(kind, WORDS[kind], 2, d, bind))
+        return
     assert seen["recorded"] == composed
     # the lowering pair is closed under at d >= 2, but its columns are not read
     assert seen["action"] == composed | {"E11", "E22"}
-    kept = [word for _, word in WORDS[kind] if set(word) <= composed]
     assert seen["words"] == kept
-    assert len(kept) == len(WORDS[kind]) - (4 if kind == "calogero" else 3)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -223,7 +230,13 @@ def test_words_whose_coefficient_is_zero_are_neither_recorded_nor_composed(
 
     monkeypatch.setattr(models, "flag_basis", spy_flag)
     monkeypatch.setattr(models, "matrix_of", spy_matrix)
-    spectrum(kind, WORDS[kind], 3, d, {"nu": Fraction(1, 3), _FREQ[kind]: 0})
+    bind = {"nu": Fraction(1, 3), _FREQ[kind]: 0}
+    got = spectrum(kind, WORDS[kind], 3, d, bind)
+    if kind == "calogero":
+        # no word is left: every eigenvalue is read off the weights as 0
+        assert seen == {}
+        assert _dumps(got) == _dumps(unfiltered_spectrum(kind, WORDS[kind], 3, d, bind))
+        return
     assert seen["recorded"] == recorded
     assert seen["action"] == recorded | {"E11", "E22"}
     assert "E21" not in seen["action"]

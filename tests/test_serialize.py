@@ -1,5 +1,9 @@
 import json
 import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from matrixweyl import Coeff, K, build_gl_np1, gl2_irrep
 from matrixweyl.serialize import (
@@ -57,3 +61,28 @@ def test_manifest_verdict():
     assert bad["verdict"] == "fail"
     assert good["schema_version"] == 1
     json.loads(dumps(good))
+
+
+_MANIFEST_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_MANIFEST_VALUES)
+@example({"": [], "b": {}, "a": [{}, [[]], None, True, False, 0, -7, 10**30]})
+@example(["\x00\x1f\x7f\"\\/", "\u00e9\u2028\U0001f600", {"\u00e9": "\ud800"}])
+@example({"schema_version": 1, "Z": {"b": "1", "a": "-2/3"}, "a": [1, [2, [3]]]})
+def test_dumps_writes_the_bytes_of_the_json_encoder(data):
+    assert dumps(data) == json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize(
+    "data",
+    [1.5, (1, 2), Fraction(1, 2), {1: "a"}, [{"a": {"b": [set()]}}], {"a": Coeff.one()}],
+)
+def test_dumps_refuses_a_type_a_manifest_does_not_hold(data):
+    with pytest.raises(TypeError):
+        dumps(data)

@@ -23,7 +23,8 @@ m <= 4, d <= 3, and m = 2 at d = 4; spectrum for both models, k <= 6,
 d <= 3 and four values of nu, again for k <= 4 with --omega or --alpha at 3/2, -2 and 0, again
 for k <= 4 at the nu that make a word coefficient vanish (-1/3 for both
 models, which cancels the T1- word, and -1/12 for Sutherland, which
-cancels its E11 and E22 words), and the benchmark's Calogero k = 8 rows;
+cancels its E11 and E22 words), the benchmark's Calogero k = 8 rows, and
+the refusal of k < d - 1 for both models;
 the usage errors of an option given where its command does not read it
 (--output latex or text outside gens and model, --omega with Sutherland,
 --alpha with Calogero, space --m with --degree-cap or a --d other than 1);
@@ -78,6 +79,9 @@ SLOW = (
      "--nu", "3/2", "--alpha", "2"),
     ("spectrum", "--model", "calogero", "--k", "30", "--d", "1"),
     ("spectrum", "--model", "calogero", "--k", "30", "--d", "3"),
+    ("spectrum", "--model", "calogero", "--k", "12", "--d", "5"),
+    ("spectrum", "--model", "calogero", "--k", "20", "--d", "4", "--omega", "0"),
+    ("spectrum", "--model", "calogero", "--k", "30", "--d", "2", "--omega", "3/2"),
 )
 
 # options a command parses but does not read with the other arguments given:
@@ -163,6 +167,9 @@ def grid():
         for d in (1, 2, 3)
         for nu in BENCH_NUS
     ]
+    # a flag label [k, d-1] with k < d-1: refused with exit 1
+    rows += [("spectrum", "--model", model, "--k", "3", "--d", "5")
+             for model in ("calogero", "sutherland")]
     return rows + list(UNUSED_OPTIONS) + list(SLOW)
 
 
