@@ -38,7 +38,15 @@ from .identities import (
     grading_audit,
 )
 from .matrixreps import gl2_irrep
-from .models import MODELS, WORDS, WeightCertificateError, model_checks, pattern_verdict, spectrum
+from .models import (
+    CARTAN,
+    MODELS,
+    WORDS,
+    WeightCertificateError,
+    model_checks,
+    pattern_verdict,
+    spectrum,
+)
 from .render import matrix_op_latex, matrix_op_str
 from .serialize import dumps, manifest, matrix_op_to_json
 from .spaces import (
@@ -46,6 +54,7 @@ from .spaces import (
     SpaceNotClosedError,
     hexagon_audit,
     orbit_closure,
+    record_action,
     scalar_basis,
 )
 from .weyl import PolySpinor
@@ -187,14 +196,17 @@ def cmd_space(args) -> int:
         ]
         return _finish(args, "space", {"k": args.k, "m": args.m}, results)
     d = 2 if args.d is None else args.d
-    gens = build_gl_np1(args.k, gl2_irrep(d))
+    gens = build_gl_np1(args.k, gl2_irrep(d)).named()
     seed = PolySpinor.unit(d - 1, d, 2)
     cap = args.degree_cap if args.degree_cap is not None else args.k + 2
     inputs = {"k": args.k, "d": d, "degree_cap": cap}
     try:
-        # only the weights (hexagon_audit) are read off the closure
-        basis = orbit_closure(gens.named(), seed, cap, ("E11", "E22"))
-    except SpaceNotClosedError as exc:
+        # the closure under the six roots, then the Cartan columns: they give
+        # the weights (hexagon_audit) and prove the span invariant under the
+        # Cartan generators too (NotInvariantError)
+        basis = orbit_closure([g for g in gens if g[0] not in CARTAN], seed, cap, ())
+        basis = record_action([g for g in gens if g[0] in CARTAN], basis)
+    except (SpaceNotClosedError, NotInvariantError) as exc:
         return _finish(
             args,
             "space",

@@ -345,14 +345,16 @@ def flag_basis(k: int, d: int, recorded=()) -> SpinorBasis:
 
     The flag records the columns of E11, E22 (which give the weights) and
     of the gl_3 generators named in recorded (ValueError naming any other
-    name), and no other.  On the triangle they come from one solve over
-    their images.  For d >= 2, T1-, T2- and E21 kill the seed, so it is the
-    highest-weight vector of [k, d-1] and the flag is U(n-) applied to it,
-    n- spanned by E12, T2+ and T1+ = [E12, T2+]: the closure under E12 and
-    T2+ alone is the whole flag.  The seed is closed under E11, E22, those
-    two and the recorded generators, and under no other.  The weights of
-    the flag must be those of flag_weights, with multiplicity, else
-    WeightCertificateError names the first weight whose multiplicity
+    name), and no other.  For d >= 2, T1-, T2- and E21 kill the seed, so it
+    is the highest-weight vector of [k, d-1] and the flag is U(n-) applied
+    to it, n- spanned by E12, T2+ and T1+ = [E12, T2+]: the closure under
+    E12 and T2+ alone is the whole flag.  The seed is closed under those two
+    and the recorded generators outside CARTAN, recording only the latter.
+    One record_action then adds every recorded column the basis lacks: all
+    of them on the triangle, by one solve over their images, and the
+    Cartan columns on the closure, read off its weight vectors.  The
+    weights of the flag must be those of flag_weights, with multiplicity,
+    else WeightCertificateError names the first weight whose multiplicity
     differs.
     """
     _check_label(k, d)
@@ -361,12 +363,14 @@ def flag_basis(k: int, d: int, recorded=()) -> SpinorBasis:
     if unknown:
         raise ValueError("unknown gl_3 generator %s" % ", ".join(sorted(unknown)))
     recorded = {"E11", "E22", *recorded}
-    wanted = recorded | set(LOWERING if d > 1 else ())
-    ops = [(name, op) for name, op in gens if name in wanted]
     if d == 1:
-        basis = record_action(ops, scalar_basis(k, 1))
+        basis = scalar_basis(k, 1)
     else:
-        basis = orbit_closure(ops, PolySpinor.unit(d - 1, d, 2), k + 2, recorded)
+        roots = recorded - CARTAN
+        ops = [(name, op) for name, op in gens if name in roots or name in LOWERING]
+        basis = orbit_closure(ops, PolySpinor.unit(d - 1, d, 2), k + 2, roots)
+    ops = [(name, op) for name, op in gens if name in recorded - basis.action.keys()]
+    basis = record_action(ops, basis)
     got = Counter(basis_weights(basis))
     want = Counter(flag_weights(k, d))
     for w in [*want, *got]:

@@ -9,13 +9,15 @@ sides.
 
 The closure runs on pair maps {(component, x^P): (a, b)} with each
 generator compiled once (_rules) into groups of terms that share a row, a
-column and a shift, and records the action it computes for the generators
-its caller names: for each, the coordinates of its image of each basis
-vector, from the elimination that accepted or rejected the image (a
-diagonal generator that acts on a vector as one scalar is not applied at
-all).  The elimination tracks combinations only when a recorded generator
-is off-diagonal.  record_action does the same for named operators on any
-basis, by one solve.  A basis holds the pair maps of its vectors and
+column and a shift.  It only closes: it applies every generator it is given
+to every basis vector and inserts each image into one echelon, which tracks
+combinations exactly when the caller names a generator whose action it
+records: for each, the coordinates of its image of each basis vector, from
+the elimination that accepted or rejected the image.  record_action adds
+the columns of named operators to any basis and proves the span invariant
+under them: it is the one place a diagonal generator that acts on every
+basis vector as a scalar is read off, not applied, and the other images
+are solved for at once.  A basis holds the pair maps of its vectors and
 builds them as PolySpinors only when they are read.  Bases come in
 discovery order (scalar_basis: by degree) and are never permuted.
 
@@ -149,30 +151,25 @@ def _factor(group, P):
     return hit
 
 
-def _diagonal_table(groups):
-    """{j: group} when every group is diagonal (j, j, 0), else None.
-
-    Such an op maps x^P e_j to sigma(j, P) x^P e_j, with sigma(j, P) the
-    pair of group j's _factor at P (0 for a column with no group).
-    """
+def _scalars(groups, raws):
+    """[sigma_j, ...] when the op of groups is diagonal, every group (j, j,
+    0), and maps each pair map raws[j] to sigma_j (a pair) times itself;
+    else None.  Such an op maps x^P e_j to sigma(j, P) x^P e_j, with
+    sigma(j, P) the pair of group j's _factor at P (0 for a column with no
+    group), so raws[j] is scaled when sigma(j, P) is equal on its keys."""
     if any(i != j or any(shift) for i, j, shift, _, _ in groups):
         return None
-    return {group[1]: group for group in groups}
-
-
-def _eigenvalue(table, keys):
-    """sigma (a pair) when the diagonal op of table maps the spinor with term
-    keys (j, x^P) to sigma times itself, sigma(j, P) equal on all; else None."""
-    sigma = None
-    for j, P in keys:
-        group = table.get(j)
-        hit = () if group is None else _factor(group, P)
-        s = hit[1] if hit else (0, 0)
-        if sigma is None:
-            sigma = s
-        elif s != sigma:
+    table = {group[1]: group for group in groups}
+    sigmas = []
+    for raw in raws:
+        seen = set()
+        for j, P in raw:
+            hit = _factor(table[j], P) if j in table else ()
+            seen.add(hit[1] if hit else (0, 0))
+        if len(seen) != 1:
             return None
-    return sigma
+        sigmas.append(seen.pop())
+    return sigmas
 
 
 def _image(groups, raw):
@@ -209,16 +206,13 @@ def orbit_closure(
     op's), each recorded under its name as in record_action.  The ops and
     the seed must be parameter-free (else ValueError: each power of a
     parameter would be a new direction), and the seed nonzero.
-    Every image, a pair map (_image), is inserted into an echelon whose
-    columns are its keys: an independent image joins the basis and its
-    column is a unit column; a dependent one is never kept, and its column
-    is the combination that eliminated it.  The echelon tracks those
-    combinations only when a recorded op is off-diagonal: a diagonal op
-    (_diagonal_table) is not applied to a vector it maps to sigma times
-    itself, and its column there is sigma times the unit column.  An
-    untracked closure that meets a dependent image of a recorded op (a
-    diagonal op on a vector it does not scale) starts again, tracked.  The
-    basis comes out in discovery order, seed first.
+    Every op is applied to every basis vector, and each image, a pair map
+    (_image), is inserted into one echelon whose columns are its keys: an
+    independent image joins the basis and its column is a unit column; a
+    dependent one is never kept, and its column is the combination that
+    eliminated it.  The echelon tracks those combinations exactly when a
+    column is recorded.  The basis comes out in discovery order, seed
+    first.
     """
     if seed.is_zero():
         raise ValueError("need a nonzero seed")
@@ -232,24 +226,8 @@ def orbit_closure(
     if unknown:
         raise ValueError("no op named %s to record" % ", ".join(sorted(unknown)))
     compiled = [_rules(name, op) for name, op in named_ops]
-    ops = [(g, _diagonal_table(g), name in recorded) for name, g in zip(names, compiled)]
     shape = (seed.dim, seed.nvars)
-    raw = {key: c.constant_pair() for key, c in seed.terms.items()}
-    track = any(rec and table is None for _, table, rec in ops)
-    closed = _close(ops, raw, shape, degree_cap, track)
-    if closed is None:
-        closed = _close(ops, raw, shape, degree_cap, True)
-    raws, columns = closed
-    action = {name: tuple(cols) for name, cols in zip(names, columns) if cols is not None}
-    return SpinorBasis(raws, shape, action)
-
-
-def _close(ops, seed, shape, degree_cap, track):
-    """(basis pair maps, per op its columns or None if not recorded) of
-    orbit_closure's closure of the pair map seed under ops, a list of
-    (groups, diagonal table, recorded); None when the echelon does not
-    track and a recorded op's image is dependent."""
-    ech = QPEchelon(track=track)
+    ech = QPEchelon(track=bool(recorded))
     raws = []  # the pair map of each basis vector
     position = {}  # echelon label -> basis position
 
@@ -262,36 +240,30 @@ def _close(ops, seed, shape, degree_cap, track):
         raws.append(raw)
         return position[tag]
 
-    keep(seed)
+    keep({key: c.constant_pair() for key, c in seed.terms.items()})
     # per recorded op, one column per basis vector
-    columns = [[] if rec else None for _, _, rec in ops]
+    columns = [[] if name in recorded else None for name in names]
     i = 0
     while i < len(raws):
         raw = raws[i]
-        for (groups, table, rec), cols in zip(ops, columns):
-            sigma = None if table is None else _eigenvalue(table, raw)
-            if sigma is not None:
-                if rec:
-                    cols.append({i: sigma} if sigma[0] or sigma[1] else {})
-                continue
+        for groups, cols in zip(compiled, columns):
             w = _image(groups, raw)
             if not w:
-                if rec:
+                if cols is not None:
                     cols.append({})
                 continue
             if max(map(sum, map(itemgetter(1), w))) > degree_cap:
                 raise SpaceNotClosedError(degree_cap, _spinor(w, shape))
             at = keep(w)
-            if not rec:
+            if cols is None:
                 continue
             if at is not None:
                 cols.append({at: (1, 0)})
-            elif track:
-                cols.append({position[t]: p for t, p in ech.combination.items()})
             else:
-                return None
+                cols.append({position[t]: p for t, p in ech.combination.items()})
         i += 1
-    return raws, columns
+    action = {name: tuple(cols) for name, cols in zip(names, columns) if cols is not None}
+    return SpinorBasis(raws, shape, action)
 
 
 def basis_weights(basis: SpinorBasis):
@@ -357,19 +329,22 @@ def _solve_images(ops, basis: SpinorBasis):
 
 
 def record_action(named_ops, basis: SpinorBasis) -> SpinorBasis:
-    """basis with the columns of each (name, op) added to its action.
+    """basis with the columns of each (name, op) added to its action, and
+    the proof that its span is invariant under every op.
 
-    A diagonal op (_diagonal_table) that maps every basis vector to a
-    multiple of itself is read off, as in orbit_closure.  The images of the
-    other ops, if any, are solved for together, against one echelon of the
-    basis.  Every op must be parameter-free (ValueError naming it otherwise).
+    This is the one place a diagonal column is read off: a diagonal op
+    that maps every basis vector to a multiple of itself (_scalars) is not
+    applied, and its column j is that multiple of the unit column j.
+    The images of the other ops, a diagonal op that does not scale some
+    vector included, are solved for together, against one echelon of the
+    basis; NotInvariantError names the first image outside the span.  Every
+    op must be parameter-free (ValueError naming it otherwise).
     """
     action = dict(basis.action)
     solve = []
     for name, op in named_ops:
-        table = _diagonal_table(_rules(name, op))
-        sigmas = [None] if table is None else [_eigenvalue(table, raw) for raw in basis.raws]
-        if None in sigmas:
+        sigmas = _scalars(_rules(name, op), basis.raws)
+        if sigmas is None:
             solve.append((name, op))
         else:
             action[name] = tuple({j: s} if s[0] or s[1] else {} for j, s in enumerate(sigmas))
@@ -383,8 +358,9 @@ def record_action(named_ops, basis: SpinorBasis) -> SpinorBasis:
 
 def _word_column(word, j, action):
     """The sparse column j of the product of the generator matrices in word
-    (the last name acts first), as {i: pair}."""
-    vec = action[word[-1]][j]
+    (the last name acts first), as {i: pair}; the unit column j for the
+    empty word, the identity."""
+    vec = action[word[-1]][j] if word else {j: (1, 0)}
     for name in reversed(word[:-1]):
         cols = action[name]
         out = {}

@@ -320,18 +320,13 @@ def fraction_rational_roots(coeffs):
 
 
 def apply_orbit_closure(named_ops, seed, degree_cap):
-    """spaces.orbit_closure as it was written on PolySpinor values: every
-    image is built by MatrixDiffOp.apply and scalarized from its Coeff
-    coordinates, rejected images included.  The oracle of the raw closure.
+    """spaces.orbit_closure as it was written on PolySpinor values, every
+    op recorded: every op is applied to every vector by MatrixDiffOp.apply
+    and its image scalarized from its Coeff coordinates, rejected images
+    included.  The oracle of the raw closure.
     """
     from matrixweyl.linalg import Indexer, QPEchelon, scalarize
-    from matrixweyl.spaces import (
-        SpaceNotClosedError,
-        SpinorBasis,
-        _diagonal_table,
-        _eigenvalue,
-        _rules,
-    )
+    from matrixweyl.spaces import SpaceNotClosedError, SpinorBasis
 
     ix = Indexer()
     ech = QPEchelon(track=True)
@@ -347,16 +342,11 @@ def apply_orbit_closure(named_ops, seed, degree_cap):
         return position[tag]
 
     add(seed)
-    tables = [_diagonal_table(_rules(name, op)) for name, op in named_ops]
     columns = [[] for _ in named_ops]
     i = 0
     while i < len(basis):
         v = basis[i]
-        for (_, op), table, cols in zip(named_ops, tables, columns):
-            sigma = None if table is None else _eigenvalue(table, v.terms)
-            if sigma is not None:
-                cols.append({i: sigma} if sigma[0] or sigma[1] else {})
-                continue
+        for (_, op), cols in zip(named_ops, columns):
             w = op.apply(v)
             if w.is_zero():
                 cols.append({})

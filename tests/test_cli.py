@@ -63,6 +63,30 @@ def test_space_degree_cap_failure_exits_one(capsys):
         assert "grew to degree 2" in data["results"][0]["error"]
 
 
+def test_space_cartan_read_off_failure_exits_one(capsys, monkeypatch):
+    # a basis vector the Cartan generators do not scale goes to the solve,
+    # whose NotInvariantError is the space's failure
+    from matrixweyl import cli
+    from matrixweyl.spaces import NotInvariantError
+
+    def refuse(named_ops, basis):
+        assert [name for name, _ in named_ops] == ["E11", "E22", "E0"]
+        raise NotInvariantError(3, basis.vectors[3])
+
+    monkeypatch.setattr(cli, "record_action", refuse)
+    code, out = run_cli(["space", "--k", "2", "--d", "2"], capsys)
+    assert code == 1
+    data = json.loads(out)
+    assert data["verdict"] == "fail"
+    assert data["results"] == [
+        {
+            "name": "orbit closure",
+            "pass": False,
+            "error": "operator image of basis vector 3 is outside the span",
+        }
+    ]
+
+
 @pytest.mark.parametrize(
     "argv, bindings",
     [

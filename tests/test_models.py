@@ -600,3 +600,43 @@ def test_matrix_of_words_equals_matrix_of_the_operator(kind, k, d):
         for row_c, row_s in zip(composed.entries, solved.entries):
             for c, s in zip(row_c, row_s):
                 assert c == s and repr(c) == repr(s), b
+
+
+# -- the empty word, the identity ------------------------------------------------
+
+
+@pytest.mark.parametrize("c", [Fraction(2), Fraction(-1, 3)], ids=str)
+@pytest.mark.parametrize(
+    "kind, k, d",
+    [
+        (kind, k, d)
+        for kind in ("calogero", "sutherland")
+        for d in (1, 2, 3)
+        for k in range(d - 1, 5)
+    ],
+)
+def test_an_empty_word_shifts_every_eigenvalue_by_its_coefficient(kind, k, d, c):
+    # c times the identity: the closure path composes it from the unit
+    # column, the weight path evaluates it at every weight
+    bindings = {"nu": Fraction(1, 3), "omega" if kind == "calogero" else "alpha": 1}
+    plain = spectrum(kind, WORDS[kind], k, d, bindings)
+    shifted = spectrum(kind, WORDS[kind] + ((Coeff.rational(c), ()),), k, d, bindings)
+    assert (shifted.basis_dim, shifted.block_sizes, shifted.diagonal) == (
+        plain.basis_dim,
+        plain.block_sizes,
+        plain.diagonal,
+    )
+    assert len(shifted.eigenvalues) == len(plain.eigenvalues) == plain.basis_dim
+    # both models' spectra are rational here, so the shift is exact
+    for got, want in zip(shifted.eigenvalues, plain.eigenvalues):
+        assert got.exact and want.exact
+        assert got.pair == (want.pair[0] + c, want.pair[1])
+
+
+def test_an_empty_word_on_the_closure_path_is_the_identity():
+    # once an IndexError in spaces._word_column
+    got = spectrum("sutherland", ((Coeff.one(), ()), (Coeff.one(), ("E12",))), 2, 1, {})
+    assert (got.basis_dim, got.block_sizes, got.diagonal) == (6, [1, 2, 3], False)
+    assert [e.pair for e in got.eigenvalues] == [(1, 0)] * 6
+    same = spectrum("calogero", ((Coeff.one(), ()),), 2, 1, {})
+    assert [e.pair for e in same.eigenvalues] == [(1, 0)] * 6

@@ -1,18 +1,20 @@
 """orbit_closure records only the columns its caller names, and tracks the
-combinations of its elimination only when one of them is off-diagonal.
+combinations of its one elimination exactly when it records one; space
+reads its Cartan columns off with record_action.
 
 The oracle is helpers_mw.apply_orbit_closure, the closure on PolySpinor
 values that records every op it closes under.
 """
 
+import json
 from functools import lru_cache
 
 import pytest
 
-from matrixweyl import PolySpinor, build_gl_np1, cli, gl2_irrep, spaces
+from matrixweyl import PolySpinor, build_gl_np1, cli, gl2_irrep, models, spaces
 from matrixweyl.linalg import QPEchelon
-from matrixweyl.models import flag_basis
-from matrixweyl.spaces import orbit_closure
+from matrixweyl.models import LOWERING, WORDS, flag_basis, spectrum
+from matrixweyl.spaces import SpaceNotClosedError, orbit_closure
 from helpers_mw import apply_orbit_closure
 
 GL3_NAMES = ("E11", "E12", "E21", "E22", "E0", "T1-", "T2-", "T1+", "T2+")
@@ -93,3 +95,75 @@ def test_the_vectors_are_built_on_first_read():
     assert [dict((key, c.constant_pair()) for key, c in v.terms.items()) for v in vectors] == list(
         basis.raws
     )
+
+
+def _closure_calls(monkeypatch):
+    """(recorded names, tracks of the echelons it built) of each orbit_closure
+    call, direct or through models and cli."""
+    calls = []
+    tracks = _tracks(monkeypatch)
+
+    def spy(named_ops, seed, degree_cap, recorded=None):
+        before = len(tracks)
+        try:
+            return orbit_closure(named_ops, seed, degree_cap, recorded)
+        finally:
+            names = {name for name, _ in named_ops} if recorded is None else set(recorded)
+            calls.append((names, tracks[before:]))
+
+    for module in (models, cli):
+        monkeypatch.setattr(module, "orbit_closure", spy)
+    return calls, spy
+
+
+def test_every_closure_builds_one_echelon_tracked_exactly_when_it_records(monkeypatch, capsys):
+    calls, closure = _closure_calls(monkeypatch)
+    gens, seed, cap = _args(3, 2)
+    lowering = [(name, op) for name, op in gens if name in LOWERING]
+    for ops in (gens, lowering, []):
+        for recorded in (None, (), {"E11"}, {"E12"}, {"E11", "E22", "E0"}, set(GL3_NAMES)):
+            if recorded is None or set(recorded) <= {name for name, _ in ops}:
+                closure(ops, seed, cap, recorded)
+    for d in (2, 3):
+        for names in (set(), {"E0"}, {"E12", "E21"}, set(GL3_NAMES)):
+            flag_basis(3, d, names)
+        spectrum("sutherland", WORDS["sutherland"], 3, d, {"nu": 1, "alpha": 1})
+    for k, d in ((2, 1), (4, 2), (3, 3), (0, 3)):
+        cli.main(["space", "--k", str(k), "--d", str(d)])
+    capsys.readouterr()
+    # 11 direct calls, 8 flags, 2 spectra and 4 spaces
+    assert len(calls) == 25
+    for recorded, tracks in calls:
+        assert tracks == [bool(recorded)], recorded
+
+
+def _space_basis(k, d, monkeypatch, capsys):
+    """The basis space --k k --d d reads, after its Cartan read-off, and its
+    manifest: basis None when the read-off is not reached."""
+    got = []
+
+    def spy(named_ops, basis):
+        got.append(record_action(named_ops, basis))
+        return got[-1]
+
+    record_action = cli.record_action
+    monkeypatch.setattr(cli, "record_action", spy)
+    cli.main(["space", "--k", str(k), "--d", str(d)])
+    monkeypatch.undo()
+    data = json.loads(capsys.readouterr().out)
+    return (got[0] if got else None), data
+
+
+@pytest.mark.parametrize("k, d", [(k, d) for d in (1, 2, 3, 4) for k in range(7)])
+def test_space_reads_the_nine_generator_closure_off_six_roots(k, d, monkeypatch, capsys):
+    basis, data = _space_basis(k, d, monkeypatch, capsys)
+    try:
+        want = _oracle(k, d)
+    except SpaceNotClosedError as exc:
+        # k < d-1: the orbit of the seed grows past the cap
+        assert k < d - 1 and basis is None
+        assert data["results"] == [{"name": "orbit closure", "pass": False, "error": str(exc)}]
+        return
+    assert basis.raws == want.raws
+    assert basis.action == {name: want.action[name] for name in DIAGONAL}
+    assert data["results"][0] == {"name": "orbit closure", "pass": True, "dim": want.dim}

@@ -396,7 +396,7 @@ def test_matrix_of_skips_a_word_whose_coefficient_is_zero(kind, nu, cancelled, m
     assert got == want and repr(got) == repr(want)
 
 
-# -- the diagonal shortcut ---------------------------------------------------------
+# -- the diagonal read-off ---------------------------------------------------------
 
 _exps = st.tuples(st.integers(0, 2), st.integers(0, 2))
 _rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3)
@@ -434,12 +434,54 @@ def _sigma(op, j, P, d):
     return image.terms.get((j, P), Coeff.zero())
 
 
+def _assert_columns_rebuild_images(basis, name, op):
+    """Every recorded column of name rebuilds the image of its vector."""
+    for j, bj in enumerate(basis.vectors):
+        rebuilt = PolySpinor.zero(bj.dim, 2)
+        for i, pair in basis.action[name][j].items():
+            rebuilt = rebuilt + basis.vectors[i].scale(Coeff.rational(*pair))
+        assert rebuilt == op.apply(bj)
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(diagonal_op_and_spinor())
-def test_diagonal_shortcut_records_sigma_v_and_applies_only_when_mixed(case):
+def test_record_action_reads_a_constant_sigma_off_and_solves_a_mixed_one(case):
     op, v = case
     sigmas = {_sigma(op, j, P, v.dim) for j, P in v.terms}
     image = op.apply(v)
+    # the closure of v under op, nothing recorded: an invariant basis
+    basis = orbit_closure([("op", op)], v, degree_cap=6, recorded=())
+    assert basis.vectors[0] == v and basis.action == {}
+    solves = []
+    real_solve = spaces._solve_images
+
+    def spy(ops, on):
+        solves.append(len(ops))
+        return real_solve(ops, on)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spaces, "_solve_images", spy)
+        got = record_action([("op", op)], basis)
+    assert got.raws == basis.raws
+    col = got.action["op"][0]
+    if len(sigmas) == 1:
+        event("constant sigma")
+        (sigma,) = sigmas
+        assert solves == [] and basis.dim == 1
+        assert col == ({0: sigma.constant_pair()} if sigma else {})
+        assert image == v.scale(sigma)
+    else:
+        event("mixed sigma")
+        # v is not scaled, so every column of op comes from the one solve
+        assert solves == [1]
+    _assert_columns_rebuild_images(got, "op", op)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(diagonal_op_and_spinor())
+def test_the_closure_applies_a_diagonal_op_to_every_vector_in_one_tracked_echelon(case):
+    op, v = case
+    sigmas = {_sigma(op, j, P, v.dim) for j, P in v.terms}
     calls = []
     real_image = spaces._image
 
@@ -459,28 +501,19 @@ def test_diagonal_shortcut_records_sigma_v_and_applies_only_when_mixed(case):
         mp.setattr(spaces, "QPEchelon", echelon)
         # the basis comes in discovery order, seed first
         basis = orbit_closure([("op", op)], v, degree_cap=6)
+    # op is recorded: one echelon, tracked, and op applied to every vector
+    assert tracks == [True]
+    assert calls == list(map(dict, basis.raws))
     assert basis.vectors[0] == v
-    # the one op is diagonal: the closure starts untracked, and starts again
-    # tracked only for a dependent image whose column it records
-    assert tracks in ([False], [False, True])
-    col = basis.action["op"][0]
+    assert list(calls[0].items()) == [(key, c.constant_pair()) for key, c in v.terms.items()]
     if len(sigmas) == 1:
         event("constant sigma")
         (sigma,) = sigmas
-        assert calls == [] and basis.dim == 1 and tracks == [False]
-        assert col == ({0: sigma.constant_pair()} if sigma else {})
-        assert image == v.scale(sigma)
+        assert basis.dim == 1
+        assert basis.action["op"][0] == ({0: sigma.constant_pair()} if sigma else {})
     else:
         event("mixed sigma")
-        assert calls and list(calls[0].items()) == [
-            (key, c.constant_pair()) for key, c in v.terms.items()
-        ]
-    # every recorded column rebuilds the image of its vector
-    for j, bj in enumerate(basis.vectors):
-        rebuilt = PolySpinor.zero(v.dim, 2)
-        for i, pair in basis.action["op"][j].items():
-            rebuilt = rebuilt + basis.vectors[i].scale(Coeff.rational(*pair))
-        assert rebuilt == op.apply(bj)
+    _assert_columns_rebuild_images(basis, "op", op)
 
 
 # -- the compiled pair kernel ---------------------------------------------------
