@@ -43,6 +43,7 @@ from .models import (
     MODELS,
     WORDS,
     WeightCertificateError,
+    certify_flag,
     model_checks,
     pattern_verdict,
     spectrum,
@@ -202,11 +203,13 @@ def cmd_space(args) -> int:
     inputs = {"k": args.k, "d": d, "degree_cap": cap}
     try:
         # the closure under the six roots, then the Cartan columns: they give
-        # the weights (hexagon_audit) and prove the span invariant under the
-        # Cartan generators too (NotInvariantError)
+        # the weights, which certify_flag checks against the Gelfand-Tsetlin
+        # patterns, and prove the span invariant under the Cartan generators
+        # too (NotInvariantError)
         basis = orbit_closure([g for g in gens if g[0] not in CARTAN], seed, cap, ())
         basis = record_action([g for g in gens if g[0] in CARTAN], basis)
-    except (SpaceNotClosedError, NotInvariantError) as exc:
+        certify_flag(basis, args.k, d)
+    except (SpaceNotClosedError, NotInvariantError, WeightCertificateError) as exc:
         return _finish(
             args,
             "space",

@@ -10,7 +10,8 @@ Every span question builds one QPEchelon over its spanning vectors and
 reduces all of its targets against it; a caller with a nested family of
 spans (the g^(m) closure filtration) grows a single echelon instead of
 rebuilding one per span.  Combination tracking is switched on only by the
-solvers that report coefficients (solve_combination, coeff_matrix_solve).
+solvers that report coefficients (solve_combination, coeff_matrix_solve)
+and by spaces.orbit_closure when it records a column.
 
 Inside the echelon no Fraction is built.  Each row is a map of integer
 pairs (A, B), meaning (A + B*sqrt2)/D, over one positive integer D per row,

@@ -36,7 +36,8 @@ use, nu and omega/alpha are bound on the word coefficients only, and the
 matrix of the model is the bound combination of products of generator
 matrices, block triangular in the grading; the Sutherland grading w1 + w2
 leaves blocks that are resolved per block by exact characteristic
-polynomials.  The discovered flag is certified against flag_weights.
+polynomials.  Every flag that spectrum or the `space` command discovers
+is certified against flag_weights (certify_flag).
 """
 
 from __future__ import annotations
@@ -352,10 +353,8 @@ def flag_basis(k: int, d: int, recorded=()) -> SpinorBasis:
     and the recorded generators outside CARTAN, recording only the latter.
     One record_action then adds every recorded column the basis lacks: all
     of them on the triangle, by one solve over their images, and the
-    Cartan columns on the closure, read off its weight vectors.  The
-    weights of the flag must be those of flag_weights, with multiplicity,
-    else WeightCertificateError names the first weight whose multiplicity
-    differs.
+    Cartan columns on the closure, read off its weight vectors.  The flag
+    is returned through certify_flag.
     """
     _check_label(k, d)
     gens = build_gl_np1(k, gl2_irrep(d)).named()
@@ -370,7 +369,16 @@ def flag_basis(k: int, d: int, recorded=()) -> SpinorBasis:
         ops = [(name, op) for name, op in gens if name in roots or name in LOWERING]
         basis = orbit_closure(ops, PolySpinor.unit(d - 1, d, 2), k + 2, roots)
     ops = [(name, op) for name, op in gens if name in recorded - basis.action.keys()]
-    basis = record_action(ops, basis)
+    return certify_flag(record_action(ops, basis), k, d)
+
+
+def certify_flag(basis: SpinorBasis, k: int, d: int) -> SpinorBasis:
+    """basis, a discovered flag [k, d-1] with the columns of E11 and E22,
+    once its weights (basis_weights) are those of flag_weights with
+    multiplicity; else WeightCertificateError names the first weight whose
+    multiplicity differs.  Equal multisets have equal sizes, so this
+    certifies the dimension too.
+    """
     got = Counter(basis_weights(basis))
     want = Counter(flag_weights(k, d))
     for w in [*want, *got]:

@@ -30,13 +30,16 @@ loudly with the offending vector and residual when the span is not
 invariant; given words (sums of products of named generators) it composes
 the recorded generator matrices instead.  The matrix is an OperatorMatrix,
 a term map keyed by (row, column) like the operators of weyl.
-hexagon_audit checks the structural facts of the [k,1] family: dimension
-k(k+2), layer sizes, weight multiplicities (double inside the hull, single
-on its boundary) and the specific top-layer span.
+hexagon_audit audits a [k,1] space whose weights are already certified
+(models.certify_flag): its layer sizes, the spinors of low degree it must
+contain and its specific top-layer span, with a census of its weights of
+multiplicity one (3k, the boundary of the weight hexagon) and two
+(k(k-1)/2, its interior).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from math import perm, prod
 from operator import add, itemgetter
 from typing import List, Sequence, Tuple
@@ -408,43 +411,6 @@ def basis_contains(basis: SpinorBasis, vectors: Sequence[PolySpinor]) -> bool:
 # -- Newton-hexagon structure ---------------------------------------------------
 
 
-def _convex_hull(points):
-    """Monotone-chain hull; returns vertices counterclockwise."""
-    pts = sorted(set(points))
-    if len(pts) <= 2:
-        return pts
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower = []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
-
-
-def _on_hull_boundary(p, hull):
-    if len(hull) == 1:
-        return p == hull[0]
-    m = len(hull)
-    for i in range(m):
-        a = hull[i]
-        b = hull[(i + 1) % m] if m > 2 else hull[1]
-        cross = (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
-        if cross == 0 and min(a[0], b[0]) <= p[0] <= max(a[0], b[0]) and min(
-            a[1], b[1]
-        ) <= p[1] <= max(a[1], b[1]):
-            return True
-    return False
-
-
 class HexagonReport:
     def __init__(self, dim_found, layer_sizes, boundary_points, interior_points, issues):
         self.dim_found = dim_found
@@ -469,13 +435,12 @@ def top_layer_spinors(k: int) -> List[PolySpinor]:
 
 
 def hexagon_audit(basis: SpinorBasis, k: int) -> HexagonReport:
-    """Structure audit of a [k,1] space discovered by orbit closure, with
-    the weights read off its recorded E11 and E22 columns."""
+    """Structure audit of a [k,1] space discovered by orbit closure, whose
+    weights, read off its recorded E11 and E22 columns, certify_flag has
+    certified.  It counts the weights of multiplicity one (boundary_points)
+    and two (interior_points), 0 and 0 with a non-weight vector, and checks
+    the layer sizes, the degree <= k-1 spinors and the top layer."""
     issues = []
-    dim_expected = k * (k + 2)
-    if basis.dim != dim_expected:
-        issues.append("dimension %d, expected %d" % (basis.dim, dim_expected))
-
     degs = [v.total_degree() for v in basis.vectors]
     layer_sizes = tuple(degs.count(t) for t in range(max(degs) + 1)) if degs else ()
     expected_layers = tuple(2 * (t + 1) for t in range(k)) + (k,)
@@ -487,19 +452,8 @@ def hexagon_audit(basis: SpinorBasis, k: int) -> HexagonReport:
     if None in weights:
         issues.append("non-weight basis vector found")
     else:
-        mult = {}
-        for w in weights:
-            mult[w] = mult.get(w, 0) + 1
-        hull = _convex_hull(list(mult))
-        for w, m in mult.items():
-            if _on_hull_boundary(w, hull):
-                boundary += 1
-                if m != 1:
-                    issues.append("boundary point %s has multiplicity %d" % (w, m))
-            else:
-                interior += 1
-                if m != 2:
-                    issues.append("interior point %s has multiplicity %d" % (w, m))
+        census = Counter(Counter(weights).values())
+        boundary, interior = census[1], census[2]
 
     # all spinors of component degree <= k-1 live in the space
     low_monos = [

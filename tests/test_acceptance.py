@@ -33,6 +33,7 @@ from matrixweyl.identities import (
 from matrixweyl.models import (
     WORDS,
     calogero,
+    certify_flag,
     model_checks,
     pattern_verdict,
     spectrum,
@@ -115,6 +116,8 @@ def test_criterion_4_representation_spaces():
             gens.named(), PolySpinor.unit(d - 1, d, 2), degree_cap=k + 2
         )
         ok = ok and basis.dim == expected
+        # the weights and their multiplicities (WeightCertificateError)
+        certify_flag(basis, k, d)
         if d == 2:
             report = hexagon_audit(basis, k)
             ok = ok and report.passed

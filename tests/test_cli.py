@@ -48,6 +48,17 @@ def test_space_command_dimension(capsys):
     assert data["results"][1]["pass"]
 
 
+@pytest.mark.parametrize("k", range(1, 13))
+def test_space_census_is_the_hexagon_boundary_and_interior(k, capsys):
+    # the numbers a convex hull of the weights gave: 3k single weights on
+    # its boundary, k(k-1)/2 double ones inside it
+    code, out = run_cli(["space", "--k", str(k), "--d", "2"], capsys)
+    assert code == 0
+    audit = json.loads(out)["results"][1]
+    assert audit["name"] == "hexagon audit" and audit["pass"]
+    assert (audit["boundary_points"], audit["interior_points"]) == (3 * k, k * (k - 1) // 2)
+
+
 def test_space_triangle(capsys):
     code, out = run_cli(["space", "--k", "3", "--m", "2", "--d", "1"], capsys)
     assert code == 0

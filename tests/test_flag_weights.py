@@ -1,5 +1,7 @@
 """The flag [k, d-1] is the gl_3 irrep V(k, d-1, 0), and its weights are
-read off the Gelfand-Tsetlin patterns (models.flag_weights).
+read off the Gelfand-Tsetlin patterns (models.flag_weights).  Every flag
+that flag_basis or the space command discovers is certified against them
+once (models.certify_flag).
 
 The oracles are the nine-generator closure of the seed (the `space`
 closure) and helpers_mw.unfiltered_spectrum, which composes every word on
@@ -20,6 +22,7 @@ from matrixweyl.models import (
     CARTAN,
     WORDS,
     WeightCertificateError,
+    certify_flag,
     flag_basis,
     flag_weights,
     spectrum,
@@ -137,17 +140,25 @@ def _dropping(index):
 
 
 @pytest.mark.parametrize("k, d, index", [(2, 1, 0), (4, 2, 7), (3, 3, -1)])
-def test_a_flag_whose_weights_differ_from_the_patterns_is_refused(k, d, index, monkeypatch):
+def test_a_flag_whose_weights_differ_from_the_patterns_is_refused(
+    k, d, index, monkeypatch, capsys
+):
     weights = flag_weights(k, d)
     dropped = weights[index]
     count = weights.count(dropped)
+    message = "flag [%d, %d] has weight %s %d times, its Gelfand-Tsetlin patterns %d times" % (
+        k, d - 1, dropped, count, count - 1
+    )
     monkeypatch.setattr(models, "flag_weights", _dropping(index))
     with pytest.raises(WeightCertificateError) as err:
         flag_basis(k, d)
-    assert str(err.value) == (
-        "flag [%d, %d] has weight %s %d times, its Gelfand-Tsetlin patterns %d times"
-        % (k, d - 1, dropped, count, count - 1)
-    )
+    assert str(err.value) == message
+    # the space command's closure fails the same certificate
+    code = cli.main(["space", "--k", str(k), "--d", str(d)])
+    data = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert data["verdict"] == "fail"
+    assert data["results"] == [{"name": "orbit closure", "pass": False, "error": message}]
 
 
 def test_the_certificate_failure_is_a_fail_manifest(monkeypatch, capsys):
@@ -161,6 +172,42 @@ def test_the_certificate_failure_is_a_fail_manifest(monkeypatch, capsys):
     assert record["error"] == (
         "flag [2, 1] has weight (2, 1) 1 times, its Gelfand-Tsetlin patterns 0 times"
     )
+
+
+def _certified(monkeypatch):
+    """The (basis, k, d) of every certify_flag call, by flag_basis or by
+    the space command."""
+    calls = []
+
+    def spy(basis, k, d):
+        calls.append((basis, k, d))
+        return certify_flag(basis, k, d)
+
+    monkeypatch.setattr(models, "certify_flag", spy)
+    monkeypatch.setattr(cli, "certify_flag", spy)
+    return calls
+
+
+@pytest.mark.parametrize("k, d", [(0, 1), (3, 1), (1, 2), (4, 2), (2, 3), (4, 4)])
+def test_each_discovered_flag_is_certified_once(k, d, monkeypatch, capsys):
+    calls = _certified(monkeypatch)
+    basis = flag_basis(k, d, ("E12",))
+    assert calls == [(basis, k, d)]
+    del calls[:]
+    spectrum("sutherland", WORDS["sutherland"], k, d, {"nu": 0, "alpha": 1})
+    assert [(b.dim, *label) for b, *label in calls] == [(basis.dim, k, d)]
+    del calls[:]
+    assert cli.main(["space", "--k", str(k), "--d", str(d)]) == 0
+    dim = json.loads(capsys.readouterr().out)["results"][0]["dim"]
+    assert [(b.dim, *label) for b, *label in calls] == [(dim, k, d)]
+
+
+def test_a_space_that_does_not_close_certifies_nothing(monkeypatch, capsys):
+    calls = _certified(monkeypatch)
+    assert cli.main(["space", "--k", "3", "--d", "2", "--degree-cap", "1"]) == 1
+    assert cli.main(["space", "--k", "2", "--m", "1"]) == 0
+    capsys.readouterr()
+    assert calls == []
 
 
 def test_the_certificate_reads_the_weights_the_closure_records(monkeypatch):

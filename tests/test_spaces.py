@@ -14,7 +14,15 @@ from matrixweyl import (
     gl2_irrep,
 )
 from matrixweyl.identities import casimirs_gl3
-from matrixweyl.models import GRADINGS, WORDS, _grades, calogero, flag_basis, sutherland
+from matrixweyl.models import (
+    GRADINGS,
+    WORDS,
+    _grades,
+    calogero,
+    certify_flag,
+    flag_basis,
+    sutherland,
+)
 from matrixweyl.spaces import (
     NotInvariantError,
     SpaceNotClosedError,
@@ -173,6 +181,8 @@ def test_k3_d3_fifteen_reference_vectors():
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_hexagon_audit(k):
     basis = closure(k, 2)
+    # the audit counts the multiplicities that the certificate checks
+    assert certify_flag(basis, k, 2) is basis
     report = hexagon_audit(basis, k)
     assert report.passed, report.issues
     assert report.dim_found == k * (k + 2)

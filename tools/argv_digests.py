@@ -16,8 +16,9 @@ covers gens, check, casimir and relations for d <= 4 (d = 4 is the first
 block whose gl2_irrep entries split a product rationally) and for d = 6
 (the second block size with sqrt2 entries, after d = 3), gens with k = 2
 bound and as LaTeX and text at d = 2; every space form, with closures for
-k <= 3 and d <= 3, the hexagon audits at k = 4, 5, 6 and 12 (d = 2) and the
-closures at k = 4 and 8 (d = 3) and k = 5 (d = 4); every model form, and
+k <= 3 and d <= 3, the hexagon audits at k = 4, 5, 6, 7 and 12 (d = 2) and
+one under a degree cap above k + 2, the closures at k = 4 and 8 (d = 3),
+k = 5 (d = 4) and k = 4 (d = 5); every model form, and
 the matrix form at d = 2 as LaTeX and text and with k = 2 bound; gm for
 m <= 4, d <= 3, and m = 2 at d = 4; spectrum for both models, k <= 6,
 d <= 3 and four values of nu, again for k <= 4 with --omega or --alpha at 3/2, -2 and 0, again
@@ -123,12 +124,13 @@ def grid():
     rows += [(cmd, "--d", "6") for cmd in ("gens", "check", "casimir", "relations")]
     rows += [("space", "--k", str(k), "--d", str(d)) for k in (0, 1, 2, 3) for d in (1, 2, 3)]
     # the hexagon audits (d = 2) and a closure (d = 3) past k = 3
-    rows += [("space", "--k", str(k), "--d", "2") for k in (4, 5, 6, 12)]
+    rows += [("space", "--k", str(k), "--d", "2") for k in (4, 5, 6, 7, 12)]
     rows += [("space", "--k", "4", "--d", "3")]
-    # the nine-generator closure past k = 4
+    # larger closures at d = 3, 4 and 5
     rows += [("space", "--k", "8", "--d", "3"), ("space", "--k", "5", "--d", "4")]
+    rows += [("space", "--k", "4", "--d", "5")]
     rows += [("space", "--k", "2", "--m", str(m)) for m in (1, 2)]
-    rows += [("space", "--k", "3", "--d", "2", "--degree-cap", "1")]
+    rows += [("space", "--k", "3", "--d", "2", "--degree-cap", str(cap)) for cap in (1, 9)]
     for model in ("calogero", "sutherland"):
         for form in ("differential", "liealgebraic", "matrix"):
             rows += [("model", "--model", model, "--form", form, "--d", str(d)) for d in (1, 2, 3)]
