@@ -56,7 +56,6 @@ from .linalg import charpoly, numeric_roots, rational_roots
 from .matrixreps import gl2_irrep
 from .spaces import (
     SpinorBasis,
-    basis_weights,
     matrix_of,
     orbit_closure,
     record_action,
@@ -354,7 +353,8 @@ def flag_basis(k: int, d: int, recorded=()) -> SpinorBasis:
     One record_action then adds every recorded column the basis lacks: all
     of them on the triangle, by one solve over their images, and the
     Cartan columns on the closure, read off its weight vectors.  The flag
-    is returned through certify_flag.
+    is returned through certify_flag, which reads its weights
+    (basis.weights); the basis keeps them for its caller.
     """
     _check_label(k, d)
     gens = build_gl_np1(k, gl2_irrep(d)).named()
@@ -374,12 +374,19 @@ def flag_basis(k: int, d: int, recorded=()) -> SpinorBasis:
 
 def certify_flag(basis: SpinorBasis, k: int, d: int) -> SpinorBasis:
     """basis, a discovered flag [k, d-1] with the columns of E11 and E22,
-    once its weights (basis_weights) are those of flag_weights with
-    multiplicity; else WeightCertificateError names the first weight whose
-    multiplicity differs.  Equal multisets have equal sizes, so this
-    certifies the dimension too.
+    once every vector is a weight vector and its weights (basis.weights)
+    are those of flag_weights with multiplicity; else
+    WeightCertificateError names the first vector that is not a weight
+    vector, or else the first weight whose multiplicity differs.  Equal
+    multisets have equal sizes, so this certifies the dimension too.  It is
+    the one place a basis is refused for its weights.
     """
-    got = Counter(basis_weights(basis))
+    weights = basis.weights
+    if None in weights:
+        raise WeightCertificateError(
+            "basis vector %d is not a weight vector" % weights.index(None)
+        )
+    got = Counter(weights)
     want = Counter(flag_weights(k, d))
     for w in [*want, *got]:
         if got[w] != want[w]:
@@ -388,15 +395,6 @@ def certify_flag(basis: SpinorBasis, k: int, d: int) -> SpinorBasis:
                 % (k, d - 1, w, got[w], want[w])
             )
     return basis
-
-
-def _grades(basis: SpinorBasis, form):
-    """The grade sum form[i] w_i of each basis vector's weight; ValueError
-    when a basis vector is not a weight vector."""
-    weights = basis_weights(basis)
-    if None in weights:
-        raise ValueError("basis vector %d is not a weight vector" % weights.index(None))
-    return [sum(f * x for f, x in zip(form, w)) for w in weights]
 
 
 def _grade_blocks(opm, grades):
@@ -462,7 +460,7 @@ def spectrum(
     if names <= CARTAN:
         return _weight_spectrum(kind, words, k, d, bind)
     basis = flag_basis(k, d, names)
-    grades = _grades(basis, form)
+    grades = [form[0] * w1 + form[1] * w2 for w1, w2 in basis.weights]
     opm = matrix_of(words, basis)
     blocks, diagonal = _grade_blocks(opm, grades)
     eigs, charpolys = _eigenvalues(opm, blocks, diagonal)

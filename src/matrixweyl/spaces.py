@@ -23,7 +23,8 @@ discovery order (scalar_basis: by degree) and are never permuted.
 
 The weights are not computed a second time: the weight of b_j is the tuple
 of eigenvalues of the Cartan generators E11, ..., Enn on it, which their
-recorded columns hold as multiples of the unit column j (basis_weights).
+recorded columns hold as multiples of the unit column j, read once per
+basis (SpinorBasis.weights).
 
 matrix_of converts an operator to its exact matrix on a basis, failing
 loudly with the offending vector and residual when the span is not
@@ -87,13 +88,32 @@ class SpinorBasis:
         self.raws = tuple(raws)
         self.shape = shape
         self.action = {} if action is None else action
-        self._vectors = None
+        self._vectors = self._weights = None
 
     @property
     def vectors(self) -> tuple:
         if self._vectors is None:
             self._vectors = tuple(_spinor(raw, self.shape) for raw in self.raws)
         return self._vectors
+
+    @property
+    def weights(self) -> tuple:
+        """The weight (w_1, ..., w_n) of each basis vector, read on first
+        access off its recorded columns of the Cartan generators E11, ...,
+        Enn (n variables): b_j is a weight vector exactly when each column
+        is a multiple of the unit column j, E_ii b_j = w_i b_j.  None for a
+        vector with a column that is not diagonal or a weight that is not
+        rational."""
+        if self._weights is None:
+            cartan = [self.action["E%d%d" % (i, i)] for i in range(1, self.shape[1] + 1)]
+            out = []
+            for j, cols in enumerate(zip(*cartan)):
+                pairs = [col.get(j, (0, 0)) for col in cols]
+                diagonal = all(col.keys() <= {j} for col in cols)
+                rational = not any(b for _, b in pairs)
+                out.append(tuple(a for a, _ in pairs) if diagonal and rational else None)
+            self._weights = tuple(out)
+        return self._weights
 
     @property
     def dim(self) -> int:
@@ -269,24 +289,6 @@ def orbit_closure(
     return SpinorBasis(raws, shape, action)
 
 
-def basis_weights(basis: SpinorBasis):
-    """The weight (w_1, ..., w_n) of each basis vector, read off its recorded
-    columns of the Cartan generators E11, ..., Enn (n variables): b_j is a
-    weight vector exactly when each column is a multiple of the unit column
-    j, E_ii b_j = w_i b_j.  None for a vector with a column that is not
-    diagonal or a weight that is not rational.
-    """
-    n = basis.shape[1]
-    cartan = [basis.action["E%d%d" % (i, i)] for i in range(1, n + 1)]
-    out = []
-    for j, cols in enumerate(zip(*cartan)):
-        pairs = [col.get(j, (0, 0)) for col in cols]
-        diagonal = all(col.keys() <= {j} for col in cols)
-        rational = not any(b for _, b in pairs)
-        out.append(tuple(a for a, _ in pairs) if diagonal and rational else None)
-    return out
-
-
 class OperatorMatrix(_TermMap):
     """Exact matrix of an operator restricted to a SpinorBasis.
 
@@ -412,8 +414,7 @@ def basis_contains(basis: SpinorBasis, vectors: Sequence[PolySpinor]) -> bool:
 
 
 class HexagonReport:
-    def __init__(self, dim_found, layer_sizes, boundary_points, interior_points, issues):
-        self.dim_found = dim_found
+    def __init__(self, layer_sizes, boundary_points, interior_points, issues):
         self.layer_sizes = layer_sizes
         self.boundary_points = boundary_points
         self.interior_points = interior_points
@@ -436,10 +437,10 @@ def top_layer_spinors(k: int) -> List[PolySpinor]:
 
 def hexagon_audit(basis: SpinorBasis, k: int) -> HexagonReport:
     """Structure audit of a [k,1] space discovered by orbit closure, whose
-    weights, read off its recorded E11 and E22 columns, certify_flag has
-    certified.  It counts the weights of multiplicity one (boundary_points)
-    and two (interior_points), 0 and 0 with a non-weight vector, and checks
-    the layer sizes, the degree <= k-1 spinors and the top layer."""
+    weights (basis.weights) certify_flag has certified.  It counts the
+    weights of multiplicity one (boundary_points) and two (interior_points),
+    and checks the layer sizes, the degree <= k-1 spinors and the top
+    layer."""
     issues = []
     degs = [v.total_degree() for v in basis.vectors]
     layer_sizes = tuple(degs.count(t) for t in range(max(degs) + 1)) if degs else ()
@@ -447,13 +448,7 @@ def hexagon_audit(basis: SpinorBasis, k: int) -> HexagonReport:
     if layer_sizes != expected_layers:
         issues.append("layers %s, expected %s" % (layer_sizes, expected_layers))
 
-    weights = basis_weights(basis)
-    boundary = interior = 0
-    if None in weights:
-        issues.append("non-weight basis vector found")
-    else:
-        census = Counter(Counter(weights).values())
-        boundary, interior = census[1], census[2]
+    census = Counter(Counter(basis.weights).values())
 
     # all spinors of component degree <= k-1 live in the space
     low_monos = [
@@ -484,4 +479,4 @@ def hexagon_audit(basis: SpinorBasis, k: int) -> HexagonReport:
     ):
         issues.append("top layer does not match the expected k-vector pattern")
 
-    return HexagonReport(basis.dim, layer_sizes, boundary, interior, tuple(issues))
+    return HexagonReport(layer_sizes, census[1], census[2], tuple(issues))

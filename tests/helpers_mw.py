@@ -398,11 +398,12 @@ def dense_block_scan(entries, grades):
 def unfiltered_spectrum(kind, words, k, d, bindings):
     """models.spectrum with every word composed: the flag records every
     generator the words use, the matrix is the bound sum of all the words,
-    and the same _grade_blocks and _eigenvalues read it.  The oracle of
-    spectrum, which composes only the words that do not lower the grade;
-    returns the SpectrumResult or raises what those steps raise."""
+    and the same grades off basis.weights, _grade_blocks and _eigenvalues
+    read it.  The oracle of spectrum, which composes only the words that do
+    not lower the grade; returns the SpectrumResult or raises what those
+    steps raise."""
     from matrixweyl.models import (
-        GRADINGS, SpectrumResult, _eigenvalues, _grade_blocks, _grades, flag_basis,
+        GRADINGS, SpectrumResult, _eigenvalues, _grade_blocks, flag_basis,
     )
     from matrixweyl.spaces import matrix_of
 
@@ -410,7 +411,9 @@ def unfiltered_spectrum(kind, words, k, d, bindings):
     words = tuple((c.substitute(bind), word) for c, word in words)
     basis = flag_basis(k, d, {name for _, word in words for name in word})
     opm = matrix_of(words, basis)
-    blocks, diagonal = _grade_blocks(opm, _grades(basis, GRADINGS[kind]))
+    form = GRADINGS[kind]
+    grades = [form[0] * w1 + form[1] * w2 for w1, w2 in basis.weights]
+    blocks, diagonal = _grade_blocks(opm, grades)
     eigs, charpolys = _eigenvalues(opm, blocks, diagonal)
     sizes = [len(rows) for rows in blocks.values()]
     return SpectrumResult(kind, k, d, bind, basis.dim, sizes, diagonal, eigs, charpolys)

@@ -27,7 +27,7 @@ from matrixweyl.models import (
     flag_weights,
     spectrum,
 )
-from matrixweyl.spaces import basis_weights, orbit_closure, record_action, scalar_basis
+from matrixweyl.spaces import orbit_closure, record_action, scalar_basis
 from helpers_mw import unfiltered_spectrum
 
 _PAIRS = [(k, d) for d in range(1, 6) for k in range(d - 1, 11)]
@@ -42,7 +42,7 @@ def _closure_weights(k, d):
         basis = record_action(cartan, scalar_basis(k, 1))
     else:
         basis = orbit_closure(gens, PolySpinor.unit(d - 1, d, 2), k + 2, ("E11", "E22"))
-    return basis_weights(basis)
+    return basis.weights
 
 
 def _dumps(result):
@@ -212,13 +212,50 @@ def test_a_space_that_does_not_close_certifies_nothing(monkeypatch, capsys):
 
 def test_the_certificate_reads_the_weights_the_closure_records(monkeypatch):
     # a closure that records one weight wrong fails its certificate too
-    real = spaces.basis_weights
+    real = spaces.SpinorBasis.weights.fget
 
     def shifted(basis):
-        weights = real(basis)
-        weights[-1] = (weights[-1][0] + 1, weights[-1][1])
-        return weights
+        *weights, last = real(basis)
+        return (*weights, (last[0] + 1, last[1]))
 
-    monkeypatch.setattr(models, "basis_weights", shifted)
+    monkeypatch.setattr(spaces.SpinorBasis, "weights", property(shifted))
     with pytest.raises(WeightCertificateError, match="^flag \\[3, 1\\] has weight"):
         flag_basis(3, 2)
+
+
+def _weight_reads(monkeypatch):
+    """(basis, computed) for every read of SpinorBasis.weights, computed
+    True when that read computed them."""
+    real = spaces.SpinorBasis.weights.fget
+    reads = []
+
+    def spy(basis):
+        reads.append((basis, basis._weights is None))
+        return real(basis)
+
+    monkeypatch.setattr(spaces.SpinorBasis, "weights", property(spy))
+    return reads
+
+
+@pytest.mark.parametrize("k", [1, 4, 12])
+def test_a_space_reads_its_weights_once_for_the_certificate_and_the_audit(
+    k, monkeypatch, capsys
+):
+    reads = _weight_reads(monkeypatch)
+    assert cli.main(["space", "--k", str(k), "--d", "2"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert [r["pass"] for r in data["results"]] == [True, True]
+    (basis, _), _ = reads
+    assert reads == [(basis, True), (basis, False)]
+    assert basis.dim == data["results"][0]["dim"]
+
+
+@pytest.mark.parametrize("k, d", [(1, 2), (4, 2), (2, 3), (3, 3), (4, 4)])
+def test_a_sutherland_spectrum_reads_its_weights_once_for_the_certificate_and_the_grades(
+    k, d, monkeypatch
+):
+    reads = _weight_reads(monkeypatch)
+    result = spectrum("sutherland", WORDS["sutherland"], k, d, {"nu": 0, "alpha": 1})
+    (basis, _), _ = reads
+    assert reads == [(basis, True), (basis, False)]
+    assert basis.dim == result.basis_dim

@@ -17,11 +17,12 @@ from matrixweyl.models import (
     EigRecord,
     NotTriangularError,
     SpectrumResult,
+    WeightCertificateError,
     _grade_blocks,
-    _grades,
     _sci_up,
     _word_sum,
     calogero,
+    certify_flag,
     flag_basis,
     model_checks,
     pattern_verdict,
@@ -29,7 +30,7 @@ from matrixweyl.models import (
     sutherland,
 )
 from matrixweyl.serialize import matrix_op_to_json
-from matrixweyl.spaces import OperatorMatrix, basis_weights, matrix_of, orbit_closure
+from matrixweyl.spaces import OperatorMatrix, matrix_of, orbit_closure
 from matrixweyl.weyl import PolySpinor
 from helpers_mw import dense_block_scan, fraction_pattern_verdict
 
@@ -487,14 +488,14 @@ def test_sparse_block_checks_match_the_dense_scan(case):
 
 
 def test_spectrum_grading_refuses_a_non_weight_vector():
-    # e_0 + e_1 has weights (1, 0) and (0, 1) in its two components
+    # e_0 + e_1 has weights (1, 0) and (0, 1) in its two components; the
+    # spectrum grades only a certified flag, and the certificate refuses it
     seed = PolySpinor.unit(0, 2, 2) + PolySpinor.unit(1, 2, 2)
     gens = build_gl_np1(2, gl2_irrep(2))
     basis = orbit_closure(gens.named(), seed, degree_cap=4)
-    assert basis_weights(basis)[0] is None
-    for form in GRADINGS.values():
-        with pytest.raises(ValueError, match="basis vector 0 is not a weight vector"):
-            _grades(basis, form)
+    assert basis.weights[0] is None
+    with pytest.raises(WeightCertificateError, match="^basis vector 0 is not a weight vector$"):
+        certify_flag(basis, 2, 2)
 
 
 @pytest.mark.parametrize(
@@ -507,7 +508,8 @@ def test_the_model_grading_steps_no_word_up(kind, k, d):
     words = WORDS[kind]
     names = {name for _, word in words for name in word}
     basis = flag_basis(k, d, names)
-    grades = _grades(basis, GRADINGS[kind])
+    form = GRADINGS[kind]
+    grades = [form[0] * w1 + form[1] * w2 for w1, w2 in basis.weights]
     step = {}
     for name in names:
         moves = {grades[i] - grades[j] for j, col in enumerate(basis.action[name]) for i in col}

@@ -17,7 +17,7 @@ from matrixweyl.identities import casimirs_gl3
 from matrixweyl.models import (
     GRADINGS,
     WORDS,
-    _grades,
+    WeightCertificateError,
     calogero,
     certify_flag,
     flag_basis,
@@ -28,7 +28,6 @@ from matrixweyl.spaces import (
     SpaceNotClosedError,
     SpinorBasis,
     basis_contains,
-    basis_weights,
     hexagon_audit,
     matrix_of,
     orbit_closure,
@@ -185,10 +184,64 @@ def test_hexagon_audit(k):
     assert certify_flag(basis, k, 2) is basis
     report = hexagon_audit(basis, k)
     assert report.passed, report.issues
-    assert report.dim_found == k * (k + 2)
-    assert report.layer_sizes == tuple(2 * (t + 1) for t in range(k)) + (k,)
+    assert basis.dim == k * (k + 2)
+    assert report.layer_sizes == _expected_layers(k)
     # top layer spans the reference homogeneous pattern
     assert len(top_layer_spinors(k)) == k
+
+
+def _doctored_audit(k, doctor):
+    """hexagon_audit of the [k, 1] basis whose pair maps are doctor(raws,
+    degrees) of the closure's, with its Cartan columns added."""
+    basis = closure(k, 2)
+    degrees = [v.total_degree() for v in basis.vectors]
+    doctored = SpinorBasis(doctor(list(basis.raws), degrees), basis.shape)
+    cartan = [(name, op) for name, op in build_gl_np1(k, gl2_irrep(2)).named()
+              if name in ("E11", "E22")]
+    return hexagon_audit(record_action(cartan, doctored), k)
+
+
+def _expected_layers(k):
+    return tuple(2 * (t + 1) for t in range(k)) + (k,)
+
+
+_CONTAINS = "degree<=k-1 spinors are not all contained"
+_TOP = "top layer does not match the expected k-vector pattern"
+
+
+@pytest.mark.parametrize(
+    "k, layers", [(1, (2,)), (2, (2, 4, 1)), (3, (2, 4, 6, 2)), (4, (2, 4, 6, 8, 3))]
+)
+def test_the_audit_finds_a_missing_top_layer_vector(k, layers):
+    def doctor(raws, degrees):
+        del raws[degrees.index(k)]
+        return raws
+
+    report = _doctored_audit(k, doctor)
+    assert report.issues == ("layers %s, expected %s" % (layers, _expected_layers(k)), _TOP)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_the_audit_finds_a_top_layer_vector_off_the_pattern(k):
+    # x^(i, k-i) e_0 has the degree of the top layer, not its span
+    for i in range(k):
+        def doctor(raws, degrees):
+            raws[[j for j, t in enumerate(degrees) if t == k][i]] = {(0, (i, k - i)): (1, 0)}
+            return raws
+
+        assert _doctored_audit(k, doctor).issues == (_TOP,)
+
+
+@pytest.mark.parametrize(
+    "k, layers", [(1, (1, 1)), (2, (2, 3, 2)), (3, (2, 4, 5, 3)), (4, (2, 4, 6, 7, 4))]
+)
+def test_the_audit_finds_a_missing_low_degree_vector(k, layers):
+    def doctor(raws, degrees):
+        del raws[degrees.index(k - 1)]
+        return raws
+
+    report = _doctored_audit(k, doctor)
+    assert report.issues == ("layers %s, expected %s" % (layers, _expected_layers(k)), _CONTAINS)
 
 
 def reference_weight(v, d):
@@ -209,11 +262,13 @@ def reference_weight(v, d):
 )
 def test_flag_column_weights_equal_the_reference_weights(kind, k, d):
     basis = flag_basis(k, d)
-    weights = basis_weights(basis)
-    assert weights == [reference_weight(v, d) for v in basis.vectors]
-    assert None not in weights
+    reference = [reference_weight(v, d) for v in basis.vectors]
+    assert list(basis.weights) == reference
+    assert None not in basis.weights
+    # the grades spectrum reads off basis.weights, against the reference's
     form = GRADINGS[kind]
-    assert _grades(basis, form) == [form[0] * w1 + form[1] * w2 for w1, w2 in weights]
+    grades = [form[0] * w1 + form[1] * w2 for w1, w2 in basis.weights]
+    assert grades == [form[0] * w1 + form[1] * w2 for w1, w2 in reference]
 
 
 def test_reference_weight_of_reference_vectors():
@@ -226,19 +281,20 @@ def test_reference_weight_of_reference_vectors():
 def test_closure_column_weights_equal_the_reference_weights(k):
     # the bases of `space --d 2`, in discovery order
     basis = closure(k, 2)
-    assert basis_weights(basis) == [reference_weight(v, 2) for v in basis.vectors]
+    assert list(basis.weights) == [reference_weight(v, 2) for v in basis.vectors]
 
 
 def test_non_weight_seed_is_reported_by_the_audit():
-    # e_0 + e_1 has weights (1, 0) and (0, 1) in its two components; the
-    # spectrum's grading refuses such a vector (test_models)
+    # e_0 + e_1 has weights (1, 0) and (0, 1) in its two components; it spans
+    # the flag [2, 1] with the rest, so the audit's checks of the span pass,
+    # and the certificate, which `space` runs before the audit, refuses it
+    # as it does for the spectrum's grading (test_models)
     seed = PolySpinor.unit(0, 2, 2) + PolySpinor.unit(1, 2, 2)
     gens = build_gl_np1(2, gl2_irrep(2))
     basis = orbit_closure(gens.named(), seed, degree_cap=4)
-    assert basis_weights(basis)[0] is None
-    report = hexagon_audit(basis, 2)
-    assert "non-weight basis vector found" in report.issues
-    assert not report.passed
+    assert basis.weights[0] is None
+    with pytest.raises(WeightCertificateError, match="^basis vector 0 is not a weight vector$"):
+        certify_flag(basis, 2, 2)
 
 
 def test_matrix_of_euler_complement_diagonal():

@@ -26,7 +26,10 @@ shows that metric before the benchmark runs.  A gain shows as B winning
 nearly every rep, by more than A's IQR.  Every rep also compares the
 sha256 of stdout and the exit code of A's and B's run of each argv; at
 the first difference the A/B stops, names the argv and exits 1, so it
-never times two programs that disagree.
+never times two programs that disagree.  A child that exits without its
+timing record (its last stderr line is not the envelope, as when the
+operation raises) stops the A/B too: it names the side and the argv with
+that child's last stderr line and exits 1.
 A checkout with a __pycache__ directory under src/ is refused (exit 2,
 naming the directory): PYTHONDONTWRITEBYTECODE stops writes, not reads, so
 its children would start from that bytecode and the A/B would compare two
@@ -56,9 +59,15 @@ def workload_argvs(root, name):
     ]
 
 
+class NoRecord(Exception):
+    """A child exited without its timing record; the message is its last
+    stderr line."""
+
+
 def envelope(root, argv):
     """(run_s, setup_s, output) of one fresh child of root on argv: the times
-    from its last stderr line, output the sha256 of its stdout and its exit code."""
+    from its last stderr line, output the sha256 of its stdout and its exit
+    code.  NoRecord when that line is not the child's envelope."""
     env = {k: v for k, v in os.environ.items() if not k.startswith("MATRIXWEYL_")}
     env.update(PYTHONPATH=os.path.join(root, "src"), PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(
@@ -67,8 +76,13 @@ def envelope(root, argv):
         env=env,
         capture_output=True,
     )
-    env = json.loads(proc.stderr.decode().strip().splitlines()[-1])
-    return env["run_s"], env["setup_s"], (hashlib.sha256(proc.stdout).hexdigest(), proc.returncode)
+    last = (proc.stderr.decode().strip().splitlines() or [""])[-1]
+    try:
+        env = json.loads(last)
+        times = env["run_s"], env["setup_s"]
+    except (ValueError, TypeError, KeyError):
+        raise NoRecord(last) from None
+    return (*times, (hashlib.sha256(proc.stdout).hexdigest(), proc.returncode))
 
 
 def iqr(xs):
@@ -131,7 +145,12 @@ def main(argv=None) -> int:
         for op, pair, setup in zip(ops, times, setups):
             outputs = [None, None]
             for side in (0, 1) if rep % 2 == 0 else (1, 0):
-                run, start, outputs[side] = envelope(roots[side], op)
+                try:
+                    run, start, outputs[side] = envelope(roots[side], op)
+                except NoRecord as exc:
+                    print("%s (%s) gave no timing record on %s; its last stderr line: %s"
+                          % ("AB"[side], roots[side], shlex.join(op), exc), file=sys.stderr)
+                    return 1
                 pair[side].append(run)
                 setup[side].append(start)
             if outputs[0] != outputs[1]:

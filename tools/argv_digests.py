@@ -24,8 +24,9 @@ m <= 4, d <= 3, and m = 2 at d = 4; spectrum for both models, k <= 6,
 d <= 3 and four values of nu, again for k <= 4 with --omega or --alpha at 3/2, -2 and 0, again
 for k <= 4 at the nu that make a word coefficient vanish (-1/3 for both
 models, which cancels the T1- word, and -1/12 for Sutherland, which
-cancels its E11 and E22 words), the benchmark's Calogero k = 8 rows, and
-the refusal of k < d - 1 for both models;
+cancels its E11 and E22 words), the benchmark's Calogero k = 8 rows,
+Sutherland at (k, d) = (3, 4), (5, 4), (4, 5), (6, 5) and (5, 6), and the
+refusal of k < d - 1 for both models;
 the usage errors of an option given where its command does not read it
 (--output latex or text outside gens and model, --omega with Sutherland,
 --alpha with Calogero, space --m with --degree-cap or a --d other than 1);
@@ -169,6 +170,11 @@ def grid():
         ("spectrum", "--model", "calogero", "--k", "8", "--d", str(d), "--nu=" + nu)
         for d in (1, 2, 3)
         for nu in BENCH_NUS
+    ]
+    # Sutherland flags past d = 3, d = 6 the second block size with sqrt2 entries
+    rows += [
+        ("spectrum", "--model", "sutherland", "--k", str(k), "--d", str(d))
+        for k, d in ((3, 4), (5, 4), (4, 5), (6, 5), (5, 6))
     ]
     # a flag label [k, d-1] with k < d-1: refused with exit 1
     rows += [("spectrum", "--model", model, "--k", "3", "--d", "5")
